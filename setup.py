@@ -1,30 +1,10 @@
-"""Builds the optional compiled kernel; the package works without it."""
+"""Setuptools entry point; the package is pure Python."""
 
-from setuptools import Extension, setup
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "tetrafermat._native",
-                ["src/tetrafermat/_native.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-else:
-    extensions = []
+from setuptools import setup
 
 # package layout repeated here so legacy setup.py code paths (old
 # setuptools without PEP 660/621 support) still resolve the src tree
 setup(
     package_dir={"": "src"},
     packages=["tetrafermat"],
-    ext_modules=extensions,
 )

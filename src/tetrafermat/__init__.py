@@ -37,7 +37,6 @@ from .geometry import (
     leg_directions,
     unit_vector,
 )
-from .kernels import BACKEND
 from .properties import (
     AngleSextuple,
     BisectorSet,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSextuple",
-    "BACKEND",
     "BisectorSet",
     "Classification",
     "ClassificationConflict",

@@ -1,35 +1,293 @@
-"""Backend selection for the hot numeric loops.
+"""Scalar kernels: distance sums, the safeguarded Newton iteration for the
+four-point distance minimizer, and a simplex minimizer specialized to the
+same objective.
 
-The compiled extension is preferred when it imported cleanly; otherwise the
-pure-Python mirror is used.  Set ``TETRAFERMAT_PURE_PYTHON=1`` to force the
-fallback (useful for benchmarking and for testing the fallback path).
+Scalar math only; no numpy inside the loops.  With four points the per-call
+overhead of numpy outweighs the arithmetic it would vectorize.
 """
 
 from __future__ import annotations
 
-import os
+from math import sqrt
 
-from . import _pykernels
+# newton() status codes
+CONVERGED = 0
+VERTEX = 1
+MAXITER = 2
 
-if os.environ.get("TETRAFERMAT_PURE_PYTHON") == "1":
-    _impl = _pykernels
-    BACKEND = "python"
-else:
-    try:
-        from . import _native as _impl  # type: ignore[no-redef]
+#: a trial point is accepted when it raises the objective by at most this
+#: relative amount, so steps that change it only at rounding level are kept
+ACCEPT_SLACK = 1e-15
+#: step halvings tried before falling back to the reweighted-average point
+MAX_HALVINGS = 30
 
-        BACKEND = "native"
-    except ImportError:
-        _impl = _pykernels
-        BACKEND = "python"
 
-CONVERGED = _pykernels.CONVERGED
-VERTEX = _pykernels.VERTEX
-MAXITER = _pykernels.MAXITER
+def _rows(vtx):
+    return [(float(vtx[i][0]), float(vtx[i][1]), float(vtx[i][2])) for i in range(4)]
 
-distance_sum = _impl.distance_sum
-resultant_norm = _impl.resultant_norm
-pull_norm = _impl.pull_norm
-weiszfeld_step = _impl.weiszfeld_step
-weiszfeld = _impl.weiszfeld
-nelder_mead = _impl.nelder_mead
+
+def distance_sum(vtx, x: float, y: float, z: float) -> float:
+    """Sum of Euclidean distances from (x, y, z) to the four rows of vtx."""
+    total = 0.0
+    for vx, vy, vz in _rows(vtx):
+        dx = x - vx
+        dy = y - vy
+        dz = z - vz
+        total += sqrt(dx * dx + dy * dy + dz * dz)
+    return total
+
+
+def resultant_norm(vtx, x: float, y: float, z: float) -> float:
+    """Norm of the sum of unit vectors from (x, y, z) toward the four rows.
+
+    This is the balancing residual; zero exactly at an interior minimizer.
+    The point must not coincide with a row.
+    """
+    rx = ry = rz = 0.0
+    for vx, vy, vz in _rows(vtx):
+        dx = vx - x
+        dy = vy - y
+        dz = vz - z
+        d = sqrt(dx * dx + dy * dy + dz * dz)
+        rx += dx / d
+        ry += dy / d
+        rz += dz / d
+    return sqrt(rx * rx + ry * ry + rz * rz)
+
+
+def pull_norm(vtx, i: int) -> float:
+    """Norm of the sum of unit vectors from the other three rows toward row i."""
+    rows = _rows(vtx)
+    px, py, pz = rows[i]
+    rx = ry = rz = 0.0
+    for j in range(4):
+        if j == i:
+            continue
+        dx = px - rows[j][0]
+        dy = py - rows[j][1]
+        dz = pz - rows[j][2]
+        d = sqrt(dx * dx + dy * dy + dz * dz)
+        rx += dx / d
+        ry += dy / d
+        rz += dz / d
+    return sqrt(rx * rx + ry * ry + rz * rz)
+
+
+def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step,
+           boundary_eps):
+    """Safeguarded Newton iteration for the four-point distance minimizer.
+
+    Each iteration solves ``H s = g``, where ``g`` is the sum of the unit
+    vectors u_i toward the rows (the negative gradient) and
+    ``H = sum (I - u_i u_i^T) / d_i`` the Hessian, by the closed-form 3x3
+    adjugate, and takes the step only when ``det H > 0``.  The step is
+    halved up to ``MAX_HALVINGS`` times until the objective rises by at
+    most ``ACCEPT_SLACK`` relative to the current value; when no trial point
+    passes, the iterate moves to the reweighted-average (Weiszfeld) point
+    ``sum(v_i / d_i) / sum(1 / d_i)``, a descent step in exact arithmetic.
+    This is the quadratically convergent scheme of Overton (Math.
+    Programming 27, 1983).
+
+    An iterate within ``vertex_eps`` of a row is a singular point: if that
+    row passes the vertex-optimality test the iteration stops there,
+    otherwise it restarts ``escape_step`` off the row along the descent ray.
+    ``vertex_eps`` and ``escape_step`` are absolute lengths.  Each Newton
+    step, fallback step and escape counts as one iteration.
+
+    Returns ``(x, y, z, residual, iterations, status, vertex_index)`` with
+    status CONVERGED (residual <= ``grad_tol``), VERTEX (an iterate reached
+    a row whose pull norm is <= 1 + ``boundary_eps``; the residual is that
+    pull norm), or MAXITER after ``max_iter`` iterations (the residual is
+    the balancing residual of the last iterate).
+    """
+    rows = _rows(vtx)
+    x, y, z = float(sx), float(sy), float(sz)
+    it = 0
+    while True:
+        dmin = -1.0
+        imin = -1
+        f = 0.0
+        dists = []
+        for i, (vx, vy, vz) in enumerate(rows):
+            dx = x - vx
+            dy = y - vy
+            dz = z - vz
+            d = sqrt(dx * dx + dy * dy + dz * dz)
+            dists.append(d)
+            f += d
+            if dmin < 0.0 or d < dmin:
+                dmin = d
+                imin = i
+        if dmin <= vertex_eps:
+            # Singular point of the iteration: test vertex optimality, and
+            # if the vertex loses, restart just off it along the descent ray.
+            pn = pull_norm(vtx, imin)
+            if pn <= 1.0 + boundary_eps:
+                vx, vy, vz = rows[imin]
+                return (vx, vy, vz, pn, it, VERTEX, imin)
+            px = py = pz = 0.0
+            for j in range(4):
+                if j == imin:
+                    continue
+                dx = rows[imin][0] - rows[j][0]
+                dy = rows[imin][1] - rows[j][1]
+                dz = rows[imin][2] - rows[j][2]
+                d = sqrt(dx * dx + dy * dy + dz * dz)
+                px += dx / d
+                py += dy / d
+                pz += dz / d
+            x = rows[imin][0] - escape_step * px / pn
+            y = rows[imin][1] - escape_step * py / pn
+            z = rows[imin][2] - escape_step * pz / pn
+            it += 1
+            if it >= max_iter:
+                res = resultant_norm(vtx, x, y, z)
+                return (x, y, z, res, it, MAXITER, -1)
+            continue
+        gx = gy = gz = 0.0
+        hxx = hyy = hzz = hxy = hxz = hyz = 0.0
+        for i, (vx, vy, vz) in enumerate(rows):
+            w = 1.0 / dists[i]
+            ux = (vx - x) * w
+            uy = (vy - y) * w
+            uz = (vz - z) * w
+            gx += ux
+            gy += uy
+            gz += uz
+            hxx += (1.0 - ux * ux) * w
+            hyy += (1.0 - uy * uy) * w
+            hzz += (1.0 - uz * uz) * w
+            hxy -= ux * uy * w
+            hxz -= ux * uz * w
+            hyz -= uy * uz * w
+        res = sqrt(gx * gx + gy * gy + gz * gz)
+        if res <= grad_tol:
+            return (x, y, z, res, it, CONVERGED, -1)
+        if it >= max_iter:
+            return (x, y, z, res, it, MAXITER, -1)
+        it += 1
+        c00 = hyy * hzz - hyz * hyz
+        c01 = hxz * hyz - hxy * hzz
+        c02 = hxy * hyz - hxz * hyy
+        det = hxx * c00 + hxy * c01 + hxz * c02
+        stepped = False
+        if det > 0.0:
+            c11 = hxx * hzz - hxz * hxz
+            c12 = hxy * hxz - hxx * hyz
+            c22 = hxx * hyy - hxy * hxy
+            px = (c00 * gx + c01 * gy + c02 * gz) / det
+            py = (c01 * gx + c11 * gy + c12 * gz) / det
+            pz = (c02 * gx + c12 * gy + c22 * gz) / det
+            fmax = f * (1.0 + ACCEPT_SLACK)
+            t = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                nx = x + t * px
+                ny = y + t * py
+                nz = z + t * pz
+                fn = 0.0
+                for vx, vy, vz in rows:
+                    dx = nx - vx
+                    dy = ny - vy
+                    dz = nz - vz
+                    fn += sqrt(dx * dx + dy * dy + dz * dz)
+                if fn <= fmax:
+                    x, y, z = nx, ny, nz
+                    stepped = True
+                    break
+                t *= 0.5
+        if not stepped:
+            sxx = syy = szz = sw = 0.0
+            for i, (vx, vy, vz) in enumerate(rows):
+                w = 1.0 / dists[i]
+                sxx += vx * w
+                syy += vy * w
+                szz += vz * w
+                sw += w
+            x = sxx / sw
+            y = syy / sw
+            z = szz / sw
+
+
+def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
+    """Nelder-Mead on the four-point distance sum, from (sx, sy, sz).
+
+    Standard reflect/expand/contract/shrink scheme with coefficients
+    1, 2, 0.5, 0.5.  Terminates when the simplex collapses below ``xatol``
+    in every coordinate and the value spread drops below ``fatol``, or after
+    ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
+    """
+    rows = _rows(vtx)
+
+    def f(p):
+        total = 0.0
+        for vx, vy, vz in rows:
+            dx = p[0] - vx
+            dy = p[1] - vy
+            dz = p[2] - vz
+            total += sqrt(dx * dx + dy * dy + dz * dz)
+        return total
+
+    sim = [[float(sx), float(sy), float(sz)]]
+    for k in range(3):
+        p = list(sim[0])
+        p[k] += step
+        sim.append(p)
+    fs = [f(p) for p in sim]
+
+    it = 0
+    while it < max_iter:
+        # order best..worst (stable insertion sort on 4 entries)
+        order = sorted(range(4), key=lambda k: fs[k])
+        sim = [sim[k] for k in order]
+        fs = [fs[k] for k in order]
+
+        size = 0.0
+        for k in range(1, 4):
+            for c in range(3):
+                diff = abs(sim[k][c] - sim[0][c])
+                if diff > size:
+                    size = diff
+        if size <= xatol and fs[3] - fs[0] <= fatol:
+            break
+
+        cx = (sim[0][0] + sim[1][0] + sim[2][0]) / 3.0
+        cy = (sim[0][1] + sim[1][1] + sim[2][1]) / 3.0
+        cz = (sim[0][2] + sim[1][2] + sim[2][2]) / 3.0
+
+        xr = [2.0 * cx - sim[3][0], 2.0 * cy - sim[3][1], 2.0 * cz - sim[3][2]]
+        fr = f(xr)
+        if fr < fs[0]:
+            xe = [3.0 * cx - 2.0 * sim[3][0], 3.0 * cy - 2.0 * sim[3][1],
+                  3.0 * cz - 2.0 * sim[3][2]]
+            fe = f(xe)
+            if fe < fr:
+                sim[3], fs[3] = xe, fe
+            else:
+                sim[3], fs[3] = xr, fr
+        elif fr < fs[2]:
+            sim[3], fs[3] = xr, fr
+        else:
+            if fr < fs[3]:
+                xc = [1.5 * cx - 0.5 * sim[3][0], 1.5 * cy - 0.5 * sim[3][1],
+                      1.5 * cz - 0.5 * sim[3][2]]
+                fc = f(xc)
+                shrink = fc > fr
+            else:
+                xc = [0.5 * cx + 0.5 * sim[3][0], 0.5 * cy + 0.5 * sim[3][1],
+                      0.5 * cz + 0.5 * sim[3][2]]
+                fc = f(xc)
+                shrink = fc >= fs[3]
+            if shrink:
+                for k in range(1, 4):
+                    for c in range(3):
+                        sim[k][c] = sim[0][c] + 0.5 * (sim[k][c] - sim[0][c])
+                    fs[k] = f(sim[k])
+            else:
+                sim[3], fs[3] = xc, fc
+        it += 1
+
+    best = 0
+    for k in range(1, 4):
+        if fs[k] < fs[best]:
+            best = k
+    return (sim[best][0], sim[best][1], sim[best][2], fs[best], it)

@@ -1,9 +1,9 @@
 """Distance-sum minimization over a tetrahedron.
 
 Two routes to the minimizer are provided and kept independent on purpose:
-``solve`` runs the reweighted-average (Weiszfeld) iteration with a vertex
-test up front, and ``oracle_solve`` runs a derivative-free simplex search
-with seeded restarts.  Tests cross-validate one against the other.
+``solve`` runs a safeguarded Newton iteration with a vertex test up front,
+and ``oracle_solve`` runs a derivative-free simplex search with seeded
+restarts.  Tests cross-validate one against the other.
 """
 
 from __future__ import annotations
@@ -131,10 +131,14 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     """Minimize the distance sum over the tetrahedron.
 
     Vertex case: returns the winning vertex exactly.  Interior case: runs
-    the reweighted-average iteration from the centroid until the balancing
-    residual drops below ``grad_tol``; iterates landing on a vertex are
-    nudged off along the descent ray.  Raises NonConvergence when the
-    iteration budget runs out.
+    Newton's method from the centroid until the balancing residual drops
+    below ``grad_tol``.  Each step solves ``H s = sum u_i`` with the
+    Hessian ``H = sum (I - u_i u_i^T) / d_i`` and is halved until the
+    objective does not rise beyond rounding; when no halving passes, the
+    reweighted-average (Weiszfeld) point is taken instead.  Iterates landing
+    on a vertex are nudged off along the descent ray.  ``iterations``
+    counts Newton steps, Weiszfeld fallback steps and vertex escapes alike.
+    Raises NonConvergence when the iteration budget runs out.
     """
     cfg = config or SolverConfig()
     cls = classify(tetra)
@@ -142,7 +146,7 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
         return _vertex_solution(tetra, cls.vertex_index, cls.pull_norms, cls.flags)
     start = tetra.centroid()
     scale = tetra.scale
-    x, y, z, res, iters, status, vidx = kernels.weiszfeld(
+    x, y, z, res, iters, status, vidx = kernels.newton(
         tetra.vertices,
         float(start[0]),
         float(start[1]),

@@ -1,21 +1,14 @@
-"""Backend parity and behavior of the numeric kernels."""
+"""Behavior of the numeric kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tetrafermat import _pykernels, kernels
+from tetrafermat import kernels
 from tetrafermat.sampling import random_tetrahedron
 
-try:
-    from tetrafermat import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(
-    _native is None, reason="compiled kernel not built"
-)
+RIGHT_CORNER = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
 
 
 def corpus(n=40, seed=11):
@@ -27,64 +20,59 @@ def corpus(n=40, seed=11):
     return out
 
 
-@needs_native
-class TestBackendParity:
-    def test_scalar_kernels(self):
-        for v, c in corpus():
-            assert _native.distance_sum(v, *c) == pytest.approx(
-                _pykernels.distance_sum(v, *c), abs=1e-13
-            )
-            assert _native.resultant_norm(v, *c) == pytest.approx(
-                _pykernels.resultant_norm(v, *c), abs=1e-13
-            )
-            for i in range(4):
-                assert _native.pull_norm(v, i) == pytest.approx(
-                    _pykernels.pull_norm(v, i), abs=1e-13
-                )
-
-    def test_weiszfeld_matches(self):
-        for v, c in corpus():
-            a = _native.weiszfeld(v, *c, 1e-10, 10000, 1e-9, 1e-8, 1e-9)
-            b = _pykernels.weiszfeld(v, *c, 1e-10, 10000, 1e-9, 1e-8, 1e-9)
-            assert a[4:] == b[4:]  # iterations, status, vertex index
-            assert np.allclose(a[:4], b[:4], atol=1e-12)
-
-    def test_nelder_mead_matches(self):
-        for v, c in corpus():
-            a = _native.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
-            b = _pykernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
-            assert a[4] == b[4]
-            assert np.allclose(a[:4], b[:4], atol=1e-11)
+def newton_iterates(v, start, count):
+    """The start point and up to ``count`` Newton iterates after it; a run
+    with budget k stops at the k-th iterate, so each is read off its own
+    run."""
+    out = [start]
+    for k in range(1, count + 1):
+        x, y, z, _, _, status, _ = kernels.newton(
+            v, *start, 1e-10, k, 1e-12, 1e-11, 1e-9
+        )
+        out.append((x, y, z))
+        if status != kernels.MAXITER:
+            break
+    return out
 
 
-class TestWeiszfeldKernel:
+def weiszfeld_point(v, p):
+    """Reweighted average of the rows, weights 1 / distance to p."""
+    w = 1.0 / np.linalg.norm(v - np.asarray(p), axis=1)
+    return (w[:, None] * v).sum(axis=0) / w.sum()
+
+
+def assert_monotone(v, iterates):
+    """The objective never rises along the iterates by more than the
+    rounding slack the step acceptance test allows."""
+    prev = kernels.distance_sum(v, *iterates[0])
+    for p in iterates[1:]:
+        cur = kernels.distance_sum(v, *p)
+        assert cur <= prev * (1.0 + kernels.ACCEPT_SLACK)
+        prev = cur
+
+
+class TestNewtonKernel:
     def test_monotone_descent(self):
-        # objective never increases along the iteration (within rounding)
         for v, c in corpus(20, seed=13):
-            x, y, z = c
-            prev = kernels.distance_sum(v, x, y, z)
-            for _ in range(60):
-                x, y, z = kernels.weiszfeld_step(v, x, y, z)
-                cur = kernels.distance_sum(v, x, y, z)
-                assert cur <= prev + 1e-12
-                prev = cur
+            assert_monotone(v, newton_iterates(v, c, 60))
 
     def test_converged_status(self):
         v, c = corpus(1)[0]
-        x, y, z, res, it, status, vidx = kernels.weiszfeld(
+        x, y, z, res, it, status, vidx = kernels.newton(
             v, *c, 1e-10, 10000, 1e-12, 1e-11, 1e-9
         )
         assert status == kernels.CONVERGED
         assert res <= 1e-10
         assert vidx == -1
+        assert kernels.resultant_norm(v, x, y, z) <= 1e-10
 
     def test_maxiter_status(self):
-        v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
-        x, y, z, res, it, status, vidx = kernels.weiszfeld(
-            v, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11, 1e-9
+        x, y, z, res, it, status, vidx = kernels.newton(
+            RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11, 1e-9
         )
         assert status == kernels.MAXITER
         assert it == 1
+        assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
 
     def test_vertex_status_when_started_on_optimal_vertex(self):
         # shallow apex configuration: vertex 0 absorbs the minimizer
@@ -96,20 +84,37 @@ class TestWeiszfeldKernel:
                 [-0.5, -0.8660254, 0.0],
             ]
         )
-        x, y, z, res, it, status, vidx = kernels.weiszfeld(
+        x, y, z, res, it, status, vidx = kernels.newton(
             v, 0.0, 0.0, 0.1, 1e-10, 10000, 1e-9, 1e-8, 1e-9
         )
         assert status == kernels.VERTEX
         assert vidx == 0
         assert (x, y, z) == (0.0, 0.0, 0.1)
-        assert res == pytest.approx(_pykernels.pull_norm(v, 0), abs=1e-15)
+        assert res == pytest.approx(kernels.pull_norm(v, 0), abs=1e-15)
+
+    def test_weiszfeld_fallback_when_newton_step_overshoots(self):
+        # Far from the hull the four unit legs are nearly parallel, so H is
+        # nearly singular along them and the Newton step overshoots by more
+        # than MAX_HALVINGS halvings can repair: the first iterate must be
+        # the reweighted-average point.
+        start = (1e6, 0.0, 0.0)
+        x, y, z, _, it, status, _ = kernels.newton(
+            RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11, 1e-9
+        )
+        assert status == kernels.MAXITER
+        assert it == 1
+        assert np.allclose(
+            [x, y, z], weiszfeld_point(RIGHT_CORNER, start), rtol=0, atol=1e-12
+        )
+        iterates = newton_iterates(RIGHT_CORNER, start, 60)
+        assert_monotone(RIGHT_CORNER, iterates)
+        assert np.allclose(iterates[-1], 1.0 / 6.0, rtol=0, atol=1e-12)
 
 
 class TestNelderMeadKernel:
     def test_minimizes_right_corner(self):
-        v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
         x, y, z, fv, it = kernels.nelder_mead(
-            v, 0.3, 0.2, 0.4, 0.2, 1e-12, 1e-14, 2000
+            RIGHT_CORNER, 0.3, 0.2, 0.4, 0.2, 1e-12, 1e-14, 2000
         )
         assert np.allclose([x, y, z], 1.0 / 6.0, atol=1e-7)
         assert fv == pytest.approx(5.0 * math.sqrt(3.0) / 3.0, abs=1e-12)
