@@ -104,16 +104,9 @@ def check_instance(index: int, tetra, config: SolverConfig) -> InstanceResult:
         fa = FiveAngles(
             a102=s.a102, a103=s.a103, a104=s.a104, a203=s.a203, a204=s.a204
         )
-        result = sixth_angle(fa)
-        branch = resolve_branch(cfg)
-        if branch == 0:
-            diff = min(
-                abs(result.cos_plus - math.cos(s.a304)),
-                abs(result.cos_minus - math.cos(s.a304)),
-            )
-        else:
-            diff = abs(result.cosine(branch) - math.cos(s.a304))
-        out.residuals["sixth_angle_identity"] = diff
+        out.residuals["sixth_angle_identity"] = sixth_angle(fa).branch_error(
+            resolve_branch(cfg), math.cos(s.a304)
+        )
         out.residuals["substitution_residual"] = ft_substitution_residual(
             s.a102, s.a203
         )

@@ -87,7 +87,6 @@ class SolutionReport:
     pull_norms: tuple[float, float, float, float]
     angles: AngleSextuple | None
     property_report: PropertyReport | None
-    flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
         sol = self.solution
@@ -101,7 +100,7 @@ class SolutionReport:
             "pull_norms": list(self.pull_norms),
             "angles_rad": None,
             "checks": None,
-            "flags": list(self.flags),
+            "flags": list(sol.flags),
         }
         if self.angles is not None:
             a = self.angles
@@ -119,38 +118,6 @@ class SolutionReport:
                 "pass": r.passed,
             }
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict, tol: float) -> "SolutionReport":
-        solution = FermatSolution(
-            kind=d["kind"],
-            point=np.array(d["point"]),
-            vertex_index=d["vertex_index"],
-            residual=d["residual"],
-            iterations=d["iterations"],
-            objective_value=d["objective"],
-        )
-        angles = None
-        if d["angles_rad"] is not None:
-            angles = AngleSextuple(**d["angles_rad"])
-        report = None
-        if d["checks"] is not None:
-            c = d["checks"]
-            report = PropertyReport(
-                opposite_angle_residuals=tuple(c["opposite_angles"]),
-                cosine_sum_residual=c["cosine_sum"],
-                bisector_dot_residuals=tuple(c["bisector_orthogonality"]),
-                antiparallel_residuals=tuple(c["bisector_antiparallel"]),
-                tol=tol,
-                passed=c["pass"],
-            )
-        return cls(
-            solution=solution,
-            pull_norms=tuple(d["pull_norms"]),
-            angles=angles,
-            property_report=report,
-            flags=tuple(d["flags"]),
-        )
 
 
 def _load_json(path: str) -> dict:
@@ -205,13 +172,11 @@ def build_report(tetra: Tetrahedron, grad_tol: float, max_iter: int,
         config = direction_config(tetra, solution.point)
         angles = angle_sextuple(config)
         report = verify_fundamental_property(config, tol)
-    flags = tuple(dict.fromkeys(cls.flags + solution.flags))
     return SolutionReport(
         solution=solution,
         pull_norms=cls.pull_norms,
         angles=angles,
         property_report=report,
-        flags=flags,
     )
 
 
@@ -257,8 +222,8 @@ def format_report_text(report: SolutionReport) -> str:
             + "  ".join(f"{x:.3e}" for x in r.antiparallel_residuals)
         )
         lines.append("  " + ("PASS" if r.passed else "FAIL"))
-    if report.flags:
-        lines.append("flags: " + ", ".join(report.flags))
+    if sol.flags:
+        lines.append("flags: " + ", ".join(sol.flags))
     return "\n".join(lines)
 
 

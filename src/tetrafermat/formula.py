@@ -75,6 +75,16 @@ class SixthAngleResult:
     def angle(self, branch: int) -> float:
         return math.acos(min(1.0, max(-1.0, self.cosine(branch))))
 
+    def branch_error(self, branch: int, target: float) -> float:
+        """|cosine(branch) - target| for a branch from ``resolve_branch``.
+
+        Branch 0 (a leg in the leg-1/leg-2 plane, where the two branches
+        meet) takes the nearer of the two branch cosines.
+        """
+        if branch == 0:
+            return min(abs(self.cos_plus - target), abs(self.cos_minus - target))
+        return abs(self.cosine(branch) - target)
+
 
 def radical_factor(a102: float, a10i: float, a20i: float) -> float:
     """One factor under the radical:
@@ -221,6 +231,4 @@ def ft_substitution_residual(a102: float, a203: float) -> float:
         )
     a103 = math.acos(c)
     fa = FiveAngles(a102=a102, a103=a103, a104=a203, a203=a203, a204=a103)
-    result = sixth_angle(fa)
-    target = math.cos(a102)
-    return min(abs(result.cos_plus - target), abs(result.cos_minus - target))
+    return sixth_angle(fa).branch_error(0, math.cos(a102))

@@ -12,8 +12,7 @@ from math import sqrt
 
 # newton() status codes
 CONVERGED = 0
-VERTEX = 1
-MAXITER = 2
+MAXITER = 1
 
 #: a trial point is accepted when it raises the objective by at most this
 #: relative amount, so steps that change it only at rounding level are kept
@@ -26,15 +25,20 @@ def _rows(vtx):
     return [(float(vtx[i][0]), float(vtx[i][1]), float(vtx[i][2])) for i in range(4)]
 
 
-def distance_sum(vtx, x: float, y: float, z: float) -> float:
-    """Sum of Euclidean distances from (x, y, z) to the four rows of vtx."""
+def _distance_sum(rows, p) -> float:
+    x, y, z = p
     total = 0.0
-    for vx, vy, vz in _rows(vtx):
+    for vx, vy, vz in rows:
         dx = x - vx
         dy = y - vy
         dz = z - vz
         total += sqrt(dx * dx + dy * dy + dz * dz)
     return total
+
+
+def distance_sum(vtx, x: float, y: float, z: float) -> float:
+    """Sum of Euclidean distances from (x, y, z) to the four rows of vtx."""
+    return _distance_sum(_rows(vtx), (x, y, z))
 
 
 def resultant_norm(vtx, x: float, y: float, z: float) -> float:
@@ -55,9 +59,8 @@ def resultant_norm(vtx, x: float, y: float, z: float) -> float:
     return sqrt(rx * rx + ry * ry + rz * rz)
 
 
-def pull_norm(vtx, i: int) -> float:
-    """Norm of the sum of unit vectors from the other three rows toward row i."""
-    rows = _rows(vtx)
+def _pull(rows, i):
+    """Sum of the unit vectors from the other three rows toward row i."""
     px, py, pz = rows[i]
     rx = ry = rz = 0.0
     for j in range(4):
@@ -70,12 +73,21 @@ def pull_norm(vtx, i: int) -> float:
         rx += dx / d
         ry += dy / d
         rz += dz / d
+    return rx, ry, rz
+
+
+def pull_norm(vtx, i: int) -> float:
+    """Norm of the sum of unit vectors from the other three rows toward row i."""
+    rx, ry, rz = _pull(_rows(vtx), i)
     return sqrt(rx * rx + ry * ry + rz * rz)
 
 
-def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step,
-           boundary_eps):
+def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     """Safeguarded Newton iteration for the four-point distance minimizer.
+
+    Precondition: no row passes the vertex-optimality test (every pull
+    norm exceeds 1), so the minimizer is interior.  ``solver.solve`` runs
+    ``solver.classify`` first and calls this only in the interior case.
 
     Each iteration solves ``H s = g``, where ``g`` is the sum of the unit
     vectors u_i toward the rows (the negative gradient) and
@@ -88,17 +100,16 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step,
     This is the quadratically convergent scheme of Overton (Math.
     Programming 27, 1983).
 
-    An iterate within ``vertex_eps`` of a row is a singular point: if that
-    row passes the vertex-optimality test the iteration stops there,
-    otherwise it restarts ``escape_step`` off the row along the descent ray.
-    ``vertex_eps`` and ``escape_step`` are absolute lengths.  Each Newton
-    step, fallback step and escape counts as one iteration.
+    An iterate within ``vertex_eps`` of a row is a singular point of the
+    iteration; it restarts ``escape_step`` off the row against the row's
+    pull (the descent ray, nonzero by the precondition).  ``vertex_eps``
+    and ``escape_step`` are absolute lengths.  Each Newton step, fallback
+    step and escape counts as one iteration.
 
-    Returns ``(x, y, z, residual, iterations, status, vertex_index)`` with
-    status CONVERGED (residual <= ``grad_tol``), VERTEX (an iterate reached
-    a row whose pull norm is <= 1 + ``boundary_eps``; the residual is that
-    pull norm), or MAXITER after ``max_iter`` iterations (the residual is
-    the balancing residual of the last iterate).
+    Returns ``(x, y, z, residual, iterations, status)``, where ``residual``
+    is the balancing residual (the norm of ``g``) at (x, y, z) and status
+    is CONVERGED (residual <= ``grad_tol``) or MAXITER (``max_iter``
+    iterations ran out).
     """
     rows = _rows(vtx)
     x, y, z = float(sx), float(sy), float(sz)
@@ -119,30 +130,15 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step,
                 dmin = d
                 imin = i
         if dmin <= vertex_eps:
-            # Singular point of the iteration: test vertex optimality, and
-            # if the vertex loses, restart just off it along the descent ray.
-            pn = pull_norm(vtx, imin)
-            if pn <= 1.0 + boundary_eps:
-                vx, vy, vz = rows[imin]
-                return (vx, vy, vz, pn, it, VERTEX, imin)
-            px = py = pz = 0.0
-            for j in range(4):
-                if j == imin:
-                    continue
-                dx = rows[imin][0] - rows[j][0]
-                dy = rows[imin][1] - rows[j][1]
-                dz = rows[imin][2] - rows[j][2]
-                d = sqrt(dx * dx + dy * dy + dz * dz)
-                px += dx / d
-                py += dy / d
-                pz += dz / d
+            px, py, pz = _pull(rows, imin)
+            pn = sqrt(px * px + py * py + pz * pz)
             x = rows[imin][0] - escape_step * px / pn
             y = rows[imin][1] - escape_step * py / pn
             z = rows[imin][2] - escape_step * pz / pn
             it += 1
             if it >= max_iter:
                 res = resultant_norm(vtx, x, y, z)
-                return (x, y, z, res, it, MAXITER, -1)
+                return (x, y, z, res, it, MAXITER)
             continue
         gx = gy = gz = 0.0
         hxx = hyy = hzz = hxy = hxz = hyz = 0.0
@@ -162,9 +158,9 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step,
             hyz -= uy * uz * w
         res = sqrt(gx * gx + gy * gy + gz * gz)
         if res <= grad_tol:
-            return (x, y, z, res, it, CONVERGED, -1)
+            return (x, y, z, res, it, CONVERGED)
         if it >= max_iter:
-            return (x, y, z, res, it, MAXITER, -1)
+            return (x, y, z, res, it, MAXITER)
         it += 1
         c00 = hyy * hzz - hyz * hyz
         c01 = hxz * hyz - hxy * hzz
@@ -217,22 +213,12 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
     ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
     """
     rows = _rows(vtx)
-
-    def f(p):
-        total = 0.0
-        for vx, vy, vz in rows:
-            dx = p[0] - vx
-            dy = p[1] - vy
-            dz = p[2] - vz
-            total += sqrt(dx * dx + dy * dy + dz * dz)
-        return total
-
     sim = [[float(sx), float(sy), float(sz)]]
     for k in range(3):
         p = list(sim[0])
         p[k] += step
         sim.append(p)
-    fs = [f(p) for p in sim]
+    fs = [_distance_sum(rows, p) for p in sim]
 
     it = 0
     while it < max_iter:
@@ -255,11 +241,11 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
         cz = (sim[0][2] + sim[1][2] + sim[2][2]) / 3.0
 
         xr = [2.0 * cx - sim[3][0], 2.0 * cy - sim[3][1], 2.0 * cz - sim[3][2]]
-        fr = f(xr)
+        fr = _distance_sum(rows, xr)
         if fr < fs[0]:
             xe = [3.0 * cx - 2.0 * sim[3][0], 3.0 * cy - 2.0 * sim[3][1],
                   3.0 * cz - 2.0 * sim[3][2]]
-            fe = f(xe)
+            fe = _distance_sum(rows, xe)
             if fe < fr:
                 sim[3], fs[3] = xe, fe
             else:
@@ -270,18 +256,18 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
             if fr < fs[3]:
                 xc = [1.5 * cx - 0.5 * sim[3][0], 1.5 * cy - 0.5 * sim[3][1],
                       1.5 * cz - 0.5 * sim[3][2]]
-                fc = f(xc)
+                fc = _distance_sum(rows, xc)
                 shrink = fc > fr
             else:
                 xc = [0.5 * cx + 0.5 * sim[3][0], 0.5 * cy + 0.5 * sim[3][1],
                       0.5 * cz + 0.5 * sim[3][2]]
-                fc = f(xc)
+                fc = _distance_sum(rows, xc)
                 shrink = fc >= fs[3]
             if shrink:
                 for k in range(1, 4):
                     for c in range(3):
                         sim[k][c] = sim[0][c] + 0.5 * (sim[k][c] - sim[0][c])
-                    fs[k] = f(sim[k])
+                    fs[k] = _distance_sum(rows, sim[k])
             else:
                 sim[3], fs[3] = xc, fc
         it += 1

@@ -84,15 +84,15 @@ def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
     return AngleSextuple(*angles)
 
 
-def check_opposite_angles(s: AngleSextuple, tol: float = DEFAULT_TOL):
+def check_opposite_angles(s: AngleSextuple):
     """Residuals |cos a102 - cos a304|, |cos a203 - cos a104|,
-    |cos a103 - cos a204|.  Pass iff all are <= tol."""
+    |cos a103 - cos a204|."""
     a = s.as_tuple()
     res = tuple(abs(math.cos(a[i]) - math.cos(a[j])) for i, j in OPPOSITE)
     return res
 
 
-def check_cosine_sum(s: AngleSextuple, tol: float = DEFAULT_TOL) -> float:
+def check_cosine_sum(s: AngleSextuple) -> float:
     """Residual |1 + cos a102 + cos a103 + cos a104|."""
     return abs(1.0 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a104))
 
@@ -119,8 +119,8 @@ def verify_fundamental_property(
     quadruples; on unbalanced input the residuals simply come out large.
     """
     s = angle_sextuple(config)
-    opp = check_opposite_angles(s, tol)
-    csum = check_cosine_sum(s, tol)
+    opp = check_opposite_angles(s)
+    csum = check_cosine_sum(s)
     b = bisectors(config).as_tuple()
     orth = (
         abs(float(b[0] @ b[3])),

@@ -46,10 +46,6 @@ def random_tetrahedron(seed: int, index: int) -> Tetrahedron:
             return Tetrahedron(v)
 
 
-def tetrahedron_corpus(seed: int, count: int) -> list[Tetrahedron]:
-    return [random_tetrahedron(seed, i) for i in range(count)]
-
-
 def _unit_rows(rng: np.random.Generator, n: int = 4) -> np.ndarray:
     u = rng.normal(size=(n, 3))
     return u / np.linalg.norm(u, axis=1, keepdims=True)

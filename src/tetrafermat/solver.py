@@ -20,6 +20,9 @@ from .geometry import Tetrahedron, as_point
 BOUNDARY_EPS = 1e-9
 #: |pull - 1| below this marks the vertex/interior decision as a near-tie
 TIE_BAND = 1e-6
+#: an iterate within VERTEX_EPS * scale of a vertex is moved 10 times that
+#: distance off it, along the descent ray
+VERTEX_EPS = 1e-9
 
 INTERIOR = "interior"
 VERTEX = "vertex"
@@ -27,13 +30,11 @@ VERTEX = "vertex"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls.  ``vertex_eps`` is relative to the tetrahedron
-    scale; ``seed`` drives the oracle restarts."""
+    """Iteration controls of the interior-case solve: the balancing
+    residual to reach and the iteration budget."""
 
     grad_tol: float = 1e-10
     max_iter: int = 10000
-    vertex_eps: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -130,15 +131,17 @@ def _vertex_solution(tetra: Tetrahedron, i: int, pulls, flags) -> FermatSolution
 def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolution:
     """Minimize the distance sum over the tetrahedron.
 
-    Vertex case: returns the winning vertex exactly.  Interior case: runs
-    Newton's method from the centroid until the balancing residual drops
-    below ``grad_tol``.  Each step solves ``H s = sum u_i`` with the
-    Hessian ``H = sum (I - u_i u_i^T) / d_i`` and is halved until the
-    objective does not rise beyond rounding; when no halving passes, the
-    reweighted-average (Weiszfeld) point is taken instead.  Iterates landing
-    on a vertex are nudged off along the descent ray.  ``iterations``
-    counts Newton steps, Weiszfeld fallback steps and vertex escapes alike.
-    Raises NonConvergence when the iteration budget runs out.
+    ``classify`` makes the only vertex/interior decision.  Vertex case:
+    returns the winning vertex exactly, with the classification's flags.
+    Interior case: runs Newton's method from the centroid until the
+    balancing residual drops below ``grad_tol``.  Each step solves
+    ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) / d_i`` and
+    is halved until the objective does not rise beyond rounding; when no
+    halving passes, the reweighted-average (Weiszfeld) point is taken
+    instead.  Iterates within ``VERTEX_EPS * scale`` of a vertex are moved
+    off it along the descent ray.  ``iterations`` counts Newton steps,
+    Weiszfeld fallback steps and vertex escapes alike.  Raises
+    NonConvergence when the iteration budget runs out.
     """
     cfg = config or SolverConfig()
     cls = classify(tetra)
@@ -146,26 +149,18 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
         return _vertex_solution(tetra, cls.vertex_index, cls.pull_norms, cls.flags)
     start = tetra.centroid()
     scale = tetra.scale
-    x, y, z, res, iters, status, vidx = kernels.newton(
+    x, y, z, res, iters, status = kernels.newton(
         tetra.vertices,
         float(start[0]),
         float(start[1]),
         float(start[2]),
         cfg.grad_tol,
         cfg.max_iter,
-        cfg.vertex_eps * scale,
-        10.0 * cfg.vertex_eps * scale,
-        BOUNDARY_EPS,
+        VERTEX_EPS * scale,
+        10.0 * VERTEX_EPS * scale,
     )
     if status == kernels.MAXITER:
         raise NonConvergence(np.array([x, y, z]), res, iters)
-    if status == kernels.VERTEX:
-        # An iterate reached a vertex that passes the optimality test even
-        # though the up-front classification said interior: a numerical
-        # near-tie.  Report the vertex.
-        return _vertex_solution(
-            tetra, vidx + 1, cls.pull_norms, ("vertex_capture",)
-        )
     point = np.array([x, y, z])
     flags = ()
     if not tetra.contains(point, tol=0.0):

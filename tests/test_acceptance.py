@@ -188,15 +188,8 @@ def test_criterion_5_sixth_angle_identity():
             cfg = canonical_config(units)
             s = angle_sextuple(cfg)
             fa = FiveAngles(s.a102, s.a103, s.a104, s.a203, s.a204)
-            branch = resolve_branch(cfg)
             r = sixth_angle(fa)
-            if branch == 0:
-                diff = min(
-                    abs(r.cos_plus - math.cos(s.a304)),
-                    abs(r.cos_minus - math.cos(s.a304)),
-                )
-            else:
-                diff = abs(r.cosine(branch) - math.cos(s.a304))
+            diff = r.branch_error(resolve_branch(cfg), math.cos(s.a304))
             worst = max(worst, diff)
     regular = sixth_angle(FiveAngles(*(ARCCOS_THIRD,) * 5))
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])

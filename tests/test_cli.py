@@ -9,7 +9,6 @@ from tetrafermat.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
-    SolutionReport,
     main,
 )
 
@@ -78,13 +77,6 @@ class TestSolveCommand:
         assert data["pull_norms"][0] < 1.0
         assert data["angles_rad"] is None
         assert data["checks"] is None
-
-    def test_json_round_trip(self, write_json, capsys):
-        main(["solve", "--input", write_json(RIGHT_CORNER), "--format", "json"])
-        payload = capsys.readouterr().out
-        report = SolutionReport.from_dict(json.loads(payload), tol=1e-6)
-        again = json.dumps(report.to_dict(), indent=2)
-        assert again == payload.rstrip("\n")
 
     def test_coplanar_input_exits_2(self, write_json, capsys):
         code = main(["solve", "--input", write_json(COPLANAR)])

@@ -208,16 +208,8 @@ class TestFormulaAgainstGeometry:
     def _check_identity(cfg):
         s = angle_sextuple(cfg)
         fa = FiveAngles(s.a102, s.a103, s.a104, s.a203, s.a204)
-        branch = resolve_branch(cfg)
         r = sixth_angle(fa)
-        if branch == 0:
-            got = min(
-                abs(r.cos_plus - math.cos(s.a304)),
-                abs(r.cos_minus - math.cos(s.a304)),
-            )
-            assert got <= 1e-8
-        else:
-            assert r.cosine(branch) == pytest.approx(math.cos(s.a304), abs=1e-8)
+        assert r.branch_error(resolve_branch(cfg), math.cos(s.a304)) <= 1e-8
 
 
 class TestSubstitutionResidual:

@@ -26,9 +26,7 @@ def newton_iterates(v, start, count):
     run."""
     out = [start]
     for k in range(1, count + 1):
-        x, y, z, _, _, status, _ = kernels.newton(
-            v, *start, 1e-10, k, 1e-12, 1e-11, 1e-9
-        )
+        x, y, z, _, _, status = kernels.newton(v, *start, 1e-10, k, 1e-12, 1e-11)
         out.append((x, y, z))
         if status != kernels.MAXITER:
             break
@@ -58,39 +56,45 @@ class TestNewtonKernel:
 
     def test_converged_status(self):
         v, c = corpus(1)[0]
-        x, y, z, res, it, status, vidx = kernels.newton(
-            v, *c, 1e-10, 10000, 1e-12, 1e-11, 1e-9
+        x, y, z, res, it, status = kernels.newton(
+            v, *c, 1e-10, 10000, 1e-12, 1e-11
         )
         assert status == kernels.CONVERGED
         assert res <= 1e-10
-        assert vidx == -1
         assert kernels.resultant_norm(v, x, y, z) <= 1e-10
 
     def test_maxiter_status(self):
-        x, y, z, res, it, status, vidx = kernels.newton(
-            RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11, 1e-9
+        x, y, z, res, it, status = kernels.newton(
+            RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11
         )
         assert status == kernels.MAXITER
         assert it == 1
         assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
 
-    def test_vertex_status_when_started_on_optimal_vertex(self):
-        # shallow apex configuration: vertex 0 absorbs the minimizer
-        v = np.array(
-            [
-                [0.0, 0.0, 0.1],
-                [1.0, 0.0, 0.0],
-                [-0.5, 0.8660254, 0.0],
-                [-0.5, -0.8660254, 0.0],
-            ]
+    @pytest.mark.parametrize(
+        "start,vertex_eps",
+        [
+            ((0.0, 0.0, 0.0), 1e-12),
+            # a vertex_eps wider than the centroid's distance to vertex 1
+            ((0.25, 0.25, 0.25), 0.5),
+        ],
+        ids=["on_vertex", "within_vertex_eps"],
+    )
+    def test_vertex_escape(self, start, vertex_eps):
+        # Vertex 1 of the right corner has pull norm sqrt(3) > 1, so an
+        # iterate within vertex_eps of it restarts escape_step along the
+        # descent ray (1, 1, 1) / sqrt(3); the escape uses up the budget and
+        # the residual is the balancing residual there.
+        escape_step = 1e-2
+        x, y, z, res, it, status = kernels.newton(
+            RIGHT_CORNER, *start, 1e-10, 1, vertex_eps, escape_step
         )
-        x, y, z, res, it, status, vidx = kernels.newton(
-            v, 0.0, 0.0, 0.1, 1e-10, 10000, 1e-9, 1e-8, 1e-9
-        )
-        assert status == kernels.VERTEX
-        assert vidx == 0
-        assert (x, y, z) == (0.0, 0.0, 0.1)
-        assert res == pytest.approx(kernels.pull_norm(v, 0), abs=1e-15)
+        assert status == kernels.MAXITER
+        assert it == 1
+        e = escape_step / math.sqrt(3.0)
+        assert (x, y, z) == (e, e, e)
+        assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
+        assert res > 0
 
     def test_weiszfeld_fallback_when_newton_step_overshoots(self):
         # Far from the hull the four unit legs are nearly parallel, so H is
@@ -98,8 +102,8 @@ class TestNewtonKernel:
         # than MAX_HALVINGS halvings can repair: the first iterate must be
         # the reweighted-average point.
         start = (1e6, 0.0, 0.0)
-        x, y, z, _, it, status, _ = kernels.newton(
-            RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11, 1e-9
+        x, y, z, _, it, status = kernels.newton(
+            RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11
         )
         assert status == kernels.MAXITER
         assert it == 1
