@@ -26,7 +26,7 @@ from .properties import (
     angle_sextuple,
     verify_fundamental_property,
 )
-from .solver import FermatSolution, INTERIOR, SolverConfig, classify, solve
+from .solver import FermatSolution, INTERIOR, SolverConfig, _solve, classify
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -165,7 +165,7 @@ def load_five_angles(path: str) -> FiveAngles:
 def build_report(tetra: Tetrahedron, grad_tol: float, max_iter: int,
                  tol: float) -> SolutionReport:
     cls = classify(tetra)
-    solution = solve(tetra, SolverConfig(grad_tol=grad_tol, max_iter=max_iter))
+    solution = _solve(tetra, cls, SolverConfig(grad_tol=grad_tol, max_iter=max_iter))
     angles = None
     report = None
     if solution.kind == INTERIOR:

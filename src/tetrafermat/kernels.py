@@ -9,6 +9,7 @@ overhead of numpy outweighs the arithmetic it would vectorize.
 from __future__ import annotations
 
 from math import sqrt
+from operator import itemgetter
 
 # newton() status codes
 CONVERGED = 0
@@ -25,20 +26,35 @@ def _rows(vtx):
     return [(float(vtx[i][0]), float(vtx[i][1]), float(vtx[i][2])) for i in range(4)]
 
 
-def _distance_sum(rows, p) -> float:
-    x, y, z = p
-    total = 0.0
-    for vx, vy, vz in rows:
-        dx = x - vx
-        dy = y - vy
-        dz = z - vz
-        total += sqrt(dx * dx + dy * dy + dz * dz)
-    return total
+def _distance_fn(rows):
+    """``f(x, y, z)``: the sum of the distances to the four rows, added left
+    to right, with the rows' twelve coordinates bound once."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+
+    def f(x, y, z):
+        xa = x - ax
+        ya = y - ay
+        za = z - az
+        xb = x - bx
+        yb = y - by
+        zb = z - bz
+        xc = x - cx
+        yc = y - cy
+        zc = z - cz
+        xd = x - dx
+        yd = y - dy
+        zd = z - dz
+        return (sqrt(xa * xa + ya * ya + za * za)
+                + sqrt(xb * xb + yb * yb + zb * zb)
+                + sqrt(xc * xc + yc * yc + zc * zc)
+                + sqrt(xd * xd + yd * yd + zd * zd))
+
+    return f
 
 
 def distance_sum(vtx, x: float, y: float, z: float) -> float:
     """Sum of Euclidean distances from (x, y, z) to the four rows of vtx."""
-    return _distance_sum(_rows(vtx), (x, y, z))
+    return _distance_fn(_rows(vtx))(x, y, z)
 
 
 def resultant_norm(vtx, x: float, y: float, z: float) -> float:
@@ -211,69 +227,81 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
     1, 2, 0.5, 0.5.  Terminates when the simplex collapses below ``xatol``
     in every coordinate and the value spread drops below ``fatol``, or after
     ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
+
+    Each iteration orders the vertices best to worst by a stable sort, so
+    vertices with equal values keep their previous order; the returned
+    vertex is the first one with the smallest value.  The answers are kept
+    bit-identical on purpose, iteration counts included: every expression
+    and the order of its floating-point operations is fixed, because the
+    oracle's restarts and the tests that pin them depend on it.
     """
-    rows = _rows(vtx)
-    sim = [[float(sx), float(sy), float(sz)]]
-    for k in range(3):
-        p = list(sim[0])
-        p[k] += step
-        sim.append(p)
-    fs = [_distance_sum(rows, p) for p in sim]
+    f = _distance_fn(_rows(vtx))
+    x0, y0, z0 = float(sx), float(sy), float(sz)
+    # the simplex: four [value, x, y, z] records
+    S = [
+        [f(x0, y0, z0), x0, y0, z0],
+        [f(x0 + step, y0, z0), x0 + step, y0, z0],
+        [f(x0, y0 + step, z0), x0, y0 + step, z0],
+        [f(x0, y0, z0 + step), x0, y0, z0 + step],
+    ]
+    value = itemgetter(0)
 
     it = 0
     while it < max_iter:
-        # order best..worst (stable insertion sort on 4 entries)
-        order = sorted(range(4), key=lambda k: fs[k])
-        sim = [sim[k] for k in order]
-        fs = [fs[k] for k in order]
-
-        size = 0.0
-        for k in range(1, 4):
-            for c in range(3):
-                diff = abs(sim[k][c] - sim[0][c])
-                if diff > size:
-                    size = diff
-        if size <= xatol and fs[3] - fs[0] <= fatol:
+        S.sort(key=value)
+        f0, x0, y0, z0 = S[0]
+        _, x1, y1, z1 = S[1]
+        f2, x2, y2, z2 = S[2]
+        f3, x3, y3, z3 = S[3]
+        if f3 - f0 <= fatol and max(
+            abs(x1 - x0), abs(y1 - y0), abs(z1 - z0),
+            abs(x2 - x0), abs(y2 - y0), abs(z2 - z0),
+            abs(x3 - x0), abs(y3 - y0), abs(z3 - z0),
+        ) <= xatol:
             break
 
-        cx = (sim[0][0] + sim[1][0] + sim[2][0]) / 3.0
-        cy = (sim[0][1] + sim[1][1] + sim[2][1]) / 3.0
-        cz = (sim[0][2] + sim[1][2] + sim[2][2]) / 3.0
+        cx = (x0 + x1 + x2) / 3.0
+        cy = (y0 + y1 + y2) / 3.0
+        cz = (z0 + z1 + z2) / 3.0
 
-        xr = [2.0 * cx - sim[3][0], 2.0 * cy - sim[3][1], 2.0 * cz - sim[3][2]]
-        fr = _distance_sum(rows, xr)
-        if fr < fs[0]:
-            xe = [3.0 * cx - 2.0 * sim[3][0], 3.0 * cy - 2.0 * sim[3][1],
-                  3.0 * cz - 2.0 * sim[3][2]]
-            fe = _distance_sum(rows, xe)
+        xr = 2.0 * cx - x3
+        yr = 2.0 * cy - y3
+        zr = 2.0 * cz - z3
+        fr = f(xr, yr, zr)
+        if fr < f0:
+            xe = 3.0 * cx - 2.0 * x3
+            ye = 3.0 * cy - 2.0 * y3
+            ze = 3.0 * cz - 2.0 * z3
+            fe = f(xe, ye, ze)
             if fe < fr:
-                sim[3], fs[3] = xe, fe
+                S[3] = [fe, xe, ye, ze]
             else:
-                sim[3], fs[3] = xr, fr
-        elif fr < fs[2]:
-            sim[3], fs[3] = xr, fr
+                S[3] = [fr, xr, yr, zr]
+        elif fr < f2:
+            S[3] = [fr, xr, yr, zr]
         else:
-            if fr < fs[3]:
-                xc = [1.5 * cx - 0.5 * sim[3][0], 1.5 * cy - 0.5 * sim[3][1],
-                      1.5 * cz - 0.5 * sim[3][2]]
-                fc = _distance_sum(rows, xc)
+            if fr < f3:
+                xc = 1.5 * cx - 0.5 * x3
+                yc = 1.5 * cy - 0.5 * y3
+                zc = 1.5 * cz - 0.5 * z3
+                fc = f(xc, yc, zc)
                 shrink = fc > fr
             else:
-                xc = [0.5 * cx + 0.5 * sim[3][0], 0.5 * cy + 0.5 * sim[3][1],
-                      0.5 * cz + 0.5 * sim[3][2]]
-                fc = _distance_sum(rows, xc)
-                shrink = fc >= fs[3]
+                xc = 0.5 * cx + 0.5 * x3
+                yc = 0.5 * cy + 0.5 * y3
+                zc = 0.5 * cz + 0.5 * z3
+                fc = f(xc, yc, zc)
+                shrink = fc >= f3
             if shrink:
-                for k in range(1, 4):
-                    for c in range(3):
-                        sim[k][c] = sim[0][c] + 0.5 * (sim[k][c] - sim[0][c])
-                    fs[k] = _distance_sum(rows, sim[k])
+                for k in (1, 2, 3):
+                    _, x, y, z = S[k]
+                    x = x0 + 0.5 * (x - x0)
+                    y = y0 + 0.5 * (y - y0)
+                    z = z0 + 0.5 * (z - z0)
+                    S[k] = [f(x, y, z), x, y, z]
             else:
-                sim[3], fs[3] = xc, fc
+                S[3] = [fc, xc, yc, zc]
         it += 1
 
-    best = 0
-    for k in range(1, 4):
-        if fs[k] < fs[best]:
-            best = k
-    return (sim[best][0], sim[best][1], sim[best][2], fs[best], it)
+    fmin, x, y, z = min(S, key=value)
+    return (x, y, z, fmin, it)

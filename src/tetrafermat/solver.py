@@ -143,8 +143,12 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     Weiszfeld fallback steps and vertex escapes alike.  Raises
     NonConvergence when the iteration budget runs out.
     """
-    cfg = config or SolverConfig()
-    cls = classify(tetra)
+    return _solve(tetra, classify(tetra), config or SolverConfig())
+
+
+def _solve(tetra: Tetrahedron, cls: Classification,
+           cfg: SolverConfig) -> FermatSolution:
+    """``solve`` for a tetrahedron already classified as ``cls``."""
     if cls.kind == VERTEX:
         return _vertex_solution(tetra, cls.vertex_index, cls.pull_norms, cls.flags)
     start = tetra.centroid()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tetrafermat import cli, solver
 from tetrafermat.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NONCONVERGENCE,
@@ -11,6 +12,7 @@ from tetrafermat.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from tetrafermat.geometry import Tetrahedron
 
 REGULAR = {"vertices": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}
 RIGHT_CORNER = {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -102,6 +104,21 @@ class TestSolveCommand:
         )
         assert code == EXIT_NONCONVERGENCE
         assert "no convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [REGULAR, FLAT], ids=["interior", "vertex"])
+    def test_classifies_once(self, payload, monkeypatch):
+        calls = []
+        classify = solver.classify
+
+        def counting_classify(tetra):
+            calls.append(tetra)
+            return classify(tetra)
+
+        monkeypatch.setattr(cli, "classify", counting_classify)
+        monkeypatch.setattr(solver, "classify", counting_classify)
+        tetra = Tetrahedron(np.array(payload["vertices"], dtype=float))
+        cli.build_report(tetra, 1e-10, 10000, 1e-6)
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

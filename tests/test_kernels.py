@@ -9,6 +9,14 @@ from tetrafermat import kernels
 from tetrafermat.sampling import random_tetrahedron
 
 RIGHT_CORNER = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+SYMMETRIC = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
+# a tetrahedron whose smallest pull norm is 1 + 7.6e-5 (vertex 3)
+NEAR_TIE = np.array([
+    [0.8949727407898387, 0.8604144367749376, 0.32137482233751336],
+    [0.31687460853267846, 0.29913400765044673, 0.6884899769535706],
+    [0.4134545612807018, 0.700293235979378, 0.36862247125054426],
+    [0.16478835974904438, 0.9082636842342459, 0.5414058680395614],
+])
 
 
 def corpus(n=40, seed=11):
@@ -128,3 +136,34 @@ class TestNelderMeadKernel:
         a = kernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
         b = kernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "vtx,start,args,expected",
+        [
+            # From the center the three perturbed vertices of the first
+            # simplex have exactly equal values, so this case pins the
+            # stable order of tied vertices.
+            (
+                SYMMETRIC, (0.0, 0.0, 0.0), (0.2, 1e-12, 1e-14, 2000),
+                (0.0, 0.0, 0.0, 6.928203230275509, 138),
+            ),
+            (
+                *corpus(1)[0], (0.2, 1e-10, 1e-13, 600),
+                (0.6771431202334386, 0.568279692721028, 0.5237333610853623,
+                 1.5887260825215628, 114),
+            ),
+            (
+                NEAR_TIE,
+                (0.44752256758806586, 0.692026341159752, 0.4799732846452973),
+                (0.2, 1e-12, 1e-14, 2000),
+                (0.41345571217665167, 0.7002947904084021, 0.3686362223114898,
+                 1.3990646805304416, 182),
+            ),
+        ],
+        ids=["symmetric_ties", "corpus", "near_tie"],
+    )
+    def test_pinned_output(self, vtx, start, args, expected):
+        # The oracle's answers are kept bit-identical, iteration counts
+        # included: any change to the order of the floating-point
+        # operations or of tied vertices shows here.
+        assert kernels.nelder_mead(vtx, *start, *args) == expected
