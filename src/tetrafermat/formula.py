@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBaseAngle, InfeasiblePair, UnrealizableTriple
-from .geometry import DirectionConfig, _config_from_canonical_rows
+from .geometry import DirectionConfig, _config_from_canonical_rows, _triple
 
 #: a positive radical factor beyond this margin means an unrealizable triple
 GRAM_TOL = 1e-9
@@ -156,10 +156,8 @@ def resolve_branch(config: DirectionConfig) -> int:
     same side of the leg-1/leg-2 plane, -1 on opposite sides, 0 when either
     is in-plane (within BRANCH_EPS on the product).
     """
-    u = config.units
-    t3 = float(np.linalg.det(u[[0, 1, 2]]))
-    t4 = float(np.linalg.det(u[[0, 1, 3]]))
-    p = t3 * t4
+    u1, u2, u3, u4 = config.units.tolist()
+    p = _triple(u1, u2, u3) * _triple(u1, u2, u4)
     if abs(p) < BRANCH_EPS:
         return 0
     return 1 if p > 0.0 else -1
@@ -206,7 +204,7 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
     # clamped roots can leave a row marginally short of unit length
     rows[2] /= np.linalg.norm(rows[2])
     rows[3] /= np.linalg.norm(rows[3])
-    return _config_from_canonical_rows(rows)
+    return _config_from_canonical_rows(rows.tolist())
 
 
 def ft_substitution_residual(a102: float, a203: float) -> float:

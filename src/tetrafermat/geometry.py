@@ -4,12 +4,14 @@ xy-plane.
 
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
+Inside, the per-instance steps compute on Python floats: on 3-vectors,
+numpy's per-call overhead costs more than the arithmetic it saves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,14 +53,32 @@ def unit_vector(origin, target) -> np.ndarray:
     Raises CoincidentPoints when the separation underflows the relative
     threshold.
     """
-    a = as_point(origin)
-    b = as_point(target)
-    d = b - a
-    n = float(np.linalg.norm(d))
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    return np.array(_unit(as_point(origin).tolist(), as_point(target).tolist()))
+
+
+def _unit(a, b):
+    """``unit_vector`` on two (x, y, z) float rows; returns a tuple."""
+    ax, ay, az = a
+    bx, by, bz = b
+    dx = bx - ax
+    dy = by - ay
+    dz = bz - az
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    scale = max(
+        math.sqrt(ax * ax + ay * ay + az * az), math.sqrt(bx * bx + by * by + bz * bz)
+    )
     if n <= COINCIDENT_EPS * scale or n == 0.0:
-        raise CoincidentPoints(f"points {a.tolist()} and {b.tolist()} coincide")
-    return d / n
+        raise CoincidentPoints(f"points {a} and {b} coincide")
+    return dx / n, dy / n, dz / n
+
+
+def _triple(a, b, c) -> float:
+    """Triple product a . (b x c) of three (x, y, z) rows: det of the rows."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
 
 def angle_between(u, v) -> float:
@@ -78,6 +98,7 @@ class Tetrahedron:
     """
 
     vertices: np.ndarray
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -88,7 +109,12 @@ class Tetrahedron:
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        d = self.scale
+        d = max(
+            float(np.linalg.norm(v[i] - v[j]))
+            for i in range(4)
+            for j in range(i + 1, 4)
+        )
+        object.__setattr__(self, "_scale", d)
         det = abs(float(np.linalg.det(v[1:] - v[0])))
         if det <= VOLUME_EPS * d ** 3:
             raise DegenerateInput(
@@ -99,12 +125,7 @@ class Tetrahedron:
     @property
     def scale(self) -> float:
         """Longest pairwise distance between vertices."""
-        v = self.vertices
-        return max(
-            float(np.linalg.norm(v[i] - v[j]))
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
+        return self._scale
 
     @property
     def volume(self) -> float:
@@ -129,8 +150,34 @@ class Tetrahedron:
         return np.linalg.solve(m, rhs)
 
     def contains(self, point, tol: float = 0.0) -> bool:
-        """True when the point lies inside the hull (tol relaxes the faces)."""
-        return bool(self.barycentric(point).min() >= -tol)
+        """True when the point lies inside the hull (tol relaxes the faces).
+
+        The barycentric coordinates are signed-volume ratios: coordinate i
+        is the determinant with vertex i replaced by the point, over the
+        tetrahedron's own determinant.
+        """
+        p = as_point(point).tolist()
+        a, b, c, d = self.vertices.tolist()
+        whole = _det4(a, b, c, d)
+        return all(
+            w / whole >= -tol
+            for w in (
+                _det4(p, b, c, d),
+                _det4(a, p, c, d),
+                _det4(a, b, p, d),
+                _det4(a, b, c, p),
+            )
+        )
+
+
+def _det4(a, b, c, d) -> float:
+    """Signed volume, times 6, of the tetrahedron on four (x, y, z) rows."""
+    ax, ay, az = a
+    return _triple(
+        (b[0] - ax, b[1] - ay, b[2] - az),
+        (c[0] - ax, c[1] - ay, c[2] - az),
+        (d[0] - ax, d[1] - ay, d[2] - az),
+    )
 
 
 @dataclass(frozen=True)
@@ -157,9 +204,10 @@ class DirectionConfig:
             raise ValueError(f"expected 4 direction rows, got shape {u.shape}")
         u.setflags(write=False)
         object.__setattr__(self, "units", u)
-        if not (u[0] == np.array([1.0, 0.0, 0.0])).all():
+        r1, r2 = u[:2].tolist()
+        if r1 != [1.0, 0.0, 0.0]:
             raise ValueError("leg 1 must be exactly (1, 0, 0)")
-        if abs(u[1, 2]) > 1e-9 or u[1, 1] < -1e-9:
+        if abs(r2[2]) > 1e-9 or r2[1] < -1e-9:
             raise ValueError("leg 2 must lie in the xy-plane with y >= 0")
 
     @property
@@ -179,36 +227,66 @@ class DirectionConfig:
         return self.units[3]
 
 
+def _latlon_xyz(lat: float, lon: float):
+    """``direction_from_latlon`` as an (x, y, z) tuple."""
+    cl = math.cos(lat)
+    return cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)
+
+
 def direction_from_latlon(lat: float, lon: float) -> np.ndarray:
     """Unit vector at the given latitude (from the xy-plane) and longitude."""
-    return np.array(
-        [
-            math.cos(lat) * math.cos(lon),
-            math.cos(lat) * math.sin(lon),
-            math.sin(lat),
-        ]
-    )
+    return np.array(_latlon_xyz(lat, lon))
 
 
-def _config_from_canonical_rows(u: np.ndarray) -> DirectionConfig:
-    """Extract frame parameters from rows already in canonical position and
-    snap the rows to the exact parameterized form."""
-    a102 = math.atan2(float(u[1, 1]), float(u[1, 0]))
-    lat3 = math.asin(min(1.0, max(-1.0, float(u[2, 2]))))
-    lon3 = math.atan2(float(u[2, 1]), float(u[2, 0])) if abs(lat3) < math.pi / 2 else 0.0
-    lat4 = math.asin(min(1.0, max(-1.0, float(u[3, 2]))))
-    lon4 = math.atan2(float(u[3, 1]), float(u[3, 0])) if abs(lat4) < math.pi / 2 else 0.0
-    snapped = np.vstack(
+def _config_from_canonical_rows(u) -> DirectionConfig:
+    """Extract frame parameters from four (x, y, z) rows already in
+    canonical position and snap the rows to the exact parameterized form."""
+    a102 = math.atan2(u[1][1], u[1][0])
+    lat3 = math.asin(min(1.0, max(-1.0, u[2][2])))
+    lon3 = math.atan2(u[2][1], u[2][0]) if abs(lat3) < math.pi / 2 else 0.0
+    lat4 = math.asin(min(1.0, max(-1.0, u[3][2])))
+    lon4 = math.atan2(u[3][1], u[3][0]) if abs(lat4) < math.pi / 2 else 0.0
+    snapped = np.array(
         [
-            np.array([1.0, 0.0, 0.0]),
-            np.array([math.cos(a102), math.sin(a102), 0.0]),
-            direction_from_latlon(lat3, lon3),
-            direction_from_latlon(lat4, lon4),
+            (1.0, 0.0, 0.0),
+            (math.cos(a102), math.sin(a102), 0.0),
+            _latlon_xyz(lat3, lon3),
+            _latlon_xyz(lat4, lon4),
         ]
     )
     return DirectionConfig(
         units=snapped, a102=a102, lat3=lat3, lon3=lon3, lat4=lat4, lon4=lon4
     )
+
+
+def _frame(u) -> DirectionConfig:
+    """``canonical_frame`` on four unit (x, y, z) rows of floats."""
+    (ax, ay, az), (bx, by, bz) = u[0], u[1]
+    c12 = ax * bx + ay * by + az * bz
+    if abs(c12) >= 1.0 - FRAME_EPS:
+        raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    e1x, e1y, e1z = ax / n, ay / n, az / n
+    c = bx * e1x + by * e1y + bz * e1z
+    px, py, pz = bx - c * e1x, by - c * e1y, bz - c * e1z
+    n = math.sqrt(px * px + py * py + pz * pz)
+    e2x, e2y, e2z = px / n, py / n, pz / n
+    e3x = e1y * e2z - e1z * e2y
+    e3y = e1z * e2x - e1x * e2z
+    e3z = e1x * e2y - e1y * e2x
+    rotated = [
+        (
+            x * e1x + y * e1y + z * e1z,
+            x * e2x + y * e2y + z * e2z,
+            x * e3x + y * e3y + z * e3z,
+        )
+        for x, y, z in u
+    ]
+    if rotated[2][2] < -INPLANE_EPS or (
+        abs(rotated[2][2]) <= INPLANE_EPS and rotated[3][2] < -INPLANE_EPS
+    ):
+        rotated = [(x, y, -z) for x, y, z in rotated]
+    return _config_from_canonical_rows(rotated)
 
 
 def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
@@ -222,30 +300,20 @@ def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
 
     Raises DegenerateFrame when legs 1 and 2 are (anti-)parallel.
     """
-    u = np.vstack([as_unit(u1), as_unit(u2), as_unit(u3), as_unit(u4)])
-    c12 = float(u[0] @ u[1])
-    if abs(c12) >= 1.0 - FRAME_EPS:
-        raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
-    e1 = u[0] / np.linalg.norm(u[0])
-    perp = u[1] - (u[1] @ e1) * e1
-    e2 = perp / np.linalg.norm(perp)
-    e3 = np.cross(e1, e2)
-    rotated = u @ np.vstack([e1, e2, e3]).T
-    if rotated[2, 2] < -INPLANE_EPS or (
-        abs(rotated[2, 2]) <= INPLANE_EPS and rotated[3, 2] < -INPLANE_EPS
-    ):
-        rotated[:, 2] = -rotated[:, 2]
-    return _config_from_canonical_rows(rotated)
+    return _frame([as_unit(u).tolist() for u in (u1, u2, u3, u4)])
+
+
+def _legs(tetra: Tetrahedron, point):
+    p = as_point(point).tolist()
+    return [_unit(p, v) for v in tetra.vertices.tolist()]
 
 
 def leg_directions(tetra: Tetrahedron, point) -> np.ndarray:
     """Unit vectors from a point toward each vertex, as rows."""
-    p = as_point(point)
-    return np.vstack([unit_vector(p, tetra.vertices[i]) for i in range(4)])
+    return np.array(_legs(tetra, point))
 
 
 def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     """Canonical direction configuration seen from a point inside a
     tetrahedron."""
-    u = leg_directions(tetra, point)
-    return canonical_frame(u[0], u[1], u[2], u[3])
+    return _frame(_legs(tetra, point))

@@ -92,10 +92,20 @@ def _pull(rows, i):
     return rx, ry, rz
 
 
+def _pull_norm(rows, i):
+    rx, ry, rz = _pull(rows, i)
+    return sqrt(rx * rx + ry * ry + rz * rz)
+
+
 def pull_norm(vtx, i: int) -> float:
     """Norm of the sum of unit vectors from the other three rows toward row i."""
-    rx, ry, rz = _pull(_rows(vtx), i)
-    return sqrt(rx * rx + ry * ry + rz * rz)
+    return _pull_norm(_rows(vtx), i)
+
+
+def pull_norms(vtx) -> tuple[float, float, float, float]:
+    """``pull_norm`` of each row, in row order."""
+    rows = _rows(vtx)
+    return tuple(_pull_norm(rows, i) for i in range(4))
 
 
 def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):

@@ -76,12 +76,16 @@ class PropertyReport:
 
 def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
     """All six pairwise leg angles of a direction configuration."""
-    u = config.units
+    u = config.units.tolist()
     angles = []
     for i, j in PAIRS:
-        c = float(u[i - 1] @ u[j - 1])
+        c = _dot(u[i - 1], u[j - 1])
         angles.append(math.acos(min(1.0, max(-1.0, c))))
     return AngleSextuple(*angles)
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def check_opposite_angles(s: AngleSextuple):
@@ -121,23 +125,27 @@ def verify_fundamental_property(
     s = angle_sextuple(config)
     opp = check_opposite_angles(s)
     csum = check_cosine_sum(s)
-    b = bisectors(config).as_tuple()
+    u = config.units.tolist()
+    b = []
+    for i, j in PAIRS:
+        (x1, y1, z1), (x2, y2, z2) = u[i - 1], u[j - 1]
+        b.append((x1 + x2, y1 + y2, z1 + z2))
     orth = (
-        abs(float(b[0] @ b[3])),
-        abs(float(b[0] @ b[1])),
-        abs(float(b[3] @ b[1])),
+        abs(_dot(b[0], b[3])),
+        abs(_dot(b[0], b[1])),
+        abs(_dot(b[3], b[1])),
     )
     anti = []
     flags: list[str] = []
     for i, j in OPPOSITE:
-        ni = float(np.linalg.norm(b[i]))
-        nj = float(np.linalg.norm(b[j]))
+        ni = math.sqrt(_dot(b[i], b[i]))
+        nj = math.sqrt(_dot(b[j], b[j]))
         if ni < BISECTOR_EPS or nj < BISECTOR_EPS:
             pi, pj = PAIRS[i], PAIRS[j]
             flags.append(f"degenerate_bisector_{pi[0]}0{pi[1]}_{pj[0]}0{pj[1]}")
             anti.append(float("nan"))
             continue
-        anti.append(abs(float(b[i] @ b[j]) / (ni * nj) + 1.0))
+        anti.append(abs(_dot(b[i], b[j]) / (ni * nj) + 1.0))
     residuals = [*opp, csum, *orth, *anti]
     passed = not flags and all(r <= tol for r in residuals)
     return PropertyReport(

@@ -99,7 +99,7 @@ def classify(tetra: Tetrahedron) -> Classification:
     At most one vertex can qualify on non-degenerate input; two or more
     raise ClassificationConflict.
     """
-    pulls = tuple(pull_norm(tetra, i) for i in (1, 2, 3, 4))
+    pulls = kernels.pull_norms(tetra.vertices)
     winners = [i for i, p in zip((1, 2, 3, 4), pulls) if p <= 1.0 + BOUNDARY_EPS]
     if len(winners) > 1:
         raise ClassificationConflict(
@@ -123,7 +123,7 @@ def _vertex_solution(tetra: Tetrahedron, i: int, pulls, flags) -> FermatSolution
         vertex_index=i,
         residual=pulls[i - 1],
         iterations=0,
-        objective_value=objective(tetra, point),
+        objective_value=kernels.distance_sum(tetra.vertices, *point.tolist()),
         flags=tuple(flags),
     )
 
@@ -151,13 +151,13 @@ def _solve(tetra: Tetrahedron, cls: Classification,
     """``solve`` for a tetrahedron already classified as ``cls``."""
     if cls.kind == VERTEX:
         return _vertex_solution(tetra, cls.vertex_index, cls.pull_norms, cls.flags)
-    start = tetra.centroid()
+    sx, sy, sz = tetra.centroid().tolist()
     scale = tetra.scale
     x, y, z, res, iters, status = kernels.newton(
         tetra.vertices,
-        float(start[0]),
-        float(start[1]),
-        float(start[2]),
+        sx,
+        sy,
+        sz,
         cfg.grad_tol,
         cfg.max_iter,
         VERTEX_EPS * scale,
@@ -175,7 +175,7 @@ def _solve(tetra: Tetrahedron, cls: Classification,
         vertex_index=None,
         residual=res,
         iterations=iters,
-        objective_value=objective(tetra, point),
+        objective_value=kernels.distance_sum(tetra.vertices, x, y, z),
         flags=flags,
     )
 

@@ -13,10 +13,18 @@ from tetrafermat import (
     Tetrahedron,
     angle_between,
     canonical_frame,
+    direction_config,
     direction_from_latlon,
+    hull_points,
+    solve,
     unit_vector,
 )
-from tetrafermat.sampling import random_rotation, random_unit_quadruple
+from tetrafermat.geometry import INPLANE_EPS
+from tetrafermat.sampling import (
+    random_rotation,
+    random_tetrahedron,
+    random_unit_quadruple,
+)
 
 from conftest import ARCCOS_THIRD
 
@@ -24,6 +32,27 @@ from conftest import ARCCOS_THIRD
 def pairwise_angles(units: np.ndarray) -> np.ndarray:
     c = np.clip(units @ units.T, -1.0, 1.0)
     return np.arccos(c)[np.triu_indices(4, 1)]
+
+
+def numpy_frame(tetra: Tetrahedron, point: np.ndarray):
+    """Reference canonical frame in numpy: rotation rows e1, e2 and
+    e3 = e1 x e2 applied by a matrix product, then the mirror rule.
+    Returns the rotated legs and (a102, lat3, lon3, lat4, lon4)."""
+    d = tetra.vertices - point
+    u = d / np.linalg.norm(d, axis=1, keepdims=True)
+    e1 = u[0] / np.linalg.norm(u[0])
+    perp = u[1] - (u[1] @ e1) * e1
+    e2 = perp / np.linalg.norm(perp)
+    e3 = np.cross(e1, e2)
+    rotated = u @ np.vstack([e1, e2, e3]).T
+    if rotated[2, 2] < -INPLANE_EPS or (
+        abs(rotated[2, 2]) <= INPLANE_EPS and rotated[3, 2] < -INPLANE_EPS
+    ):
+        rotated[:, 2] = -rotated[:, 2]
+    lat = np.arcsin(np.clip(rotated[2:, 2], -1.0, 1.0))
+    lon = np.arctan2(rotated[2:, 1], rotated[2:, 0])
+    a102 = math.atan2(rotated[1, 1], rotated[1, 0])
+    return rotated, (a102, lat[0], lon[0], lat[1], lon[1])
 
 
 class TestUnitVector:
@@ -105,6 +134,27 @@ class TestTetrahedron:
         assert regular_tetra.scale == pytest.approx(a, abs=1e-14)
         assert regular_tetra.volume == pytest.approx(a ** 3 / (6 * math.sqrt(2)))
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    def test_contains_matches_barycentric(self, tol):
+        # points spread over and around the hull, half of them within a
+        # few 1e-3 of its faces
+        inside = outside = 0
+        for i in range(20):
+            t = random_tetrahedron(0, i)
+            rng = np.random.default_rng(i)
+            w = rng.dirichlet(np.ones(4), size=200)
+            spread = np.where(np.arange(200) < 100, 0.1, 2e-3)[:, None]
+            w = w * (1.0 + 4.0 * spread) - spread
+            for p in w @ t.vertices:
+                low = t.barycentric(p).min()
+                if abs(low + tol) <= 1e-12:
+                    continue
+                expected = bool(low >= -tol)
+                assert t.contains(p, tol=tol) == expected
+                inside += expected
+                outside += not expected
+        assert inside > 1000 and outside > 1000
+
     def test_contains_and_barycentric(self, regular_tetra):
         assert regular_tetra.contains((0, 0, 0))
         assert not regular_tetra.contains((2, 2, 2))
@@ -185,3 +235,39 @@ class TestCanonicalFrame:
                 lat4=0.0,
                 lon4=0.0,
             )
+
+
+class TestDirectionConfig:
+    def test_matches_numpy_rotation_at_solved_points(self):
+        checked = 0
+        for i in range(500):
+            t = random_tetrahedron(0, i)
+            sol = solve(t)
+            if sol.kind != "interior":
+                continue
+            cfg = direction_config(t, sol.point)
+            rotated, params = numpy_frame(t, sol.point)
+            assert np.abs(cfg.units - rotated).max() <= 1e-13
+            got = (cfg.a102, cfg.lat3, cfg.lon3, cfg.lat4, cfg.lon4)
+            assert np.abs(np.subtract(got, params)).max() <= 1e-13
+            checked += 1
+        assert checked > 400
+
+    def test_matches_numpy_rotation_at_hull_points(self):
+        t = random_tetrahedron(1, 0)
+        for p in hull_points(t, 200, np.random.default_rng(5)):
+            rotated, _ = numpy_frame(t, p)
+            assert np.abs(direction_config(t, p).units - rotated).max() <= 1e-13
+
+    def test_point_on_vertex_rejected(self, right_corner):
+        for i in (1, 2, 3, 4):
+            with pytest.raises(CoincidentPoints):
+                direction_config(right_corner, right_corner.vertex(i))
+
+    def test_edge_midpoint_rejected(self, right_corner):
+        # legs 1 and 2 are antiparallel at the midpoint of edge A1A2
+        t = random_tetrahedron(0, 0)
+        for tetra in (right_corner, t):
+            mid = 0.5 * (tetra.vertex(1) + tetra.vertex(2))
+            with pytest.raises(DegenerateFrame):
+                direction_config(tetra, mid)

@@ -40,6 +40,55 @@ NEAR_VERTEX_INTERIOR = [
 ]
 
 
+#: ``solve`` answers recorded as (point, iterations, residual,
+#: objective_value, flags): a seed-0 interior input, a seed-0 vertex input
+#: and the first NEAR_VERTEX_INTERIOR fixture
+PINNED_ANSWERS = {
+    (0, 0): (
+        [0.595778886951985, 0.704120171041813, 0.4798452273594672],
+        6, 8.010741897413915e-16, 2.0156809208955027, (),
+    ),
+    (0, 4): (
+        [0.6576918978221656, 0.6090183653943739, 0.350585465410414],
+        0, 0.6215612401377341, 1.242026633297601, (),
+    ),
+    (4, 846): (
+        [0.5433190521563714, 0.6994661234485456, 0.045206496726774174],
+        10, 5.706189886890289e-13, 1.6069105489944866, (),
+    ),
+}
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("seed,index", sorted(PINNED_ANSWERS))
+    def test_solve_is_bit_identical(self, seed, index):
+        sol = solve(random_tetrahedron(seed, index))
+        got = (
+            sol.point.tolist(), sol.iterations, sol.residual,
+            sol.objective_value, sol.flags,
+        )
+        assert got == PINNED_ANSWERS[seed, index]
+
+    def test_scale_is_longest_pairwise_norm(self):
+        # step sizes and the vertex escape distance scale with it, so it
+        # must not move by a rounding unit
+        for i in range(200):
+            t = random_tetrahedron(0, i)
+            v = t.vertices
+            expected = max(
+                float(np.linalg.norm(v[a] - v[b]))
+                for a in range(4)
+                for b in range(a + 1, 4)
+            )
+            assert t.scale == expected
+
+    def test_classify_pull_norms_are_pull_norm(self, flat_vertex_case):
+        for t in [flat_vertex_case] + [random_tetrahedron(0, i) for i in range(50)]:
+            assert classify(t).pull_norms == tuple(
+                pull_norm(t, i) for i in (1, 2, 3, 4)
+            )
+
+
 class TestObjective:
     def test_regular_centroid(self, regular_tetra):
         assert objective(regular_tetra, (0, 0, 0)) == pytest.approx(
