@@ -18,12 +18,15 @@ MAXITER = 1
 #: a trial point is accepted when it raises the objective by at most this
 #: relative amount, so steps that change it only at rounding level are kept
 ACCEPT_SLACK = 1e-15
-#: step halvings tried before falling back to the reweighted-average point
+#: shortened Newton steps tried after a rejected full step (the retry at the
+#: nearest vertex's distance, then halvings) before falling back to the
+#: reweighted-average point
 MAX_HALVINGS = 30
 
 
 def _rows(vtx):
-    return [(float(vtx[i][0]), float(vtx[i][1]), float(vtx[i][2])) for i in range(4)]
+    """The four rows of a (4, 3) float array as lists of Python floats."""
+    return vtx.tolist()
 
 
 def _distance_fn(rows):
@@ -118,13 +121,19 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     Each iteration solves ``H s = g``, where ``g`` is the sum of the unit
     vectors u_i toward the rows (the negative gradient) and
     ``H = sum (I - u_i u_i^T) / d_i`` the Hessian, by the closed-form 3x3
-    adjugate, and takes the step only when ``det H > 0``.  The step is
-    halved up to ``MAX_HALVINGS`` times until the objective rises by at
-    most ``ACCEPT_SLACK`` relative to the current value; when no trial point
-    passes, the iterate moves to the reweighted-average (Weiszfeld) point
+    adjugate, and takes the step only when ``det H > 0``.  A trial point is
+    accepted when the objective rises by at most ``ACCEPT_SLACK`` relative
+    to the current value.  The full step is tried first.  The quadratic
+    model of a leg ``|x - v_i|`` holds only within about ``d_i`` of
+    ``v_i``, so a rejected full step ``s`` is retried at length ``dmin``,
+    the distance to the nearest row (step fraction ``dmin / |s|``, when
+    that is below 0.5, else 0.5), and then halved; ``MAX_HALVINGS``
+    shortened trials are made in all.  When no trial point passes, the
+    iterate moves to the reweighted-average (Weiszfeld) point
     ``sum(v_i / d_i) / sum(1 / d_i)``, a descent step in exact arithmetic.
     This is the quadratically convergent scheme of Overton (Math.
-    Programming 27, 1983).
+    Programming 27, 1983), which keeps its guarantees with any sequence of
+    trial steps that ends in the same acceptance test.
 
     An iterate within ``vertex_eps`` of a row is a singular point of the
     iteration; it restarts ``escape_step`` off the row against the row's
@@ -202,7 +211,7 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             pz = (c02 * gx + c12 * gy + c22 * gz) / det
             fmax = f * (1.0 + ACCEPT_SLACK)
             t = 1.0
-            for _ in range(MAX_HALVINGS + 1):
+            for k in range(MAX_HALVINGS + 1):
                 nx = x + t * px
                 ny = y + t * py
                 nz = z + t * pz
@@ -216,7 +225,14 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                     x, y, z = nx, ny, nz
                     stepped = True
                     break
-                t *= 0.5
+                if k == 0:
+                    # the quadratic model of a leg holds only within about
+                    # its length, so retry at the nearest vertex's distance
+                    t = dmin / sqrt(px * px + py * py + pz * pz)
+                    if t >= 0.5:
+                        t = 0.5
+                else:
+                    t *= 0.5
         if not stepped:
             sxx = syy = szz = sw = 0.0
             for i, (vx, vy, vz) in enumerate(rows):

@@ -135,13 +135,15 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     returns the winning vertex exactly, with the classification's flags.
     Interior case: runs Newton's method from the centroid until the
     balancing residual drops below ``grad_tol``.  Each step solves
-    ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) / d_i`` and
-    is halved until the objective does not rise beyond rounding; when no
-    halving passes, the reweighted-average (Weiszfeld) point is taken
-    instead.  Iterates within ``VERTEX_EPS * scale`` of a vertex are moved
-    off it along the descent ray.  ``iterations`` counts Newton steps,
-    Weiszfeld fallback steps and vertex escapes alike.  Raises
-    NonConvergence when the iteration budget runs out.
+    ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) / d_i``.
+    The full step is tried first; when it raises the objective beyond
+    rounding, it is retried at the distance to the nearest vertex (where
+    the quadratic model stops holding) and then halved until the objective
+    does not rise; when no trial passes, the reweighted-average (Weiszfeld)
+    point is taken instead.  Iterates within ``VERTEX_EPS * scale`` of a
+    vertex are moved off it along the descent ray.  ``iterations`` counts
+    Newton steps, Weiszfeld fallback steps and vertex escapes alike.
+    Raises NonConvergence when the iteration budget runs out.
     """
     return _solve(tetra, classify(tetra), config or SolverConfig())
 

@@ -104,12 +104,12 @@ class TestNewtonKernel:
         assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
         assert res > 0
 
-    def test_weiszfeld_fallback_when_newton_step_overshoots(self):
+    def test_weiszfeld_fallback_when_hessian_is_singular(self):
         # Far from the hull the four unit legs are nearly parallel, so H is
-        # nearly singular along them and the Newton step overshoots by more
-        # than MAX_HALVINGS halvings can repair: the first iterate must be
+        # nearly singular along them; at 1e10 its determinant rounds to a
+        # value <= 0, no Newton step is tried, and the first iterate must be
         # the reweighted-average point.
-        start = (1e6, 0.0, 0.0)
+        start = (1e10, 0.0, 0.0)
         x, y, z, _, it, status = kernels.newton(
             RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11
         )
@@ -121,6 +121,39 @@ class TestNewtonKernel:
         iterates = newton_iterates(RIGHT_CORNER, start, 60)
         assert_monotone(RIGHT_CORNER, iterates)
         assert np.allclose(iterates[-1], 1.0 / 6.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "start",
+        [(1e6, 0.0, 0.0), (1e6, 1e6, 1e6), (1e3, 0.0, 0.0)],
+        ids=["far_axis", "far_diagonal", "near_axis"],
+    )
+    def test_far_start_converges(self, start):
+        # A rejected full step is retried at the nearest vertex's distance.
+        # A longer retry would let a far start jump to its mirror point,
+        # where the objective is equal within the acceptance slack, and
+        # bounce between the two until the budget runs out.
+        x, y, z, res, it, status = kernels.newton(
+            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11
+        )
+        assert status == kernels.CONVERGED
+        assert it <= 20
+        assert np.allclose([x, y, z], 1.0 / 6.0, rtol=0, atol=1e-10)
+        assert_monotone(RIGHT_CORNER, newton_iterates(RIGHT_CORNER, start, it))
+
+
+class TestRows:
+    def test_rows_match_elementwise_floats(self):
+        # the kernels read the vertex array through one tolist(); it must
+        # give the same floats as indexing each element
+        for i in range(200):
+            vtx = random_tetrahedron(0, i).vertices
+            rows = kernels._rows(vtx)
+            expected = [
+                (float(vtx[k][0]), float(vtx[k][1]), float(vtx[k][2]))
+                for k in range(4)
+            ]
+            assert [tuple(r) for r in rows] == expected
+            assert all(type(c) is float for r in rows for c in r)
 
 
 class TestNelderMeadKernel:

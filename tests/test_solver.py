@@ -53,8 +53,8 @@ PINNED_ANSWERS = {
         0, 0.6215612401377341, 1.242026633297601, (),
     ),
     (4, 846): (
-        [0.5433190521563714, 0.6994661234485456, 0.045206496726774174],
-        10, 5.706189886890289e-13, 1.6069105489944866, (),
+        [0.5433190521563714, 0.6994661234485456, 0.04520649672677417],
+        11, 5.185529022222876e-13, 1.6069105489944864, (),
     ),
 }
 
@@ -229,6 +229,13 @@ class TestSolve:
         assert sol.residual <= SolverConfig().grad_tol
         assert balancing_residual(t, sol.point) <= 1e-10
         assert min(abs(p - 1.0) for p in classify(t).pull_norms) < 2e-3
+
+    @pytest.mark.parametrize("seed,index", NEAR_VERTEX_INTERIOR)
+    def test_near_vertex_iteration_count(self, seed, index):
+        # a rejected full Newton step is retried at the nearest vertex's
+        # distance; halving from the full length takes up to 28 iterations
+        # on these inputs
+        assert solve(random_tetrahedron(seed, index)).iterations <= 16
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
