@@ -208,16 +208,20 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
 
 
 def ft_substitution_residual(a102: float, a203: float) -> float:
-    """How far an angle pair is from satisfying the closed sixth-angle
-    relation after the interior-minimizer substitutions.
+    """The closed sixth-angle formula after the interior-minimizer
+    substitutions, as a residual.
 
     The opposite-angle identities collapse the six angles to (a102, a203)
     plus an induced a103 from the cosine-sum identity; the residual is the
-    smaller branch distance |cos(sixth) - cos(a102)|.  Pairs realized by an
-    actual interior minimizer give (numerically) zero, which exhibits the
-    implicit relation between a102 and a203.
+    smaller branch distance |cos(sixth) - cos(a102)|.  It vanishes on every
+    feasible pair, whether or not the pair was measured at a minimizer:
+    balanced quadruples up to rotation form a two-parameter family, and
+    the identities fix the sextuple from (a102, a203).  So it is an
+    identity over the feasible region, not a relation between a102 and
+    a203.  In float64 it is at most about 1e-15 / sin^2(a102).
 
-    Raises InfeasiblePair when no induced a103 exists.
+    Raises InfeasiblePair when no induced a103 exists, and
+    DegenerateBaseAngle when sin(a102) is at most MIN_BASE_SIN.
     """
     a102 = _check_range("a102", a102)
     a203 = _check_range("a203", a203)

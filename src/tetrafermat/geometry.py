@@ -28,6 +28,11 @@ UNIT_NORM_EPS = 1e-12
 #: |z| below this puts a leg in the xy-plane for the mirror convention
 INPLANE_EPS = 1e-12
 
+# endpoints of the six vertex pairs i < j, in the order (0,1) (0,2) (0,3)
+# (1,2) (1,3) (2,3)
+_EDGE_I = [0, 0, 0, 1, 1, 2]
+_EDGE_J = [1, 2, 3, 2, 3, 3]
+
 
 def as_point(p) -> np.ndarray:
     """Coerce to a (3,) float64 array of finite coordinates."""
@@ -93,8 +98,10 @@ class Tetrahedron:
     """Four labeled points, validated non-collinear and non-coplanar.
 
     Rows of ``vertices`` are the points A1..A4.  The volume test is relative:
-    |det of edge matrix| must exceed VOLUME_EPS times the cube of the longest
-    pairwise distance.
+    the edge matrix divided by the longest pairwise distance must have
+    |det| above VOLUME_EPS, a test that neither overflows nor underflows at
+    any scale.  A longest distance that is zero or overflows float64 raises
+    DegenerateInput.
     """
 
     vertices: np.ndarray
@@ -109,17 +116,22 @@ class Tetrahedron:
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        d = max(
-            float(np.linalg.norm(v[i] - v[j]))
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
-        object.__setattr__(self, "_scale", d)
-        det = abs(float(np.linalg.det(v[1:] - v[0])))
-        if det <= VOLUME_EPS * d ** 3:
+        # rows v[i] - v[j] for the six pairs i < j; np.linalg.norm(r) is
+        # sqrt(r.dot(r)), so this scale matches it bit for bit
+        e = v[_EDGE_I] - v[_EDGE_J]
+        d = max(math.sqrt(r.dot(r)) for r in e)
+        if not 0.0 < d < math.inf:
             raise DegenerateInput(
-                f"points are collinear or coplanar (|det| = {det:.3e}, "
-                f"scale = {d:.3e})"
+                f"longest pairwise distance is {d!r}; expected a positive "
+                "finite length"
+            )
+        object.__setattr__(self, "_scale", d)
+        # the first three rows are v[0] - v[1:], the negated edge matrix
+        det = abs(float(np.linalg.det(e[:3] / d)))
+        if det <= VOLUME_EPS:
+            raise DegenerateInput(
+                f"points are collinear or coplanar (|det| / scale^3 = "
+                f"{det:.3e}, scale = {d:.3e})"
             )
 
     @property

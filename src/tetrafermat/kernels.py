@@ -254,16 +254,18 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
     in every coordinate and the value spread drops below ``fatol``, or after
     ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
 
-    Each iteration orders the vertices best to worst by a stable sort, so
-    vertices with equal values keep their previous order; the returned
-    vertex is the first one with the smallest value.  The answers are kept
-    bit-identical on purpose, iteration counts included: every expression
-    and the order of its floating-point operations is fixed, because the
-    oracle's restarts and the tests that pin them depend on it.
+    The vertices are kept ordered best to worst as if by a stable sort, so
+    vertices with equal values keep their previous order: the first simplex
+    and each shrunk one are sorted, and a new vertex replacing the worst is
+    inserted after every survivor whose value does not exceed its own.  The
+    returned vertex is the first one with the smallest value.  The answers
+    are kept bit-identical on purpose, iteration counts included: every
+    expression and the order of its floating-point operations is fixed,
+    because the oracle's restarts and the tests that pin them depend on it.
     """
     f = _distance_fn(_rows(vtx))
     x0, y0, z0 = float(sx), float(sy), float(sz)
-    # the simplex: four [value, x, y, z] records
+    # the simplex: four [value, x, y, z] records, best first
     S = [
         [f(x0, y0, z0), x0, y0, z0],
         [f(x0 + step, y0, z0), x0 + step, y0, z0],
@@ -271,12 +273,12 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
         [f(x0, y0, z0 + step), x0, y0, z0 + step],
     ]
     value = itemgetter(0)
+    S.sort(key=value)
 
     it = 0
     while it < max_iter:
-        S.sort(key=value)
         f0, x0, y0, z0 = S[0]
-        _, x1, y1, z1 = S[1]
+        f1, x1, y1, z1 = S[1]
         f2, x2, y2, z2 = S[2]
         f3, x3, y3, z3 = S[3]
         if f3 - f0 <= fatol and max(
@@ -300,11 +302,11 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
             ze = 3.0 * cz - 2.0 * z3
             fe = f(xe, ye, ze)
             if fe < fr:
-                S[3] = [fe, xe, ye, ze]
+                new = [fe, xe, ye, ze]
             else:
-                S[3] = [fr, xr, yr, zr]
+                new = [fr, xr, yr, zr]
         elif fr < f2:
-            S[3] = [fr, xr, yr, zr]
+            new = [fr, xr, yr, zr]
         else:
             if fr < f3:
                 xc = 1.5 * cx - 0.5 * x3
@@ -325,9 +327,22 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
                     y = y0 + 0.5 * (y - y0)
                     z = z0 + 0.5 * (z - z0)
                     S[k] = [f(x, y, z), x, y, z]
+                S.sort(key=value)
+                it += 1
+                continue
+            new = [fc, xc, yc, zc]
+        fn = new[0]
+        if fn < f1:
+            if fn < f0:
+                S = [new, S[0], S[1], S[2]]
             else:
-                S[3] = [fc, xc, yc, zc]
+                S = [S[0], new, S[1], S[2]]
+        elif fn < f2:
+            S[3] = S[2]
+            S[2] = new
+        else:
+            S[3] = new
         it += 1
 
-    fmin, x, y, z = min(S, key=value)
-    return (x, y, z, fmin, it)
+    f0, x, y, z = S[0]
+    return (x, y, z, f0, it)

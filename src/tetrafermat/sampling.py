@@ -93,6 +93,31 @@ def balanced_quadruple(seed: int, index: int) -> np.ndarray:
             return u
 
 
+def known_answer_tetrahedron(seed: int, index: int) -> tuple[Tetrahedron, np.ndarray]:
+    """A tetrahedron with its Fermat-Torricelli point p known by construction.
+
+    The vertices are p + d_i u_i for the balanced quadruple u of
+    (seed, index): the unit vectors from p toward the vertices sum to zero
+    (within BALANCE_TOL), so p is the minimizer.  p is uniform in
+    [-1, 1]^3 and d_2..d_4 uniform in [0.5, 1].  d_1 is r times the longest
+    edge among vertices 2-4, with log10 r uniform on [-12, 0], so that
+    log10(d_1 / scale) spreads over [-12, 0] and reaches minimizers
+    arbitrarily close to vertex 1.  Returns (tetrahedron, p).
+    """
+    u = balanced_quadruple(seed, index)
+    # a stream of its own, apart from the one that drew u
+    rng = np.random.default_rng([seed, index, 1])
+    p = rng.uniform(-1.0, 1.0, 3)
+    legs = rng.uniform(0.5, 1.0, (4, 1)) * u
+    far = max(
+        float(np.linalg.norm(legs[i] - legs[j]))
+        for i in (1, 2, 3)
+        for j in range(i + 1, 4)
+    )
+    legs[0] = 10.0 ** rng.uniform(-12.0, 0.0) * far * u[0]
+    return Tetrahedron(p + legs), p
+
+
 def canonical_config(units: np.ndarray) -> DirectionConfig:
     return canonical_frame(units[0], units[1], units[2], units[3])
 

@@ -193,7 +193,11 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
 
     Runs the simplex minimizer from the centroid and from 20 random points
     inside the hull, keeps the best, then polishes it with two small-simplex
-    passes.  Deterministic for a fixed seed.
+    passes.  Each restart stops once its simplex spans at most 1e-3 * scale
+    in every coordinate, the size of the first polish simplex, and its
+    values at most 1e-6 * scale: the polish passes restart from a fresh
+    small simplex at the best point and set the final precision (down to
+    1e-12 * scale).  Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     v = tetra.vertices
@@ -203,7 +207,7 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     for s in starts:
         x, y, z, fv, _ = kernels.nelder_mead(
             v, float(s[0]), float(s[1]), float(s[2]),
-            0.2 * scale, 1e-9 * scale, 1e-12 * scale, 600,
+            0.2 * scale, 1e-3 * scale, 1e-6 * scale, 600,
         )
         if best is None or fv < best[3]:
             best = (x, y, z, fv)

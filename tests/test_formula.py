@@ -20,6 +20,7 @@ from tetrafermat import (
     sixth_angle,
     solve,
 )
+from tetrafermat.formula import MIN_BASE_SIN
 from tetrafermat.sampling import (
     balanced_quadruple,
     canonical_config,
@@ -249,3 +250,28 @@ class TestSubstitutionResidual:
         assert np.linalg.norm(cfg.units.sum(axis=0)) < 1e-12
         s = angle_sextuple(cfg)
         assert s.a304 == pytest.approx(a102, abs=1e-12)
+
+    @given(
+        st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                  exclude_max=True),
+        st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                  exclude_max=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_identity_over_the_feasible_region(self, a102, a203):
+        # The residual vanishes on every feasible pair, not only on pairs
+        # measured at a minimizer.  Its evaluation divides by sin^2(a102),
+        # so the rounding error grows like eps / sin^2(a102) as a102 nears
+        # pi (the only edge the feasible region reaches); the bound below
+        # is 1e-11 wherever sin(a102) >= 0.032.
+        c = -(1.0 + math.cos(a102) + math.cos(a203))
+        if not -1.0 < c < 1.0:
+            with pytest.raises(InfeasiblePair):
+                ft_substitution_residual(a102, a203)
+            return
+        s = math.sin(a102)
+        if s <= MIN_BASE_SIN:
+            with pytest.raises(DegenerateBaseAngle):
+                ft_substitution_residual(a102, a203)
+            return
+        assert ft_substitution_residual(a102, a203) * s * s <= 1e-14

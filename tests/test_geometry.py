@@ -34,6 +34,13 @@ def pairwise_angles(units: np.ndarray) -> np.ndarray:
     return np.arccos(c)[np.triu_indices(4, 1)]
 
 
+def norm_scale(v: np.ndarray) -> float:
+    """Longest pairwise distance by np.linalg.norm, the reference scale."""
+    return max(
+        float(np.linalg.norm(v[a] - v[b])) for a in range(4) for b in range(a + 1, 4)
+    )
+
+
 def numpy_frame(tetra: Tetrahedron, point: np.ndarray):
     """Reference canonical frame in numpy: rotation rows e1, e2 and
     e3 = e1 x e2 applied by a matrix product, then the mirror rule.
@@ -126,6 +133,24 @@ class TestTetrahedron:
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]) * 1e-6
         t = Tetrahedron(v)
         assert t.volume == pytest.approx(1e-18 / 6.0, rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e103, 1e-110])
+    def test_scale_is_norm_bit_for_bit_at_any_scale(self, factor):
+        # well-shaped inputs stay valid at extreme scales (the relative
+        # volume test must neither overflow nor underflow), and scale
+        # equals the np.linalg.norm one exactly
+        for i in range(100):
+            v = random_tetrahedron(0, i).vertices * factor
+            assert Tetrahedron(v).scale == norm_scale(v)
+
+    def test_rejects_overflowing_scale(self):
+        v = random_tetrahedron(0, 0).vertices * 1e160
+        with pytest.raises(DegenerateInput), np.errstate(over="ignore"):
+            Tetrahedron(v)
+
+    def test_rejects_coincident_points(self):
+        with pytest.raises(DegenerateInput):
+            Tetrahedron(np.ones((4, 3)))
 
     def test_volume_and_scale(self, regular_tetra):
         # edge length 2*sqrt(2); volume of a regular tetrahedron is
