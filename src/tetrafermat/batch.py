@@ -14,7 +14,7 @@ from . import sampling
 from .errors import NonConvergence, TetrafermatError
 from .formula import ft_substitution_residual, resolve_branch, sixth_angle, FiveAngles
 from .geometry import direction_config
-from .properties import angle_sextuple, verify_fundamental_property
+from .properties import verify_fundamental_property
 from .solver import BOUNDARY_EPS, INTERIOR, SolverConfig, solve
 
 #: check names in reporting order
@@ -90,8 +90,8 @@ def check_instance(index: int, tetra, config: SolverConfig) -> InstanceResult:
         return out
     out.residuals["solve_residual"] = sol.residual
     cfg = direction_config(tetra, sol.point)
-    s = angle_sextuple(cfg)
     report = verify_fundamental_property(cfg)
+    s = report.angles
     out.residuals["opposite_angles"] = max(report.opposite_angle_residuals)
     out.residuals["cosine_sum"] = report.cosine_sum_residual
     out.residuals["bisector_orthogonality"] = max(report.bisector_dot_residuals)

@@ -23,7 +23,6 @@ from .geometry import Tetrahedron, direction_config
 from .properties import (
     AngleSextuple,
     PropertyReport,
-    angle_sextuple,
     verify_fundamental_property,
 )
 from .solver import FermatSolution, INTERIOR, SolverConfig, _solve, classify
@@ -170,8 +169,8 @@ def build_report(tetra: Tetrahedron, grad_tol: float, max_iter: int,
     report = None
     if solution.kind == INTERIOR:
         config = direction_config(tetra, solution.point)
-        angles = angle_sextuple(config)
         report = verify_fundamental_property(config, tol)
+        angles = report.angles
     return SolutionReport(
         solution=solution,
         pull_norms=cls.pull_norms,

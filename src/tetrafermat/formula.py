@@ -20,7 +20,8 @@ from .geometry import DirectionConfig, _config_from_canonical_rows, _triple
 
 #: a positive radical factor beyond this margin means an unrealizable triple
 GRAM_TOL = 1e-9
-#: sin(a102) at or below this leaves the frame equations singular
+#: sin(a102) at or below this leaves the frame equations singular;
+#: ft_substitution_residual applies it to sin^2(a102), which it divides by
 MIN_BASE_SIN = 1e-9
 #: |cos| may exceed 1 by at most this and still count as realizable
 REALIZABLE_TOL = 1e-9
@@ -221,7 +222,8 @@ def ft_substitution_residual(a102: float, a203: float) -> float:
     a203.  In float64 it is at most about 1e-15 / sin^2(a102).
 
     Raises InfeasiblePair when no induced a103 exists, and
-    DegenerateBaseAngle when sin(a102) is at most MIN_BASE_SIN.
+    DegenerateBaseAngle when sin^2(a102) is at most MIN_BASE_SIN, which
+    keeps that rounding error near 1e-6 or below.
     """
     a102 = _check_range("a102", a102)
     a203 = _check_range("a203", a203)
@@ -230,6 +232,11 @@ def ft_substitution_residual(a102: float, a203: float) -> float:
         raise InfeasiblePair(
             f"induced cosine {c:.6f} is outside (-1, 1); the pair admits no "
             "third angle under the cosine-sum identity"
+        )
+    s = math.sin(a102)
+    if s * s <= MIN_BASE_SIN:
+        raise DegenerateBaseAngle(
+            f"sin(a102) = {s:.3e} is too small for the substituted formula"
         )
     a103 = math.acos(c)
     fa = FiveAngles(a102=a102, a103=a103, a104=a203, a203=a203, a204=a103)

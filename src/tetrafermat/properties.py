@@ -63,8 +63,10 @@ class PropertyReport:
     All residuals are non-negative; ``passed`` requires every finite
     residual to be at or below ``tol``.  A NaN residual marks a degenerate
     bisector (legs nearly opposite) and is recorded in ``flags``.
+    ``angles`` is the sextuple the angle residuals were measured from.
     """
 
+    angles: AngleSextuple
     opposite_angle_residuals: tuple[float, float, float]
     cosine_sum_residual: float
     bisector_dot_residuals: tuple[float, float, float]
@@ -149,6 +151,7 @@ def verify_fundamental_property(
     residuals = [*opp, csum, *orth, *anti]
     passed = not flags and all(r <= tol for r in residuals)
     return PropertyReport(
+        angles=s,
         opposite_angle_residuals=opp,
         cosine_sum_residual=csum,
         bisector_dot_residuals=orth,

@@ -2,8 +2,9 @@
 
 Two routes to the minimizer are provided and kept independent on purpose:
 ``solve`` runs a safeguarded Newton iteration with a vertex test up front,
-and ``oracle_solve`` runs a derivative-free simplex search with seeded
-restarts.  Tests cross-validate one against the other.
+and ``oracle_solve`` runs a derivative-free simplex search from the
+centroid and four seeded hull points, polished by two fresh small
+simplexes.  Tests cross-validate one against the other.
 """
 
 from __future__ import annotations
@@ -191,18 +192,21 @@ def hull_points(tetra: Tetrahedron, count: int, rng: np.random.Generator) -> np.
 def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     """Derivative-free cross-check: simplex search with seeded restarts.
 
-    Runs the simplex minimizer from the centroid and from 20 random points
+    Runs the simplex minimizer from the centroid and from 4 random points
     inside the hull, keeps the best, then polishes it with two small-simplex
     passes.  Each restart stops once its simplex spans at most 1e-3 * scale
     in every coordinate, the size of the first polish simplex, and its
     values at most 1e-6 * scale: the polish passes restart from a fresh
     small simplex at the best point and set the final precision (down to
-    1e-12 * scale).  Deterministic for a fixed seed.
+    1e-12 * scale).  On a convex objective more random starts do not guard
+    against simplex stagnation; the fresh polish simplexes do.  The hull
+    starts keep the search from sharing ``solve``'s single starting point.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     v = tetra.vertices
     scale = tetra.scale
-    starts = np.vstack([tetra.centroid(), hull_points(tetra, 20, rng)])
+    starts = np.vstack([tetra.centroid(), hull_points(tetra, 4, rng)])
     best = None
     for s in starts:
         x, y, z, fv, _ = kernels.nelder_mead(

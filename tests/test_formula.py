@@ -225,6 +225,19 @@ class TestSubstitutionResidual:
         with pytest.raises(ValueError):
             ft_substitution_residual(0.0, 1.0)
 
+    @pytest.mark.parametrize("a203", [0.1, 1.0])
+    def test_base_angle_ladder_toward_pi(self, a203):
+        # Rounding grows like 1e-15 / sin^2(a102), which is order 1 by
+        # k = 8; sin^2(a102) is about 10^-2k, at or below MIN_BASE_SIN
+        # from k = 5.
+        for k in range(2, 10):
+            a102 = math.pi - 10.0 ** -k
+            if k <= 4:
+                assert ft_substitution_residual(a102, a203) < 1e-8
+            else:
+                with pytest.raises(DegenerateBaseAngle):
+                    ft_substitution_residual(a102, a203)
+
     def test_interior_solutions_satisfy_the_implicit_relation(self):
         checked = 0
         for i in range(100):
@@ -270,7 +283,7 @@ class TestSubstitutionResidual:
                 ft_substitution_residual(a102, a203)
             return
         s = math.sin(a102)
-        if s <= MIN_BASE_SIN:
+        if s * s <= MIN_BASE_SIN:
             with pytest.raises(DegenerateBaseAngle):
                 ft_substitution_residual(a102, a203)
             return

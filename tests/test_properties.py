@@ -126,6 +126,11 @@ class TestFundamentalProperty:
         assert max(report.bisector_dot_residuals) <= 1e-10
         assert max(report.antiparallel_residuals) <= 1e-10
 
+    def test_report_carries_its_sextuple(self):
+        for i in range(20):
+            cfg = canonical_config(random_unit_quadruple(23, i))
+            assert verify_fundamental_property(cfg).angles == angle_sextuple(cfg)
+
     def test_balanced_quadruples_pass(self):
         for i in range(50):
             u = balanced_quadruple(23, i)

@@ -43,6 +43,17 @@ NEAR_VERTEX_INTERIOR = [
     (18, 842),
 ]
 
+#: oracle_solve(t, seed=index) pinned bit for bit, as (corpus, index, point):
+#: drawing more or fewer hull starts, or changing their draws, moves them
+ORACLE_PINS = [
+    # unit-cube seed 0, input 0: interior minimizer
+    ("cube", 0, (0.5957788898471156, 0.7041201698063406, 0.47984523055560657)),
+    # unit-cube seed 0, input 4: minimizer at vertex 4
+    ("cube", 4, (0.657691897822154, 0.6090183653943823, 0.35058546541042146)),
+    # known answer seed 0, input 0: d_1 = 1.9e-11 x scale
+    ("known", 0, (-0.10152236858385841, -0.21791673106234388, 0.15393754733653509)),
+]
+
 #: known-answer inputs checked against their constructed minimizer
 KNOWN_ANSWER_COUNT = 600
 #: a known-answer input (seed, index) with d_1 = 9.2e-9 x scale, inside the
@@ -312,6 +323,28 @@ class TestOracle:
             orc = oracle_solve(t, seed=i)
             gap = abs(objective(t, orc) - sol.objective_value)
             assert gap <= 1e-7 * t.scale
+
+    @pytest.mark.parametrize("corpus, index, point", ORACLE_PINS,
+                             ids=["interior", "vertex", "known_near_vertex"])
+    def test_pinned_points(self, corpus, index, point):
+        if corpus == "cube":
+            t = random_tetrahedron(0, index)
+        else:
+            t, _ = known_answer_tetrahedron(0, index)
+        assert tuple(oracle_solve(t, seed=index).tolist()) == point
+
+    @pytest.mark.parametrize(
+        "transform",
+        [lambda v: v * [1.0, 1.0, 1e-3], lambda v: v + 1e3],
+        ids=["z_sliver", "offset_1e3"],
+    )
+    def test_criterion_4_bounds_on_transformed_cube(self, transform):
+        for i in range(100):
+            t = Tetrahedron(transform(random_tetrahedron(0, i).vertices))
+            sol = solve(t)
+            orc = oracle_solve(t, seed=i)
+            assert abs(objective(t, orc) - sol.objective_value) <= 1e-7 * t.scale
+            assert np.linalg.norm(orc - sol.point) <= 1e-5
 
     def test_convexity_certificate(self):
         for i in range(5):
