@@ -34,7 +34,6 @@ from .geometry import (
     canonical_frame,
     direction_config,
     direction_from_latlon,
-    leg_directions,
     unit_vector,
 )
 from .properties import (
@@ -97,7 +96,6 @@ __all__ = [
     "direction_from_latlon",
     "ft_substitution_residual",
     "hull_points",
-    "leg_directions",
     "objective",
     "oracle_solve",
     "pull_norm",

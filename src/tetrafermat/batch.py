@@ -14,7 +14,7 @@ from . import sampling
 from .errors import NonConvergence, TetrafermatError
 from .formula import ft_substitution_residual, resolve_branch, sixth_angle, FiveAngles
 from .geometry import direction_config
-from .properties import verify_fundamental_property
+from .properties import DEFAULT_TOL, verify_fundamental_property
 from .solver import BOUNDARY_EPS, INTERIOR, SolverConfig, solve
 
 #: check names in reporting order
@@ -118,12 +118,11 @@ def check_instance(index: int, tetra, config: SolverConfig) -> InstanceResult:
 def run_batch_verify(
     seed: int = 0,
     count: int = 1000,
-    tol: float = 1e-6,
-    grad_tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    config: SolverConfig | None = None,
 ) -> BatchSummary:
     """Generate, solve, and verify ``count`` seeded random tetrahedra."""
-    config = SolverConfig(grad_tol=grad_tol, max_iter=max_iter)
+    config = config or SolverConfig()
     max_residuals: dict[str, float] = {}
     failures: list[tuple[int, str, float]] = []
     errors: list[tuple[int, str]] = []
@@ -148,7 +147,7 @@ def run_batch_verify(
         seed=seed,
         count=count,
         tol=tol,
-        grad_tol=grad_tol,
+        grad_tol=config.grad_tol,
         interior_count=interior,
         vertex_count=vertex,
         max_residuals=max_residuals,

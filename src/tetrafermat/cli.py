@@ -21,11 +21,12 @@ from .errors import NonConvergence, TetrafermatError
 from .formula import FiveAngles, sixth_angle
 from .geometry import Tetrahedron, direction_config
 from .properties import (
+    DEFAULT_TOL,
     AngleSextuple,
     PropertyReport,
     verify_fundamental_property,
 )
-from .solver import FermatSolution, INTERIOR, SolverConfig, _solve, classify
+from .solver import FermatSolution, INTERIOR, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -39,51 +40,11 @@ class InputError(Exception):
     """Unusable input file (missing, malformed, or failing validation)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters, one instance per command run."""
-
-    command: str
-    input_path: str | None = None
-    tol: float = 1e-6
-    grad_tol: float = 1e-10
-    max_iter: int = 10000
-    seed: int = 0
-    count: int = 1000
-    format: str = "text"
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
-        if not self.grad_tol > 0:
-            raise InputError("grad-tol must be positive")
-        if self.max_iter < 1:
-            raise InputError("max-iter must be at least 1")
-        if self.count < 1:
-            raise InputError("count must be at least 1")
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            tol=getattr(args, "tol", 1e-6),
-            grad_tol=getattr(args, "grad_tol", 1e-10),
-            max_iter=getattr(args, "max_iter", 10000),
-            seed=getattr(args, "seed", 0),
-            count=getattr(args, "count", 1000),
-            format=args.format,
-        )
-
-
 @dataclass
 class SolutionReport:
     """Everything the solve/verify commands report for one tetrahedron."""
 
     solution: FermatSolution
-    pull_norms: tuple[float, float, float, float]
     angles: AngleSextuple | None
     property_report: PropertyReport | None
 
@@ -96,7 +57,7 @@ class SolutionReport:
             "objective": sol.objective_value,
             "residual": sol.residual,
             "iterations": sol.iterations,
-            "pull_norms": list(self.pull_norms),
+            "pull_norms": list(sol.pull_norms),
             "angles_rad": None,
             "checks": None,
             "flags": list(sol.flags),
@@ -139,7 +100,7 @@ def load_tetrahedron(path: str) -> Tetrahedron:
         raise InputError(f'{path}: missing "vertices"')
     try:
         return Tetrahedron(np.array(data["vertices"], dtype=float))
-    except (TetrafermatError, ValueError) as exc:
+    except (TetrafermatError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}")
 
 
@@ -148,11 +109,17 @@ def load_five_angles(path: str) -> FiveAngles:
     the order a102, a103, a104, a203, a204)."""
     data = _load_json(path)
     if "angles_deg" in data:
-        values = [math.radians(float(v)) for v in data["angles_deg"]]
+        key, to_radians = "angles_deg", math.radians
     elif "angles_rad" in data:
-        values = [float(v) for v in data["angles_rad"]]
+        key, to_radians = "angles_rad", float
     else:
         raise InputError(f'{path}: need "angles_deg" or "angles_rad"')
+    if not isinstance(data[key], list):
+        raise InputError(f'{path}: "{key}" must be a list of numbers')
+    try:
+        values = [to_radians(float(v)) for v in data[key]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f'{path}: "{key}": {exc}')
     if len(values) != 5:
         raise InputError(f"{path}: expected 5 angles, got {len(values)}")
     try:
@@ -161,21 +128,17 @@ def load_five_angles(path: str) -> FiveAngles:
         raise InputError(f"{path}: {exc}")
 
 
-def build_report(tetra: Tetrahedron, grad_tol: float, max_iter: int,
+def build_report(tetra: Tetrahedron, config: SolverConfig,
                  tol: float) -> SolutionReport:
-    cls = classify(tetra)
-    solution = _solve(tetra, cls, SolverConfig(grad_tol=grad_tol, max_iter=max_iter))
+    solution = solve(tetra, config)
     angles = None
     report = None
     if solution.kind == INTERIOR:
-        config = direction_config(tetra, solution.point)
-        report = verify_fundamental_property(config, tol)
+        frame = direction_config(tetra, solution.point)
+        report = verify_fundamental_property(frame, tol)
         angles = report.angles
     return SolutionReport(
-        solution=solution,
-        pull_norms=cls.pull_norms,
-        angles=angles,
-        property_report=report,
+        solution=solution, angles=angles, property_report=report
     )
 
 
@@ -195,7 +158,7 @@ def format_report_text(report: SolutionReport) -> str:
     lines.append(f"residual: {sol.residual:.6e}")
     lines.append(f"iterations: {sol.iterations}")
     lines.append(
-        "pull norms: " + "  ".join(f"{p:.9f}" for p in report.pull_norms)
+        "pull norms: " + "  ".join(f"{p:.9f}" for p in sol.pull_norms)
     )
     if report.angles is not None:
         lines.append("angles:")
@@ -226,14 +189,15 @@ def format_report_text(report: SolutionReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_solve(cfg: RunConfig, verify_mode: bool = False) -> int:
-    tetra = load_tetrahedron(cfg.input_path)
+def cmd_solve(args: argparse.Namespace, config: SolverConfig,
+              verify_mode: bool = False) -> int:
+    tetra = load_tetrahedron(args.input)
     try:
-        report = build_report(tetra, cfg.grad_tol, cfg.max_iter, cfg.tol)
+        report = build_report(tetra, config, args.tol)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(format_report_text(report))
@@ -243,10 +207,10 @@ def cmd_solve(cfg: RunConfig, verify_mode: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_sixth_angle(cfg: RunConfig) -> int:
-    fa = load_five_angles(cfg.input_path)
+def cmd_sixth_angle(args: argparse.Namespace) -> int:
+    fa = load_five_angles(args.input)
     result = sixth_angle(fa)
-    if cfg.format == "json":
+    if args.format == "json":
         out = {
             "b_magnitude": result.b_magnitude,
             "cos_plus": result.cos_plus,
@@ -283,14 +247,12 @@ def cmd_sixth_angle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_batch_verify(cfg: RunConfig) -> int:
-    summary = run_batch_verify(
-        seed=cfg.seed,
-        count=cfg.count,
-        tol=cfg.tol,
-        grad_tol=cfg.grad_tol,
-        max_iter=cfg.max_iter,
-    )
+def cmd_batch_verify(args: argparse.Namespace, config: SolverConfig) -> int:
+    if args.count < 1:
+        raise InputError("count must be at least 1")
+    if args.seed < 0:
+        raise InputError("seed must be non-negative")
+    summary = run_batch_verify(args.seed, args.count, args.tol, config)
     print(summary.format_text())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
@@ -306,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_input=True):
         if with_input:
             p.add_argument("--input", required=True, help="JSON input file")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="verification tolerance (default 1e-6)")
-        p.add_argument("--grad-tol", type=float, default=1e-10,
-                       help="solver residual tolerance (default 1e-10)")
-        p.add_argument("--max-iter", type=int, default=10000,
-                       help="solver iteration budget (default 10000)")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="verification tolerance (default %(default)g)")
+        p.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol,
+                       help="solver residual tolerance (default %(default)g)")
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                       help="solver iteration budget (default %(default)d)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="solve one tetrahedron")
@@ -335,17 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        if cfg.command == "solve":
-            return cmd_solve(cfg)
-        if cfg.command == "verify":
-            return cmd_solve(cfg, verify_mode=True)
-        if cfg.command == "sixth-angle":
-            return cmd_sixth_angle(cfg)
-        return cmd_batch_verify(cfg)
+        if args.command == "sixth-angle":
+            return cmd_sixth_angle(args)
+        if not args.tol > 0:
+            raise InputError("tol must be positive")
+        try:
+            config = SolverConfig(grad_tol=args.grad_tol, max_iter=args.max_iter)
+        except ValueError as exc:
+            raise InputError(str(exc))
+        if args.command == "batch-verify":
+            return cmd_batch_verify(args, config)
+        return cmd_solve(args, config, verify_mode=args.command == "verify")
     except (InputError, TetrafermatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -106,6 +106,7 @@ class Tetrahedron:
 
     vertices: np.ndarray
     _scale: float = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -117,15 +118,18 @@ class Tetrahedron:
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         # rows v[i] - v[j] for the six pairs i < j; np.linalg.norm(r) is
-        # sqrt(r.dot(r)), so this scale matches it bit for bit
-        e = v[_EDGE_I] - v[_EDGE_J]
-        d = max(math.sqrt(r.dot(r)) for r in e)
+        # sqrt(r.dot(r)), so this scale matches it bit for bit.  A length
+        # that overflows is inf and rejected below, so no warning is due.
+        with np.errstate(over="ignore"):
+            e = v[_EDGE_I] - v[_EDGE_J]
+            d = max(math.sqrt(r.dot(r)) for r in e)
         if not 0.0 < d < math.inf:
             raise DegenerateInput(
                 f"longest pairwise distance is {d!r}; expected a positive "
                 "finite length"
             )
         object.__setattr__(self, "_scale", d)
+        object.__setattr__(self, "_rows", tuple(map(tuple, v.tolist())))
         # the first three rows are v[0] - v[1:], the negated edge matrix
         det = abs(float(np.linalg.det(e[:3] / d)))
         if det <= VOLUME_EPS:
@@ -138,6 +142,12 @@ class Tetrahedron:
     def scale(self) -> float:
         """Longest pairwise distance between vertices."""
         return self._scale
+
+    @property
+    def rows(self) -> tuple:
+        """The vertices as four (x, y, z) tuples of Python floats, built
+        once: the form every scalar kernel reads."""
+        return self._rows
 
     @property
     def volume(self) -> float:
@@ -169,7 +179,7 @@ class Tetrahedron:
         tetrahedron's own determinant.
         """
         p = as_point(point).tolist()
-        a, b, c, d = self.vertices.tolist()
+        a, b, c, d = self._rows
         whole = _det4(a, b, c, d)
         return all(
             w / whole >= -tol
@@ -315,17 +325,8 @@ def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
     return _frame([as_unit(u).tolist() for u in (u1, u2, u3, u4)])
 
 
-def _legs(tetra: Tetrahedron, point):
-    p = as_point(point).tolist()
-    return [_unit(p, v) for v in tetra.vertices.tolist()]
-
-
-def leg_directions(tetra: Tetrahedron, point) -> np.ndarray:
-    """Unit vectors from a point toward each vertex, as rows."""
-    return np.array(_legs(tetra, point))
-
-
 def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     """Canonical direction configuration seen from a point inside a
     tetrahedron."""
-    return _frame(_legs(tetra, point))
+    p = as_point(point).tolist()
+    return _frame([_unit(p, v) for v in tetra.rows])

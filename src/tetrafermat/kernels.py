@@ -1,9 +1,11 @@
-"""Scalar kernels: distance sums, the safeguarded Newton iteration for the
-four-point distance minimizer, and a simplex minimizer specialized to the
-same objective.
+"""Scalar kernels: distance sums, resultants of unit vectors, the
+safeguarded Newton iteration for the four-point distance minimizer, and a
+simplex minimizer specialized to the same objective.
 
-Scalar math only; no numpy inside the loops.  With four points the per-call
-overhead of numpy outweighs the arithmetic it would vectorize.
+Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
+floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
+only; no numpy inside the loops.  With four points the per-call overhead of
+numpy outweighs the arithmetic it would vectorize.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ ACCEPT_SLACK = 1e-15
 #: nearest vertex's distance, then halvings) before falling back to the
 #: reweighted-average point
 MAX_HALVINGS = 30
-
-
-def _rows(vtx):
-    """The four rows of a (4, 3) float array as lists of Python floats."""
-    return vtx.tolist()
 
 
 def _distance_fn(rows):
@@ -55,19 +52,18 @@ def _distance_fn(rows):
     return f
 
 
-def distance_sum(vtx, x: float, y: float, z: float) -> float:
-    """Sum of Euclidean distances from (x, y, z) to the four rows of vtx."""
-    return _distance_fn(_rows(vtx))(x, y, z)
+def distance_sum(rows, x: float, y: float, z: float) -> float:
+    """Sum of Euclidean distances from (x, y, z) to the four rows."""
+    return _distance_fn(rows)(x, y, z)
 
 
-def resultant_norm(vtx, x: float, y: float, z: float) -> float:
-    """Norm of the sum of unit vectors from (x, y, z) toward the four rows.
-
-    This is the balancing residual; zero exactly at an interior minimizer.
-    The point must not coincide with a row.
-    """
+def _resultant(rows, x, y, z, skip):
+    """Sum of the unit vectors from (x, y, z) toward every row but row
+    ``skip`` (-1 keeps all four); no kept row may coincide with the point."""
     rx = ry = rz = 0.0
-    for vx, vy, vz in _rows(vtx):
+    for j, (vx, vy, vz) in enumerate(rows):
+        if j == skip:
+            continue
         dx = vx - x
         dy = vy - y
         dz = vz - z
@@ -75,43 +71,31 @@ def resultant_norm(vtx, x: float, y: float, z: float) -> float:
         rx += dx / d
         ry += dy / d
         rz += dz / d
-    return sqrt(rx * rx + ry * ry + rz * rz)
-
-
-def _pull(rows, i):
-    """Sum of the unit vectors from the other three rows toward row i."""
-    px, py, pz = rows[i]
-    rx = ry = rz = 0.0
-    for j in range(4):
-        if j == i:
-            continue
-        dx = px - rows[j][0]
-        dy = py - rows[j][1]
-        dz = pz - rows[j][2]
-        d = sqrt(dx * dx + dy * dy + dz * dz)
-        rx += dx / d
-        ry += dy / d
-        rz += dz / d
     return rx, ry, rz
 
 
-def _pull_norm(rows, i):
-    rx, ry, rz = _pull(rows, i)
+def resultant_norm(rows, x: float, y: float, z: float) -> float:
+    """Norm of the sum of unit vectors from (x, y, z) toward the four rows.
+
+    This is the balancing residual; zero exactly at an interior minimizer.
+    The point must not coincide with a row.
+    """
+    rx, ry, rz = _resultant(rows, x, y, z, -1)
     return sqrt(rx * rx + ry * ry + rz * rz)
 
 
-def pull_norm(vtx, i: int) -> float:
-    """Norm of the sum of unit vectors from the other three rows toward row i."""
-    return _pull_norm(_rows(vtx), i)
+def pull_norms(rows) -> tuple[float, float, float, float]:
+    """Pull norm of each row, in row order: the norm of the sum of the unit
+    vectors from the other three rows toward it (the resultant at the row,
+    negated)."""
+    out = []
+    for i, (x, y, z) in enumerate(rows):
+        rx, ry, rz = _resultant(rows, x, y, z, i)
+        out.append(sqrt(rx * rx + ry * ry + rz * rz))
+    return tuple(out)
 
 
-def pull_norms(vtx) -> tuple[float, float, float, float]:
-    """``pull_norm`` of each row, in row order."""
-    rows = _rows(vtx)
-    return tuple(_pull_norm(rows, i) for i in range(4))
-
-
-def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
+def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     """Safeguarded Newton iteration for the four-point distance minimizer.
 
     Precondition: no row passes the vertex-optimality test (every pull
@@ -136,17 +120,18 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     trial steps that ends in the same acceptance test.
 
     An iterate within ``vertex_eps`` of a row is a singular point of the
-    iteration; it restarts ``escape_step`` off the row against the row's
-    pull (the descent ray, nonzero by the precondition).  ``vertex_eps``
-    and ``escape_step`` are absolute lengths.  Each Newton step, fallback
-    step and escape counts as one iteration.
+    iteration; it restarts ``escape_step`` off the row along the resultant
+    of the other three legs there, the negated pull (the descent ray,
+    nonzero by the precondition).  ``vertex_eps`` and ``escape_step`` are
+    absolute lengths.  Each Newton step, fallback step and escape counts
+    as one iteration.
 
     Returns ``(x, y, z, residual, iterations, status)``, where ``residual``
     is the balancing residual (the norm of ``g``) at (x, y, z) and status
     is CONVERGED (residual <= ``grad_tol``) or MAXITER (``max_iter``
     iterations ran out).
     """
-    rows = _rows(vtx)
+    dist = _distance_fn(rows)
     x, y, z = float(sx), float(sy), float(sz)
     it = 0
     while True:
@@ -165,14 +150,15 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                 dmin = d
                 imin = i
         if dmin <= vertex_eps:
-            px, py, pz = _pull(rows, imin)
-            pn = sqrt(px * px + py * py + pz * pz)
-            x = rows[imin][0] - escape_step * px / pn
-            y = rows[imin][1] - escape_step * py / pn
-            z = rows[imin][2] - escape_step * pz / pn
+            vx, vy, vz = rows[imin]
+            rx, ry, rz = _resultant(rows, vx, vy, vz, imin)
+            rn = sqrt(rx * rx + ry * ry + rz * rz)
+            x = vx + escape_step * rx / rn
+            y = vy + escape_step * ry / rn
+            z = vz + escape_step * rz / rn
             it += 1
             if it >= max_iter:
-                res = resultant_norm(vtx, x, y, z)
+                res = resultant_norm(rows, x, y, z)
                 return (x, y, z, res, it, MAXITER)
             continue
         gx = gy = gz = 0.0
@@ -215,13 +201,7 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                 nx = x + t * px
                 ny = y + t * py
                 nz = z + t * pz
-                fn = 0.0
-                for vx, vy, vz in rows:
-                    dx = nx - vx
-                    dy = ny - vy
-                    dz = nz - vz
-                    fn += sqrt(dx * dx + dy * dy + dz * dz)
-                if fn <= fmax:
+                if dist(nx, ny, nz) <= fmax:
                     x, y, z = nx, ny, nz
                     stepped = True
                     break
@@ -246,7 +226,7 @@ def newton(vtx, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             z = szz / sw
 
 
-def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
+def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
     """Nelder-Mead on the four-point distance sum, from (sx, sy, sz).
 
     Standard reflect/expand/contract/shrink scheme with coefficients
@@ -263,7 +243,7 @@ def nelder_mead(vtx, sx, sy, sz, step, xatol, fatol, max_iter):
     expression and the order of its floating-point operations is fixed,
     because the oracle's restarts and the tests that pin them depend on it.
     """
-    f = _distance_fn(_rows(vtx))
+    f = _distance_fn(rows)
     x0, y0, z0 = float(sx), float(sy), float(sz)
     # the simplex: four [value, x, y, z] records, best first
     S = [

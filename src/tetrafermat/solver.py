@@ -5,6 +5,10 @@ Two routes to the minimizer are provided and kept independent on purpose:
 and ``oracle_solve`` runs a derivative-free simplex search from the
 centroid and four seeded hull points, polished by two fresh small
 simplexes.  Tests cross-validate one against the other.
+
+``solve`` is the only way into the Newton solver, and ``SolverConfig`` the
+only place that sets its defaults and checks them.  The kernels read the
+tetrahedron's float rows, ``Tetrahedron.rows``.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ class FermatSolution:
 
     ``residual`` is the norm of the summed unit vectors toward the vertices:
     all four legs for an interior solution, the three defined legs (the pull
-    norm) for a vertex solution.
+    norm) for a vertex solution.  ``pull_norms`` are those of the
+    classification the solve started from.
     """
 
     kind: str
@@ -69,13 +74,14 @@ class FermatSolution:
     residual: float
     iterations: int
     objective_value: float
+    pull_norms: tuple[float, float, float, float]
     flags: tuple[str, ...] = ()
 
 
 def objective(tetra: Tetrahedron, point) -> float:
     """Sum of distances from a point to the four vertices."""
     p = as_point(point)
-    return float(kernels.distance_sum(tetra.vertices, p[0], p[1], p[2]))
+    return float(kernels.distance_sum(tetra.rows, p[0], p[1], p[2]))
 
 
 def pull_norm(tetra: Tetrahedron, i: int) -> float:
@@ -83,14 +89,14 @@ def pull_norm(tetra: Tetrahedron, i: int) -> float:
     vertex i (1-based)."""
     if not 1 <= i <= 4:
         raise ValueError(f"vertex label must be 1..4, got {i}")
-    return float(kernels.pull_norm(tetra.vertices, i - 1))
+    return kernels.pull_norms(tetra.rows)[i - 1]
 
 
 def balancing_residual(tetra: Tetrahedron, point) -> float:
     """Norm of the summed unit vectors from a non-vertex point toward the
     four vertices; zero exactly at an interior minimizer."""
     p = as_point(point)
-    return float(kernels.resultant_norm(tetra.vertices, p[0], p[1], p[2]))
+    return float(kernels.resultant_norm(tetra.rows, p[0], p[1], p[2]))
 
 
 def classify(tetra: Tetrahedron) -> Classification:
@@ -100,7 +106,7 @@ def classify(tetra: Tetrahedron) -> Classification:
     At most one vertex can qualify on non-degenerate input; two or more
     raise ClassificationConflict.
     """
-    pulls = kernels.pull_norms(tetra.vertices)
+    pulls = kernels.pull_norms(tetra.rows)
     winners = [i for i, p in zip((1, 2, 3, 4), pulls) if p <= 1.0 + BOUNDARY_EPS]
     if len(winners) > 1:
         raise ClassificationConflict(
@@ -114,19 +120,6 @@ def classify(tetra: Tetrahedron) -> Classification:
             flags = ("boundary_tie",)
         return Classification(VERTEX, i, pulls, flags)
     return Classification(INTERIOR, None, pulls)
-
-
-def _vertex_solution(tetra: Tetrahedron, i: int, pulls, flags) -> FermatSolution:
-    point = tetra.vertex(i).copy()
-    return FermatSolution(
-        kind=VERTEX,
-        point=point,
-        vertex_index=i,
-        residual=pulls[i - 1],
-        iterations=0,
-        objective_value=kernels.distance_sum(tetra.vertices, *point.tolist()),
-        flags=tuple(flags),
-    )
 
 
 def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolution:
@@ -146,18 +139,25 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     Newton steps, Weiszfeld fallback steps and vertex escapes alike.
     Raises NonConvergence when the iteration budget runs out.
     """
-    return _solve(tetra, classify(tetra), config or SolverConfig())
-
-
-def _solve(tetra: Tetrahedron, cls: Classification,
-           cfg: SolverConfig) -> FermatSolution:
-    """``solve`` for a tetrahedron already classified as ``cls``."""
+    cls = classify(tetra)
+    rows = tetra.rows
     if cls.kind == VERTEX:
-        return _vertex_solution(tetra, cls.vertex_index, cls.pull_norms, cls.flags)
+        i = cls.vertex_index
+        return FermatSolution(
+            kind=VERTEX,
+            point=tetra.vertex(i).copy(),
+            vertex_index=i,
+            residual=cls.pull_norms[i - 1],
+            iterations=0,
+            objective_value=kernels.distance_sum(rows, *rows[i - 1]),
+            pull_norms=cls.pull_norms,
+            flags=cls.flags,
+        )
+    cfg = config or SolverConfig()
     sx, sy, sz = tetra.centroid().tolist()
     scale = tetra.scale
     x, y, z, res, iters, status = kernels.newton(
-        tetra.vertices,
+        rows,
         sx,
         sy,
         sz,
@@ -178,7 +178,8 @@ def _solve(tetra: Tetrahedron, cls: Classification,
         vertex_index=None,
         residual=res,
         iterations=iters,
-        objective_value=kernels.distance_sum(tetra.vertices, x, y, z),
+        objective_value=kernels.distance_sum(rows, x, y, z),
+        pull_norms=cls.pull_norms,
         flags=flags,
     )
 
@@ -204,20 +205,20 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    v = tetra.vertices
+    rows = tetra.rows
     scale = tetra.scale
     starts = np.vstack([tetra.centroid(), hull_points(tetra, 4, rng)])
     best = None
     for s in starts:
         x, y, z, fv, _ = kernels.nelder_mead(
-            v, float(s[0]), float(s[1]), float(s[2]),
+            rows, float(s[0]), float(s[1]), float(s[2]),
             0.2 * scale, 1e-3 * scale, 1e-6 * scale, 600,
         )
         if best is None or fv < best[3]:
             best = (x, y, z, fv)
     for step in (1e-3 * scale, 1e-5 * scale):
         x, y, z, fv, _ = kernels.nelder_mead(
-            v, best[0], best[1], best[2],
+            rows, best[0], best[1], best[2],
             step, 1e-12 * scale, 1e-14 * scale, 500,
         )
         if fv < best[3]:

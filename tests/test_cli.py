@@ -37,6 +37,27 @@ def write_json(tmp_path):
     return _write
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("sixth-angle", {"angles_deg": "abcde"}),
+        ("sixth-angle", {"angles_deg": 5}),
+        ("sixth-angle", {"angles_deg": [None, 1, 2, 3, 4]}),
+        ("sixth-angle", {"angles_rad": [1, 1, 1, 1, {}]}),
+        ("sixth-angle", {"angles_deg": [10 ** 400, 90, 60, 90, 60]}),
+        ("solve", {"vertices": {}}),
+        ("solve", {"vertices": [[10 ** 400, 0, 0], [1, 0, 0], [0, 1, 0],
+                                [0, 0, 1]]}),
+    ],
+    ids=["string", "number", "null", "object", "huge_int",
+         "vertices_object", "vertices_huge_int"],
+)
+def test_malformed_numbers_exit_2(command, payload, write_json, capsys):
+    path = write_json(payload)
+    assert main([command, "--input", path]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestSolveCommand:
     def test_regular_text(self, write_json, capsys):
         code = main(["solve", "--input", write_json(REGULAR)])
@@ -114,10 +135,9 @@ class TestSolveCommand:
             calls.append(tetra)
             return classify(tetra)
 
-        monkeypatch.setattr(cli, "classify", counting_classify)
         monkeypatch.setattr(solver, "classify", counting_classify)
         tetra = Tetrahedron(np.array(payload["vertices"], dtype=float))
-        cli.build_report(tetra, 1e-10, 10000, 1e-6)
+        cli.build_report(tetra, solver.SolverConfig(), 1e-6)
         assert len(calls) == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,8 +145,10 @@ class TestTetrahedron:
             assert Tetrahedron(v).scale == norm_scale(v)
 
     def test_rejects_overflowing_scale(self):
+        # the typed error, with no numpy overflow warning on the way
         v = random_tetrahedron(0, 0).vertices * 1e160
-        with pytest.raises(DegenerateInput), np.errstate(over="ignore"):
+        with pytest.raises(DegenerateInput), warnings.catch_warnings():
+            warnings.simplefilter("error")
             Tetrahedron(v)
 
     def test_rejects_coincident_points(self):

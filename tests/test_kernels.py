@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from tetrafermat import kernels
+from tetrafermat import Tetrahedron, kernels
 from tetrafermat.sampling import random_tetrahedron
 
-RIGHT_CORNER = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
-SYMMETRIC = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
+RIGHT_CORNER = Tetrahedron(
+    np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+).rows
+SYMMETRIC = Tetrahedron(
+    np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
+).rows
 # a tetrahedron whose smallest pull norm is 1 + 7.6e-5 (vertex 3)
-NEAR_TIE = np.array([
+NEAR_TIE = Tetrahedron(np.array([
     [0.8949727407898387, 0.8604144367749376, 0.32137482233751336],
     [0.31687460853267846, 0.29913400765044673, 0.6884899769535706],
     [0.4134545612807018, 0.700293235979378, 0.36862247125054426],
     [0.16478835974904438, 0.9082636842342459, 0.5414058680395614],
-])
+])).rows
 
 
 def corpus(n=40, seed=11):
@@ -24,7 +28,7 @@ def corpus(n=40, seed=11):
     for i in range(n):
         t = random_tetrahedron(seed, i)
         c = t.centroid()
-        out.append((np.asarray(t.vertices), (float(c[0]), float(c[1]), float(c[2]))))
+        out.append((t.rows, (float(c[0]), float(c[1]), float(c[2]))))
     return out
 
 
@@ -43,6 +47,7 @@ def newton_iterates(v, start, count):
 
 def weiszfeld_point(v, p):
     """Reweighted average of the rows, weights 1 / distance to p."""
+    v = np.asarray(v)
     w = 1.0 / np.linalg.norm(v - np.asarray(p), axis=1)
     return (w[:, None] * v).sum(axis=0) / w.sum()
 
@@ -143,17 +148,19 @@ class TestNewtonKernel:
 
 class TestRows:
     def test_rows_match_elementwise_floats(self):
-        # the kernels read the vertex array through one tolist(); it must
-        # give the same floats as indexing each element
+        # the kernels read Tetrahedron.rows, built once from the vertex
+        # array; it must hold the same floats as indexing each element
         for i in range(200):
-            vtx = random_tetrahedron(0, i).vertices
-            rows = kernels._rows(vtx)
-            expected = [
+            t = random_tetrahedron(0, i)
+            vtx = t.vertices
+            expected = tuple(
                 (float(vtx[k][0]), float(vtx[k][1]), float(vtx[k][2]))
                 for k in range(4)
-            ]
-            assert [tuple(r) for r in rows] == expected
-            assert all(type(c) is float for r in rows for c in r)
+            )
+            assert type(t.rows) is tuple and len(t.rows) == 4
+            assert all(type(r) is tuple for r in t.rows)
+            assert t.rows == expected
+            assert all(type(c) is float for r in t.rows for c in r)
 
 
 class TestNelderMeadKernel:

@@ -121,6 +121,15 @@ class TestPinnedAnswers:
             )
 
 
+    def test_solution_carries_classification_pull_norms(self, flat_vertex_case):
+        kinds = set()
+        for t in [flat_vertex_case] + [random_tetrahedron(0, i) for i in range(50)]:
+            sol = solve(t)
+            kinds.add(sol.kind)
+            assert sol.pull_norms == classify(t).pull_norms
+        assert kinds == {"interior", "vertex"}
+
+
 class TestObjective:
     def test_regular_centroid(self, regular_tetra):
         assert objective(regular_tetra, (0, 0, 0)) == pytest.approx(
