@@ -93,13 +93,22 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _number(value) -> float:
+    """A JSON number as a float.  ``float`` alone would also take booleans
+    (true is 1.0) and numeric strings ("90" is 90.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_tetrahedron(path: str) -> Tetrahedron:
     """Read {"vertices": [[x,y,z] * 4]} and validate it."""
     data = _load_json(path)
     if "vertices" not in data:
         raise InputError(f'{path}: missing "vertices"')
     try:
-        return Tetrahedron(np.array(data["vertices"], dtype=float))
+        rows = [[_number(c) for c in row] for row in data["vertices"]]
+        return Tetrahedron(np.array(rows, dtype=float))
     except (TetrafermatError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}")
 
@@ -117,7 +126,7 @@ def load_five_angles(path: str) -> FiveAngles:
     if not isinstance(data[key], list):
         raise InputError(f'{path}: "{key}" must be a list of numbers')
     try:
-        values = [to_radians(float(v)) for v in data[key]]
+        values = [to_radians(_number(v)) for v in data[key]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f'{path}: "{key}": {exc}')
     if len(values) != 5:

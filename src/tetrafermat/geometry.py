@@ -109,12 +109,12 @@ class Tetrahedron:
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        v = np.array(self.vertices, dtype=float, order="C")
         if v.shape != (4, 3):
             raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DegenerateInput("vertex coordinates must be finite")
-        v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         # rows v[i] - v[j] for the six pairs i < j; np.linalg.norm(r) is
@@ -178,7 +178,10 @@ class Tetrahedron:
         is the determinant with vertex i replaced by the point, over the
         tetrahedron's own determinant.
         """
-        p = as_point(point).tolist()
+        return self._contains(as_point(point).tolist(), tol)
+
+    def _contains(self, p, tol: float) -> bool:
+        """``contains`` on an (x, y, z) row of floats, taken as valid."""
         a, b, c, d = self._rows
         whole = _det4(a, b, c, d)
         return all(

@@ -234,33 +234,36 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
     in every coordinate and the value spread drops below ``fatol``, or after
     ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
 
-    The vertices are kept ordered best to worst as if by a stable sort, so
+    The simplex is kept in sixteen scalar locals, vertex k as
+    ``(fk, xk, yk, zk)``, ordered best to worst as if by a stable sort, so
     vertices with equal values keep their previous order: the first simplex
     and each shrunk one are sorted, and a new vertex replacing the worst is
-    inserted after every survivor whose value does not exceed its own.  The
-    returned vertex is the first one with the smallest value.  The answers
-    are kept bit-identical on purpose, iteration counts included: every
-    expression and the order of its floating-point operations is fixed,
-    because the oracle's restarts and the tests that pin them depend on it.
+    inserted after every survivor whose value does not exceed its own, the
+    vertices behind it shifting down one place.  The returned vertex is the
+    first one with the smallest value.  The answers are kept bit-identical
+    on purpose, iteration counts included: every expression and the order
+    of its floating-point operations is fixed, because the oracle's
+    restarts and the tests that pin them depend on it.
     """
     f = _distance_fn(rows)
     x0, y0, z0 = float(sx), float(sy), float(sz)
-    # the simplex: four [value, x, y, z] records, best first
-    S = [
-        [f(x0, y0, z0), x0, y0, z0],
-        [f(x0 + step, y0, z0), x0 + step, y0, z0],
-        [f(x0, y0 + step, z0), x0, y0 + step, z0],
-        [f(x0, y0, z0 + step), x0, y0, z0 + step],
-    ]
     value = itemgetter(0)
-    S.sort(key=value)
+    s0, s1, s2, s3 = sorted(
+        [
+            (f(x0, y0, z0), x0, y0, z0),
+            (f(x0 + step, y0, z0), x0 + step, y0, z0),
+            (f(x0, y0 + step, z0), x0, y0 + step, z0),
+            (f(x0, y0, z0 + step), x0, y0, z0 + step),
+        ],
+        key=value,
+    )
+    f0, x0, y0, z0 = s0
+    f1, x1, y1, z1 = s1
+    f2, x2, y2, z2 = s2
+    f3, x3, y3, z3 = s3
 
     it = 0
     while it < max_iter:
-        f0, x0, y0, z0 = S[0]
-        f1, x1, y1, z1 = S[1]
-        f2, x2, y2, z2 = S[2]
-        f3, x3, y3, z3 = S[3]
         if f3 - f0 <= fatol and max(
             abs(x1 - x0), abs(y1 - y0), abs(z1 - z0),
             abs(x2 - x0), abs(y2 - y0), abs(z2 - z0),
@@ -277,52 +280,94 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
         zr = 2.0 * cz - z3
         fr = f(xr, yr, zr)
         if fr < f0:
-            xe = 3.0 * cx - 2.0 * x3
-            ye = 3.0 * cy - 2.0 * y3
-            ze = 3.0 * cz - 2.0 * z3
-            fe = f(xe, ye, ze)
-            if fe < fr:
-                new = [fe, xe, ye, ze]
-            else:
-                new = [fr, xr, yr, zr]
+            xn = 3.0 * cx - 2.0 * x3
+            yn = 3.0 * cy - 2.0 * y3
+            zn = 3.0 * cz - 2.0 * z3
+            fn = f(xn, yn, zn)
+            # the expansion replaces the reflection only when strictly better
+            if not fn < fr:
+                fn = fr
+                xn = xr
+                yn = yr
+                zn = zr
         elif fr < f2:
-            new = [fr, xr, yr, zr]
+            fn = fr
+            xn = xr
+            yn = yr
+            zn = zr
         else:
             if fr < f3:
-                xc = 1.5 * cx - 0.5 * x3
-                yc = 1.5 * cy - 0.5 * y3
-                zc = 1.5 * cz - 0.5 * z3
-                fc = f(xc, yc, zc)
-                shrink = fc > fr
+                xn = 1.5 * cx - 0.5 * x3
+                yn = 1.5 * cy - 0.5 * y3
+                zn = 1.5 * cz - 0.5 * z3
+                fn = f(xn, yn, zn)
+                shrink = fn > fr
             else:
-                xc = 0.5 * cx + 0.5 * x3
-                yc = 0.5 * cy + 0.5 * y3
-                zc = 0.5 * cz + 0.5 * z3
-                fc = f(xc, yc, zc)
-                shrink = fc >= f3
+                xn = 0.5 * cx + 0.5 * x3
+                yn = 0.5 * cy + 0.5 * y3
+                zn = 0.5 * cz + 0.5 * z3
+                fn = f(xn, yn, zn)
+                shrink = fn >= f3
             if shrink:
-                for k in (1, 2, 3):
-                    _, x, y, z = S[k]
-                    x = x0 + 0.5 * (x - x0)
-                    y = y0 + 0.5 * (y - y0)
-                    z = z0 + 0.5 * (z - z0)
-                    S[k] = [f(x, y, z), x, y, z]
-                S.sort(key=value)
+                x1 = x0 + 0.5 * (x1 - x0)
+                y1 = y0 + 0.5 * (y1 - y0)
+                z1 = z0 + 0.5 * (z1 - z0)
+                x2 = x0 + 0.5 * (x2 - x0)
+                y2 = y0 + 0.5 * (y2 - y0)
+                z2 = z0 + 0.5 * (z2 - z0)
+                x3 = x0 + 0.5 * (x3 - x0)
+                y3 = y0 + 0.5 * (y3 - y0)
+                z3 = z0 + 0.5 * (z3 - z0)
+                s0, s1, s2, s3 = sorted(
+                    [
+                        (f0, x0, y0, z0),
+                        (f(x1, y1, z1), x1, y1, z1),
+                        (f(x2, y2, z2), x2, y2, z2),
+                        (f(x3, y3, z3), x3, y3, z3),
+                    ],
+                    key=value,
+                )
+                f0, x0, y0, z0 = s0
+                f1, x1, y1, z1 = s1
+                f2, x2, y2, z2 = s2
+                f3, x3, y3, z3 = s3
                 it += 1
                 continue
-            new = [fc, xc, yc, zc]
-        fn = new[0]
-        if fn < f1:
-            if fn < f0:
-                S = [new, S[0], S[1], S[2]]
+        # the new vertex replaces the worst; the ones behind it shift down
+        if fn < f2:
+            f3 = f2
+            x3 = x2
+            y3 = y2
+            z3 = z2
+            if fn < f1:
+                f2 = f1
+                x2 = x1
+                y2 = y1
+                z2 = z1
+                if fn < f0:
+                    f1 = f0
+                    x1 = x0
+                    y1 = y0
+                    z1 = z0
+                    f0 = fn
+                    x0 = xn
+                    y0 = yn
+                    z0 = zn
+                else:
+                    f1 = fn
+                    x1 = xn
+                    y1 = yn
+                    z1 = zn
             else:
-                S = [S[0], new, S[1], S[2]]
-        elif fn < f2:
-            S[3] = S[2]
-            S[2] = new
+                f2 = fn
+                x2 = xn
+                y2 = yn
+                z2 = zn
         else:
-            S[3] = new
+            f3 = fn
+            x3 = xn
+            y3 = yn
+            z3 = zn
         it += 1
 
-    f0, x, y, z = S[0]
-    return (x, y, z, f0, it)
+    return (x0, y0, z0, f0, it)

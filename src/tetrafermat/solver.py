@@ -2,9 +2,9 @@
 
 Two routes to the minimizer are provided and kept independent on purpose:
 ``solve`` runs a safeguarded Newton iteration with a vertex test up front,
-and ``oracle_solve`` runs a derivative-free simplex search from the
-centroid and four seeded hull points, polished by two fresh small
-simplexes.  Tests cross-validate one against the other.
+and ``oracle_solve`` runs a derivative-free simplex search from one
+seeded point inside the hull, polished by two fresh small simplexes.
+Tests cross-validate one against the other.
 
 ``solve`` is the only way into the Newton solver, and ``SolverConfig`` the
 only place that sets its defaults and checks them.  The kernels read the
@@ -154,7 +154,8 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
             flags=cls.flags,
         )
     cfg = config or SolverConfig()
-    sx, sy, sz = tetra.centroid().tolist()
+    # the centroid, summed and divided in the order numpy's ``mean`` uses
+    sx, sy, sz = ((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
     scale = tetra.scale
     x, y, z, res, iters, status = kernels.newton(
         rows,
@@ -168,13 +169,12 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     )
     if status == kernels.MAXITER:
         raise NonConvergence(np.array([x, y, z]), res, iters)
-    point = np.array([x, y, z])
     flags = ()
-    if not tetra.contains(point, tol=0.0):
+    if not tetra._contains((x, y, z), 0.0):
         flags = ("outside_hull",)
     return FermatSolution(
         kind=INTERIOR,
-        point=point,
+        point=np.array([x, y, z]),
         vertex_index=None,
         residual=res,
         iterations=iters,
@@ -191,31 +191,25 @@ def hull_points(tetra: Tetrahedron, count: int, rng: np.random.Generator) -> np.
 
 
 def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
-    """Derivative-free cross-check: simplex search with seeded restarts.
+    """Derivative-free cross-check: simplex search from a seeded hull start.
 
-    Runs the simplex minimizer from the centroid and from 4 random points
-    inside the hull, keeps the best, then polishes it with two small-simplex
-    passes.  Each restart stops once its simplex spans at most 1e-3 * scale
-    in every coordinate, the size of the first polish simplex, and its
-    values at most 1e-6 * scale: the polish passes restart from a fresh
-    small simplex at the best point and set the final precision (down to
-    1e-12 * scale).  On a convex objective more random starts do not guard
-    against simplex stagnation; the fresh polish simplexes do.  The hull
-    starts keep the search from sharing ``solve``'s single starting point.
-    Deterministic for a fixed seed.
+    Runs the simplex minimizer from one random point inside the hull, then
+    polishes its answer with two small-simplex passes.  The first run stops
+    once its simplex spans at most 1e-3 * scale in every coordinate, the
+    size of the first polish simplex, and its values at most 1e-6 * scale:
+    the polish passes restart from a fresh small simplex at the best point
+    found and set the final precision (down to 1e-12 * scale).  On a convex
+    objective more starts do not guard against simplex stagnation; the
+    fresh polish simplexes do.  The hull start keeps the search from
+    sharing ``solve``'s starting point, the centroid.  Deterministic for a
+    fixed seed.
     """
-    rng = np.random.default_rng(seed)
     rows = tetra.rows
     scale = tetra.scale
-    starts = np.vstack([tetra.centroid(), hull_points(tetra, 4, rng)])
-    best = None
-    for s in starts:
-        x, y, z, fv, _ = kernels.nelder_mead(
-            rows, float(s[0]), float(s[1]), float(s[2]),
-            0.2 * scale, 1e-3 * scale, 1e-6 * scale, 600,
-        )
-        if best is None or fv < best[3]:
-            best = (x, y, z, fv)
+    sx, sy, sz = hull_points(tetra, 1, np.random.default_rng(seed))[0].tolist()
+    best = kernels.nelder_mead(
+        rows, sx, sy, sz, 0.2 * scale, 1e-3 * scale, 1e-6 * scale, 600,
+    )[:4]
     for step in (1e-3 * scale, 1e-5 * scale):
         x, y, z, fv, _ = kernels.nelder_mead(
             rows, best[0], best[1], best[2],

@@ -48,9 +48,17 @@ def write_json(tmp_path):
         ("solve", {"vertices": {}}),
         ("solve", {"vertices": [[10 ** 400, 0, 0], [1, 0, 0], [0, 1, 0],
                                 [0, 0, 1]]}),
+        # float() takes these, but they are not JSON numbers
+        ("sixth-angle", {"angles_deg": [True, 90, 60, 90, 60]}),
+        ("sixth-angle", {"angles_deg": ["90", 90, 60, 90, 60]}),
+        ("solve", {"vertices": [[True, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                [-1, -1, 1]]}),
+        ("solve", {"vertices": [["0", 0, 0], [1, 0, 0], [0, 1, 0],
+                                [0, 0, 1]]}),
     ],
     ids=["string", "number", "null", "object", "huge_int",
-         "vertices_object", "vertices_huge_int"],
+         "vertices_object", "vertices_huge_int", "bool", "numeric_string",
+         "vertices_bool", "vertices_numeric_string"],
 )
 def test_malformed_numbers_exit_2(command, payload, write_json, capsys):
     path = write_json(payload)

@@ -198,6 +198,12 @@ class TestTetrahedron:
         with pytest.raises(ValueError):
             regular_tetra.vertices[0, 0] = 9.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+        t = Tetrahedron(a)
+        a[0, 0] = 5.0
+        assert t.vertices[0, 0] == 0.0
+
 
 class TestCanonicalFrame:
     def test_axis_example_preserves_angles(self):

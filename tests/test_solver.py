@@ -44,14 +44,14 @@ NEAR_VERTEX_INTERIOR = [
 ]
 
 #: oracle_solve(t, seed=index) pinned bit for bit, as (corpus, index, point):
-#: drawing more or fewer hull starts, or changing their draws, moves them
+#: adding starts, or changing the seeded hull start's draw, moves them
 ORACLE_PINS = [
     # unit-cube seed 0, input 0: interior minimizer
-    ("cube", 0, (0.5957788898471156, 0.7041201698063406, 0.47984523055560657)),
+    ("cube", 0, (0.5957788883248026, 0.7041201670740327, 0.47984522898622806)),
     # unit-cube seed 0, input 4: minimizer at vertex 4
-    ("cube", 4, (0.657691897822154, 0.6090183653943823, 0.35058546541042146)),
+    ("cube", 4, (0.6576918978221703, 0.6090183653943758, 0.3505854654104298)),
     # known answer seed 0, input 0: d_1 = 1.9e-11 x scale
-    ("known", 0, (-0.10152236858385841, -0.21791673106234388, 0.15393754733653509)),
+    ("known", 0, (-0.10152236329745883, -0.21791672447643404, 0.15393756718477586)),
 ]
 
 #: known-answer inputs checked against their constructed minimizer
@@ -354,6 +354,19 @@ class TestOracle:
             orc = oracle_solve(t, seed=i)
             assert abs(objective(t, orc) - sol.objective_value) <= 1e-7 * t.scale
             assert np.linalg.norm(orc - sol.point) <= 1e-5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the simplex search stagnates along a needle's long axis",
+    )
+    def test_criterion_4_position_bound_on_needle(self):
+        # unit-cube seed 0, input 168, stretched 1e3 along x: the oracle
+        # lands about 1.5e-2 from solve's point at an equal objective
+        t = Tetrahedron(random_tetrahedron(0, 168).vertices * [1e3, 1.0, 1.0])
+        sol = solve(t)
+        orc = oracle_solve(t, seed=168)
+        assert abs(objective(t, orc) - sol.objective_value) <= 1e-7 * t.scale
+        assert np.linalg.norm(orc - sol.point) <= 1e-5
 
     def test_convexity_certificate(self):
         for i in range(5):
