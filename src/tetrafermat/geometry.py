@@ -178,10 +178,7 @@ class Tetrahedron:
         is the determinant with vertex i replaced by the point, over the
         tetrahedron's own determinant.
         """
-        return self._contains(as_point(point).tolist(), tol)
-
-    def _contains(self, p, tol: float) -> bool:
-        """``contains`` on an (x, y, z) row of floats, taken as valid."""
+        p = as_point(point).tolist()
         a, b, c, d = self._rows
         whole = _det4(a, b, c, d)
         return all(

@@ -5,7 +5,12 @@ simplex minimizer specialized to the same objective.
 Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
 floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
 only; no numpy inside the loops.  With four points the per-call overhead of
-numpy outweighs the arithmetic it would vectorize.
+numpy outweighs the arithmetic it would vectorize.  The hot kernels
+(``pull_norms``, ``newton``, ``nelder_mead``'s objective) bind the twelve row
+coordinates once and write the four legs out as straight-line code, with no
+per-row loop; ``newton`` carries the distances of an accepted trial point
+into the next iterate.  Each keeps the floating-point operations of a
+per-row loop in the same order, so its answers are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -87,12 +92,54 @@ def resultant_norm(rows, x: float, y: float, z: float) -> float:
 def pull_norms(rows) -> tuple[float, float, float, float]:
     """Pull norm of each row, in row order: the norm of the sum of the unit
     vectors from the other three rows toward it (the resultant at the row,
-    negated)."""
-    out = []
-    for i, (x, y, z) in enumerate(rows):
-        rx, ry, rz = _resultant(rows, x, y, z, i)
-        out.append(sqrt(rx * rx + ry * ry + rz * rz))
-    return tuple(out)
+    negated).
+
+    Straight-line code: each row's three legs are taken in row order, as
+    ``_resultant`` takes them, and summed from the first (no unit component
+    is -0.0, so starting from 0.0 would give the same sums).
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = ex / n, ey / n, ez / n
+    ex, ey, ez = cx - ax, cy - ay, cz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    ex, ey, ez = dx - ax, dy - ay, dz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    pa = sqrt(rx * rx + ry * ry + rz * rz)
+    ex, ey, ez = ax - bx, ay - by, az - bz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = ex / n, ey / n, ez / n
+    ex, ey, ez = cx - bx, cy - by, cz - bz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    ex, ey, ez = dx - bx, dy - by, dz - bz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    pb = sqrt(rx * rx + ry * ry + rz * rz)
+    ex, ey, ez = ax - cx, ay - cy, az - cz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = ex / n, ey / n, ez / n
+    ex, ey, ez = bx - cx, by - cy, bz - cz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    ex, ey, ez = dx - cx, dy - cy, dz - cz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    pc = sqrt(rx * rx + ry * ry + rz * rz)
+    ex, ey, ez = ax - dx, ay - dy, az - dz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = ex / n, ey / n, ez / n
+    ex, ey, ez = bx - dx, by - dy, bz - dz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    ex, ey, ez = cx - dx, cy - dy, cz - dz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
+    pd = sqrt(rx * rx + ry * ry + rz * rz)
+    return (pa, pb, pc, pd)
 
 
 def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
@@ -126,29 +173,47 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     absolute lengths.  Each Newton step, fallback step and escape counts
     as one iteration.
 
+    The four legs, distances, gradient and Hessian are straight-line code
+    on the twelve row coordinates, bound once.  The distances an accepted
+    trial point was judged by are the next iterate's distances and are not
+    computed again.  Every floating-point operation keeps the order of a
+    per-row loop that accumulates from 0.0.  The distance, gradient and
+    diagonal Hessian sums start from their first term instead, which
+    cannot change them, as none of their terms is -0.0; the off-diagonal
+    Hessian terms (``0.0 - a - b - c - d``) and the Weiszfeld coordinates
+    (``0.0 + ...``) keep the 0.0, as a -0.0 term can occur there.
+
     Returns ``(x, y, z, residual, iterations, status)``, where ``residual``
     is the balancing residual (the norm of ``g``) at (x, y, z) and status
     is CONVERGED (residual <= ``grad_tol``) or MAXITER (``max_iter``
     iterations ran out).
     """
-    dist = _distance_fn(rows)
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x, y, z = float(sx), float(sy), float(sz)
     it = 0
+    carried = False
     while True:
-        dmin = -1.0
-        imin = -1
-        f = 0.0
-        dists = []
-        for i, (vx, vy, vz) in enumerate(rows):
-            dx = x - vx
-            dy = y - vy
-            dz = z - vz
-            d = sqrt(dx * dx + dy * dy + dz * dz)
-            dists.append(d)
-            f += d
-            if dmin < 0.0 or d < dmin:
-                dmin = d
-                imin = i
+        # the legs toward the rows; each squares exactly as its negation,
+        # so the distances match the objective's
+        ex0, ey0, ez0 = ax - x, ay - y, az - z
+        ex1, ey1, ez1 = bx - x, by - y, bz - z
+        ex2, ey2, ez2 = cx - x, cy - y, cz - z
+        ex3, ey3, ez3 = dx - x, dy - y, dz - z
+        if carried:
+            carried = False
+        else:
+            d0 = sqrt(ex0 * ex0 + ey0 * ey0 + ez0 * ez0)
+            d1 = sqrt(ex1 * ex1 + ey1 * ey1 + ez1 * ez1)
+            d2 = sqrt(ex2 * ex2 + ey2 * ey2 + ez2 * ez2)
+            d3 = sqrt(ex3 * ex3 + ey3 * ey3 + ez3 * ez3)
+            f = d0 + d1 + d2 + d3
+        dmin, imin = d0, 0
+        if d1 < dmin:
+            dmin, imin = d1, 1
+        if d2 < dmin:
+            dmin, imin = d2, 2
+        if d3 < dmin:
+            dmin, imin = d3, 3
         if dmin <= vertex_eps:
             vx, vy, vz = rows[imin]
             rx, ry, rz = _resultant(rows, vx, vy, vz, imin)
@@ -161,33 +226,39 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                 res = resultant_norm(rows, x, y, z)
                 return (x, y, z, res, it, MAXITER)
             continue
-        gx = gy = gz = 0.0
-        hxx = hyy = hzz = hxy = hxz = hyz = 0.0
-        for i, (vx, vy, vz) in enumerate(rows):
-            w = 1.0 / dists[i]
-            ux = (vx - x) * w
-            uy = (vy - y) * w
-            uz = (vz - z) * w
-            gx += ux
-            gy += uy
-            gz += uz
-            hxx += (1.0 - ux * ux) * w
-            hyy += (1.0 - uy * uy) * w
-            hzz += (1.0 - uz * uz) * w
-            hxy -= ux * uy * w
-            hxz -= ux * uz * w
-            hyz -= uy * uz * w
+        w0 = 1.0 / d0
+        w1 = 1.0 / d1
+        w2 = 1.0 / d2
+        w3 = 1.0 / d3
+        ux0, uy0, uz0 = ex0 * w0, ey0 * w0, ez0 * w0
+        ux1, uy1, uz1 = ex1 * w1, ey1 * w1, ez1 * w1
+        ux2, uy2, uz2 = ex2 * w2, ey2 * w2, ez2 * w2
+        ux3, uy3, uz3 = ex3 * w3, ey3 * w3, ez3 * w3
+        gx = ux0 + ux1 + ux2 + ux3
+        gy = uy0 + uy1 + uy2 + uy3
+        gz = uz0 + uz1 + uz2 + uz3
         res = sqrt(gx * gx + gy * gy + gz * gz)
         if res <= grad_tol:
             return (x, y, z, res, it, CONVERGED)
         if it >= max_iter:
             return (x, y, z, res, it, MAXITER)
         it += 1
+        hxx = ((1.0 - ux0 * ux0) * w0 + (1.0 - ux1 * ux1) * w1
+               + (1.0 - ux2 * ux2) * w2 + (1.0 - ux3 * ux3) * w3)
+        hyy = ((1.0 - uy0 * uy0) * w0 + (1.0 - uy1 * uy1) * w1
+               + (1.0 - uy2 * uy2) * w2 + (1.0 - uy3 * uy3) * w3)
+        hzz = ((1.0 - uz0 * uz0) * w0 + (1.0 - uz1 * uz1) * w1
+               + (1.0 - uz2 * uz2) * w2 + (1.0 - uz3 * uz3) * w3)
+        hxy = (0.0 - ux0 * uy0 * w0 - ux1 * uy1 * w1
+               - ux2 * uy2 * w2 - ux3 * uy3 * w3)
+        hxz = (0.0 - ux0 * uz0 * w0 - ux1 * uz1 * w1
+               - ux2 * uz2 * w2 - ux3 * uz3 * w3)
+        hyz = (0.0 - uy0 * uz0 * w0 - uy1 * uz1 * w1
+               - uy2 * uz2 * w2 - uy3 * uz3 * w3)
         c00 = hyy * hzz - hyz * hyz
         c01 = hxz * hyz - hxy * hzz
         c02 = hxy * hyz - hxz * hyy
         det = hxx * c00 + hxy * c01 + hxz * c02
-        stepped = False
         if det > 0.0:
             c11 = hxx * hzz - hxz * hxz
             c12 = hxy * hxz - hxx * hyz
@@ -201,9 +272,19 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                 nx = x + t * px
                 ny = y + t * py
                 nz = z + t * pz
-                if dist(nx, ny, nz) <= fmax:
+                tx, ty, tz = nx - ax, ny - ay, nz - az
+                n0 = sqrt(tx * tx + ty * ty + tz * tz)
+                tx, ty, tz = nx - bx, ny - by, nz - bz
+                n1 = sqrt(tx * tx + ty * ty + tz * tz)
+                tx, ty, tz = nx - cx, ny - cy, nz - cz
+                n2 = sqrt(tx * tx + ty * ty + tz * tz)
+                tx, ty, tz = nx - dx, ny - dy, nz - dz
+                n3 = sqrt(tx * tx + ty * ty + tz * tz)
+                fn = n0 + n1 + n2 + n3
+                if fn <= fmax:
                     x, y, z = nx, ny, nz
-                    stepped = True
+                    d0, d1, d2, d3, f = n0, n1, n2, n3, fn
+                    carried = True
                     break
                 if k == 0:
                     # the quadratic model of a leg holds only within about
@@ -213,17 +294,12 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
                         t = 0.5
                 else:
                     t *= 0.5
-        if not stepped:
-            sxx = syy = szz = sw = 0.0
-            for i, (vx, vy, vz) in enumerate(rows):
-                w = 1.0 / dists[i]
-                sxx += vx * w
-                syy += vy * w
-                szz += vz * w
-                sw += w
-            x = sxx / sw
-            y = syy / sw
-            z = szz / sw
+        if not carried:
+            # the reweighted-average (Weiszfeld) point
+            sw = w0 + w1 + w2 + w3
+            x = (0.0 + ax * w0 + bx * w1 + cx * w2 + dx * w3) / sw
+            y = (0.0 + ay * w0 + by * w1 + cy * w2 + dy * w3) / sw
+            z = (0.0 + az * w0 + bz * w1 + cz * w2 + dz * w3) / sw
 
 
 def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):

@@ -136,8 +136,10 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     does not rise; when no trial passes, the reweighted-average (Weiszfeld)
     point is taken instead.  Iterates within ``VERTEX_EPS * scale`` of a
     vertex are moved off it along the descent ray.  ``iterations`` counts
-    Newton steps, Weiszfeld fallback steps and vertex escapes alike.
-    Raises NonConvergence when the iteration budget runs out.
+    Newton steps, Weiszfeld fallback steps and vertex escapes alike.  An
+    interior solution carries no flags: the minimizer it converged to has
+    balanced unit legs, so it lies inside the hull, and no hull test is
+    made.  Raises NonConvergence when the iteration budget runs out.
     """
     cls = classify(tetra)
     rows = tetra.rows
@@ -169,9 +171,6 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     )
     if status == kernels.MAXITER:
         raise NonConvergence(np.array([x, y, z]), res, iters)
-    flags = ()
-    if not tetra._contains((x, y, z), 0.0):
-        flags = ("outside_hull",)
     return FermatSolution(
         kind=INTERIOR,
         point=np.array([x, y, z]),
@@ -180,7 +179,6 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
         iterations=iters,
         objective_value=kernels.distance_sum(rows, x, y, z),
         pull_norms=cls.pull_norms,
-        flags=flags,
     )
 
 
@@ -206,7 +204,10 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     """
     rows = tetra.rows
     scale = tetra.scale
-    sx, sy, sz = hull_points(tetra, 1, np.random.default_rng(seed))[0].tolist()
+    # barycentric weights on the float rows, summed left to right, so the
+    # start does not depend on how a BLAS build rounds a matrix product
+    w0, w1, w2, w3 = np.random.default_rng(seed).dirichlet(np.ones(4)).tolist()
+    sx, sy, sz = (w0 * a + w1 * b + w2 * c + w3 * d for a, b, c, d in zip(*rows))
     best = kernels.nelder_mead(
         rows, sx, sy, sz, 0.2 * scale, 1e-3 * scale, 1e-6 * scale, 600,
     )[:4]

@@ -23,6 +23,142 @@ NEAR_TIE = Tetrahedron(np.array([
 ])).rows
 
 
+#: seed-0 unit-cube input 0 translated by 1e5: the balancing residual
+#: stalls above grad_tol there, so every budget ends in MAXITER
+OFFSET_1E5 = Tetrahedron(random_tetrahedron(0, 0).vertices + 1e5)
+
+
+# Per-row loop versions of ``pull_norms`` and ``newton``: the reference the
+# straight-line kernels must match bit for bit.
+
+
+def loop_resultant(rows, x, y, z, skip):
+    rx = ry = rz = 0.0
+    for j, (vx, vy, vz) in enumerate(rows):
+        if j == skip:
+            continue
+        dx = vx - x
+        dy = vy - y
+        dz = vz - z
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        rx += dx / d
+        ry += dy / d
+        rz += dz / d
+    return rx, ry, rz
+
+
+def loop_distance_sum(rows, x, y, z):
+    f = 0.0
+    for vx, vy, vz in rows:
+        dx = x - vx
+        dy = y - vy
+        dz = z - vz
+        f += math.sqrt(dx * dx + dy * dy + dz * dz)
+    return f
+
+
+def loop_pull_norms(rows):
+    out = []
+    for i, (x, y, z) in enumerate(rows):
+        rx, ry, rz = loop_resultant(rows, x, y, z, i)
+        out.append(math.sqrt(rx * rx + ry * ry + rz * rz))
+    return tuple(out)
+
+
+def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
+    x, y, z = float(sx), float(sy), float(sz)
+    it = 0
+    while True:
+        dmin = -1.0
+        imin = -1
+        f = 0.0
+        dists = []
+        for i, (vx, vy, vz) in enumerate(rows):
+            dx = x - vx
+            dy = y - vy
+            dz = z - vz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            dists.append(d)
+            f += d
+            if dmin < 0.0 or d < dmin:
+                dmin = d
+                imin = i
+        if dmin <= vertex_eps:
+            vx, vy, vz = rows[imin]
+            rx, ry, rz = loop_resultant(rows, vx, vy, vz, imin)
+            rn = math.sqrt(rx * rx + ry * ry + rz * rz)
+            x = vx + escape_step * rx / rn
+            y = vy + escape_step * ry / rn
+            z = vz + escape_step * rz / rn
+            it += 1
+            if it >= max_iter:
+                rx, ry, rz = loop_resultant(rows, x, y, z, -1)
+                res = math.sqrt(rx * rx + ry * ry + rz * rz)
+                return (x, y, z, res, it, kernels.MAXITER)
+            continue
+        gx = gy = gz = 0.0
+        hxx = hyy = hzz = hxy = hxz = hyz = 0.0
+        for i, (vx, vy, vz) in enumerate(rows):
+            w = 1.0 / dists[i]
+            ux = (vx - x) * w
+            uy = (vy - y) * w
+            uz = (vz - z) * w
+            gx += ux
+            gy += uy
+            gz += uz
+            hxx += (1.0 - ux * ux) * w
+            hyy += (1.0 - uy * uy) * w
+            hzz += (1.0 - uz * uz) * w
+            hxy -= ux * uy * w
+            hxz -= ux * uz * w
+            hyz -= uy * uz * w
+        res = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if res <= grad_tol:
+            return (x, y, z, res, it, kernels.CONVERGED)
+        if it >= max_iter:
+            return (x, y, z, res, it, kernels.MAXITER)
+        it += 1
+        c00 = hyy * hzz - hyz * hyz
+        c01 = hxz * hyz - hxy * hzz
+        c02 = hxy * hyz - hxz * hyy
+        det = hxx * c00 + hxy * c01 + hxz * c02
+        stepped = False
+        if det > 0.0:
+            c11 = hxx * hzz - hxz * hxz
+            c12 = hxy * hxz - hxx * hyz
+            c22 = hxx * hyy - hxy * hxy
+            px = (c00 * gx + c01 * gy + c02 * gz) / det
+            py = (c01 * gx + c11 * gy + c12 * gz) / det
+            pz = (c02 * gx + c12 * gy + c22 * gz) / det
+            fmax = f * (1.0 + kernels.ACCEPT_SLACK)
+            t = 1.0
+            for k in range(kernels.MAX_HALVINGS + 1):
+                nx = x + t * px
+                ny = y + t * py
+                nz = z + t * pz
+                if loop_distance_sum(rows, nx, ny, nz) <= fmax:
+                    x, y, z = nx, ny, nz
+                    stepped = True
+                    break
+                if k == 0:
+                    t = dmin / math.sqrt(px * px + py * py + pz * pz)
+                    if t >= 0.5:
+                        t = 0.5
+                else:
+                    t *= 0.5
+        if not stepped:
+            sxx = syy = szz = sw = 0.0
+            for i, (vx, vy, vz) in enumerate(rows):
+                w = 1.0 / dists[i]
+                sxx += vx * w
+                syy += vy * w
+                szz += vz * w
+                sw += w
+            x = sxx / sw
+            y = syy / sw
+            z = szz / sw
+
+
 def corpus(n=40, seed=11):
     out = []
     for i in range(n):
@@ -144,6 +280,53 @@ class TestNewtonKernel:
         assert it <= 20
         assert np.allclose([x, y, z], 1.0 / 6.0, rtol=0, atol=1e-10)
         assert_monotone(RIGHT_CORNER, newton_iterates(RIGHT_CORNER, start, it))
+
+
+class TestLoopReference:
+    """The straight-line kernels return the per-row loops' tuples exactly:
+    same floats, same iteration counts, same statuses."""
+
+    def test_pull_norms(self):
+        cases = [RIGHT_CORNER, SYMMETRIC, NEAR_TIE, OFFSET_1E5.rows]
+        cases += [v for v, _ in corpus(300, seed=0)]
+        for v in cases:
+            assert kernels.pull_norms(v) == loop_pull_norms(v)
+
+    @staticmethod
+    def assert_newton_matches(v, start, max_iter, scale=1.0):
+        args = (v, *start, 1e-10, max_iter, 1e-9 * scale, 1e-8 * scale)
+        assert kernels.newton(*args) == loop_newton(*args)
+
+    @staticmethod
+    def interior_corpus(n, seed):
+        """Corpus inputs that meet newton's precondition: every pull norm
+        exceeds 1."""
+        return [(v, c) for v, c in corpus(n, seed) if min(loop_pull_norms(v)) > 1.0]
+
+    def test_newton_from_centroid(self):
+        for seed in (0, 1):
+            for v, c in self.interior_corpus(300, seed):
+                self.assert_newton_matches(v, c, 10000)
+
+    def test_newton_near_tie(self):
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*NEAR_TIE))
+        self.assert_newton_matches(NEAR_TIE, c, 10000)
+
+    def test_newton_from_each_vertex(self):
+        # a start on a row is within vertex_eps of it: the escape path
+        for v in [NEAR_TIE] + [v for v, _ in self.interior_corpus(20, 11)]:
+            for start in v:
+                self.assert_newton_matches(v, start, 10000)
+
+    def test_newton_singular_hessian_start(self):
+        # det H rounds to <= 0 at the first iterate: the Weiszfeld fallback
+        for budget in (1, 2, 10000):
+            self.assert_newton_matches(RIGHT_CORNER, (1e10, 0.0, 0.0), budget)
+
+    @pytest.mark.parametrize("budget", range(1, 21))
+    def test_newton_maxiter_iterates_offset_input(self, budget):
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*OFFSET_1E5.rows))
+        self.assert_newton_matches(OFFSET_1E5.rows, c, budget, OFFSET_1E5.scale)
 
 
 class TestRows:

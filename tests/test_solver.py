@@ -47,11 +47,11 @@ NEAR_VERTEX_INTERIOR = [
 #: adding starts, or changing the seeded hull start's draw, moves them
 ORACLE_PINS = [
     # unit-cube seed 0, input 0: interior minimizer
-    ("cube", 0, (0.5957788883248026, 0.7041201670740327, 0.47984522898622806)),
+    ("cube", 0, (0.5957788870327798, 0.7041201701001375, 0.4798452353139391)),
     # unit-cube seed 0, input 4: minimizer at vertex 4
     ("cube", 4, (0.6576918978221703, 0.6090183653943758, 0.3505854654104298)),
     # known answer seed 0, input 0: d_1 = 1.9e-11 x scale
-    ("known", 0, (-0.10152236329745883, -0.21791672447643404, 0.15393756718477586)),
+    ("known", 0, (-0.10152236516545682, -0.21791672680507745, 0.1539375601692733)),
 ]
 
 #: known-answer inputs checked against their constructed minimizer
