@@ -30,19 +30,13 @@ from .formula import (
 from .geometry import (
     DirectionConfig,
     Tetrahedron,
-    angle_between,
     canonical_frame,
     direction_config,
-    direction_from_latlon,
-    unit_vector,
 )
 from .properties import (
     AngleSextuple,
-    BisectorSet,
     PropertyReport,
     angle_sextuple,
-    bisectors,
-    bisectors_from_units,
     check_cosine_sum,
     check_opposite_angles,
     verify_fundamental_property,
@@ -56,7 +50,6 @@ from .solver import (
     hull_points,
     objective,
     oracle_solve,
-    pull_norm,
     solve,
 )
 
@@ -64,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSextuple",
-    "BisectorSet",
     "Classification",
     "ClassificationConflict",
     "CoincidentPoints",
@@ -82,27 +74,21 @@ __all__ = [
     "Tetrahedron",
     "TetrafermatError",
     "UnrealizableTriple",
-    "angle_between",
     "angle_sextuple",
     "balancing_residual",
-    "bisectors",
-    "bisectors_from_units",
     "canonical_frame",
     "check_cosine_sum",
     "check_opposite_angles",
     "classify",
     "config_from_five_angles",
     "direction_config",
-    "direction_from_latlon",
     "ft_substitution_residual",
     "hull_points",
     "objective",
     "oracle_solve",
-    "pull_norm",
     "radical_factor",
     "resolve_branch",
     "sixth_angle",
     "solve",
-    "unit_vector",
     "verify_fundamental_property",
 ]

@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver residual tolerance (default %(default)g)")
         p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
                        help="solver iteration budget (default %(default)d)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if with_input:
+            p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="solve one tetrahedron")
     add_common(p_solve)
@@ -310,8 +311,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "sixth-angle":
             return cmd_sixth_angle(args)
-        if not args.tol > 0:
-            raise InputError("tol must be positive")
+        if not 0 < args.tol < math.inf:
+            raise InputError("tol must be positive and finite")
         try:
             config = SolverConfig(grad_tol=args.grad_tol, max_iter=args.max_iter)
         except ValueError as exc:

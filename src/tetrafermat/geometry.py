@@ -1,6 +1,6 @@
-"""3D primitives: points, unit directions, tetrahedron validation, and the
-canonical frame that aligns a direction quadruple with the x-axis and the
-xy-plane.
+"""Tetrahedron validation and the canonical frame: ``direction_config`` and
+``canonical_frame`` rigidly move four unit legs so that leg 1 lies on the
+x-axis and leg 2 in the xy-plane.
 
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
@@ -19,7 +19,7 @@ from .errors import CoincidentPoints, DegenerateFrame, DegenerateInput
 
 #: relative volume threshold below which four points are rejected as flat
 VOLUME_EPS = 1e-12
-#: |u1.u2| above 1 - FRAME_EPS means the anchor pair is (anti-)parallel
+#: |cos| of legs 1, 2 above 1 - FRAME_EPS: the anchor pair is (anti-)parallel
 FRAME_EPS = 1e-12
 #: relative distance below which two points cannot define a direction
 COINCIDENT_EPS = 1e-12
@@ -52,17 +52,10 @@ def as_unit(u) -> np.ndarray:
     return a
 
 
-def unit_vector(origin, target) -> np.ndarray:
-    """Unit vector pointing from ``origin`` to ``target``.
-
-    Raises CoincidentPoints when the separation underflows the relative
-    threshold.
-    """
-    return np.array(_unit(as_point(origin).tolist(), as_point(target).tolist()))
-
-
 def _unit(a, b):
-    """``unit_vector`` on two (x, y, z) float rows; returns a tuple."""
+    """Unit vector from row ``a`` toward row ``b`` as a tuple.  Raises
+    CoincidentPoints when ``|b - a|`` is at most COINCIDENT_EPS times the
+    larger point norm."""
     ax, ay, az = a
     bx, by, bz = b
     dx = bx - ax
@@ -84,13 +77,6 @@ def _triple(a, b, c) -> float:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two unit vectors (argument clamped)."""
-    a = as_unit(u)
-    b = as_unit(v)
-    return math.acos(min(1.0, max(-1.0, float(a @ b))))
 
 
 @dataclass(frozen=True)
@@ -148,11 +134,6 @@ class Tetrahedron:
         """The vertices as four (x, y, z) tuples of Python floats, built
         once: the form every scalar kernel reads."""
         return self._rows
-
-    @property
-    def volume(self) -> float:
-        v = self.vertices
-        return abs(float(np.linalg.det(v[1:] - v[0]))) / 6.0
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -232,32 +213,11 @@ class DirectionConfig:
         if abs(r2[2]) > 1e-9 or r2[1] < -1e-9:
             raise ValueError("leg 2 must lie in the xy-plane with y >= 0")
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.units[0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.units[1]
-
-    @property
-    def u3(self) -> np.ndarray:
-        return self.units[2]
-
-    @property
-    def u4(self) -> np.ndarray:
-        return self.units[3]
-
 
 def _latlon_xyz(lat: float, lon: float):
-    """``direction_from_latlon`` as an (x, y, z) tuple."""
+    """Unit (x, y, z) tuple at latitude (from the xy-plane) and longitude."""
     cl = math.cos(lat)
     return cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)
-
-
-def direction_from_latlon(lat: float, lon: float) -> np.ndarray:
-    """Unit vector at the given latitude (from the xy-plane) and longitude."""
-    return np.array(_latlon_xyz(lat, lon))
 
 
 def _config_from_canonical_rows(u) -> DirectionConfig:

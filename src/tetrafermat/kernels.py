@@ -162,6 +162,10 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     shortened trials are made in all.  When no trial point passes, the
     iterate moves to the reweighted-average (Weiszfeld) point
     ``sum(v_i / d_i) / sum(1 / d_i)``, a descent step in exact arithmetic.
+    The same point is taken when ``det H`` is not positive: zero or
+    negative after rounding, or NaN when the distances are so small (about
+    1e-103 and below) that the determinant, cubic in the weights
+    ``1 / d_i``, sums terms that overflow to ``inf - inf``.
     This is the quadratically convergent scheme of Overton (Math.
     Programming 27, 1983), which keeps its guarantees with any sequence of
     trial steps that ends in the same acceptance test.

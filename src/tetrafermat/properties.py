@@ -3,15 +3,15 @@
 For a balanced direction quadruple (an interior minimizer), opposite angles
 match, the three cosines against leg 1 sum to -1, the bisectors of the three
 angle pairs at the junction are mutually orthogonal, and opposite bisectors
-are anti-parallel.  This module measures all of those as residuals.
+are anti-parallel.  This module measures all of those as residuals.  The
+bisectors u_i + u_j are formed inside ``verify_fundamental_property`` and
+only their residuals are returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geometry import DirectionConfig
 
@@ -39,21 +39,6 @@ class AngleSextuple:
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a102, self.a103, self.a104, self.a203, self.a204, self.a304)
-
-
-@dataclass(frozen=True)
-class BisectorSet:
-    """Unnormalized bisector vectors d_i0j = u_i + u_j, one per leg pair."""
-
-    d102: np.ndarray
-    d103: np.ndarray
-    d104: np.ndarray
-    d203: np.ndarray
-    d204: np.ndarray
-    d304: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, ...]:
-        return (self.d102, self.d103, self.d104, self.d203, self.d204, self.d304)
 
 
 @dataclass(frozen=True)
@@ -101,17 +86,6 @@ def check_opposite_angles(s: AngleSextuple):
 def check_cosine_sum(s: AngleSextuple) -> float:
     """Residual |1 + cos a102 + cos a103 + cos a104|."""
     return abs(1.0 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a104))
-
-
-def bisectors_from_units(units: np.ndarray) -> BisectorSet:
-    """Pairwise leg sums for any (4, 3) array of unit directions."""
-    u = np.asarray(units, dtype=float)
-    return BisectorSet(*(u[i - 1] + u[j - 1] for i, j in PAIRS))
-
-
-def bisectors(config: DirectionConfig) -> BisectorSet:
-    """Unnormalized angle-bisector vectors of a canonical configuration."""
-    return bisectors_from_units(config.units)
 
 
 def verify_fundamental_property(

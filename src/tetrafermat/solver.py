@@ -13,6 +13,7 @@ tetrahedron's float rows, ``Tetrahedron.rows``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -82,14 +83,6 @@ def objective(tetra: Tetrahedron, point) -> float:
     """Sum of distances from a point to the four vertices."""
     p = as_point(point)
     return float(kernels.distance_sum(tetra.rows, p[0], p[1], p[2]))
-
-
-def pull_norm(tetra: Tetrahedron, i: int) -> float:
-    """Norm of the summed unit vectors from the other vertices toward
-    vertex i (1-based)."""
-    if not 1 <= i <= 4:
-        raise ValueError(f"vertex label must be 1..4, got {i}")
-    return kernels.pull_norms(tetra.rows)[i - 1]
 
 
 def balancing_residual(tetra: Tetrahedron, point) -> float:
@@ -133,13 +126,14 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     The full step is tried first; when it raises the objective beyond
     rounding, it is retried at the distance to the nearest vertex (where
     the quadratic model stops holding) and then halved until the objective
-    does not rise; when no trial passes, the reweighted-average (Weiszfeld)
-    point is taken instead.  Iterates within ``VERTEX_EPS * scale`` of a
-    vertex are moved off it along the descent ray.  ``iterations`` counts
-    Newton steps, Weiszfeld fallback steps and vertex escapes alike.  An
-    interior solution carries no flags: the minimizer it converged to has
-    balanced unit legs, so it lies inside the hull, and no hull test is
-    made.  Raises NonConvergence when the iteration budget runs out.
+    does not rise; when no trial passes, or ``det H`` is not positive (NaN
+    included), the reweighted-average (Weiszfeld) point is taken instead.
+    Iterates within ``VERTEX_EPS * scale`` of a vertex are moved off it
+    along the descent ray.  ``iterations`` counts Newton steps, Weiszfeld
+    fallback steps and vertex escapes alike.  An interior solution carries
+    no flags: the minimizer it converged to has balanced unit legs, so it
+    lies inside the hull, and no hull test is made.  Raises
+    NonConvergence when the iteration budget runs out.
     """
     cls = classify(tetra)
     rows = tetra.rows

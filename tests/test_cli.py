@@ -228,3 +228,14 @@ class TestBatchVerifyCommand:
     def test_nonpositive_tolerance_exits_2(self, write_json):
         path = write_json(REGULAR)
         assert main(["solve", "--input", path, "--tol", "0"]) == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("flag", ["--tol", "--grad-tol"])
+    def test_infinite_tolerance_exits_2(self, flag, write_json):
+        path = write_json(RIGHT_CORNER)
+        assert main(["verify", "--input", path, flag, "inf"]) == EXIT_INVALID_INPUT
+
+    def test_format_flag_rejected(self):
+        # batch-verify prints text only
+        with pytest.raises(SystemExit) as info:
+            main(["batch-verify", "--count", "10", "--format", "json"])
+        assert info.value.code == 2

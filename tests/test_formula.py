@@ -167,7 +167,7 @@ class TestConfigFromFiveAngles:
             five(math.pi / 2, math.pi / 2, math.pi / 3, math.pi / 2, math.pi / 3),
             branch=1,
         )
-        assert np.allclose(cfg.u4, [0.5, 0.5, math.sqrt(0.5)], atol=1e-12)
+        assert np.allclose(cfg.units[3], [0.5, 0.5, math.sqrt(0.5)], atol=1e-12)
 
     def test_round_trip_on_random_configurations(self):
         for i in range(200):

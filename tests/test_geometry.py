@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tetrafermat import (
     CoincidentPoints,
@@ -12,13 +10,10 @@ from tetrafermat import (
     DegenerateInput,
     DirectionConfig,
     Tetrahedron,
-    angle_between,
     canonical_frame,
     direction_config,
-    direction_from_latlon,
     hull_points,
     solve,
-    unit_vector,
 )
 from tetrafermat.geometry import INPLANE_EPS
 from tetrafermat.sampling import (
@@ -63,59 +58,6 @@ def numpy_frame(tetra: Tetrahedron, point: np.ndarray):
     return rotated, (a102, lat[0], lon[0], lat[1], lon[1])
 
 
-class TestUnitVector:
-    def test_scales_345_triple(self):
-        u = unit_vector((0, 0, 0), (3, 4, 0))
-        assert np.allclose(u, [0.6, 0.8, 0.0], atol=1e-15)
-
-    def test_axis_aligned(self):
-        u = unit_vector((1, 1, 1), (1, 1, 2))
-        assert np.allclose(u, [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(CoincidentPoints):
-            unit_vector((0, 0, 0), (0, 0, 0))
-
-    def test_relatively_coincident_points_rejected(self):
-        p = (1e8, 1e8, 1e8)
-        q = (1e8, 1e8, 1e8 + 1e-7)
-        with pytest.raises(CoincidentPoints):
-            unit_vector(p, q)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            unit_vector((0, 0, 0), (np.nan, 0, 0))
-
-
-class TestAngleBetween:
-    def test_orthogonal_axes(self):
-        assert angle_between((1, 0, 0), (0, 1, 0)) == pytest.approx(math.pi / 2)
-
-    def test_identity(self):
-        assert angle_between((1, 0, 0), (1, 0, 0)) == 0.0
-
-    def test_constructed_cosine(self):
-        v = (-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0)
-        assert angle_between((1, 0, 0), v) == pytest.approx(ARCCOS_THIRD, abs=1e-12)
-
-    def test_rejects_non_unit_input(self):
-        with pytest.raises(ValueError):
-            angle_between((1, 1, 0), (1, 0, 0))
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_rotation_invariant(self, seed):
-        rng = np.random.default_rng(seed)
-        u, v = rng.normal(size=(2, 3))
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        r = random_rotation(rng)
-        assert angle_between(u, v) == pytest.approx(angle_between(v, u), abs=1e-14)
-        assert angle_between(r @ u, r @ v) == pytest.approx(
-            angle_between(u, v), abs=1e-12
-        )
-
-
 class TestTetrahedron:
     def test_rejects_coplanar(self):
         with pytest.raises(DegenerateInput):
@@ -132,8 +74,7 @@ class TestTetrahedron:
     def test_relative_volume_threshold(self):
         # scaling a valid tetrahedron down must not make it degenerate
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]) * 1e-6
-        t = Tetrahedron(v)
-        assert t.volume == pytest.approx(1e-18 / 6.0, rel=1e-12)
+        Tetrahedron(v)
 
     @pytest.mark.parametrize("factor", [1.0, 1e103, 1e-110])
     def test_scale_is_norm_bit_for_bit_at_any_scale(self, factor):
@@ -156,11 +97,9 @@ class TestTetrahedron:
             Tetrahedron(np.ones((4, 3)))
 
     def test_volume_and_scale(self, regular_tetra):
-        # edge length 2*sqrt(2); volume of a regular tetrahedron is
-        # a^3 / (6 sqrt 2)
+        # edge length 2*sqrt(2)
         a = 2.0 * math.sqrt(2.0)
         assert regular_tetra.scale == pytest.approx(a, abs=1e-14)
-        assert regular_tetra.volume == pytest.approx(a ** 3 / (6 * math.sqrt(2)))
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     def test_contains_matches_barycentric(self, tol):
@@ -240,22 +179,27 @@ class TestCanonicalFrame:
         for i in range(100):
             u = random_unit_quadruple(303, i)
             cfg = canonical_frame(*u)
-            assert np.allclose(
-                direction_from_latlon(cfg.lat3, cfg.lon3), cfg.u3, atol=1e-12
-            )
-            assert np.allclose(
-                direction_from_latlon(cfg.lat4, cfg.lon4), cfg.u4, atol=1e-12
-            )
+            for leg, lat, lon in ((2, cfg.lat3, cfg.lon3), (3, cfg.lat4, cfg.lon4)):
+                expected = [
+                    math.cos(lat) * math.cos(lon),
+                    math.cos(lat) * math.sin(lon),
+                    math.sin(lat),
+                ]
+                assert np.allclose(cfg.units[leg], expected, atol=1e-12)
 
     def test_leg3_mirror_convention(self):
         for i in range(100):
             u = random_unit_quadruple(404, i)
             cfg = canonical_frame(*u)
-            assert cfg.u3[2] >= -1e-12
+            assert cfg.units[2][2] >= -1e-12
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegenerateFrame):
             canonical_frame((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_rejects_non_unit_input(self):
+        with pytest.raises(ValueError):
+            canonical_frame((1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_config_validates_rows(self):
         with pytest.raises(ValueError):
@@ -297,6 +241,16 @@ class TestDirectionConfig:
         for i in (1, 2, 3, 4):
             with pytest.raises(CoincidentPoints):
                 direction_config(right_corner, right_corner.vertex(i))
+
+    def test_relatively_coincident_point_rejected(self, right_corner):
+        # a 1e-7 leg is below COINCIDENT_EPS x the point norm, about 1.7e8
+        t = Tetrahedron(right_corner.vertices + 1e8)
+        with pytest.raises(CoincidentPoints):
+            direction_config(t, t.vertex(1) + (0.0, 0.0, 1e-7))
+
+    def test_nonfinite_point_rejected(self, right_corner):
+        with pytest.raises(ValueError):
+            direction_config(right_corner, (np.nan, 0.0, 0.0))
 
     def test_edge_midpoint_rejected(self, right_corner):
         # legs 1 and 2 are antiparallel at the midpoint of edge A1A2

@@ -323,6 +323,12 @@ class TestLoopReference:
         for budget in (1, 2, 10000):
             self.assert_newton_matches(RIGHT_CORNER, (1e10, 0.0, 0.0), budget)
 
+    def test_newton_nan_determinant_tiny_scale(self):
+        # det H is NaN (inf - inf) at 1e-102 x the unit cube: the fallback
+        t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*t.rows))
+        self.assert_newton_matches(t.rows, c, 10000, t.scale)
+
     @pytest.mark.parametrize("budget", range(1, 21))
     def test_newton_maxiter_iterates_offset_input(self, budget):
         c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*OFFSET_1E5.rows))

@@ -12,7 +12,6 @@ from tetrafermat import (
     hull_points,
     objective,
     oracle_solve,
-    pull_norm,
     solve,
 )
 from tetrafermat import kernels
@@ -114,13 +113,6 @@ class TestPinnedAnswers:
             )
             assert t.scale == expected
 
-    def test_classify_pull_norms_are_pull_norm(self, flat_vertex_case):
-        for t in [flat_vertex_case] + [random_tetrahedron(0, i) for i in range(50)]:
-            assert classify(t).pull_norms == tuple(
-                pull_norm(t, i) for i in (1, 2, 3, 4)
-            )
-
-
     def test_solution_carries_classification_pull_norms(self, flat_vertex_case):
         kinds = set()
         for t in [flat_vertex_case] + [random_tetrahedron(0, i) for i in range(50)]:
@@ -150,28 +142,21 @@ class TestObjective:
 
 class TestPullNorm:
     def test_regular_tetra_sqrt6(self, regular_tetra):
-        for i in (1, 2, 3, 4):
-            assert pull_norm(regular_tetra, i) == pytest.approx(
-                math.sqrt(6.0), abs=1e-12
-            )
+        for p in classify(regular_tetra).pull_norms:
+            assert p == pytest.approx(math.sqrt(6.0), abs=1e-12)
 
     def test_flat_configuration_direct_evaluation(self, flat_vertex_case):
         # independent route: build the three unit vectors explicitly
         v = flat_vertex_case.vertices
+        pulls = classify(flat_vertex_case).pull_norms
         for i in range(4):
             d = v[i] - np.delete(v, i, axis=0)
             expected = np.linalg.norm(
                 (d / np.linalg.norm(d, axis=1, keepdims=True)).sum(axis=0)
             )
-            assert pull_norm(flat_vertex_case, i + 1) == pytest.approx(
-                expected, abs=1e-13
-            )
-        assert pull_norm(flat_vertex_case, 1) < 1.0
-        assert pull_norm(flat_vertex_case, 2) > 1.0
-
-    def test_label_bounds(self, regular_tetra):
-        with pytest.raises(ValueError):
-            pull_norm(regular_tetra, 5)
+            assert pulls[i] == pytest.approx(expected, abs=1e-13)
+        assert pulls[0] < 1.0
+        assert pulls[1] > 1.0
 
 
 class TestClassify:
@@ -278,9 +263,21 @@ class TestSolve:
         # on these inputs
         assert solve(random_tetrahedron(seed, index)).iterations <= 16
 
+    def test_converges_through_weiszfeld_fallback(self):
+        # at 1e-102 x the unit cube the Hessian's determinant overflows to
+        # inf - inf = NaN, so every one of the 110 iterations is a
+        # reweighted-average (Weiszfeld) fallback step
+        t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
+        sol = solve(t)
+        assert sol.kind == "interior"
+        assert sol.residual <= 1e-10
+        assert sol.iterations == 110
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(grad_tol=math.inf)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
