@@ -1,21 +1,29 @@
-"""Seeded batch verification: solve a corpus of random tetrahedra and
-measure every identity the interior minimizer must satisfy.
+"""Per-instance reports and seeded batch verification.
 
-Shared by the command line (``batch-verify``) and the acceptance tests.
-Output is deterministic for a fixed seed: no wall-clock, no OS entropy.
+``build_report`` is the one per-instance pipeline: solve, put the interior
+minimizer's legs in the canonical frame, measure the junction-angle
+identities.  The ``solve`` and ``verify`` commands print its
+``SolutionReport``; ``run_batch_verify`` reads batch-verify's residuals off
+the same record for every tetrahedron of a seeded corpus and adds the
+sixth-angle cross-check.
+
+Shared by the command line and the acceptance tests.  Output is
+deterministic for a fixed seed: no wall-clock, no OS entropy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import sampling
 from .errors import NonConvergence, TetrafermatError
 from .formula import ft_substitution_residual, resolve_branch, sixth_angle, FiveAngles
-from .geometry import direction_config
-from .properties import DEFAULT_TOL, verify_fundamental_property
-from .solver import BOUNDARY_EPS, INTERIOR, SolverConfig, solve
+from .geometry import DirectionConfig, Tetrahedron, direction_config
+from .properties import (
+    DEFAULT_TOL, PropertyReport, verify_fundamental_property,
+)
+from .solver import BOUNDARY_EPS, INTERIOR, FermatSolution, SolverConfig, solve
 
 #: check names in reporting order
 CHECKS = (
@@ -30,12 +38,15 @@ CHECKS = (
 )
 
 
-@dataclass
-class InstanceResult:
-    index: int
-    kind: str
-    residuals: dict[str, float] = field(default_factory=dict)
-    error: str | None = None
+@dataclass(frozen=True)
+class SolutionReport:
+    """One tetrahedron's solution and, when it is interior, the canonical
+    frame of its legs and the identity residuals measured there; a vertex
+    solution carries None in both."""
+
+    solution: FermatSolution
+    frame: DirectionConfig | None
+    property_report: PropertyReport | None
 
 
 @dataclass
@@ -73,46 +84,49 @@ class BatchSummary:
         return "\n".join(lines)
 
 
-def check_instance(index: int, tetra, config: SolverConfig) -> InstanceResult:
-    """Solve one tetrahedron and measure every applicable identity."""
-    out = InstanceResult(index=index, kind="")
-    try:
-        sol = solve(tetra, config)
-    except NonConvergence as exc:
-        out.kind = "error"
-        out.error = f"no convergence (residual {exc.residual:.3e})"
-        return out
-    out.kind = sol.kind
-    if sol.kind != INTERIOR:
-        out.residuals["vertex_optimality"] = max(
-            0.0, sol.residual - (1.0 + BOUNDARY_EPS)
-        )
-        return out
-    out.residuals["solve_residual"] = sol.residual
-    cfg = direction_config(tetra, sol.point)
-    report = verify_fundamental_property(cfg)
-    s = report.angles
-    out.residuals["opposite_angles"] = max(report.opposite_angle_residuals)
-    out.residuals["cosine_sum"] = report.cosine_sum_residual
-    out.residuals["bisector_orthogonality"] = max(report.bisector_dot_residuals)
-    anti = [r for r in report.antiparallel_residuals if not math.isnan(r)]
-    out.residuals["bisector_antiparallel"] = max(anti) if anti else float("inf")
+def build_report(tetra: Tetrahedron, config: SolverConfig,
+                 tol: float) -> SolutionReport:
+    """Solve one tetrahedron and, when the minimizer is interior, measure
+    every junction-angle identity under ``tol``."""
+    solution = solve(tetra, config)
+    if solution.kind != INTERIOR:
+        return SolutionReport(solution, None, None)
+    frame = direction_config(tetra, solution.point)
+    return SolutionReport(
+        solution, frame, verify_fundamental_property(frame, tol)
+    )
 
-    # closed-formula cross-check: five measured angles + realized branch
-    # must reproduce the measured sixth cosine
-    try:
-        fa = FiveAngles(
-            a102=s.a102, a103=s.a103, a104=s.a104, a203=s.a203, a204=s.a204
-        )
-        out.residuals["sixth_angle_identity"] = sixth_angle(fa).branch_error(
-            resolve_branch(cfg), math.cos(s.a304)
-        )
-        out.residuals["substitution_residual"] = ft_substitution_residual(
-            s.a102, s.a203
-        )
-    except TetrafermatError as exc:
-        out.error = f"formula cross-check failed: {exc}"
-    return out
+
+def _check_residuals(report: SolutionReport) -> dict[str, float]:
+    """Batch-verify's residual of every check that applies to the report,
+    in ``CHECKS`` order.
+
+    The closed-formula cross-check feeds the five measured angles and the
+    realized branch to ``sixth_angle``, which must reproduce the measured
+    sixth cosine; a ``TetrafermatError`` it raises propagates.
+    """
+    sol = report.solution
+    if sol.kind != INTERIOR:
+        return {
+            "vertex_optimality": max(0.0, sol.residual - (1.0 + BOUNDARY_EPS))
+        }
+    r = report.property_report
+    s = r.angles
+    anti = [x for x in r.antiparallel_residuals if not math.isnan(x)]
+    fa = FiveAngles(
+        a102=s.a102, a103=s.a103, a104=s.a104, a203=s.a203, a204=s.a204
+    )
+    return {
+        "solve_residual": sol.residual,
+        "opposite_angles": max(r.opposite_angle_residuals),
+        "cosine_sum": r.cosine_sum_residual,
+        "bisector_orthogonality": max(r.bisector_dot_residuals),
+        "bisector_antiparallel": max(anti) if anti else float("inf"),
+        "sixth_angle_identity": sixth_angle(fa).branch_error(
+            resolve_branch(report.frame), math.cos(s.a304)
+        ),
+        "substitution_residual": ft_substitution_residual(s.a102, s.a203),
+    }
 
 
 def run_batch_verify(
@@ -129,15 +143,21 @@ def run_batch_verify(
     interior = vertex = 0
     for i in range(count):
         tetra = sampling.random_tetrahedron(seed, i)
-        result = check_instance(i, tetra, config)
-        if result.error is not None:
-            errors.append((i, result.error))
+        try:
+            report = build_report(tetra, config, tol)
+        except NonConvergence as exc:
+            errors.append((i, f"no convergence (residual {exc.residual:.3e})"))
             continue
-        if result.kind == INTERIOR:
+        try:
+            residuals = _check_residuals(report)
+        except TetrafermatError as exc:
+            errors.append((i, f"formula cross-check failed: {exc}"))
+            continue
+        if report.solution.kind == INTERIOR:
             interior += 1
         else:
             vertex += 1
-        for name, value in result.residuals.items():
+        for name, value in residuals.items():
             if name not in max_residuals or value > max_residuals[name]:
                 max_residuals[name] = value
             if not value <= tol:

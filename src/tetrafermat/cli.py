@@ -2,8 +2,10 @@
 
 Commands: ``solve`` and ``verify`` read a tetrahedron from a JSON file,
 ``sixth-angle`` reads five angles, ``batch-verify`` drives the seeded
-verification corpus.  Exit codes: 0 success/pass, 2 invalid input,
-3 non-convergence, 4 verification failure.
+verification corpus.  ``solve``, ``verify`` and ``batch-verify`` share one
+per-instance pipeline, ``batch.build_report``; this module only reads its
+``SolutionReport`` and formats it.  Exit codes: 0 success/pass, 2 invalid
+input, 3 non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -12,21 +14,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import run_batch_verify
+from .batch import SolutionReport, build_report, run_batch_verify
 from .errors import NonConvergence, TetrafermatError
 from .formula import FiveAngles, sixth_angle
-from .geometry import Tetrahedron, direction_config
-from .properties import (
-    DEFAULT_TOL,
-    AngleSextuple,
-    PropertyReport,
-    verify_fundamental_property,
-)
-from .solver import FermatSolution, INTERIOR, SolverConfig, solve
+from .geometry import Tetrahedron
+from .properties import DEFAULT_TOL
+from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -38,46 +34,6 @@ ANGLE_KEYS = ("a102", "a103", "a104", "a203", "a204")
 
 class InputError(Exception):
     """Unusable input file (missing, malformed, or failing validation)."""
-
-
-@dataclass
-class SolutionReport:
-    """Everything the solve/verify commands report for one tetrahedron."""
-
-    solution: FermatSolution
-    angles: AngleSextuple | None
-    property_report: PropertyReport | None
-
-    def to_dict(self) -> dict:
-        sol = self.solution
-        d = {
-            "kind": sol.kind,
-            "point": [float(c) for c in sol.point],
-            "vertex_index": sol.vertex_index,
-            "objective": sol.objective_value,
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-            "pull_norms": list(sol.pull_norms),
-            "angles_rad": None,
-            "checks": None,
-            "flags": list(sol.flags),
-        }
-        if self.angles is not None:
-            a = self.angles
-            d["angles_rad"] = {
-                "a102": a.a102, "a103": a.a103, "a104": a.a104,
-                "a203": a.a203, "a204": a.a204, "a304": a.a304,
-            }
-        if self.property_report is not None:
-            r = self.property_report
-            d["checks"] = {
-                "opposite_angles": list(r.opposite_angle_residuals),
-                "cosine_sum": r.cosine_sum_residual,
-                "bisector_orthogonality": list(r.bisector_dot_residuals),
-                "bisector_antiparallel": list(r.antiparallel_residuals),
-                "pass": r.passed,
-            }
-        return d
 
 
 def _load_json(path: str) -> dict:
@@ -137,18 +93,35 @@ def load_five_angles(path: str) -> FiveAngles:
         raise InputError(f"{path}: {exc}")
 
 
-def build_report(tetra: Tetrahedron, config: SolverConfig,
-                 tol: float) -> SolutionReport:
-    solution = solve(tetra, config)
-    angles = None
-    report = None
-    if solution.kind == INTERIOR:
-        frame = direction_config(tetra, solution.point)
-        report = verify_fundamental_property(frame, tol)
-        angles = report.angles
-    return SolutionReport(
-        solution=solution, angles=angles, property_report=report
-    )
+def to_dict(report: SolutionReport) -> dict:
+    sol = report.solution
+    d = {
+        "kind": sol.kind,
+        "point": [float(c) for c in sol.point],
+        "vertex_index": sol.vertex_index,
+        "objective": sol.objective_value,
+        "residual": sol.residual,
+        "iterations": sol.iterations,
+        "pull_norms": list(sol.pull_norms),
+        "angles_rad": None,
+        "checks": None,
+        "flags": list(sol.flags),
+    }
+    r = report.property_report
+    if r is not None:
+        a = r.angles
+        d["angles_rad"] = {
+            "a102": a.a102, "a103": a.a103, "a104": a.a104,
+            "a203": a.a203, "a204": a.a204, "a304": a.a304,
+        }
+        d["checks"] = {
+            "opposite_angles": list(r.opposite_angle_residuals),
+            "cosine_sum": r.cosine_sum_residual,
+            "bisector_orthogonality": list(r.bisector_dot_residuals),
+            "bisector_antiparallel": list(r.antiparallel_residuals),
+            "pass": r.passed,
+        }
+    return d
 
 
 def _format_angle_row(name: str, value: float) -> str:
@@ -169,15 +142,12 @@ def format_report_text(report: SolutionReport) -> str:
     lines.append(
         "pull norms: " + "  ".join(f"{p:.9f}" for p in sol.pull_norms)
     )
-    if report.angles is not None:
+    r = report.property_report
+    if r is not None:
         lines.append("angles:")
-        a = report.angles
-        for name, value in zip(
-            ("a102", "a103", "a104", "a203", "a204", "a304"), a.as_tuple()
-        ):
+        names = ("a102", "a103", "a104", "a203", "a204", "a304")
+        for name, value in zip(names, r.angles.as_tuple()):
             lines.append(_format_angle_row(name, value))
-    if report.property_report is not None:
-        r = report.property_report
         lines.append(f"checks (tol {r.tol:.3e}):")
         lines.append(
             "  opposite angles:        "
@@ -207,7 +177,7 @@ def cmd_solve(args: argparse.Namespace, config: SolverConfig,
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(to_dict(report), indent=2))
     else:
         print(format_report_text(report))
     if verify_mode and report.property_report is not None \
@@ -238,12 +208,12 @@ def cmd_sixth_angle(args: argparse.Namespace) -> int:
             ),
             f"radical magnitude: {result.b_magnitude:.12g}",
         ]
-        for label, cos_value, ok in (
-            ("plus branch ", result.cos_plus, result.realizable_plus),
-            ("minus branch", result.cos_minus, result.realizable_minus),
+        for label, branch, cos_value, ok in (
+            ("plus branch ", 1, result.cos_plus, result.realizable_plus),
+            ("minus branch", -1, result.cos_minus, result.realizable_minus),
         ):
             if ok:
-                ang = math.acos(min(1.0, max(-1.0, cos_value)))
+                ang = result.angle(branch)
                 lines.append(
                     f"{label}: cos = {cos_value:.12g}, angle = {ang:.12f} rad "
                     f"({math.degrees(ang):.8f} deg)"

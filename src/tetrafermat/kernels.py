@@ -7,10 +7,11 @@ floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
 only; no numpy inside the loops.  With four points the per-call overhead of
 numpy outweighs the arithmetic it would vectorize.  The hot kernels
 (``pull_norms``, ``newton``, ``nelder_mead``'s objective) bind the twelve row
-coordinates once and write the four legs out as straight-line code, with no
-per-row loop; ``newton`` carries the distances of an accepted trial point
-into the next iterate.  Each keeps the floating-point operations of a
-per-row loop in the same order, so its answers are bit-identical to one.
+coordinates once and write the four legs (for ``pull_norms`` the six edges)
+out as straight-line code, with no per-row loop; ``newton`` carries the
+distances of an accepted trial point into the next iterate.  Each keeps the
+floating-point operations of a per-row loop in the same order, so its
+answers are bit-identical to one.
 """
 
 from __future__ import annotations
@@ -62,13 +63,14 @@ def distance_sum(rows, x: float, y: float, z: float) -> float:
     return _distance_fn(rows)(x, y, z)
 
 
-def _resultant(rows, x, y, z, skip):
-    """Sum of the unit vectors from (x, y, z) toward every row but row
-    ``skip`` (-1 keeps all four); no kept row may coincide with the point."""
+def resultant_norm(rows, x: float, y: float, z: float) -> float:
+    """Norm of the sum of unit vectors from (x, y, z) toward the four rows.
+
+    This is the balancing residual; zero exactly at an interior minimizer.
+    The point must not coincide with a row.
+    """
     rx = ry = rz = 0.0
-    for j, (vx, vy, vz) in enumerate(rows):
-        if j == skip:
-            continue
+    for vx, vy, vz in rows:
         dx = vx - x
         dy = vy - y
         dz = vz - z
@@ -76,70 +78,59 @@ def _resultant(rows, x, y, z, skip):
         rx += dx / d
         ry += dy / d
         rz += dz / d
-    return rx, ry, rz
-
-
-def resultant_norm(rows, x: float, y: float, z: float) -> float:
-    """Norm of the sum of unit vectors from (x, y, z) toward the four rows.
-
-    This is the balancing residual; zero exactly at an interior minimizer.
-    The point must not coincide with a row.
-    """
-    rx, ry, rz = _resultant(rows, x, y, z, -1)
     return sqrt(rx * rx + ry * ry + rz * rz)
+
+
+def _vertex_resultants(rows):
+    """The resultant at each row, in row order: the sum of the unit vectors
+    from the row toward the other three, taken in row order.
+
+    Straight-line code over the six edges, each normalised once: the unit
+    from row i toward row j (i < j) serves row i, and its negation, which
+    is exact, serves row j.  Each sum starts from 0.0, as a per-row loop's
+    does, so the results match that loop bit for bit, signed zeros
+    included.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    ex, ey, ez = bx - ax, by - ay, bz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    abx, aby, abz = ex / n, ey / n, ez / n
+    ex, ey, ez = cx - ax, cy - ay, cz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    acx, acy, acz = ex / n, ey / n, ez / n
+    ex, ey, ez = dx - ax, dy - ay, dz - az
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    adx, ady, adz = ex / n, ey / n, ez / n
+    ex, ey, ez = cx - bx, cy - by, cz - bz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    bcx, bcy, bcz = ex / n, ey / n, ez / n
+    ex, ey, ez = dx - bx, dy - by, dz - bz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    bdx, bdy, bdz = ex / n, ey / n, ez / n
+    ex, ey, ez = dx - cx, dy - cy, dz - cz
+    n = sqrt(ex * ex + ey * ey + ez * ez)
+    cdx, cdy, cdz = ex / n, ey / n, ez / n
+    return (
+        (0.0 + abx + acx + adx, 0.0 + aby + acy + ady, 0.0 + abz + acz + adz),
+        (0.0 - abx + bcx + bdx, 0.0 - aby + bcy + bdy, 0.0 - abz + bcz + bdz),
+        (0.0 - acx - bcx + cdx, 0.0 - acy - bcy + cdy, 0.0 - acz - bcz + cdz),
+        (0.0 - adx - bdx - cdx, 0.0 - ady - bdy - cdy, 0.0 - adz - bdz - cdz),
+    )
 
 
 def pull_norms(rows) -> tuple[float, float, float, float]:
     """Pull norm of each row, in row order: the norm of the sum of the unit
     vectors from the other three rows toward it (the resultant at the row,
-    negated).
-
-    Straight-line code: each row's three legs are taken in row order, as
-    ``_resultant`` takes them, and summed from the first (no unit component
-    is -0.0, so starting from 0.0 would give the same sums).
-    """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
-    ex, ey, ez = bx - ax, by - ay, bz - az
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = ex / n, ey / n, ez / n
-    ex, ey, ez = cx - ax, cy - ay, cz - az
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    ex, ey, ez = dx - ax, dy - ay, dz - az
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    pa = sqrt(rx * rx + ry * ry + rz * rz)
-    ex, ey, ez = ax - bx, ay - by, az - bz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = ex / n, ey / n, ez / n
-    ex, ey, ez = cx - bx, cy - by, cz - bz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    ex, ey, ez = dx - bx, dy - by, dz - bz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    pb = sqrt(rx * rx + ry * ry + rz * rz)
-    ex, ey, ez = ax - cx, ay - cy, az - cz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = ex / n, ey / n, ez / n
-    ex, ey, ez = bx - cx, by - cy, bz - cz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    ex, ey, ez = dx - cx, dy - cy, dz - cz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    pc = sqrt(rx * rx + ry * ry + rz * rz)
-    ex, ey, ez = ax - dx, ay - dy, az - dz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = ex / n, ey / n, ez / n
-    ex, ey, ez = bx - dx, by - dy, bz - dz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    ex, ey, ez = cx - dx, cy - dy, cz - dz
-    n = sqrt(ex * ex + ey * ey + ez * ez)
-    rx, ry, rz = rx + ex / n, ry + ey / n, rz + ez / n
-    pd = sqrt(rx * rx + ry * ry + rz * rz)
-    return (pa, pb, pc, pd)
+    negated)."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = (
+        _vertex_resultants(rows)
+    )
+    return (
+        sqrt(ax * ax + ay * ay + az * az),
+        sqrt(bx * bx + by * by + bz * bz),
+        sqrt(cx * cx + cy * cy + cz * cz),
+        sqrt(dx * dx + dy * dy + dz * dz),
+    )
 
 
 def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
@@ -220,7 +211,7 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             dmin, imin = d3, 3
         if dmin <= vertex_eps:
             vx, vy, vz = rows[imin]
-            rx, ry, rz = _resultant(rows, vx, vy, vz, imin)
+            rx, ry, rz = _vertex_resultants(rows)[imin]
             rn = sqrt(rx * rx + ry * ry + rz * rz)
             x = vx + escape_step * rx / rn
             y = vy + escape_step * ry / rn

@@ -134,6 +134,21 @@ class TestSolveCommand:
         assert code == EXIT_NONCONVERGENCE
         assert "no convergence" in capsys.readouterr().err
 
+    def test_boundary_tie_flag_reported(self, write_json, capsys):
+        # apex height r/sqrt(8) over an equilateral base of circumradius r
+        # puts the apex pull norm exactly at 1
+        h = 1.0 / math.sqrt(8.0)
+        path = write_json({"vertices": [
+            [1.0, 0.0, 0.0],
+            [-0.5, math.sqrt(3.0) / 2.0, 0.0],
+            [-0.5, -math.sqrt(3.0) / 2.0, 0.0],
+            [0.0, 0.0, h],
+        ]})
+        assert main(["solve", "--input", path]) == EXIT_OK
+        assert "flags: boundary_tie" in capsys.readouterr().out.splitlines()
+        assert main(["solve", "--input", path, "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["flags"] == ["boundary_tie"]
+
     @pytest.mark.parametrize("payload", [REGULAR, FLAT], ids=["interior", "vertex"])
     def test_classifies_once(self, payload, monkeypatch):
         calls = []
@@ -218,6 +233,14 @@ class TestBatchVerifyCommand:
         assert code == EXIT_VERIFICATION_FAILED
         assert "FAIL instance" in out
         assert "result: FAIL" in out
+
+    def test_nonconvergence_reported_per_instance(self, capsys):
+        code = main(["batch-verify", "--count", "8", "--max-iter", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_VERIFICATION_FAILED
+        assert "instances: 0 interior, 1 vertex" in lines
+        assert "error at instance 0: no convergence (residual 1.700e-01)" in lines
+        assert lines[-1] == "result: FAIL"
 
     def test_bad_count_exits_2(self):
         assert main(["batch-verify", "--count", "0"]) == EXIT_INVALID_INPUT
