@@ -47,8 +47,16 @@ class FiveAngles:
     a204: float
 
     def __post_init__(self):
-        for name in ("a102", "a103", "a104", "a203", "a204"):
-            _check_range(name, getattr(self, name))
+        try:
+            ok = (0.0 < self.a102 < math.pi and 0.0 < self.a103 < math.pi
+                  and 0.0 < self.a104 < math.pi and 0.0 < self.a203 < math.pi
+                  and 0.0 < self.a204 < math.pi)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            # name the first field out of range, or the one float() rejects
+            for name in ("a102", "a103", "a104", "a203", "a204"):
+                _check_range(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,13 @@ class SixthAngleResult:
         return abs(self.cosine(branch) - target)
 
 
+def _radical(c2a: float, c2b: float, c2c: float,
+             ca: float, cb: float, cc: float) -> float:
+    """``radical_factor`` from the cosines of the three angles and of their
+    doubles."""
+    return 1.0 + c2a + c2b + c2c - 4.0 * ca * cb * cc
+
+
 def radical_factor(a102: float, a10i: float, a20i: float) -> float:
     """One factor under the radical:
     1 + cos 2*a102 + cos 2*a10i + cos 2*a20i - 4 cos a102 cos a10i cos a20i.
@@ -94,12 +109,9 @@ def radical_factor(a102: float, a10i: float, a20i: float) -> float:
     Equals -2 times the Gram determinant of the three unit legs, so it is
     non-positive exactly when the angle triple is realizable.
     """
-    return (
-        1.0
-        + math.cos(2.0 * a102)
-        + math.cos(2.0 * a10i)
-        + math.cos(2.0 * a20i)
-        - 4.0 * math.cos(a102) * math.cos(a10i) * math.cos(a20i)
+    return _radical(
+        math.cos(2.0 * a102), math.cos(2.0 * a10i), math.cos(2.0 * a20i),
+        math.cos(a102), math.cos(a10i), math.cos(a20i),
     )
 
 
@@ -108,14 +120,22 @@ def sixth_angle(fa: FiveAngles) -> SixthAngleResult:
 
     Raises UnrealizableTriple when either triple {a102, a10i, a20i} cannot
     come from unit vectors, and DegenerateBaseAngle when sin(a102) vanishes.
+    Each cosine is computed once and shared by both radical factors and
+    both branches.
     """
-    s = math.sin(fa.a102)
+    a102 = fa.a102
+    s = math.sin(a102)
     if s <= MIN_BASE_SIN:
         raise DegenerateBaseAngle(
             f"sin(a102) = {s:.3e} is too small for the frame equations"
         )
-    f3 = radical_factor(fa.a102, fa.a103, fa.a203)
-    f4 = radical_factor(fa.a102, fa.a104, fa.a204)
+    c102, c103, c104 = math.cos(a102), math.cos(fa.a103), math.cos(fa.a104)
+    c203, c204 = math.cos(fa.a203), math.cos(fa.a204)
+    c2_102 = math.cos(2.0 * a102)
+    f3 = _radical(c2_102, math.cos(2.0 * fa.a103), math.cos(2.0 * fa.a203),
+                  c102, c103, c203)
+    f4 = _radical(c2_102, math.cos(2.0 * fa.a104), math.cos(2.0 * fa.a204),
+                  c102, c104, c204)
     if f3 > GRAM_TOL or f4 > GRAM_TOL:
         raise UnrealizableTriple(
             f"radical factors must be non-positive, got {f3:.3e} and {f4:.3e}"
@@ -126,20 +146,11 @@ def sixth_angle(fa: FiveAngles) -> SixthAngleResult:
         product = 0.0
     b = math.sqrt(product)
     csc2 = 1.0 / (s * s)
-
-    def evaluate(signed_b: float) -> float:
-        return 0.25 * (
-            4.0 * math.cos(fa.a103)
-            * (math.cos(fa.a104) - math.cos(fa.a102) * math.cos(fa.a204))
-            + 2.0 * (
-                signed_b
-                + 2.0 * math.cos(fa.a203)
-                * (-math.cos(fa.a102) * math.cos(fa.a104) + math.cos(fa.a204))
-            )
-        ) * csc2
-
-    cos_plus = evaluate(b)
-    cos_minus = evaluate(-b)
+    # cos a304 = (p + 2 (+-b + q)) / (4 sin^2 a102), with p and q shared
+    p = 4.0 * c103 * (c104 - c102 * c204)
+    q = 2.0 * c203 * (-c102 * c104 + c204)
+    cos_plus = 0.25 * (p + 2.0 * (b + q)) * csc2
+    cos_minus = 0.25 * (p + 2.0 * (-b + q)) * csc2
     return SixthAngleResult(
         b_magnitude=b,
         cos_plus=cos_plus,
@@ -157,7 +168,7 @@ def resolve_branch(config: DirectionConfig) -> int:
     same side of the leg-1/leg-2 plane, -1 on opposite sides, 0 when either
     is in-plane (within BRANCH_EPS on the product).
     """
-    u1, u2, u3, u4 = config.units.tolist()
+    u1, u2, u3, u4 = config.rows
     p = _triple(u1, u2, u3) * _triple(u1, u2, u4)
     if abs(p) < BRANCH_EPS:
         return 0
@@ -205,7 +216,8 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
     # clamped roots can leave a row marginally short of unit length
     rows[2] /= np.linalg.norm(rows[2])
     rows[3] /= np.linalg.norm(rows[3])
-    return _config_from_canonical_rows(rows.tolist())
+    _, r2, r3, r4 = rows.tolist()
+    return _config_from_canonical_rows(r2, r3, r4)
 
 
 def ft_substitution_residual(a102: float, a203: float) -> float:

@@ -5,7 +5,10 @@ x-axis and leg 2 in the xy-plane.
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
-numpy's per-call overhead costs more than the arithmetic it saves.
+numpy's per-call overhead costs more than the arithmetic it saves.  Each
+record converts its array to floats once: ``Tetrahedron.rows`` is what the
+kernels read, and ``DirectionConfig.rows`` what the angle and identity
+checks read.  The frame itself is straight-line code on those floats.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected 3 coordinates, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    x, y, z = a.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("coordinates must be finite")
     return a
 
@@ -52,19 +56,17 @@ def as_unit(u) -> np.ndarray:
     return a
 
 
-def _unit(a, b):
-    """Unit vector from row ``a`` toward row ``b`` as a tuple.  Raises
-    CoincidentPoints when ``|b - a|`` is at most COINCIDENT_EPS times the
-    larger point norm."""
+def _unit(a, an, b):
+    """Unit vector from row ``a``, of norm ``an``, toward row ``b`` as a
+    tuple.  Raises CoincidentPoints when ``|b - a|`` is at most
+    COINCIDENT_EPS times the larger point norm."""
     ax, ay, az = a
     bx, by, bz = b
     dx = bx - ax
     dy = by - ay
     dz = bz - az
     n = math.sqrt(dx * dx + dy * dy + dz * dz)
-    scale = max(
-        math.sqrt(ax * ax + ay * ay + az * az), math.sqrt(bx * bx + by * by + bz * bz)
-    )
+    scale = max(an, math.sqrt(bx * bx + by * by + bz * bz))
     if n <= COINCIDENT_EPS * scale or n == 0.0:
         raise CoincidentPoints(f"points {a} and {b} coincide")
     return dx / n, dy / n, dz / n
@@ -191,7 +193,8 @@ class DirectionConfig:
     leg 3 has non-negative z (the mirror convention; applied to leg 4 when
     leg 3 is in-plane).  ``a102`` is the angle between legs 1 and 2, and
     (lat, lon) are the latitude/longitude of legs 3 and 4, so that each leg
-    is (cos lat cos lon, cos lat sin lon, sin lat).
+    is (cos lat cos lon, cos lat sin lon, sin lat).  Every row must be
+    finite with a squared norm within UNIT_NORM_EPS of 1.
     """
 
     units: np.ndarray
@@ -200,6 +203,7 @@ class DirectionConfig:
     lon3: float
     lat4: float
     lon4: float
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.ascontiguousarray(np.asarray(self.units, dtype=float))
@@ -207,68 +211,79 @@ class DirectionConfig:
             raise ValueError(f"expected 4 direction rows, got shape {u.shape}")
         u.setflags(write=False)
         object.__setattr__(self, "units", u)
-        r1, r2 = u[:2].tolist()
-        if r1 != [1.0, 0.0, 0.0]:
+        rows = tuple(map(tuple, u.tolist()))
+        object.__setattr__(self, "_rows", rows)
+        r1, r2 = rows[0], rows[1]
+        if r1 != (1.0, 0.0, 0.0):
             raise ValueError("leg 1 must be exactly (1, 0, 0)")
         if abs(r2[2]) > 1e-9 or r2[1] < -1e-9:
             raise ValueError("leg 2 must lie in the xy-plane with y >= 0")
+        for x, y, z in rows[1:]:
+            # leg 1 is exact; the test is false for NaN, and for inf squared
+            if not abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS:
+                raise ValueError(f"rows must be finite unit vectors, got {(x, y, z)}")
+
+    @property
+    def rows(self) -> tuple:
+        """The four legs as (x, y, z) tuples of Python floats, built once:
+        the form the angle and identity checks read."""
+        return self._rows
 
 
-def _latlon_xyz(lat: float, lon: float):
-    """Unit (x, y, z) tuple at latitude (from the xy-plane) and longitude."""
-    cl = math.cos(lat)
-    return cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)
-
-
-def _config_from_canonical_rows(u) -> DirectionConfig:
-    """Extract frame parameters from four (x, y, z) rows already in
-    canonical position and snap the rows to the exact parameterized form."""
-    a102 = math.atan2(u[1][1], u[1][0])
-    lat3 = math.asin(min(1.0, max(-1.0, u[2][2])))
-    lon3 = math.atan2(u[2][1], u[2][0]) if abs(lat3) < math.pi / 2 else 0.0
-    lat4 = math.asin(min(1.0, max(-1.0, u[3][2])))
-    lon4 = math.atan2(u[3][1], u[3][0]) if abs(lat4) < math.pi / 2 else 0.0
-    snapped = np.array(
-        [
-            (1.0, 0.0, 0.0),
-            (math.cos(a102), math.sin(a102), 0.0),
-            _latlon_xyz(lat3, lon3),
-            _latlon_xyz(lat4, lon4),
-        ]
+def _config_from_canonical_rows(r2, r3, r4) -> DirectionConfig:
+    """Extract frame parameters from legs 2-4, (x, y, z) rows already in
+    canonical position (leg 1 is (1, 0, 0); leg 2's z, zero there, is not
+    read), and snap the rows to the exact parameterized form."""
+    a102 = math.atan2(r2[1], r2[0])
+    x3, y3, z3 = r3
+    x4, y4, z4 = r4
+    lat3 = math.asin(min(1.0, max(-1.0, z3)))
+    lon3 = math.atan2(y3, x3) if abs(lat3) < math.pi / 2 else 0.0
+    lat4 = math.asin(min(1.0, max(-1.0, z4)))
+    lon4 = math.atan2(y4, x4) if abs(lat4) < math.pi / 2 else 0.0
+    c3 = math.cos(lat3)
+    c4 = math.cos(lat4)
+    snapped = (
+        (1.0, 0.0, 0.0),
+        (math.cos(a102), math.sin(a102), 0.0),
+        (c3 * math.cos(lon3), c3 * math.sin(lon3), math.sin(lat3)),
+        (c4 * math.cos(lon4), c4 * math.sin(lon4), math.sin(lat4)),
     )
     return DirectionConfig(
         units=snapped, a102=a102, lat3=lat3, lon3=lon3, lat4=lat4, lon4=lon4
     )
 
 
-def _frame(u) -> DirectionConfig:
+def _frame(a, b, c, d) -> DirectionConfig:
     """``canonical_frame`` on four unit (x, y, z) rows of floats."""
-    (ax, ay, az), (bx, by, bz) = u[0], u[1]
+    ax, ay, az = a
+    bx, by, bz = b
     c12 = ax * bx + ay * by + az * bz
     if abs(c12) >= 1.0 - FRAME_EPS:
         raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
     n = math.sqrt(ax * ax + ay * ay + az * az)
     e1x, e1y, e1z = ax / n, ay / n, az / n
-    c = bx * e1x + by * e1y + bz * e1z
-    px, py, pz = bx - c * e1x, by - c * e1y, bz - c * e1z
+    x2 = bx * e1x + by * e1y + bz * e1z
+    px, py, pz = bx - x2 * e1x, by - x2 * e1y, bz - x2 * e1z
     n = math.sqrt(px * px + py * py + pz * pz)
     e2x, e2y, e2z = px / n, py / n, pz / n
     e3x = e1y * e2z - e1z * e2y
     e3y = e1z * e2x - e1x * e2z
     e3z = e1x * e2y - e1y * e2x
-    rotated = [
-        (
-            x * e1x + y * e1y + z * e1z,
-            x * e2x + y * e2y + z * e2z,
-            x * e3x + y * e3y + z * e3z,
-        )
-        for x, y, z in u
-    ]
-    if rotated[2][2] < -INPLANE_EPS or (
-        abs(rotated[2][2]) <= INPLANE_EPS and rotated[3][2] < -INPLANE_EPS
-    ):
-        rotated = [(x, y, -z) for x, y, z in rotated]
-    return _config_from_canonical_rows(rotated)
+    # leg 1 rotates onto the x-axis and leg 2's z is never read, so only
+    # legs 2-4 are rotated, and leg 2 only in x and y
+    y2 = bx * e2x + by * e2y + bz * e2z
+    cx, cy, cz = c
+    x3 = cx * e1x + cy * e1y + cz * e1z
+    y3 = cx * e2x + cy * e2y + cz * e2z
+    z3 = cx * e3x + cy * e3y + cz * e3z
+    dx, dy, dz = d
+    x4 = dx * e1x + dy * e1y + dz * e1z
+    y4 = dx * e2x + dy * e2y + dz * e2z
+    z4 = dx * e3x + dy * e3y + dz * e3z
+    if z3 < -INPLANE_EPS or (abs(z3) <= INPLANE_EPS and z4 < -INPLANE_EPS):
+        z3, z4 = -z3, -z4
+    return _config_from_canonical_rows((x2, y2), (x3, y3, z3), (x4, y4, z4))
 
 
 def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
@@ -282,11 +297,14 @@ def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
 
     Raises DegenerateFrame when legs 1 and 2 are (anti-)parallel.
     """
-    return _frame([as_unit(u).tolist() for u in (u1, u2, u3, u4)])
+    return _frame(*(as_unit(u).tolist() for u in (u1, u2, u3, u4)))
 
 
 def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     """Canonical direction configuration seen from a point inside a
     tetrahedron."""
     p = as_point(point).tolist()
-    return _frame([_unit(p, v) for v in tetra.rows])
+    px, py, pz = p
+    pn = math.sqrt(px * px + py * py + pz * pz)
+    a, b, c, d = tetra.rows
+    return _frame(_unit(p, pn, a), _unit(p, pn, b), _unit(p, pn, c), _unit(p, pn, d))

@@ -178,10 +178,12 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     Hessian terms (``0.0 - a - b - c - d``) and the Weiszfeld coordinates
     (``0.0 + ...``) keep the 0.0, as a -0.0 term can occur there.
 
-    Returns ``(x, y, z, residual, iterations, status)``, where ``residual``
-    is the balancing residual (the norm of ``g``) at (x, y, z) and status
-    is CONVERGED (residual <= ``grad_tol``) or MAXITER (``max_iter``
-    iterations ran out).
+    Returns ``(x, y, z, value, residual, iterations, status)``, where
+    ``value`` is the distance sum at (x, y, z), bit-identical to
+    ``distance_sum`` there (the same squares, summed left to right),
+    ``residual`` is the balancing residual (the norm of ``g``) at (x, y, z)
+    and status is CONVERGED (residual <= ``grad_tol``) or MAXITER
+    (``max_iter`` iterations ran out).
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x, y, z = float(sx), float(sy), float(sz)
@@ -219,7 +221,7 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             it += 1
             if it >= max_iter:
                 res = resultant_norm(rows, x, y, z)
-                return (x, y, z, res, it, MAXITER)
+                return (x, y, z, distance_sum(rows, x, y, z), res, it, MAXITER)
             continue
         w0 = 1.0 / d0
         w1 = 1.0 / d1
@@ -234,9 +236,9 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
         gz = uz0 + uz1 + uz2 + uz3
         res = sqrt(gx * gx + gy * gy + gz * gz)
         if res <= grad_tol:
-            return (x, y, z, res, it, CONVERGED)
+            return (x, y, z, f, res, it, CONVERGED)
         if it >= max_iter:
-            return (x, y, z, res, it, MAXITER)
+            return (x, y, z, f, res, it, MAXITER)
         it += 1
         hxx = ((1.0 - ux0 * ux0) * w0 + (1.0 - ux1 * ux1) * w1
                + (1.0 - ux2 * ux2) * w2 + (1.0 - ux3 * ux3) * w3)

@@ -6,12 +6,16 @@ angle pairs at the junction are mutually orthogonal, and opposite bisectors
 are anti-parallel.  This module measures all of those as residuals.  The
 bisectors u_i + u_j are formed inside ``verify_fundamental_property`` and
 only their residuals are returned.
+
+Every function reads the frame's float rows, ``DirectionConfig.rows``, in
+straight-line code: each leg dot product and each angle's cosine is
+computed once per call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import acos, cos, sqrt
 
 from .geometry import DirectionConfig
 
@@ -19,11 +23,6 @@ from .geometry import DirectionConfig
 DEFAULT_TOL = 1e-6
 #: bisector shorter than this cannot be normalized (legs nearly opposite)
 BISECTOR_EPS = 1e-12
-
-#: leg pairs in field order: a102, a103, a104, a203, a204, a304
-PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-#: index pairs (into PAIRS order) of angles subtended by opposite edges
-OPPOSITE = ((0, 5), (3, 2), (1, 4))
 
 
 @dataclass(frozen=True)
@@ -61,31 +60,43 @@ class PropertyReport:
     flags: tuple[str, ...] = ()
 
 
+def _angles(rows) -> AngleSextuple:
+    """The six pairwise angles of four unit (x, y, z) rows: the arccosine of
+    each dot product, clamped to [-1, 1]."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
+    return AngleSextuple(
+        acos(min(1.0, max(-1.0, x1 * x2 + y1 * y2 + z1 * z2))),
+        acos(min(1.0, max(-1.0, x1 * x3 + y1 * y3 + z1 * z3))),
+        acos(min(1.0, max(-1.0, x1 * x4 + y1 * y4 + z1 * z4))),
+        acos(min(1.0, max(-1.0, x2 * x3 + y2 * y3 + z2 * z3))),
+        acos(min(1.0, max(-1.0, x2 * x4 + y2 * y4 + z2 * z4))),
+        acos(min(1.0, max(-1.0, x3 * x4 + y3 * y4 + z3 * z4))),
+    )
+
+
 def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
     """All six pairwise leg angles of a direction configuration."""
-    u = config.units.tolist()
-    angles = []
-    for i, j in PAIRS:
-        c = _dot(u[i - 1], u[j - 1])
-        angles.append(math.acos(min(1.0, max(-1.0, c))))
-    return AngleSextuple(*angles)
+    return _angles(config.rows)
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _angle_residuals(s: AngleSextuple):
+    """The opposite-angle residuals and the cosine-sum residual, from one
+    cosine per angle."""
+    c102, c103, c104 = cos(s.a102), cos(s.a103), cos(s.a104)
+    c203, c204, c304 = cos(s.a203), cos(s.a204), cos(s.a304)
+    opposite = (abs(c102 - c304), abs(c203 - c104), abs(c103 - c204))
+    return opposite, abs(1.0 + c102 + c103 + c104)
 
 
 def check_opposite_angles(s: AngleSextuple):
     """Residuals |cos a102 - cos a304|, |cos a203 - cos a104|,
     |cos a103 - cos a204|."""
-    a = s.as_tuple()
-    res = tuple(abs(math.cos(a[i]) - math.cos(a[j])) for i, j in OPPOSITE)
-    return res
+    return _angle_residuals(s)[0]
 
 
 def check_cosine_sum(s: AngleSextuple) -> float:
     """Residual |1 + cos a102 + cos a103 + cos a104|."""
-    return abs(1.0 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a104))
+    return _angle_residuals(s)[1]
 
 
 def verify_fundamental_property(
@@ -98,32 +109,39 @@ def verify_fundamental_property(
     three opposite bisector pairs against -1.  Meaningful for balanced
     quadruples; on unbalanced input the residuals simply come out large.
     """
-    s = angle_sextuple(config)
-    opp = check_opposite_angles(s)
-    csum = check_cosine_sum(s)
-    u = config.units.tolist()
-    b = []
-    for i, j in PAIRS:
-        (x1, y1, z1), (x2, y2, z2) = u[i - 1], u[j - 1]
-        b.append((x1 + x2, y1 + y2, z1 + z2))
+    rows = config.rows
+    s = _angles(rows)
+    opp, csum = _angle_residuals(s)
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
+    # the bisector u_i + u_j of each leg pair
+    bx12, by12, bz12 = x1 + x2, y1 + y2, z1 + z2
+    bx13, by13, bz13 = x1 + x3, y1 + y3, z1 + z3
+    bx14, by14, bz14 = x1 + x4, y1 + y4, z1 + z4
+    bx23, by23, bz23 = x2 + x3, y2 + y3, z2 + z3
+    bx24, by24, bz24 = x2 + x4, y2 + y4, z2 + z4
+    bx34, by34, bz34 = x3 + x4, y3 + y4, z3 + z4
     orth = (
-        abs(_dot(b[0], b[3])),
-        abs(_dot(b[0], b[1])),
-        abs(_dot(b[3], b[1])),
+        abs(bx12 * bx23 + by12 * by23 + bz12 * bz23),
+        abs(bx12 * bx13 + by12 * by13 + bz12 * bz13),
+        abs(bx23 * bx13 + by23 * by13 + bz23 * bz13),
     )
     anti = []
     flags: list[str] = []
-    for i, j in OPPOSITE:
-        ni = math.sqrt(_dot(b[i], b[i]))
-        nj = math.sqrt(_dot(b[j], b[j]))
+    for px, py, pz, qx, qy, qz, name in (
+        (bx12, by12, bz12, bx34, by34, bz34, "102_304"),
+        (bx23, by23, bz23, bx14, by14, bz14, "203_104"),
+        (bx13, by13, bz13, bx24, by24, bz24, "103_204"),
+    ):
+        ni = sqrt(px * px + py * py + pz * pz)
+        nj = sqrt(qx * qx + qy * qy + qz * qz)
         if ni < BISECTOR_EPS or nj < BISECTOR_EPS:
-            pi, pj = PAIRS[i], PAIRS[j]
-            flags.append(f"degenerate_bisector_{pi[0]}0{pi[1]}_{pj[0]}0{pj[1]}")
+            flags.append("degenerate_bisector_" + name)
             anti.append(float("nan"))
             continue
-        anti.append(abs(_dot(b[i], b[j]) / (ni * nj) + 1.0))
-    residuals = [*opp, csum, *orth, *anti]
-    passed = not flags and all(r <= tol for r in residuals)
+        anti.append(abs((px * qx + py * qy + pz * qz) / (ni * nj) + 1.0))
+    passed = not flags and all(
+        r <= tol for r in (*opp, csum, *orth, *anti)
+    )
     return PropertyReport(
         angles=s,
         opposite_angle_residuals=opp,

@@ -153,7 +153,7 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     # the centroid, summed and divided in the order numpy's ``mean`` uses
     sx, sy, sz = ((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
     scale = tetra.scale
-    x, y, z, res, iters, status = kernels.newton(
+    x, y, z, value, res, iters, status = kernels.newton(
         rows,
         sx,
         sy,
@@ -171,7 +171,7 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
         vertex_index=None,
         residual=res,
         iterations=iters,
-        objective_value=kernels.distance_sum(rows, x, y, z),
+        objective_value=value,
         pull_norms=cls.pull_norms,
     )
 

@@ -264,3 +264,25 @@ def test_batch_verify_passes_on_other_seeds(seed):
     # solver's budget
     summary = run_batch_verify(seed=seed, count=200, tol=1e-6)
     assert summary.passed, summary.format_text()
+
+
+#: ``run_batch_verify(0, 300).format_text()``, recorded once: criterion 8
+#: only checks that a rerun matches itself, this catches a rounding change
+#: at the last printed digit
+BATCH_0_300_TEXT = """\
+batch-verify seed=0 count=300 tol=1.000e-06 grad_tol=1.000e-10
+instances: 272 interior, 28 vertex
+max residual per check:
+  solve_residual           9.987720e-11
+  vertex_optimality        0.000000e+00
+  opposite_angles          1.410877e-10
+  cosine_sum               9.341150e-11
+  bisector_orthogonality   8.770740e-11
+  bisector_antiparallel    4.440892e-16
+  sixth_angle_identity     3.397282e-14
+  substitution_residual    6.106227e-14
+result: PASS"""
+
+
+def test_batch_verify_text_pinned():
+    assert run_batch_verify(0, 300).format_text() == BATCH_0_300_TEXT

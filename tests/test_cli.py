@@ -13,6 +13,7 @@ from tetrafermat.cli import (
     main,
 )
 from tetrafermat.geometry import Tetrahedron
+from tetrafermat.sampling import random_tetrahedron
 
 REGULAR = {"vertices": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]}
 RIGHT_CORNER = {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -262,3 +263,118 @@ class TestBatchVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["batch-verify", "--count", "10", "--format", "json"])
         assert info.value.code == 2
+
+
+# ``verify --format json`` output, recorded once; a rounding change at the
+# last printed digit of any field fails these
+REGULAR_VERIFY_JSON = """\
+{
+  "kind": "interior",
+  "point": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "vertex_index": null,
+  "objective": 6.928203230275509,
+  "residual": 0.0,
+  "iterations": 0,
+  "pull_norms": [
+    2.449489742783178,
+    2.449489742783178,
+    2.449489742783178,
+    2.449489742783178
+  ],
+  "angles_rad": {
+    "a102": 1.9106332362490186,
+    "a103": 1.9106332362490182,
+    "a104": 1.9106332362490182,
+    "a203": 1.9106332362490182,
+    "a204": 1.9106332362490182,
+    "a304": 1.9106332362490197
+  },
+  "checks": {
+    "opposite_angles": [
+      1.0547118733938987e-15,
+      0.0,
+      0.0
+    ],
+    "cosine_sum": 7.771561172376096e-16,
+    "bisector_orthogonality": [
+      5.551115123125783e-16,
+      5.551115123125783e-16,
+      4.440892098500626e-16
+    ],
+    "bisector_antiparallel": [
+      0.0,
+      2.220446049250313e-16,
+      2.220446049250313e-16
+    ],
+    "pass": true
+  },
+  "flags": []
+}
+"""
+CUBE_3_0_VERIFY_JSON = """\
+{
+  "kind": "interior",
+  "point": [
+    0.32814237061988105,
+    0.21558993522548178,
+    0.645491454392096
+  ],
+  "vertex_index": null,
+  "objective": 1.1312520500028103,
+  "residual": 2.436147635462407e-11,
+  "iterations": 3,
+  "pull_norms": [
+    2.4500747810878756,
+    2.7203485582220828,
+    1.913763322142207,
+    2.417106211934113
+  ],
+  "angles_rad": {
+    "a102": 2.837894611696426,
+    "a103": 2.0371774821021678,
+    "a104": 1.1550268268194608,
+    "a203": 1.1550268268446064,
+    "a204": 2.0371774821257302,
+    "a304": 2.837894611698057
+  },
+  "checks": {
+    "opposite_angles": [
+      4.878319970202938e-13,
+      2.3003432492174625e-11,
+      2.1046053788609242e-11
+    ],
+    "cosine_sum": 2.2268520361024002e-11,
+    "bisector_orthogonality": [
+      7.348843755750067e-13,
+      7.347976394012079e-13,
+      7.348566199993911e-13
+    ],
+    "bisector_antiparallel": [
+      0.0,
+      1.1102230246251565e-16,
+      2.220446049250313e-16
+    ],
+    "pass": true
+  },
+  "flags": []
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "payload,expected",
+    [
+        (REGULAR, REGULAR_VERIFY_JSON),
+        ({"vertices": random_tetrahedron(3, 0).vertices.tolist()},
+         CUBE_3_0_VERIFY_JSON),
+    ],
+    ids=["regular", "cube_seed3_0"],
+)
+def test_verify_json_pinned(payload, expected, write_json, capsys):
+    code = main(["verify", "--format", "json", "--input", write_json(payload)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == expected

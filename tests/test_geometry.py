@@ -215,6 +215,26 @@ class TestCanonicalFrame:
             )
 
 
+    @pytest.mark.parametrize(
+        "leg3",
+        [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (5.0, 0.0, 0.0),
+         (1.0 + 1e-11, 0.0, 0.0)],
+        ids=["nan", "inf", "five", "long"],
+    )
+    def test_config_rejects_nonfinite_and_non_unit_rows(self, leg3):
+        # unchecked, a NaN leg clamps to cos = -1 and a long one to cos = 1,
+        # so the angles would come out as pi and 0 without any error
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            DirectionConfig(
+                units=np.array([[1.0, 0, 0], [0, 1, 0], leg3, [0, 0, 1]]),
+                a102=math.pi / 2,
+                lat3=0.0,
+                lon3=0.0,
+                lat4=math.pi / 2,
+                lon4=0.0,
+            )
+
+
 class TestDirectionConfig:
     def test_matches_numpy_rotation_at_solved_points(self):
         checked = 0

@@ -1,0 +1,342 @@
+"""The identity layer against its earlier loop form.
+
+``direction_config``/``canonical_frame``, ``angle_sextuple``,
+``verify_fundamental_property``, ``sixth_angle`` and
+``ft_substitution_residual`` are straight-line float code that reads
+``DirectionConfig.rows`` and computes each cosine once.  The functions
+below are their earlier bodies, with per-pair loops, list-of-tuple rows and
+a cosine per use: the reference the package must match field for field,
+with ``==``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tetrafermat import (
+    SixthAngleResult,
+    TetrafermatError,
+    canonical_frame,
+    direction_config,
+    ft_substitution_residual,
+    hull_points,
+    solve,
+    verify_fundamental_property,
+)
+from tetrafermat.errors import (
+    CoincidentPoints,
+    DegenerateBaseAngle,
+    DegenerateFrame,
+    InfeasiblePair,
+    UnrealizableTriple,
+)
+from tetrafermat.formula import (
+    GRAM_TOL,
+    MIN_BASE_SIN,
+    REALIZABLE_TOL,
+    FiveAngles,
+    sixth_angle,
+)
+from tetrafermat.geometry import COINCIDENT_EPS, FRAME_EPS, INPLANE_EPS
+from tetrafermat.properties import BISECTOR_EPS, angle_sextuple
+from tetrafermat.sampling import (
+    balanced_quadruple,
+    random_tetrahedron,
+    random_unit_quadruple,
+)
+
+PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+OPPOSITE = ((0, 5), (3, 2), (1, 4))
+
+
+def loop_unit(a, b):
+    ax, ay, az = a
+    bx, by, bz = b
+    dx = bx - ax
+    dy = by - ay
+    dz = bz - az
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    scale = max(
+        math.sqrt(ax * ax + ay * ay + az * az), math.sqrt(bx * bx + by * by + bz * bz)
+    )
+    if n <= COINCIDENT_EPS * scale or n == 0.0:
+        raise CoincidentPoints(f"points {a} and {b} coincide")
+    return dx / n, dy / n, dz / n
+
+
+def loop_latlon_xyz(lat, lon):
+    cl = math.cos(lat)
+    return cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)
+
+
+def loop_config_from_canonical_rows(u):
+    """(snapped rows as lists, a102, lat3, lon3, lat4, lon4)."""
+    a102 = math.atan2(u[1][1], u[1][0])
+    lat3 = math.asin(min(1.0, max(-1.0, u[2][2])))
+    lon3 = math.atan2(u[2][1], u[2][0]) if abs(lat3) < math.pi / 2 else 0.0
+    lat4 = math.asin(min(1.0, max(-1.0, u[3][2])))
+    lon4 = math.atan2(u[3][1], u[3][0]) if abs(lat4) < math.pi / 2 else 0.0
+    snapped = np.array(
+        [
+            (1.0, 0.0, 0.0),
+            (math.cos(a102), math.sin(a102), 0.0),
+            loop_latlon_xyz(lat3, lon3),
+            loop_latlon_xyz(lat4, lon4),
+        ]
+    )
+    return snapped.tolist(), a102, lat3, lon3, lat4, lon4
+
+
+def loop_frame(u):
+    (ax, ay, az), (bx, by, bz) = u[0], u[1]
+    c12 = ax * bx + ay * by + az * bz
+    if abs(c12) >= 1.0 - FRAME_EPS:
+        raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    e1x, e1y, e1z = ax / n, ay / n, az / n
+    c = bx * e1x + by * e1y + bz * e1z
+    px, py, pz = bx - c * e1x, by - c * e1y, bz - c * e1z
+    n = math.sqrt(px * px + py * py + pz * pz)
+    e2x, e2y, e2z = px / n, py / n, pz / n
+    e3x = e1y * e2z - e1z * e2y
+    e3y = e1z * e2x - e1x * e2z
+    e3z = e1x * e2y - e1y * e2x
+    rotated = [
+        (
+            x * e1x + y * e1y + z * e1z,
+            x * e2x + y * e2y + z * e2z,
+            x * e3x + y * e3y + z * e3z,
+        )
+        for x, y, z in u
+    ]
+    if rotated[2][2] < -INPLANE_EPS or (
+        abs(rotated[2][2]) <= INPLANE_EPS and rotated[3][2] < -INPLANE_EPS
+    ):
+        rotated = [(x, y, -z) for x, y, z in rotated]
+    return loop_config_from_canonical_rows(rotated)
+
+
+def loop_direction_config(tetra, point):
+    p = np.asarray(point, dtype=float).tolist()
+    return loop_frame([loop_unit(p, v) for v in tetra.rows])
+
+
+def loop_canonical_frame(u1, u2, u3, u4):
+    return loop_frame([np.asarray(u, dtype=float).tolist() for u in (u1, u2, u3, u4)])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def loop_angle_sextuple(u):
+    angles = []
+    for i, j in PAIRS:
+        c = _dot(u[i - 1], u[j - 1])
+        angles.append(math.acos(min(1.0, max(-1.0, c))))
+    return tuple(angles)
+
+
+def loop_verify(u, tol=1e-6):
+    """(angles, opposite, cosine sum, orthogonality, antiparallel, passed,
+    flags) of the earlier ``verify_fundamental_property``."""
+    a = loop_angle_sextuple(u)
+    opp = tuple(abs(math.cos(a[i]) - math.cos(a[j])) for i, j in OPPOSITE)
+    csum = abs(1.0 + math.cos(a[0]) + math.cos(a[1]) + math.cos(a[2]))
+    b = []
+    for i, j in PAIRS:
+        (x1, y1, z1), (x2, y2, z2) = u[i - 1], u[j - 1]
+        b.append((x1 + x2, y1 + y2, z1 + z2))
+    orth = (
+        abs(_dot(b[0], b[3])),
+        abs(_dot(b[0], b[1])),
+        abs(_dot(b[3], b[1])),
+    )
+    anti = []
+    flags = []
+    for i, j in OPPOSITE:
+        ni = math.sqrt(_dot(b[i], b[i]))
+        nj = math.sqrt(_dot(b[j], b[j]))
+        if ni < BISECTOR_EPS or nj < BISECTOR_EPS:
+            pi, pj = PAIRS[i], PAIRS[j]
+            flags.append(f"degenerate_bisector_{pi[0]}0{pi[1]}_{pj[0]}0{pj[1]}")
+            anti.append(float("nan"))
+            continue
+        anti.append(abs(_dot(b[i], b[j]) / (ni * nj) + 1.0))
+    residuals = [*opp, csum, *orth, *anti]
+    passed = not flags and all(r <= tol for r in residuals)
+    return a, opp, csum, orth, tuple(anti), passed, tuple(flags)
+
+
+def loop_radical_factor(a102, a10i, a20i):
+    return (
+        1.0
+        + math.cos(2.0 * a102)
+        + math.cos(2.0 * a10i)
+        + math.cos(2.0 * a20i)
+        - 4.0 * math.cos(a102) * math.cos(a10i) * math.cos(a20i)
+    )
+
+
+def loop_sixth_angle(a102, a103, a104, a203, a204):
+    s = math.sin(a102)
+    if s <= MIN_BASE_SIN:
+        raise DegenerateBaseAngle(
+            f"sin(a102) = {s:.3e} is too small for the frame equations"
+        )
+    f3 = loop_radical_factor(a102, a103, a203)
+    f4 = loop_radical_factor(a102, a104, a204)
+    if f3 > GRAM_TOL or f4 > GRAM_TOL:
+        raise UnrealizableTriple(
+            f"radical factors must be non-positive, got {f3:.3e} and {f4:.3e}"
+        )
+    product = f3 * f4
+    if product < 0.0:
+        product = 0.0
+    b = math.sqrt(product)
+    csc2 = 1.0 / (s * s)
+
+    def evaluate(signed_b):
+        return 0.25 * (
+            4.0 * math.cos(a103)
+            * (math.cos(a104) - math.cos(a102) * math.cos(a204))
+            + 2.0 * (
+                signed_b
+                + 2.0 * math.cos(a203)
+                * (-math.cos(a102) * math.cos(a104) + math.cos(a204))
+            )
+        ) * csc2
+
+    cos_plus = evaluate(b)
+    cos_minus = evaluate(-b)
+    return SixthAngleResult(
+        b_magnitude=b,
+        cos_plus=cos_plus,
+        cos_minus=cos_minus,
+        realizable_plus=abs(cos_plus) <= 1.0 + REALIZABLE_TOL,
+        realizable_minus=abs(cos_minus) <= 1.0 + REALIZABLE_TOL,
+    )
+
+
+def loop_ft_substitution_residual(a102, a203):
+    c = -(1.0 + math.cos(a102) + math.cos(a203))
+    if not -1.0 < c < 1.0:
+        raise InfeasiblePair(
+            f"induced cosine {c:.6f} is outside (-1, 1); the pair admits no "
+            "third angle under the cosine-sum identity"
+        )
+    s = math.sin(a102)
+    if s * s <= MIN_BASE_SIN:
+        raise DegenerateBaseAngle(
+            f"sin(a102) = {s:.3e} is too small for the substituted formula"
+        )
+    a103 = math.acos(c)
+    return loop_sixth_angle(a102, a103, a203, a203, a103).branch_error(
+        0, math.cos(a102)
+    )
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and text of the package error it raised."""
+    try:
+        return fn(*args)
+    except TetrafermatError as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    """``==``, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_config_matches(cfg, ref):
+    units, a102, lat3, lon3, lat4, lon4 = ref
+    assert cfg.units.tolist() == units
+    assert cfg.rows == tuple(map(tuple, units))
+    assert (cfg.a102, cfg.lat3, cfg.lon3, cfg.lat4, cfg.lon4) == (
+        a102, lat3, lon3, lat4, lon4,
+    )
+
+
+def assert_identities_match(cfg):
+    """Every layer after the frame, on one configuration."""
+    units = [list(r) for r in cfg.rows]
+    angles, opp, csum, orth, anti, passed, flags = loop_verify(units)
+    assert angle_sextuple(cfg).as_tuple() == angles
+    report = verify_fundamental_property(cfg)
+    assert report.angles.as_tuple() == angles
+    assert report.opposite_angle_residuals == opp
+    assert report.cosine_sum_residual == csum
+    assert report.bisector_dot_residuals == orth
+    assert len(report.antiparallel_residuals) == 3
+    assert all(map(same, report.antiparallel_residuals, anti))
+    assert report.tol == 1e-6
+    assert report.passed == passed
+    assert report.flags == flags
+    five = angles[:5]
+    assert outcome(lambda: sixth_angle(FiveAngles(*five))) == outcome(
+        loop_sixth_angle, *five
+    )
+    assert outcome(ft_substitution_residual, angles[0], angles[3]) == outcome(
+        loop_ft_substitution_residual, angles[0], angles[3]
+    )
+
+
+class TestIdentityLoopReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_solved_points(self, seed):
+        checked = 0
+        for i in range(1000):
+            t = random_tetrahedron(seed, i)
+            sol = solve(t)
+            if sol.kind != "interior":
+                continue
+            cfg = direction_config(t, sol.point)
+            assert_config_matches(cfg, loop_direction_config(t, sol.point))
+            assert_identities_match(cfg)
+            checked += 1
+        assert checked > 800
+
+    def test_hull_points(self):
+        t = random_tetrahedron(1, 0)
+        for p in hull_points(t, 200, np.random.default_rng(5)):
+            cfg = direction_config(t, p)
+            assert_config_matches(cfg, loop_direction_config(t, p))
+            assert_identities_match(cfg)
+
+    @pytest.mark.parametrize(
+        "quadruple", [random_unit_quadruple, balanced_quadruple],
+        ids=["unbalanced", "balanced"],
+    )
+    def test_quadruples(self, quadruple):
+        for i in range(500):
+            u = quadruple(0, i)
+            cfg = canonical_frame(*u)
+            assert_config_matches(cfg, loop_canonical_frame(*u))
+            assert_identities_match(cfg)
+
+    def test_degenerate_bisector(self):
+        cfg = canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+        assert_config_matches(
+            cfg, loop_canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+        )
+        assert verify_fundamental_property(cfg).flags
+        assert_identities_match(cfg)
+
+    @pytest.mark.parametrize(
+        "legs",
+        [
+            # leg 3 below the leg-1/leg-2 plane
+            ((1, 0, 0), (0, 1, 0), (0.6, 0, -0.8), (0, -0.6, 0.8)),
+            # leg 3 in the plane, leg 4 below it
+            ((1, 0, 0), (0, 1, 0), (-0.6, -0.8, 0), (0, 0.6, -0.8)),
+        ],
+        ids=["leg3_below", "leg3_in_plane_leg4_below"],
+    )
+    def test_mirror_cases(self, legs):
+        cfg = canonical_frame(*legs)
+        assert_config_matches(cfg, loop_canonical_frame(*legs))
+        # the mirror was taken: the deciding leg now points up
+        assert cfg.lat3 > 0.0 or (cfg.lat3 == 0.0 and cfg.lat4 > 0.0)
+        assert_identities_match(cfg)

@@ -94,7 +94,8 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             if it >= max_iter:
                 rx, ry, rz = loop_resultant(rows, x, y, z, -1)
                 res = math.sqrt(rx * rx + ry * ry + rz * rz)
-                return (x, y, z, res, it, kernels.MAXITER)
+                f = loop_distance_sum(rows, x, y, z)
+                return (x, y, z, f, res, it, kernels.MAXITER)
             continue
         gx = gy = gz = 0.0
         hxx = hyy = hzz = hxy = hxz = hyz = 0.0
@@ -114,9 +115,9 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             hyz -= uy * uz * w
         res = math.sqrt(gx * gx + gy * gy + gz * gz)
         if res <= grad_tol:
-            return (x, y, z, res, it, kernels.CONVERGED)
+            return (x, y, z, f, res, it, kernels.CONVERGED)
         if it >= max_iter:
-            return (x, y, z, res, it, kernels.MAXITER)
+            return (x, y, z, f, res, it, kernels.MAXITER)
         it += 1
         c00 = hyy * hzz - hyz * hyz
         c01 = hxz * hyz - hxy * hzz
@@ -174,7 +175,7 @@ def newton_iterates(v, start, count):
     run."""
     out = [start]
     for k in range(1, count + 1):
-        x, y, z, _, _, status = kernels.newton(v, *start, 1e-10, k, 1e-12, 1e-11)
+        x, y, z, _, _, _, status = kernels.newton(v, *start, 1e-10, k, 1e-12, 1e-11)
         out.append((x, y, z))
         if status != kernels.MAXITER:
             break
@@ -205,7 +206,7 @@ class TestNewtonKernel:
 
     def test_converged_status(self):
         v, c = corpus(1)[0]
-        x, y, z, res, it, status = kernels.newton(
+        x, y, z, _, res, it, status = kernels.newton(
             v, *c, 1e-10, 10000, 1e-12, 1e-11
         )
         assert status == kernels.CONVERGED
@@ -213,7 +214,7 @@ class TestNewtonKernel:
         assert kernels.resultant_norm(v, x, y, z) <= 1e-10
 
     def test_maxiter_status(self):
-        x, y, z, res, it, status = kernels.newton(
+        x, y, z, _, res, it, status = kernels.newton(
             RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11
         )
         assert status == kernels.MAXITER
@@ -235,7 +236,7 @@ class TestNewtonKernel:
         # descent ray (1, 1, 1) / sqrt(3); the escape uses up the budget and
         # the residual is the balancing residual there.
         escape_step = 1e-2
-        x, y, z, res, it, status = kernels.newton(
+        x, y, z, _, res, it, status = kernels.newton(
             RIGHT_CORNER, *start, 1e-10, 1, vertex_eps, escape_step
         )
         assert status == kernels.MAXITER
@@ -251,7 +252,7 @@ class TestNewtonKernel:
         # value <= 0, no Newton step is tried, and the first iterate must be
         # the reweighted-average point.
         start = (1e10, 0.0, 0.0)
-        x, y, z, _, it, status = kernels.newton(
+        x, y, z, _, _, it, status = kernels.newton(
             RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11
         )
         assert status == kernels.MAXITER
@@ -273,7 +274,7 @@ class TestNewtonKernel:
         # A longer retry would let a far start jump to its mirror point,
         # where the objective is equal within the acceptance slack, and
         # bounce between the two until the budget runs out.
-        x, y, z, res, it, status = kernels.newton(
+        x, y, z, _, res, it, status = kernels.newton(
             RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11
         )
         assert status == kernels.CONVERGED

@@ -133,6 +133,14 @@ class TestObjective:
         expected = sum(np.linalg.norm(v[0] - v[j]) for j in (1, 2, 3))
         assert objective(regular_tetra, v[0]) == pytest.approx(expected, abs=1e-12)
 
+    def test_solve_value_is_distance_sum_at_its_point(self):
+        # solve reads the value off the Newton iterate's own distances; it
+        # must equal a fresh distance_sum at the returned point bit for bit
+        for i in range(1000):
+            t = random_tetrahedron(0, i)
+            sol = solve(t)
+            assert sol.objective_value == kernels.distance_sum(t.rows, *sol.point)
+
     def test_right_corner_matches_oracle_minimum(self, right_corner):
         sol = solve(right_corner)
         oracle_value = objective(right_corner, oracle_solve(right_corner, seed=3))
