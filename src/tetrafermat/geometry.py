@@ -6,9 +6,10 @@ All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
 numpy's per-call overhead costs more than the arithmetic it saves.  Each
-record converts its array to floats once: ``Tetrahedron.rows`` is what the
+record builds its float rows once: ``Tetrahedron.rows`` is what the
 kernels read, and ``DirectionConfig.rows`` what the angle and identity
-checks read.  The frame itself is straight-line code on those floats.
+checks read.  Tetrahedron validation and the frame itself are
+straight-line code on those floats.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ COINCIDENT_EPS = 1e-12
 UNIT_NORM_EPS = 1e-12
 #: |z| below this puts a leg in the xy-plane for the mirror convention
 INPLANE_EPS = 1e-12
-
-# endpoints of the six vertex pairs i < j, in the order (0,1) (0,2) (0,3)
-# (1,2) (1,3) (2,3)
-_EDGE_I = [0, 0, 0, 1, 1, 2]
-_EDGE_J = [1, 2, 3, 2, 3, 3]
-
 
 def as_point(p) -> np.ndarray:
     """Coerce to a (3,) float64 array of finite coordinates."""
@@ -89,41 +84,61 @@ class Tetrahedron:
     the edge matrix divided by the longest pairwise distance must have
     |det| above VOLUME_EPS, a test that neither overflows nor underflows at
     any scale.  A longest distance that is zero or overflows float64 raises
-    DegenerateInput.
+    DegenerateInput.  Two tetrahedra are equal when their rows are.
     """
 
-    vertices: np.ndarray
+    vertices: np.ndarray = field(compare=False)
     _scale: float = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy, so that freezing it leaves the caller's array writable
         v = np.array(self.vertices, dtype=float, order="C")
         if v.shape != (4, 3):
             raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        a, b, c, d = rows = tuple(map(tuple, v.tolist()))
+        if not all(map(math.isfinite, (*a, *b, *c, *d))):
             raise DegenerateInput("vertex coordinates must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        # rows v[i] - v[j] for the six pairs i < j; np.linalg.norm(r) is
-        # sqrt(r.dot(r)), so this scale matches it bit for bit.  A length
+        ax, ay, az = a
+        bx, by, bz = b
+        cx, cy, cz = c
+        dx, dy, dz = d
+        # rows v[i] - v[j] for the six pairs i < j, in the order (0,1) (0,2)
+        # (0,3) (1,2) (1,3) (2,3), flat
+        e = (
+            ax - bx, ay - by, az - bz,
+            ax - cx, ay - cy, az - cz,
+            ax - dx, ay - dy, az - dz,
+            bx - cx, by - cy, bz - cz,
+            bx - dx, by - dy, bz - dz,
+            cx - dx, cy - dy, cz - dz,
+        )
+        # np.linalg.norm(r) is sqrt(r.dot(r)), and vecdot runs the same BLAS
+        # dot, so this scale matches norm bit for bit; a Python sum of
+        # squares does not, as the BLAS kernel fuses multiply-adds.  A length
         # that overflows is inf and rejected below, so no warning is due.
+        r = np.array(e).reshape(6, 3)
         with np.errstate(over="ignore"):
-            e = v[_EDGE_I] - v[_EDGE_J]
-            d = max(math.sqrt(r.dot(r)) for r in e)
-        if not 0.0 < d < math.inf:
+            s = math.sqrt(max(np.vecdot(r, r).tolist()))
+        if not 0.0 < s < math.inf:
             raise DegenerateInput(
-                f"longest pairwise distance is {d!r}; expected a positive "
+                f"longest pairwise distance is {s!r}; expected a positive "
                 "finite length"
             )
-        object.__setattr__(self, "_scale", d)
-        object.__setattr__(self, "_rows", tuple(map(tuple, v.tolist())))
-        # the first three rows are v[0] - v[1:], the negated edge matrix
-        det = abs(float(np.linalg.det(e[:3] / d)))
+        object.__setattr__(self, "_scale", s)
+        object.__setattr__(self, "_rows", rows)
+        # the first three edges are v[0] - v[1:], the negated edge matrix
+        det = abs(_triple(
+            (e[0] / s, e[1] / s, e[2] / s),
+            (e[3] / s, e[4] / s, e[5] / s),
+            (e[6] / s, e[7] / s, e[8] / s),
+        ))
         if det <= VOLUME_EPS:
             raise DegenerateInput(
                 f"points are collinear or coplanar (|det| / scale^3 = "
-                f"{det:.3e}, scale = {d:.3e})"
+                f"{det:.3e}, scale = {s:.3e})"
             )
 
     @property
@@ -194,24 +209,33 @@ class DirectionConfig:
     leg 3 is in-plane).  ``a102`` is the angle between legs 1 and 2, and
     (lat, lon) are the latitude/longitude of legs 3 and 4, so that each leg
     is (cos lat cos lon, cos lat sin lon, sin lat).  Every row must be
-    finite with a squared norm within UNIT_NORM_EPS of 1.
+    finite with a squared norm within UNIT_NORM_EPS of 1.  Two configurations
+    are equal when their rows and angles are.
     """
 
-    units: np.ndarray
+    units: np.ndarray = field(compare=False)
     a102: float
     lat3: float
     lon3: float
     lat4: float
     lon4: float
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.units, dtype=float))
-        if u.shape != (4, 3):
-            raise ValueError(f"expected 4 direction rows, got shape {u.shape}")
+        # rows first, as Python floats, and the array built from them once:
+        # the canonical frame passes its four snapped tuples here
+        try:
+            a, b, c, d = rows = tuple(
+                [(float(x), float(y), float(z)) for x, y, z in self.units]
+            )
+        except (TypeError, ValueError):
+            raise ValueError(
+                "expected 4 direction rows of 3 coordinates, got "
+                f"{self.units!r}"
+            ) from None
+        u = np.array((*a, *b, *c, *d)).reshape(4, 3)
         u.setflags(write=False)
         object.__setattr__(self, "units", u)
-        rows = tuple(map(tuple, u.tolist()))
         object.__setattr__(self, "_rows", rows)
         r1, r2 = rows[0], rows[1]
         if r1 != (1.0, 0.0, 0.0):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .formula import resolve_branch, FiveAngles
-from .geometry import DirectionConfig, Tetrahedron, canonical_frame
+from .geometry import DirectionConfig, Tetrahedron, _det4, canonical_frame
 
 #: unit-cube tetrahedra flatter than this volume are rejected
 MIN_VOLUME = 1e-3
@@ -42,7 +42,7 @@ def random_tetrahedron(seed: int, index: int) -> Tetrahedron:
     rng = instance_rng(seed, index)
     while True:
         v = rng.random((4, 3))
-        if abs(np.linalg.det(v[1:] - v[0])) / 6.0 >= MIN_VOLUME:
+        if abs(_det4(*v.tolist())) / 6.0 >= MIN_VOLUME:
             return Tetrahedron(v)
 
 

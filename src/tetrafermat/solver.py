@@ -66,7 +66,8 @@ class FermatSolution:
     ``residual`` is the norm of the summed unit vectors toward the vertices:
     all four legs for an interior solution, the three defined legs (the pull
     norm) for a vertex solution.  ``pull_norms`` are those of the
-    classification the solve started from.
+    classification the solve started from.  Two solutions are equal when
+    every field is, the point compared coordinate by coordinate.
     """
 
     kind: str
@@ -77,6 +78,25 @@ class FermatSolution:
     objective_value: float
     pull_norms: tuple[float, float, float, float]
     flags: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        # the generated method compares fields as tuple items, and an
+        # array's == has no single truth value there
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        return (
+            self.kind,
+            self.point.tolist(),
+            self.vertex_index,
+            self.residual,
+            self.iterations,
+            self.objective_value,
+            self.pull_norms,
+            self.flags,
+        )
 
 
 def objective(tetra: Tetrahedron, point) -> float:

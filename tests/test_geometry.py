@@ -216,6 +216,23 @@ class TestCanonicalFrame:
 
 
     @pytest.mark.parametrize(
+        "units",
+        [
+            [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1.0, 0], [0, 1], [1, 0], [0, 1]],
+            [[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1.0, 0, 0], [0, 1], [0, 0, 1], [0, 0, 1]],
+            [1.0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1],
+        ],
+        ids=["three_rows", "two_columns", "four_columns", "ragged", "flat"],
+    )
+    def test_config_rejects_wrong_shape(self, units):
+        with pytest.raises(ValueError, match="expected 4 direction rows"):
+            DirectionConfig(
+                units=units, a102=math.pi / 2, lat3=0.0, lon3=0.0, lat4=0.0, lon4=0.0
+            )
+
+    @pytest.mark.parametrize(
         "leg3",
         [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (5.0, 0.0, 0.0),
          (1.0 + 1e-11, 0.0, 0.0)],
@@ -279,3 +296,24 @@ class TestDirectionConfig:
             mid = 0.5 * (tetra.vertex(1) + tetra.vertex(2))
             with pytest.raises(DegenerateFrame):
                 direction_config(tetra, mid)
+
+
+def test_records_compare_by_value(flat_vertex_case):
+    # Tetrahedron, FermatSolution and DirectionConfig hold an array field;
+    # == compares them by value and returns a bool, never raising
+    t = random_tetrahedron(0, 0)
+    same = Tetrahedron(t.vertices.copy())
+    nudge = np.zeros((4, 3))
+    nudge[0, 2] = 1e-9
+    moved = Tetrahedron(t.vertices + nudge)
+    assert t == same
+    assert t != moved
+    vertex_case = Tetrahedron(flat_vertex_case.vertices)
+    for a, b in ((t, same), (flat_vertex_case, vertex_case)):
+        assert solve(a) == solve(b)
+    assert solve(t) != solve(moved)
+    assert solve(flat_vertex_case) != solve(t)
+    p = solve(t).point
+    assert direction_config(t, p) == direction_config(same, p.copy())
+    assert direction_config(t, p) != direction_config(t, p + (1e-6, 0.0, 0.0))
+    assert direction_config(t, p) != direction_config(moved, p)

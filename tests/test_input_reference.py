@@ -1,0 +1,145 @@
+"""Tetrahedron validation and the unit-cube sampler against their numpy
+form.
+
+``Tetrahedron.__post_init__`` is straight-line float code: the six edges
+are float differences, their squared lengths come from one ``np.vecdot``,
+and the relative volume test is a scalar triple product.
+``random_tetrahedron`` tests each draw's volume with the scalar ``_det4``.
+The functions below are their earlier bodies: fancy-indexed edges, a
+``dot`` per edge and LAPACK determinants.  They are the reference the
+package must match: the same accept decision and error type on every
+input, the same vertex bytes, and ``scale`` and ``rows`` equal with ``==``.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from tetrafermat import DegenerateInput, Tetrahedron
+from tetrafermat.geometry import VOLUME_EPS
+from tetrafermat.sampling import (
+    MIN_VOLUME,
+    instance_rng,
+    random_rotation,
+    random_tetrahedron,
+)
+
+EDGE_I = [0, 0, 0, 1, 1, 2]
+EDGE_J = [1, 2, 3, 2, 3, 3]
+
+
+def numpy_tetrahedron(vertices):
+    """(vertices, scale, rows) as the earlier constructor built them; raises
+    where it raised."""
+    v = np.array(vertices, dtype=float, order="C")
+    if v.shape != (4, 3):
+        raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DegenerateInput("vertex coordinates must be finite")
+    with np.errstate(over="ignore"):
+        e = v[EDGE_I] - v[EDGE_J]
+        d = max(math.sqrt(r.dot(r)) for r in e)
+    if not 0.0 < d < math.inf:
+        raise DegenerateInput(f"longest pairwise distance is {d!r}")
+    det = abs(float(np.linalg.det(e[:3] / d)))
+    if det <= VOLUME_EPS:
+        raise DegenerateInput(f"|det| / scale^3 = {det:.3e}")
+    return v, d, tuple(map(tuple, v.tolist()))
+
+
+def numpy_draws(seed, index):
+    """Every draw the earlier ``random_tetrahedron`` made for (seed, index),
+    the accepted one last."""
+    rng = instance_rng(seed, index)
+    draws = []
+    while True:
+        v = rng.random((4, 3))
+        draws.append(v)
+        if abs(np.linalg.det(v[1:] - v[0])) / 6.0 >= MIN_VOLUME:
+            return draws
+
+
+def outcome(build, v):
+    """What a constructor makes of ``v``: the error type it raises, or the
+    vertex bytes, scale and rows it keeps."""
+    try:
+        got = build(v)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    if isinstance(got, Tetrahedron):
+        return got.vertices.tobytes(), got.scale, got.rows
+    w, scale, rows = got
+    return w.tobytes(), scale, rows
+
+
+def assert_same_outcome(v):
+    expected = outcome(numpy_tetrahedron, v)
+    assert outcome(Tetrahedron, v) == expected
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unit_cube_corpus_matches_numpy_sampler(seed):
+    rejected = 0
+    for i in range(1000):
+        draws = numpy_draws(seed, i)
+        # the same stream, so equal bytes mean the same decision on every
+        # draw up to the accepted one
+        assert random_tetrahedron(seed, i).vertices.tobytes() == draws[-1].tobytes()
+        for v in draws:
+            assert_same_outcome(v)
+        rejected += len(draws) - 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize(
+    "factor, accepted",
+    [(1.0, True), (1e103, True), (1e-110, True), (1e160, False), (1e-300, False)],
+)
+def test_scaled_inputs_match_numpy_constructor(factor, accepted):
+    # at 1e160 the squared lengths overflow and at 1e-300 they underflow to
+    # zero: both raise DegenerateInput, with no numpy warning on the way
+    for i in range(20):
+        v = random_tetrahedron(0, i).vertices * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assert_same_outcome(v)
+        assert (got is not DegenerateInput) == accepted
+
+
+def test_near_flat_sweep_matches_numpy_decision():
+    # four points within a slab of relative thickness 10**-12.5 .. 10**-9.5,
+    # turned and moved off the axes, so |det| / scale^3 spreads around
+    # VOLUME_EPS with the cancellation of a real near-flat input
+    rng = np.random.default_rng(2024)
+    kept = 0
+    for _ in range(3000):
+        v = rng.random((4, 3))
+        v[:, 2] *= 10.0 ** rng.uniform(-12.5, -9.5)
+        v = v @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
+        kept += assert_same_outcome(v) is not DegenerateInput
+    assert 300 < kept < 2700
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.inf]],
+        [[0, 0, 0], [1, 0, 0], [-math.inf, 1, 0], [0, 0, 1]],
+        [[1, 2, 3]] * 4,
+        [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        [[0, 0], [1, 0], [0, 1], [1, 1]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+        [[0, 0, 0], [1, 0], [0, 1, 0], [0, 0, 1]],
+    ],
+    ids=["nan", "inf", "minus_inf", "all_coincident", "two_coincident",
+         "three_points", "planar_coords", "four_coords", "flat_list", "ragged"],
+)
+def test_invalid_inputs_raise_as_numpy_constructor(vertices):
+    got = assert_same_outcome(vertices)
+    assert isinstance(got, type) and issubclass(got, Exception)
