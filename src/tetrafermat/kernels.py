@@ -1,6 +1,7 @@
 """Scalar kernels: distance sums, resultants of unit vectors, the
-safeguarded Newton iteration for the four-point distance minimizer, and a
-simplex minimizer specialized to the same objective.
+safeguarded Newton iteration for the four-point distance minimizer and its
+start off a vertex, and a simplex minimizer specialized to the same
+objective.
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
 floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
@@ -133,6 +134,46 @@ def pull_norms(rows) -> tuple[float, float, float, float]:
     )
 
 
+def vertex_ray_start(rows, k):
+    """One Newton step off row ``k`` along its descent ray: ``v_k + s r``.
+
+    The legs from row k toward the other three rows, taken in row order,
+    give units u_j and weights w_j = 1 / d_j; their resultant, of norm p
+    (row k's pull norm, up to rounding), gives the unit ray r.  Along the
+    ray the distance sum is phi(s) = s + sum_j |v_k + s r - v_j|, with
+    phi'(0) = 1 - p and phi''(0) = kappa = sum_j (1 - (u_j . r)^2) w_j, so
+    the step is s = (p - 1) / kappa.  It is exact to first order when the
+    minimizer sits near v_k, and positive when p > 1 (the interior case);
+    far from v_k it can land outside the hull, and ``newton``'s safeguards
+    take it from there.  Straight-line code, like ``_vertex_resultants``.
+    """
+    vx, vy, vz = rows[k]
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rows[:k] + rows[k + 1:]
+    ex, ey, ez = ax - vx, ay - vy, az - vz
+    d = sqrt(ex * ex + ey * ey + ez * ez)
+    wa = 1.0 / d
+    uax, uay, uaz = ex / d, ey / d, ez / d
+    ex, ey, ez = bx - vx, by - vy, bz - vz
+    d = sqrt(ex * ex + ey * ey + ez * ez)
+    wb = 1.0 / d
+    ubx, uby, ubz = ex / d, ey / d, ez / d
+    ex, ey, ez = cx - vx, cy - vy, cz - vz
+    d = sqrt(ex * ex + ey * ey + ez * ez)
+    wc = 1.0 / d
+    ucx, ucy, ucz = ex / d, ey / d, ez / d
+    rx = uax + ubx + ucx
+    ry = uay + uby + ucy
+    rz = uaz + ubz + ucz
+    p = sqrt(rx * rx + ry * ry + rz * rz)
+    rx, ry, rz = rx / p, ry / p, rz / p
+    ca = uax * rx + uay * ry + uaz * rz
+    cb = ubx * rx + uby * ry + ubz * rz
+    cc = ucx * rx + ucy * ry + ucz * rz
+    kappa = (1.0 - ca * ca) * wa + (1.0 - cb * cb) * wb + (1.0 - cc * cc) * wc
+    s = (p - 1.0) / kappa
+    return vx + s * rx, vy + s * ry, vz + s * rz
+
+
 def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     """Safeguarded Newton iteration for the four-point distance minimizer.
 
@@ -165,8 +206,8 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     iteration; it restarts ``escape_step`` off the row along the resultant
     of the other three legs there, the negated pull (the descent ray,
     nonzero by the precondition).  ``vertex_eps`` and ``escape_step`` are
-    absolute lengths.  Each Newton step, fallback step and escape counts
-    as one iteration.
+    lengths in the units of ``rows``.  Each Newton step, fallback step and
+    escape counts as one iteration.
 
     The four legs, distances, gradient and Hessian are straight-line code
     on the twelve row coordinates, bound once.  The distances an accepted

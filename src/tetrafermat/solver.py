@@ -140,25 +140,35 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
 
     ``classify`` makes the only vertex/interior decision.  Vertex case:
     returns the winning vertex exactly, with the classification's flags.
-    Interior case: runs Newton's method from the centroid until the
-    balancing residual drops below ``grad_tol``.  Each step solves
-    ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) / d_i``.
-    The full step is tried first; when it raises the objective beyond
-    rounding, it is retried at the distance to the nearest vertex (where
-    the quadratic model stops holding) and then halved until the objective
-    does not rise; when no trial passes, or ``det H`` is not positive (NaN
-    included), the reweighted-average (Weiszfeld) point is taken instead.
-    Iterates within ``VERTEX_EPS * scale`` of a vertex are moved off it
-    along the descent ray.  ``iterations`` counts Newton steps, Weiszfeld
-    fallback steps and vertex escapes alike.  An interior solution carries
-    no flags: the minimizer it converged to has balanced unit legs, so it
-    lies inside the hull, and no hull test is made.  Raises
-    NonConvergence when the iteration budget runs out.
+    Interior case: runs Newton's method until the balancing residual drops
+    below ``grad_tol``.  It starts one Newton step off the vertex with the
+    smallest pull norm (the first, on a tie), along that vertex's descent
+    ray (``kernels.vertex_ray_start``), which lands next to a minimizer that
+    sits near a vertex, where Newton from a distant start takes longest.
+    It iterates on the vertices times ``2**-e``, where
+    ``scale = f * 2**e`` with ``0.5 <= f < 1``, and divides the answer by
+    the same power of two.  Both products are exact, so the iterates,
+    ``iterations``, ``residual`` and ``objective_value`` are those of the
+    same start in input units, scaling the input by a power of two scales
+    the answer exactly, and the determinant of the Hessian stays finite at
+    every accepted scale.  Each step solves ``H s = sum u_i`` with the
+    Hessian ``H = sum (I - u_i u_i^T) / d_i``.  The full step is tried
+    first; when it raises the objective beyond rounding, it is retried at
+    the distance to the nearest vertex (where the quadratic model stops
+    holding) and then halved until the objective does not rise; when no
+    trial passes, or ``det H`` is not positive (NaN included), the
+    reweighted-average (Weiszfeld) point is taken instead.  Iterates within
+    ``VERTEX_EPS * scale`` of a vertex are moved off it along the descent
+    ray.  ``iterations`` counts Newton steps, Weiszfeld fallback steps and
+    vertex escapes alike.  An interior solution carries no flags: the
+    minimizer it converged to has balanced unit legs, so it lies inside the
+    hull, and no hull test is made.  Raises NonConvergence when the
+    iteration budget runs out.
     """
     cls = classify(tetra)
-    rows = tetra.rows
     if cls.kind == VERTEX:
         i = cls.vertex_index
+        rows = tetra.rows
         return FermatSolution(
             kind=VERTEX,
             point=tetra.vertex(i).copy(),
@@ -170,29 +180,29 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
             flags=cls.flags,
         )
     cfg = config or SolverConfig()
-    # the centroid, summed and divided in the order numpy's ``mean`` uses
-    sx, sy, sz = ((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
+    pulls = cls.pull_norms
     scale = tetra.scale
+    # 2**-e with scale = f * 2**e, 0.5 <= f < 1: multiplying by a power of
+    # two is exact, so the iteration runs as it would on the input rows,
+    # with its lengths near 1 and its Hessian finite at any scale
+    m = math.ldexp(1.0, -math.frexp(scale)[1])
+    rows = tuple((x * m, y * m, z * m) for x, y, z in tetra.rows)
+    sx, sy, sz = kernels.vertex_ray_start(rows, pulls.index(min(pulls)))
+    eps = VERTEX_EPS * (scale * m)
     x, y, z, value, res, iters, status = kernels.newton(
-        rows,
-        sx,
-        sy,
-        sz,
-        cfg.grad_tol,
-        cfg.max_iter,
-        VERTEX_EPS * scale,
-        10.0 * VERTEX_EPS * scale,
+        rows, sx, sy, sz, cfg.grad_tol, cfg.max_iter, eps, 10.0 * eps,
     )
+    point = np.array([x / m, y / m, z / m])
     if status == kernels.MAXITER:
-        raise NonConvergence(np.array([x, y, z]), res, iters)
+        raise NonConvergence(point, res, iters)
     return FermatSolution(
         kind=INTERIOR,
-        point=np.array([x, y, z]),
+        point=point,
         vertex_index=None,
         residual=res,
         iterations=iters,
-        objective_value=value,
-        pull_norms=cls.pull_norms,
+        objective_value=value / m,
+        pull_norms=pulls,
     )
 
 
@@ -212,9 +222,9 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     the polish passes restart from a fresh small simplex at the best point
     found and set the final precision (down to 1e-12 * scale).  On a convex
     objective more starts do not guard against simplex stagnation; the
-    fresh polish simplexes do.  The hull start keeps the search from
-    sharing ``solve``'s starting point, the centroid.  Deterministic for a
-    fixed seed.
+    fresh polish simplexes do.  The search shares no start with ``solve``:
+    it starts at a seeded point inside the hull, ``solve`` next to a
+    vertex.  Deterministic for a fixed seed.
     """
     rows = tetra.rows
     scale = tetra.scale

@@ -273,14 +273,14 @@ BATCH_0_300_TEXT = """\
 batch-verify seed=0 count=300 tol=1.000e-06 grad_tol=1.000e-10
 instances: 272 interior, 28 vertex
 max residual per check:
-  solve_residual           9.987720e-11
+  solve_residual           9.831736e-11
   vertex_optimality        0.000000e+00
-  opposite_angles          1.410877e-10
-  cosine_sum               9.341150e-11
-  bisector_orthogonality   8.770740e-11
+  opposite_angles          1.264724e-10
+  cosine_sum               7.490669e-11
+  bisector_orthogonality   7.286594e-11
   bisector_antiparallel    4.440892e-16
-  sixth_angle_identity     3.397282e-14
-  substitution_residual    6.106227e-14
+  sixth_angle_identity     6.417089e-14
+  substitution_residual    7.605028e-14
 result: PASS"""
 
 

@@ -240,7 +240,7 @@ class TestBatchVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert code == EXIT_VERIFICATION_FAILED
         assert "instances: 0 interior, 1 vertex" in lines
-        assert "error at instance 0: no convergence (residual 1.700e-01)" in lines
+        assert "error at instance 0: no convergence (residual 3.887e-03)" in lines
         assert lines[-1] == "result: FAIL"
 
     def test_bad_count_exits_2(self):
@@ -271,14 +271,14 @@ REGULAR_VERIFY_JSON = """\
 {
   "kind": "interior",
   "point": [
-    0.0,
-    0.0,
-    0.0
+    -1.1005857246262915e-14,
+    -1.1085135744947434e-14,
+    -1.1085135771417214e-14
   ],
   "vertex_index": null,
-  "objective": 6.928203230275509,
-  "residual": 0.0,
-  "iterations": 0,
+  "objective": 6.9282032302755105,
+  "residual": 2.987057059400675e-14,
+  "iterations": 4,
   "pull_norms": [
     2.449489742783178,
     2.449489742783178,
@@ -286,29 +286,29 @@ REGULAR_VERIFY_JSON = """\
     2.449489742783178
   ],
   "angles_rad": {
-    "a102": 1.9106332362490186,
-    "a103": 1.9106332362490182,
-    "a104": 1.9106332362490182,
-    "a203": 1.9106332362490182,
-    "a204": 1.9106332362490182,
-    "a304": 1.9106332362490197
+    "a102": 1.9106332362490082,
+    "a103": 1.9106332362490082,
+    "a104": 1.9106332362490082,
+    "a203": 1.9106332362490288,
+    "a204": 1.9106332362490288,
+    "a304": 1.9106332362490293
   },
   "checks": {
     "opposite_angles": [
-      1.0547118733938987e-15,
-      0.0,
-      0.0
+      1.9872992140790302e-14,
+      1.942890293094024e-14,
+      1.942890293094024e-14
     ],
-    "cosine_sum": 7.771561172376096e-16,
+    "cosine_sum": 2.942091015256665e-14,
     "bisector_orthogonality": [
-      5.551115123125783e-16,
-      5.551115123125783e-16,
-      4.440892098500626e-16
+      9.936496070395151e-15,
+      9.992007221626409e-15,
+      9.992007221626409e-15
     ],
     "bisector_antiparallel": [
-      0.0,
       2.220446049250313e-16,
-      2.220446049250313e-16
+      0.0,
+      0.0
     ],
     "pass": true
   },
@@ -319,14 +319,14 @@ CUBE_3_0_VERIFY_JSON = """\
 {
   "kind": "interior",
   "point": [
-    0.32814237061988105,
-    0.21558993522548178,
-    0.645491454392096
+    0.32814237061729923,
+    0.21558993522603753,
+    0.6454914543937924
   ],
   "vertex_index": null,
   "objective": 1.1312520500028103,
-  "residual": 2.436147635462407e-11,
-  "iterations": 3,
+  "residual": 5.661048867003676e-16,
+  "iterations": 4,
   "pull_norms": [
     2.4500747810878756,
     2.7203485582220828,
@@ -334,28 +334,28 @@ CUBE_3_0_VERIFY_JSON = """\
     2.417106211934113
   ],
   "angles_rad": {
-    "a102": 2.837894611696426,
-    "a103": 2.0371774821021678,
-    "a104": 1.1550268268194608,
-    "a203": 1.1550268268446064,
-    "a204": 2.0371774821257302,
-    "a304": 2.837894611698057
+    "a102": 2.837894611697138,
+    "a103": 2.037177482116919,
+    "a104": 1.155026826829167,
+    "a203": 1.155026826829167,
+    "a204": 2.0371774821169195,
+    "a304": 2.837894611697138
   },
   "checks": {
     "opposite_angles": [
-      4.878319970202938e-13,
-      2.3003432492174625e-11,
-      2.1046053788609242e-11
+      0.0,
+      0.0,
+      3.885780586188048e-16
     ],
-    "cosine_sum": 2.2268520361024002e-11,
+    "cosine_sum": 2.220446049250313e-16,
     "bisector_orthogonality": [
-      7.348843755750067e-13,
-      7.347976394012079e-13,
-      7.348566199993911e-13
+      8.326672684688674e-17,
+      1.1449174941446927e-16,
+      0.0
     ],
     "bisector_antiparallel": [
+      2.220446049250313e-16,
       0.0,
-      1.1102230246251565e-16,
       2.220446049250313e-16
     ],
     "pass": true

@@ -160,6 +160,45 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             z = szz / sw
 
 
+def loop_vertex_ray_start(rows, k):
+    """Per-row loop version of ``vertex_ray_start``."""
+    vx, vy, vz = rows[k]
+    units, weights = [], []
+    for j, (x, y, z) in enumerate(rows):
+        if j == k:
+            continue
+        ex, ey, ez = x - vx, y - vy, z - vz
+        d = math.sqrt(ex * ex + ey * ey + ez * ez)
+        units.append((ex / d, ey / d, ez / d))
+        weights.append(1.0 / d)
+    rx = ry = rz = 0.0
+    for ux, uy, uz in units:
+        rx += ux
+        ry += uy
+        rz += uz
+    p = math.sqrt(rx * rx + ry * ry + rz * rz)
+    rx, ry, rz = rx / p, ry / p, rz / p
+    kappa = 0.0
+    for (ux, uy, uz), w in zip(units, weights):
+        c = ux * rx + uy * ry + uz * rz
+        kappa += (1.0 - c * c) * w
+    s = (p - 1.0) / kappa
+    return (vx + s * rx, vy + s * ry, vz + s * rz)
+
+
+def numpy_vertex_ray_start(rows, k):
+    """``v_k + (p - 1) / kappa * r`` from numpy's norms and products."""
+    v = np.asarray(rows)
+    legs = np.delete(v, k, axis=0) - v[k]
+    d = np.linalg.norm(legs, axis=1)
+    u = legs / d[:, None]
+    r = u.sum(axis=0)
+    p = np.linalg.norm(r)
+    r = r / p
+    kappa = np.sum((1.0 - (u @ r) ** 2) / d)
+    return v[k] + (p - 1.0) / kappa * r
+
+
 def corpus(n=40, seed=11):
     out = []
     for i in range(n):
@@ -281,6 +320,27 @@ class TestNewtonKernel:
         assert it <= 20
         assert np.allclose([x, y, z], 1.0 / 6.0, rtol=0, atol=1e-10)
         assert_monotone(RIGHT_CORNER, newton_iterates(RIGHT_CORNER, start, it))
+
+
+class TestVertexRayStart:
+    def test_right_corner_on_descent_ray(self):
+        # vertex 1's three unit legs are the axes: the ray is (1, 1, 1) /
+        # sqrt(3), p = sqrt(3), and each leg adds (1 - 1/3) / 1 to kappa
+        p, kappa = math.sqrt(3.0), 2.0
+        e = (p - 1.0) / kappa / math.sqrt(3.0)
+        start = kernels.vertex_ray_start(RIGHT_CORNER, 0)
+        assert start == pytest.approx((e, e, e), abs=1e-15)
+
+    def test_matches_loop_and_numpy_references(self):
+        for i in range(200):
+            t = random_tetrahedron(0, i)
+            for k in range(4):
+                start = kernels.vertex_ray_start(t.rows, k)
+                assert start == loop_vertex_ray_start(t.rows, k)
+                np.testing.assert_allclose(
+                    start, numpy_vertex_ray_start(t.rows, k),
+                    rtol=1e-12, atol=1e-13 * t.scale,
+                )
 
 
 class TestLoopReference:

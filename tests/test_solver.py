@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from tetrafermat import (
     solve,
 )
 from tetrafermat import kernels
+from tetrafermat.solver import VERTEX_EPS
 from tetrafermat.sampling import (
     known_answer_tetrahedron,
     random_rotation,
@@ -77,15 +79,15 @@ def known_answers():
 PINNED_ANSWERS = {
     (0, 0): (
         [0.595778886951985, 0.704120171041813, 0.4798452273594672],
-        6, 8.010741897413915e-16, 2.0156809208955027, (),
+        4, 8.010741897413915e-16, 2.0156809208955027, (),
     ),
     (0, 4): (
         [0.6576918978221656, 0.6090183653943739, 0.350585465410414],
         0, 0.6215612401377341, 1.242026633297601, (),
     ),
     (4, 846): (
-        [0.5433190521563714, 0.6994661234485456, 0.04520649672677417],
-        11, 5.185529022222876e-13, 1.6069105489944864, (),
+        [0.5433190521563714, 0.6994661234485456, 0.04520649672677419],
+        2, 6.91665732171892e-13, 1.6069105489944866, (),
     ),
 }
 
@@ -266,20 +268,62 @@ class TestSolve:
 
     @pytest.mark.parametrize("seed,index", NEAR_VERTEX_INTERIOR)
     def test_near_vertex_iteration_count(self, seed, index):
-        # a rejected full Newton step is retried at the nearest vertex's
-        # distance; halving from the full length takes up to 28 iterations
-        # on these inputs
-        assert solve(random_tetrahedron(seed, index)).iterations <= 16
+        # one radial Newton step off the smallest-pull vertex lands next to
+        # these minimizers, and Newton takes 2 or 3 steps from there
+        assert solve(random_tetrahedron(seed, index)).iterations <= 4
 
-    def test_converges_through_weiszfeld_fallback(self):
-        # at 1e-102 x the unit cube the Hessian's determinant overflows to
-        # inf - inf = NaN, so every one of the 110 iterations is a
-        # reweighted-average (Weiszfeld) fallback step
+    def test_converges_at_tiny_scale(self):
+        # at 1e-102 x the unit cube the Hessian's determinant, cubic in the
+        # weights 1 / d_i, overflows to inf - inf = NaN in input units;
+        # solve iterates in units near the scale, where Newton steps run
         t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
         sol = solve(t)
         assert sol.kind == "interior"
         assert sol.residual <= 1e-10
-        assert sol.iterations == 110
+        assert sol.iterations <= 8
+        unit = solve(random_tetrahedron(0, 2)).point * 1e-102
+        assert np.linalg.norm(sol.point - unit) <= 1e-9 * t.scale
+
+    @pytest.mark.parametrize("j", [-500, -300, -1, 1, 300, 500])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # solve iterates on the rows times a power of two picked from the
+        # scale alone, so scaling the input by 2**j scales the answer
+        # exactly and leaves residual and iteration count as they were
+        f = 2.0**j
+        for i in range(200):
+            t = random_tetrahedron(0, i)
+            sol = solve(t)
+            expected = dataclasses.replace(
+                sol, point=sol.point * f,
+                objective_value=sol.objective_value * f,
+            )
+            assert solve(Tetrahedron(t.vertices * f)) == expected
+
+    def test_scaled_units_iterate_as_input_units(self):
+        # the power of two makes the scaling exact: the same start and the
+        # same Newton run on the input rows give the same answer bit for
+        # bit, which a factor such as 1 / scale would not
+        cfg = SolverConfig()
+        for i in range(200):
+            t = random_tetrahedron(0, i)
+            cls = classify(t)
+            if cls.kind == "vertex":
+                continue
+            pulls = cls.pull_norms
+            start = kernels.vertex_ray_start(t.rows, pulls.index(min(pulls)))
+            eps = VERTEX_EPS * t.scale
+            x, y, z, value, res, it, _ = kernels.newton(
+                t.rows, *start, cfg.grad_tol, cfg.max_iter, eps, 10.0 * eps,
+            )
+            sol = solve(t)
+            assert (sol.point.tolist(), sol.objective_value, sol.residual,
+                    sol.iterations) == ([x, y, z], value, res, it)
+
+    @pytest.mark.parametrize("e", [-150, -102, -50, 50, 100, 150])
+    def test_extreme_scales_converge(self, e):
+        # a solve whose budget runs out raises NonConvergence
+        for i in range(100):
+            solve(Tetrahedron(random_tetrahedron(0, i).vertices * 10.0**e))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
