@@ -23,7 +23,6 @@ from .formula import (
     SixthAngleResult,
     config_from_five_angles,
     ft_substitution_residual,
-    radical_factor,
     resolve_branch,
     sixth_angle,
 )
@@ -37,15 +36,12 @@ from .properties import (
     AngleSextuple,
     PropertyReport,
     angle_sextuple,
-    check_cosine_sum,
-    check_opposite_angles,
     verify_fundamental_property,
 )
 from .solver import (
     Classification,
     FermatSolution,
     SolverConfig,
-    balancing_residual,
     classify,
     hull_points,
     objective,
@@ -71,14 +67,11 @@ __all__ = [
     "PropertyReport",
     "SixthAngleResult",
     "SolverConfig",
-    "Tetrahedron",
     "TetrafermatError",
+    "Tetrahedron",
     "UnrealizableTriple",
     "angle_sextuple",
-    "balancing_residual",
     "canonical_frame",
-    "check_cosine_sum",
-    "check_opposite_angles",
     "classify",
     "config_from_five_angles",
     "direction_config",
@@ -86,7 +79,6 @@ __all__ = [
     "hull_points",
     "objective",
     "oracle_solve",
-    "radical_factor",
     "resolve_branch",
     "sixth_angle",
     "solve",

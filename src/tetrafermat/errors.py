@@ -26,8 +26,9 @@ class ClassificationConflict(TetrafermatError):
 
 
 class NonConvergence(TetrafermatError):
-    """Iteration budget exhausted before the balancing residual dropped
-    below tolerance.  Carries the best iterate found."""
+    """The balancing residual did not drop below tolerance: budget
+    exhausted, or a Newton step found no trial point that does not raise
+    the objective.  Carries the iterate the iteration stopped at."""
 
     def __init__(self, point, residual: float, iterations: int):
         self.point = point

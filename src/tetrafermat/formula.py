@@ -97,22 +97,14 @@ class SixthAngleResult:
 
 def _radical(c2a: float, c2b: float, c2c: float,
              ca: float, cb: float, cc: float) -> float:
-    """``radical_factor`` from the cosines of the three angles and of their
-    doubles."""
-    return 1.0 + c2a + c2b + c2c - 4.0 * ca * cb * cc
-
-
-def radical_factor(a102: float, a10i: float, a20i: float) -> float:
-    """One factor under the radical:
+    """One factor under the radical, from the cosines of three angles
+    a102, a10i, a20i and of their doubles:
     1 + cos 2*a102 + cos 2*a10i + cos 2*a20i - 4 cos a102 cos a10i cos a20i.
 
     Equals -2 times the Gram determinant of the three unit legs, so it is
     non-positive exactly when the angle triple is realizable.
     """
-    return _radical(
-        math.cos(2.0 * a102), math.cos(2.0 * a10i), math.cos(2.0 * a20i),
-        math.cos(a102), math.cos(a10i), math.cos(a20i),
-    )
+    return 1.0 + c2a + c2b + c2c - 4.0 * ca * cb * cc
 
 
 def sixth_angle(fa: FiveAngles) -> SixthAngleResult:

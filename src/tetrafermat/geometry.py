@@ -161,34 +161,6 @@ class Tetrahedron:
             raise ValueError(f"vertex label must be 1..4, got {i}")
         return self.vertices[i - 1]
 
-    def barycentric(self, point) -> np.ndarray:
-        """Barycentric coordinates of a point with respect to the vertices."""
-        p = as_point(point)
-        v = self.vertices
-        m = np.vstack([v.T, np.ones(4)])
-        rhs = np.concatenate([p, [1.0]])
-        return np.linalg.solve(m, rhs)
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        """True when the point lies inside the hull (tol relaxes the faces).
-
-        The barycentric coordinates are signed-volume ratios: coordinate i
-        is the determinant with vertex i replaced by the point, over the
-        tetrahedron's own determinant.
-        """
-        p = as_point(point).tolist()
-        a, b, c, d = self._rows
-        whole = _det4(a, b, c, d)
-        return all(
-            w / whole >= -tol
-            for w in (
-                _det4(p, b, c, d),
-                _det4(a, p, c, d),
-                _det4(a, b, p, d),
-                _det4(a, b, c, p),
-            )
-        )
-
 
 def _det4(a, b, c, d) -> float:
     """Signed volume, times 6, of the tetrahedron on four (x, y, z) rows."""

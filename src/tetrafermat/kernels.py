@@ -1,7 +1,8 @@
 """Scalar kernels: distance sums, resultants of unit vectors, the
 safeguarded Newton iteration for the four-point distance minimizer and its
 start off a vertex, and a simplex minimizer specialized to the same
-objective.
+objective.  ``newton`` has one step path: a Newton step that finds no
+trial point it can accept ends the iteration.
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
 floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
@@ -28,8 +29,7 @@ MAXITER = 1
 #: relative amount, so steps that change it only at rounding level are kept
 ACCEPT_SLACK = 1e-15
 #: shortened Newton steps tried after a rejected full step (the retry at the
-#: nearest vertex's distance, then halvings) before falling back to the
-#: reweighted-average point
+#: nearest vertex's distance, then halvings) before the iteration gives up
 MAX_HALVINGS = 30
 
 
@@ -191,23 +191,23 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     ``v_i``, so a rejected full step ``s`` is retried at length ``dmin``,
     the distance to the nearest row (step fraction ``dmin / |s|``, when
     that is below 0.5, else 0.5), and then halved; ``MAX_HALVINGS``
-    shortened trials are made in all.  When no trial point passes, the
-    iterate moves to the reweighted-average (Weiszfeld) point
-    ``sum(v_i / d_i) / sum(1 / d_i)``, a descent step in exact arithmetic.
-    The same point is taken when ``det H`` is not positive: zero or
-    negative after rounding, or NaN when the distances are so small (about
-    1e-103 and below) that the determinant, cubic in the weights
-    ``1 / d_i``, sums terms that overflow to ``inf - inf``.
-    This is the quadratically convergent scheme of Overton (Math.
-    Programming 27, 1983), which keeps its guarantees with any sequence of
-    trial steps that ends in the same acceptance test.
+    shortened trials are made in all.  When no trial point passes, or when
+    ``det H`` is not positive (zero or negative after rounding, or NaN when
+    the distances are so small, about 1e-103 and below, that the
+    determinant, cubic in the weights ``1 / d_i``, sums terms that overflow
+    to ``inf - inf``), the iteration stops with MAXITER at the iterate it
+    stands at; that step counts as an iteration, and ``solver.solve``
+    raises NonConvergence on it.  This is the quadratically convergent
+    scheme of Overton (Math. Programming 27, 1983), which keeps its
+    guarantees with any sequence of trial steps that ends in the same
+    acceptance test.
 
     An iterate within ``vertex_eps`` of a row is a singular point of the
     iteration; it restarts ``escape_step`` off the row along the resultant
     of the other three legs there, the negated pull (the descent ray,
     nonzero by the precondition).  ``vertex_eps`` and ``escape_step`` are
-    lengths in the units of ``rows``.  Each Newton step, fallback step and
-    escape counts as one iteration.
+    lengths in the units of ``rows``.  Each Newton step and escape counts
+    as one iteration.
 
     The four legs, distances, gradient and Hessian are straight-line code
     on the twelve row coordinates, bound once.  The distances an accepted
@@ -216,15 +216,15 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     per-row loop that accumulates from 0.0.  The distance, gradient and
     diagonal Hessian sums start from their first term instead, which
     cannot change them, as none of their terms is -0.0; the off-diagonal
-    Hessian terms (``0.0 - a - b - c - d``) and the Weiszfeld coordinates
-    (``0.0 + ...``) keep the 0.0, as a -0.0 term can occur there.
+    Hessian terms (``0.0 - a - b - c - d``) keep the 0.0, as a -0.0 term
+    can occur there.
 
     Returns ``(x, y, z, value, residual, iterations, status)``, where
     ``value`` is the distance sum at (x, y, z), bit-identical to
     ``distance_sum`` there (the same squares, summed left to right),
     ``residual`` is the balancing residual (the norm of ``g``) at (x, y, z)
     and status is CONVERGED (residual <= ``grad_tol``) or MAXITER
-    (``max_iter`` iterations ran out).
+    (``max_iter`` iterations ran out, or a step found no trial point).
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x, y, z = float(sx), float(sy), float(sz)
@@ -297,47 +297,46 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
         c01 = hxz * hyz - hxy * hzz
         c02 = hxy * hyz - hxz * hyy
         det = hxx * c00 + hxy * c01 + hxz * c02
-        if det > 0.0:
-            c11 = hxx * hzz - hxz * hxz
-            c12 = hxy * hxz - hxx * hyz
-            c22 = hxx * hyy - hxy * hxy
-            px = (c00 * gx + c01 * gy + c02 * gz) / det
-            py = (c01 * gx + c11 * gy + c12 * gz) / det
-            pz = (c02 * gx + c12 * gy + c22 * gz) / det
-            fmax = f * (1.0 + ACCEPT_SLACK)
-            t = 1.0
-            for k in range(MAX_HALVINGS + 1):
-                nx = x + t * px
-                ny = y + t * py
-                nz = z + t * pz
-                tx, ty, tz = nx - ax, ny - ay, nz - az
-                n0 = sqrt(tx * tx + ty * ty + tz * tz)
-                tx, ty, tz = nx - bx, ny - by, nz - bz
-                n1 = sqrt(tx * tx + ty * ty + tz * tz)
-                tx, ty, tz = nx - cx, ny - cy, nz - cz
-                n2 = sqrt(tx * tx + ty * ty + tz * tz)
-                tx, ty, tz = nx - dx, ny - dy, nz - dz
-                n3 = sqrt(tx * tx + ty * ty + tz * tz)
-                fn = n0 + n1 + n2 + n3
-                if fn <= fmax:
-                    x, y, z = nx, ny, nz
-                    d0, d1, d2, d3, f = n0, n1, n2, n3, fn
-                    carried = True
-                    break
-                if k == 0:
-                    # the quadratic model of a leg holds only within about
-                    # its length, so retry at the nearest vertex's distance
-                    t = dmin / sqrt(px * px + py * py + pz * pz)
-                    if t >= 0.5:
-                        t = 0.5
-                else:
-                    t *= 0.5
-        if not carried:
-            # the reweighted-average (Weiszfeld) point
-            sw = w0 + w1 + w2 + w3
-            x = (0.0 + ax * w0 + bx * w1 + cx * w2 + dx * w3) / sw
-            y = (0.0 + ay * w0 + by * w1 + cy * w2 + dy * w3) / sw
-            z = (0.0 + az * w0 + bz * w1 + cz * w2 + dz * w3) / sw
+        if not det > 0.0:
+            # zero or negative after rounding, or NaN: no Newton step
+            return (x, y, z, f, res, it, MAXITER)
+        c11 = hxx * hzz - hxz * hxz
+        c12 = hxy * hxz - hxx * hyz
+        c22 = hxx * hyy - hxy * hxy
+        px = (c00 * gx + c01 * gy + c02 * gz) / det
+        py = (c01 * gx + c11 * gy + c12 * gz) / det
+        pz = (c02 * gx + c12 * gy + c22 * gz) / det
+        fmax = f * (1.0 + ACCEPT_SLACK)
+        t = 1.0
+        for k in range(MAX_HALVINGS + 1):
+            nx = x + t * px
+            ny = y + t * py
+            nz = z + t * pz
+            tx, ty, tz = nx - ax, ny - ay, nz - az
+            n0 = sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = nx - bx, ny - by, nz - bz
+            n1 = sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = nx - cx, ny - cy, nz - cz
+            n2 = sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = nx - dx, ny - dy, nz - dz
+            n3 = sqrt(tx * tx + ty * ty + tz * tz)
+            fn = n0 + n1 + n2 + n3
+            if fn <= fmax:
+                x, y, z = nx, ny, nz
+                d0, d1, d2, d3, f = n0, n1, n2, n3, fn
+                carried = True
+                break
+            if k == 0:
+                # the quadratic model of a leg holds only within about its
+                # length, so retry at the nearest vertex's distance
+                t = dmin / sqrt(px * px + py * py + pz * pz)
+                if t >= 0.5:
+                    t = 0.5
+            else:
+                t *= 0.5
+        else:
+            # no trial point passes: the step makes no progress
+            return (x, y, z, f, res, it, MAXITER)
 
 
 def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):

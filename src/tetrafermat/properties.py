@@ -88,17 +88,6 @@ def _angle_residuals(s: AngleSextuple):
     return opposite, abs(1.0 + c102 + c103 + c104)
 
 
-def check_opposite_angles(s: AngleSextuple):
-    """Residuals |cos a102 - cos a304|, |cos a203 - cos a104|,
-    |cos a103 - cos a204|."""
-    return _angle_residuals(s)[0]
-
-
-def check_cosine_sum(s: AngleSextuple) -> float:
-    """Residual |1 + cos a102 + cos a103 + cos a104|."""
-    return _angle_residuals(s)[1]
-
-
 def verify_fundamental_property(
     config: DirectionConfig, tol: float = DEFAULT_TOL
 ) -> PropertyReport:

@@ -105,13 +105,6 @@ def objective(tetra: Tetrahedron, point) -> float:
     return float(kernels.distance_sum(tetra.rows, p[0], p[1], p[2]))
 
 
-def balancing_residual(tetra: Tetrahedron, point) -> float:
-    """Norm of the summed unit vectors from a non-vertex point toward the
-    four vertices; zero exactly at an interior minimizer."""
-    p = as_point(point)
-    return float(kernels.resultant_norm(tetra.rows, p[0], p[1], p[2]))
-
-
 def classify(tetra: Tetrahedron) -> Classification:
     """Split into the interior case and the vertex case.
 
@@ -155,15 +148,14 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     Hessian ``H = sum (I - u_i u_i^T) / d_i``.  The full step is tried
     first; when it raises the objective beyond rounding, it is retried at
     the distance to the nearest vertex (where the quadratic model stops
-    holding) and then halved until the objective does not rise; when no
-    trial passes, or ``det H`` is not positive (NaN included), the
-    reweighted-average (Weiszfeld) point is taken instead.  Iterates within
-    ``VERTEX_EPS * scale`` of a vertex are moved off it along the descent
-    ray.  ``iterations`` counts Newton steps, Weiszfeld fallback steps and
-    vertex escapes alike.  An interior solution carries no flags: the
-    minimizer it converged to has balanced unit legs, so it lies inside the
-    hull, and no hull test is made.  Raises NonConvergence when the
-    iteration budget runs out.
+    holding) and then halved until the objective does not rise.  Iterates
+    within ``VERTEX_EPS * scale`` of a vertex are moved off it along the
+    descent ray.  ``iterations`` counts Newton steps and vertex escapes
+    alike.  An interior solution carries no flags: the minimizer it
+    converged to has balanced unit legs, so it lies inside the hull, and no
+    hull test is made.  Raises NonConvergence when the iteration budget
+    runs out, and at once when a Newton step finds no trial point that does
+    not raise the objective, or ``det H`` is not positive (NaN included).
     """
     cls = classify(tetra)
     if cls.kind == VERTEX:

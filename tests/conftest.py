@@ -8,6 +8,13 @@ from tetrafermat import Tetrahedron
 ARCCOS_THIRD = math.acos(-1.0 / 3.0)
 
 
+def hull_weights(tetra: Tetrahedron, point) -> np.ndarray:
+    """Barycentric coordinates of a point with respect to the vertices; all
+    non-negative exactly when the point lies in the hull."""
+    m = np.vstack([tetra.vertices.T, np.ones(4)])
+    return np.linalg.solve(m, np.append(np.asarray(point, dtype=float), 1.0))
+
+
 @pytest.fixture
 def regular_tetra() -> Tetrahedron:
     return Tetrahedron(

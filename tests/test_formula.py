@@ -15,12 +15,11 @@ from tetrafermat import (
     config_from_five_angles,
     direction_config,
     ft_substitution_residual,
-    radical_factor,
     resolve_branch,
     sixth_angle,
     solve,
 )
-from tetrafermat.formula import MIN_BASE_SIN
+from tetrafermat.formula import MIN_BASE_SIN, _radical
 from tetrafermat.sampling import (
     balanced_quadruple,
     canonical_config,
@@ -39,6 +38,14 @@ def five(*values) -> FiveAngles:
 def measured_five(config) -> FiveAngles:
     s = angle_sextuple(config)
     return FiveAngles(s.a102, s.a103, s.a104, s.a203, s.a204)
+
+
+def radical_factor(a102, a10i, a20i) -> float:
+    """``sixth_angle``'s factor under the radical for one angle triple."""
+    return _radical(
+        math.cos(2.0 * a102), math.cos(2.0 * a10i), math.cos(2.0 * a20i),
+        math.cos(a102), math.cos(a10i), math.cos(a20i),
+    )
 
 
 class TestSixthAngle:

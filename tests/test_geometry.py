@@ -101,33 +101,6 @@ class TestTetrahedron:
         a = 2.0 * math.sqrt(2.0)
         assert regular_tetra.scale == pytest.approx(a, abs=1e-14)
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-3])
-    def test_contains_matches_barycentric(self, tol):
-        # points spread over and around the hull, half of them within a
-        # few 1e-3 of its faces
-        inside = outside = 0
-        for i in range(20):
-            t = random_tetrahedron(0, i)
-            rng = np.random.default_rng(i)
-            w = rng.dirichlet(np.ones(4), size=200)
-            spread = np.where(np.arange(200) < 100, 0.1, 2e-3)[:, None]
-            w = w * (1.0 + 4.0 * spread) - spread
-            for p in w @ t.vertices:
-                low = t.barycentric(p).min()
-                if abs(low + tol) <= 1e-12:
-                    continue
-                expected = bool(low >= -tol)
-                assert t.contains(p, tol=tol) == expected
-                inside += expected
-                outside += not expected
-        assert inside > 1000 and outside > 1000
-
-    def test_contains_and_barycentric(self, regular_tetra):
-        assert regular_tetra.contains((0, 0, 0))
-        assert not regular_tetra.contains((2, 2, 2))
-        b = regular_tetra.barycentric(regular_tetra.centroid())
-        assert np.allclose(b, 0.25, atol=1e-12)
-
     def test_vertex_label_bounds(self, regular_tetra):
         assert np.array_equal(regular_tetra.vertex(1), regular_tetra.vertices[0])
         with pytest.raises(ValueError):

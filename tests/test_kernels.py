@@ -123,41 +123,31 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
         c01 = hxz * hyz - hxy * hzz
         c02 = hxy * hyz - hxz * hyy
         det = hxx * c00 + hxy * c01 + hxz * c02
-        stepped = False
-        if det > 0.0:
-            c11 = hxx * hzz - hxz * hxz
-            c12 = hxy * hxz - hxx * hyz
-            c22 = hxx * hyy - hxy * hxy
-            px = (c00 * gx + c01 * gy + c02 * gz) / det
-            py = (c01 * gx + c11 * gy + c12 * gz) / det
-            pz = (c02 * gx + c12 * gy + c22 * gz) / det
-            fmax = f * (1.0 + kernels.ACCEPT_SLACK)
-            t = 1.0
-            for k in range(kernels.MAX_HALVINGS + 1):
-                nx = x + t * px
-                ny = y + t * py
-                nz = z + t * pz
-                if loop_distance_sum(rows, nx, ny, nz) <= fmax:
-                    x, y, z = nx, ny, nz
-                    stepped = True
-                    break
-                if k == 0:
-                    t = dmin / math.sqrt(px * px + py * py + pz * pz)
-                    if t >= 0.5:
-                        t = 0.5
-                else:
-                    t *= 0.5
-        if not stepped:
-            sxx = syy = szz = sw = 0.0
-            for i, (vx, vy, vz) in enumerate(rows):
-                w = 1.0 / dists[i]
-                sxx += vx * w
-                syy += vy * w
-                szz += vz * w
-                sw += w
-            x = sxx / sw
-            y = syy / sw
-            z = szz / sw
+        if not det > 0.0:
+            return (x, y, z, f, res, it, kernels.MAXITER)
+        c11 = hxx * hzz - hxz * hxz
+        c12 = hxy * hxz - hxx * hyz
+        c22 = hxx * hyy - hxy * hxy
+        px = (c00 * gx + c01 * gy + c02 * gz) / det
+        py = (c01 * gx + c11 * gy + c12 * gz) / det
+        pz = (c02 * gx + c12 * gy + c22 * gz) / det
+        fmax = f * (1.0 + kernels.ACCEPT_SLACK)
+        t = 1.0
+        for k in range(kernels.MAX_HALVINGS + 1):
+            nx = x + t * px
+            ny = y + t * py
+            nz = z + t * pz
+            if loop_distance_sum(rows, nx, ny, nz) <= fmax:
+                x, y, z = nx, ny, nz
+                break
+            if k == 0:
+                t = dmin / math.sqrt(px * px + py * py + pz * pz)
+                if t >= 0.5:
+                    t = 0.5
+            else:
+                t *= 0.5
+        else:
+            return (x, y, z, f, res, it, kernels.MAXITER)
 
 
 def loop_vertex_ray_start(rows, k):
@@ -221,13 +211,6 @@ def newton_iterates(v, start, count):
     return out
 
 
-def weiszfeld_point(v, p):
-    """Reweighted average of the rows, weights 1 / distance to p."""
-    v = np.asarray(v)
-    w = 1.0 / np.linalg.norm(v - np.asarray(p), axis=1)
-    return (w[:, None] * v).sum(axis=0) / w.sum()
-
-
 def assert_monotone(v, iterates):
     """The objective never rises along the iterates by more than the
     rounding slack the step acceptance test allows."""
@@ -285,23 +268,31 @@ class TestNewtonKernel:
         assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
         assert res > 0
 
-    def test_weiszfeld_fallback_when_hessian_is_singular(self):
+    def test_singular_hessian_stops_at_start(self):
         # Far from the hull the four unit legs are nearly parallel, so H is
         # nearly singular along them; at 1e10 its determinant rounds to a
-        # value <= 0, no Newton step is tried, and the first iterate must be
-        # the reweighted-average point.
+        # value <= 0, no Newton step can be taken, and the iteration stops
+        # where it stands, whatever the budget.
         start = (1e10, 0.0, 0.0)
-        x, y, z, _, _, it, status = kernels.newton(
-            RIGHT_CORNER, *start, 1e-10, 1, 1e-12, 1e-11
+        x, y, z, f, res, it, status = kernels.newton(
+            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11
         )
         assert status == kernels.MAXITER
         assert it == 1
-        assert np.allclose(
-            [x, y, z], weiszfeld_point(RIGHT_CORNER, start), rtol=0, atol=1e-12
-        )
-        iterates = newton_iterates(RIGHT_CORNER, start, 60)
-        assert_monotone(RIGHT_CORNER, iterates)
-        assert np.allclose(iterates[-1], 1.0 / 6.0, rtol=0, atol=1e-12)
+        assert (x, y, z) == start
+        assert f == kernels.distance_sum(RIGHT_CORNER, *start)
+        assert res == kernels.resultant_norm(RIGHT_CORNER, *start)
+
+    def test_no_passing_trial_stops_at_start(self, monkeypatch):
+        # with a negative slack no trial point passes the acceptance test:
+        # the first step ends the iteration at its start, as in the loop
+        monkeypatch.setattr(kernels, "ACCEPT_SLACK", -1.0)
+        start = kernels.vertex_ray_start(RIGHT_CORNER, 0)
+        args = (RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11)
+        out = kernels.newton(*args)
+        assert out == loop_newton(*args)
+        assert out[:3] == start
+        assert out[5:] == (1, kernels.MAXITER)
 
     @pytest.mark.parametrize(
         "start",
@@ -380,12 +371,11 @@ class TestLoopReference:
                 self.assert_newton_matches(v, start, 10000)
 
     def test_newton_singular_hessian_start(self):
-        # det H rounds to <= 0 at the first iterate: the Weiszfeld fallback
+        # det H is not positive at the first iterate, so the iteration stops
+        # there: it rounds to <= 0 far off the right corner, and is NaN
+        # (inf - inf) at the centroid of 1e-102 x the unit cube, unscaled
         for budget in (1, 2, 10000):
             self.assert_newton_matches(RIGHT_CORNER, (1e10, 0.0, 0.0), budget)
-
-    def test_newton_nan_determinant_tiny_scale(self):
-        # det H is NaN (inf - inf) at 1e-102 x the unit cube: the fallback
         t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
         c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*t.rows))
         self.assert_newton_matches(t.rows, c, 10000, t.scale)

@@ -9,12 +9,11 @@ from tetrafermat import (
     AngleSextuple,
     angle_sextuple,
     canonical_frame,
-    check_cosine_sum,
-    check_opposite_angles,
     direction_config,
     solve,
     verify_fundamental_property,
 )
+from tetrafermat.properties import _angle_residuals
 from tetrafermat.sampling import (
     balanced_quadruple,
     canonical_config,
@@ -52,18 +51,19 @@ class TestAngleSextuple:
         assert sol.kind == "interior"
         s = angle_sextuple(direction_config(t, sol.point))
         assert all(0.0 < a < math.pi for a in s.as_tuple())
-        assert max(check_opposite_angles(s)) <= 1e-6
-        assert check_cosine_sum(s) <= 1e-6
+        opposite, cosine_sum = _angle_residuals(s)
+        assert max(opposite) <= 1e-6
+        assert cosine_sum <= 1e-6
 
 
 class TestChecks:
     def test_opposite_angles_zero_for_regular(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 6)
-        assert check_opposite_angles(s) == (0.0, 0.0, 0.0)
+        assert _angle_residuals(s)[0] == (0.0, 0.0, 0.0)
 
     def test_opposite_angles_detects_perturbation(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 5, ARCCOS_THIRD + 0.1)
-        res = check_opposite_angles(s)
+        res = _angle_residuals(s)[0]
         expected = abs(math.cos(ARCCOS_THIRD) - math.cos(ARCCOS_THIRD + 0.1))
         assert res[0] == pytest.approx(expected, abs=1e-15)
         assert res[0] > 0
@@ -71,11 +71,11 @@ class TestChecks:
 
     def test_cosine_sum_regular(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 6)
-        assert check_cosine_sum(s) <= 1e-15
+        assert _angle_residuals(s)[1] <= 1e-15
 
     def test_cosine_sum_right_angles(self):
         s = AngleSextuple(*(math.pi / 2,) * 6)
-        assert check_cosine_sum(s) == pytest.approx(1.0, abs=1e-15)
+        assert _angle_residuals(s)[1] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBisectors:

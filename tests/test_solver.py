@@ -8,7 +8,6 @@ from tetrafermat import (
     NonConvergence,
     SolverConfig,
     Tetrahedron,
-    balancing_residual,
     classify,
     hull_points,
     objective,
@@ -23,13 +22,15 @@ from tetrafermat.sampling import (
     random_tetrahedron,
 )
 
+from conftest import hull_weights
+
 RIGHT_CORNER_POINT = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 RIGHT_CORNER_OBJECTIVE = 5.0 * math.sqrt(3.0) / 3.0
 
 #: unit-cube inputs (seed, index) whose minimizer lies just inside the hull
-#: next to a vertex (|pull - 1| between 4e-5 and 1.3e-3); the reweighted
-#: average (Weiszfeld) iteration converges only linearly there and used up
-#: the default 10 000-iteration budget on each of them
+#: next to a vertex (|pull - 1| between 4e-5 and 1.3e-3): Newton from the
+#: centroid takes many shortened steps toward them, and ``solve``'s start one
+#: radial step off the smallest-pull vertex lands next to them
 NEAR_VERTEX_INTERIOR = [
     (4, 846),
     (4, 885),
@@ -71,6 +72,14 @@ def known_answers():
         t, p = known_answer_tetrahedron(0, i)
         out.append((t, p, float(np.linalg.norm(t.vertices[0] - p)) / t.scale))
     return out
+
+
+def solve_start(t):
+    """``solve``'s Newton start in input units: one radial step off the
+    first vertex with the smallest pull norm.  ``solve`` takes it on the
+    rows times a power of two, which moves it exactly."""
+    pulls = classify(t).pull_norms
+    return kernels.vertex_ray_start(t.rows, pulls.index(min(pulls)))
 
 
 #: ``solve`` answers recorded as (point, iterations, residual,
@@ -243,19 +252,28 @@ class TestSolve:
 
     def test_interior_point_is_inside_hull(self, right_corner):
         sol = solve(right_corner)
-        assert right_corner.contains(sol.point)
+        assert hull_weights(right_corner, sol.point).min() >= 0.0
         assert not sol.flags
 
     def test_balancing_certificate(self, needle_tetra):
         sol = solve(needle_tetra)
-        assert balancing_residual(needle_tetra, sol.point) <= 1e-10
+        assert kernels.resultant_norm(needle_tetra.rows, *sol.point) <= 1e-10
 
     def test_nonconvergence_carries_best_iterate(self, right_corner):
         with pytest.raises(NonConvergence) as info:
             solve(right_corner, SolverConfig(max_iter=1))
         assert info.value.iterations == 1
         assert info.value.residual > 0
-        assert right_corner.contains(info.value.point)
+        assert hull_weights(right_corner, info.value.point).min() >= 0.0
+
+    def test_nonconvergence_when_no_trial_passes(self, right_corner, monkeypatch):
+        # a Newton step that finds no trial point ends the solve at once,
+        # with the budget left unspent
+        monkeypatch.setattr(kernels, "ACCEPT_SLACK", -1.0)
+        with pytest.raises(NonConvergence) as info:
+            solve(right_corner)
+        assert info.value.iterations == 1
+        assert info.value.point.tolist() == list(solve_start(right_corner))
 
     @pytest.mark.parametrize("seed,index", NEAR_VERTEX_INTERIOR)
     def test_converges_next_to_a_vertex(self, seed, index):
@@ -263,7 +281,7 @@ class TestSolve:
         sol = solve(t)
         assert sol.kind == "interior"
         assert sol.residual <= SolverConfig().grad_tol
-        assert balancing_residual(t, sol.point) <= 1e-10
+        assert kernels.resultant_norm(t.rows, *sol.point) <= 1e-10
         assert min(abs(p - 1.0) for p in classify(t).pull_norms) < 2e-3
 
     @pytest.mark.parametrize("seed,index", NEAR_VERTEX_INTERIOR)
@@ -306,11 +324,9 @@ class TestSolve:
         cfg = SolverConfig()
         for i in range(200):
             t = random_tetrahedron(0, i)
-            cls = classify(t)
-            if cls.kind == "vertex":
+            if classify(t).kind == "vertex":
                 continue
-            pulls = cls.pull_norms
-            start = kernels.vertex_ray_start(t.rows, pulls.index(min(pulls)))
+            start = solve_start(t)
             eps = VERTEX_EPS * t.scale
             x, y, z, value, res, it, _ = kernels.newton(
                 t.rows, *start, cfg.grad_tol, cfg.max_iter, eps, 10.0 * eps,
@@ -335,8 +351,9 @@ class TestSolve:
 
     def test_monotone_objective_along_iteration(self, right_corner):
         # the objective after k iterations never exceeds that after k - 1
-        # by more than the step acceptance slack
-        prev = objective(right_corner, right_corner.centroid())
+        # by more than the step acceptance slack, starting from solve's own
+        # start
+        prev = objective(right_corner, solve_start(right_corner))
         for k in range(1, 100):
             try:
                 point = solve(right_corner, SolverConfig(max_iter=k)).point
