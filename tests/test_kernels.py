@@ -371,11 +371,14 @@ class TestLoopReference:
                 self.assert_newton_matches(v, start, 10000)
 
     def test_newton_singular_hessian_start(self):
-        # det H is not positive at the first iterate, so the iteration stops
-        # there: it rounds to <= 0 far off the right corner, and is NaN
-        # (inf - inf) at the centroid of 1e-102 x the unit cube, unscaled
+        # det H rounds to <= 0 far off the right corner: the iteration stops
+        # at the first iterate
         for budget in (1, 2, 10000):
             self.assert_newton_matches(RIGHT_CORNER, (1e10, 0.0, 0.0), budget)
+
+    def test_newton_nan_determinant_tiny_scale(self):
+        # det H is NaN (inf - inf) at the centroid of 1e-102 x the unit cube,
+        # unscaled: NaN is not positive, so the iteration stops there too
         t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
         c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*t.rows))
         self.assert_newton_matches(t.rows, c, 10000, t.scale)
