@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateBaseAngle, InfeasiblePair, UnrealizableTriple
-from .geometry import DirectionConfig, _config_from_canonical_rows, _triple
+from .geometry import DirectionConfig, _triple
 
 #: a positive radical factor beyond this margin means an unrealizable triple
 GRAM_TOL = 1e-9
@@ -197,19 +195,15 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
         )
     z3 = math.sqrt(max(z3sq, 0.0))
     z4 = branch * math.sqrt(max(z4sq, 0.0))
-    rows = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [math.cos(fa.a102), s, 0.0],
-            [x3, y3, z3],
-            [x4, y4, z4],
-        ]
-    )
     # clamped roots can leave a row marginally short of unit length
-    rows[2] /= np.linalg.norm(rows[2])
-    rows[3] /= np.linalg.norm(rows[3])
-    _, r2, r3, r4 = rows.tolist()
-    return _config_from_canonical_rows(r2, r3, r4)
+    n3 = math.sqrt(x3 * x3 + y3 * y3 + z3 * z3)
+    n4 = math.sqrt(x4 * x4 + y4 * y4 + z4 * z4)
+    return DirectionConfig((
+        (1.0, 0.0, 0.0),
+        (math.cos(fa.a102), s, 0.0),
+        (x3 / n3, y3 / n3, z3 / n3),
+        (x4 / n4, y4 / n4, z4 / n4),
+    ))
 
 
 def ft_substitution_residual(a102: float, a203: float) -> float:

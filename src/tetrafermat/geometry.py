@@ -5,11 +5,12 @@ x-axis and leg 2 in the xy-plane.
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
-numpy's per-call overhead costs more than the arithmetic it saves.  Each
-record builds its float rows once: ``Tetrahedron.rows`` is what the
-kernels read, and ``DirectionConfig.rows`` what the angle and identity
-checks read.  Tetrahedron validation and the frame itself are
-straight-line code on those floats.
+numpy's per-call overhead costs more than the arithmetic it saves.
+``Tetrahedron`` builds its float rows once, the form the kernels read.
+``DirectionConfig`` stores nothing but its four float rows, the rotated
+legs as the frame computes them, which the angle and identity checks
+read; its ``units`` array is built from them when read.  Tetrahedron
+validation and the frame itself are straight-line code on those floats.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class Tetrahedron:
         once: the form every scalar kernel reads."""
         return self._rows
 
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def vertex(self, i: int) -> np.ndarray:
         """Vertex by 1-based label A1..A4."""
         if not 1 <= i <= 4:
@@ -174,80 +172,47 @@ def _det4(a, b, c, d) -> float:
 
 @dataclass(frozen=True)
 class DirectionConfig:
-    """Four unit directions in the canonical frame.
+    """Four unit directions in the canonical frame, stored as ``rows``: four
+    (x, y, z) tuples of Python floats, the form the angle and identity
+    checks read.
 
-    Leg 1 is (1, 0, 0) exactly; leg 2 lies in the xy-plane with positive y;
+    Leg 1 is (1, 0, 0) exactly; leg 2 lies in the xy-plane with y >= 0;
     leg 3 has non-negative z (the mirror convention; applied to leg 4 when
-    leg 3 is in-plane).  ``a102`` is the angle between legs 1 and 2, and
-    (lat, lon) are the latitude/longitude of legs 3 and 4, so that each leg
-    is (cos lat cos lon, cos lat sin lon, sin lat).  Every row must be
-    finite with a squared norm within UNIT_NORM_EPS of 1.  Two configurations
-    are equal when their rows and angles are.
+    leg 3 is in-plane).  Any 4x3 sequence of numbers, array or tuples, is
+    accepted; every row must be finite with a squared norm within
+    UNIT_NORM_EPS of 1.  ``units`` is the same rows as a read-only (4, 3)
+    array, built when read.  Two configurations are equal, and hash
+    alike, when their rows are.
     """
 
-    units: np.ndarray = field(compare=False)
-    a102: float
-    lat3: float
-    lon3: float
-    lat4: float
-    lon4: float
-    _rows: tuple = field(init=False, repr=False)
+    rows: tuple
 
     def __post_init__(self):
-        # rows first, as Python floats, and the array built from them once:
-        # the canonical frame passes its four snapped tuples here
         try:
             a, b, c, d = rows = tuple(
-                [(float(x), float(y), float(z)) for x, y, z in self.units]
+                [(float(x), float(y), float(z)) for x, y, z in self.rows]
             )
         except (TypeError, ValueError):
             raise ValueError(
                 "expected 4 direction rows of 3 coordinates, got "
-                f"{self.units!r}"
+                f"{self.rows!r}"
             ) from None
-        u = np.array((*a, *b, *c, *d)).reshape(4, 3)
-        u.setflags(write=False)
-        object.__setattr__(self, "units", u)
-        object.__setattr__(self, "_rows", rows)
-        r1, r2 = rows[0], rows[1]
-        if r1 != (1.0, 0.0, 0.0):
+        object.__setattr__(self, "rows", rows)
+        if a != (1.0, 0.0, 0.0):
             raise ValueError("leg 1 must be exactly (1, 0, 0)")
-        if abs(r2[2]) > 1e-9 or r2[1] < -1e-9:
+        if abs(b[2]) > 1e-9 or b[1] < -1e-9:
             raise ValueError("leg 2 must lie in the xy-plane with y >= 0")
-        for x, y, z in rows[1:]:
+        for x, y, z in (b, c, d):
             # leg 1 is exact; the test is false for NaN, and for inf squared
             if not abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS:
                 raise ValueError(f"rows must be finite unit vectors, got {(x, y, z)}")
 
     @property
-    def rows(self) -> tuple:
-        """The four legs as (x, y, z) tuples of Python floats, built once:
-        the form the angle and identity checks read."""
-        return self._rows
-
-
-def _config_from_canonical_rows(r2, r3, r4) -> DirectionConfig:
-    """Extract frame parameters from legs 2-4, (x, y, z) rows already in
-    canonical position (leg 1 is (1, 0, 0); leg 2's z, zero there, is not
-    read), and snap the rows to the exact parameterized form."""
-    a102 = math.atan2(r2[1], r2[0])
-    x3, y3, z3 = r3
-    x4, y4, z4 = r4
-    lat3 = math.asin(min(1.0, max(-1.0, z3)))
-    lon3 = math.atan2(y3, x3) if abs(lat3) < math.pi / 2 else 0.0
-    lat4 = math.asin(min(1.0, max(-1.0, z4)))
-    lon4 = math.atan2(y4, x4) if abs(lat4) < math.pi / 2 else 0.0
-    c3 = math.cos(lat3)
-    c4 = math.cos(lat4)
-    snapped = (
-        (1.0, 0.0, 0.0),
-        (math.cos(a102), math.sin(a102), 0.0),
-        (c3 * math.cos(lon3), c3 * math.sin(lon3), math.sin(lat3)),
-        (c4 * math.cos(lon4), c4 * math.sin(lon4), math.sin(lat4)),
-    )
-    return DirectionConfig(
-        units=snapped, a102=a102, lat3=lat3, lon3=lon3, lat4=lat4, lon4=lon4
-    )
+    def units(self) -> np.ndarray:
+        """The four legs as a read-only (4, 3) float64 array."""
+        u = np.array(self.rows)
+        u.setflags(write=False)
+        return u
 
 
 def _frame(a, b, c, d) -> DirectionConfig:
@@ -266,7 +231,7 @@ def _frame(a, b, c, d) -> DirectionConfig:
     e3x = e1y * e2z - e1z * e2y
     e3y = e1z * e2x - e1x * e2z
     e3z = e1x * e2y - e1y * e2x
-    # leg 1 rotates onto the x-axis and leg 2's z is never read, so only
+    # leg 1 rotates onto the x-axis and leg 2 into the xy-plane, so only
     # legs 2-4 are rotated, and leg 2 only in x and y
     y2 = bx * e2x + by * e2y + bz * e2z
     cx, cy, cz = c
@@ -279,7 +244,9 @@ def _frame(a, b, c, d) -> DirectionConfig:
     z4 = dx * e3x + dy * e3y + dz * e3z
     if z3 < -INPLANE_EPS or (abs(z3) <= INPLANE_EPS and z4 < -INPLANE_EPS):
         z3, z4 = -z3, -z4
-    return _config_from_canonical_rows((x2, y2), (x3, y3, z3), (x4, y4, z4))
+    return DirectionConfig(
+        ((1.0, 0.0, 0.0), (x2, y2, 0.0), (x3, y3, z3), (x4, y4, z4))
+    )
 
 
 def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:

@@ -7,9 +7,9 @@ are anti-parallel.  This module measures all of those as residuals.  The
 bisectors u_i + u_j are formed inside ``verify_fundamental_property`` and
 only their residuals are returned.
 
-Every function reads the frame's float rows, ``DirectionConfig.rows``, in
-straight-line code: each leg dot product and each angle's cosine is
-computed once per call.
+Every function reads the frame's float rows, ``DirectionConfig.rows``
+(the one form the record stores), in straight-line code: each leg dot
+product and each angle's cosine is computed once per call.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import numpy as np
 
 from .formula import resolve_branch, FiveAngles
 from .geometry import DirectionConfig, Tetrahedron, _det4, canonical_frame
+from .properties import angle_sextuple
 
 #: unit-cube tetrahedra flatter than this volume are rejected
 MIN_VOLUME = 1e-3
@@ -118,10 +119,6 @@ def known_answer_tetrahedron(seed: int, index: int) -> tuple[Tetrahedron, np.nda
     return Tetrahedron(p + legs), p
 
 
-def canonical_config(units: np.ndarray) -> DirectionConfig:
-    return canonical_frame(units[0], units[1], units[2], units[3])
-
-
 def random_five_angles(seed: int, index: int) -> tuple[FiveAngles, int, DirectionConfig]:
     """A realizable five-angle set with its radical branch and the canonical
     configuration that realizes it."""
@@ -130,19 +127,12 @@ def random_five_angles(seed: int, index: int) -> tuple[FiveAngles, int, Directio
         u = _unit_rows(rng)
         if not _frame_ok(u):
             continue
-        config = canonical_config(u)
+        config = canonical_frame(*u)
         branch = resolve_branch(config)
         if branch == 0:
             continue
-        c = config.units @ config.units.T
-        a = np.arccos(np.clip(c, -1.0, 1.0))
-        fa = FiveAngles(
-            a102=float(a[0, 1]),
-            a103=float(a[0, 2]),
-            a104=float(a[0, 3]),
-            a203=float(a[1, 2]),
-            a204=float(a[1, 3]),
-        )
+        s = angle_sextuple(config)
+        fa = FiveAngles(s.a102, s.a103, s.a104, s.a203, s.a204)
         if math.sin(fa.a102) <= 1e-6:
             continue
         return fa, branch, config

@@ -289,24 +289,24 @@ REGULAR_VERIFY_JSON = """\
     "a102": 1.9106332362490082,
     "a103": 1.9106332362490082,
     "a104": 1.9106332362490082,
-    "a203": 1.9106332362490288,
-    "a204": 1.9106332362490288,
-    "a304": 1.9106332362490293
+    "a203": 1.910633236249029,
+    "a204": 1.910633236249029,
+    "a304": 1.910633236249029
   },
   "checks": {
     "opposite_angles": [
-      1.9872992140790302e-14,
-      1.942890293094024e-14,
-      1.942890293094024e-14
+      1.965094753586527e-14,
+      1.965094753586527e-14,
+      1.965094753586527e-14
     ],
     "cosine_sum": 2.942091015256665e-14,
     "bisector_orthogonality": [
       9.936496070395151e-15,
-      9.992007221626409e-15,
+      9.769962616701378e-15,
       9.992007221626409e-15
     ],
     "bisector_antiparallel": [
-      2.220446049250313e-16,
+      0.0,
       0.0,
       0.0
     ],
@@ -334,29 +334,29 @@ CUBE_3_0_VERIFY_JSON = """\
     2.417106211934113
   ],
   "angles_rad": {
-    "a102": 2.837894611697138,
-    "a103": 2.037177482116919,
+    "a102": 2.8378946116971377,
+    "a103": 2.0371774821169186,
     "a104": 1.155026826829167,
-    "a203": 1.155026826829167,
+    "a203": 1.1550268268291675,
     "a204": 2.0371774821169195,
-    "a304": 2.837894611697138
+    "a304": 2.8378946116971373
   },
   "checks": {
     "opposite_angles": [
-      0.0,
-      0.0,
-      3.885780586188048e-16
+      1.1102230246251565e-16,
+      3.885780586188048e-16,
+      7.771561172376096e-16
     ],
-    "cosine_sum": 2.220446049250313e-16,
+    "cosine_sum": 7.216449660063518e-16,
     "bisector_orthogonality": [
       8.326672684688674e-17,
-      1.1449174941446927e-16,
-      0.0
+      2.3245294578089215e-16,
+      3.3306690738754696e-16
     ],
     "bisector_antiparallel": [
-      2.220446049250313e-16,
       0.0,
-      2.220446049250313e-16
+      0.0,
+      0.0
     ],
     "pass": true
   },

@@ -22,7 +22,6 @@ from tetrafermat import (
 from tetrafermat.formula import MIN_BASE_SIN, _radical
 from tetrafermat.sampling import (
     balanced_quadruple,
-    canonical_config,
     random_five_angles,
     random_tetrahedron,
     random_unit_quadruple,
@@ -79,7 +78,7 @@ class TestSixthAngle:
 
     def test_cos_plus_dominates(self):
         for i in range(50):
-            fa = measured_five(canonical_config(random_unit_quadruple(3, i)))
+            fa = measured_five(canonical_frame(*random_unit_quadruple(3, i)))
             r = sixth_angle(fa)
             assert r.cos_plus >= r.cos_minus
             f3 = radical_factor(fa.a102, fa.a103, fa.a203)
@@ -203,13 +202,13 @@ class TestConfigFromFiveAngles:
 class TestFormulaAgainstGeometry:
     def test_balanced_quadruples(self):
         for i in range(100):
-            cfg = canonical_config(balanced_quadruple(29, i))
+            cfg = canonical_frame(*balanced_quadruple(29, i))
             self._check_identity(cfg)
 
     def test_unbalanced_quadruples(self):
         # the identity is pure direction geometry; balance is not needed
         for i in range(100):
-            cfg = canonical_config(random_unit_quadruple(31, i))
+            cfg = canonical_frame(*random_unit_quadruple(31, i))
             self._check_identity(cfg)
 
     @staticmethod

@@ -10,6 +10,7 @@ from tetrafermat import (
     DegenerateInput,
     DirectionConfig,
     Tetrahedron,
+    angle_sextuple,
     canonical_frame,
     direction_config,
     hull_points,
@@ -37,10 +38,10 @@ def norm_scale(v: np.ndarray) -> float:
     )
 
 
-def numpy_frame(tetra: Tetrahedron, point: np.ndarray):
+def numpy_frame(tetra: Tetrahedron, point: np.ndarray) -> np.ndarray:
     """Reference canonical frame in numpy: rotation rows e1, e2 and
     e3 = e1 x e2 applied by a matrix product, then the mirror rule.
-    Returns the rotated legs and (a102, lat3, lon3, lat4, lon4)."""
+    Returns the rotated legs."""
     d = tetra.vertices - point
     u = d / np.linalg.norm(d, axis=1, keepdims=True)
     e1 = u[0] / np.linalg.norm(u[0])
@@ -52,10 +53,7 @@ def numpy_frame(tetra: Tetrahedron, point: np.ndarray):
         abs(rotated[2, 2]) <= INPLANE_EPS and rotated[3, 2] < -INPLANE_EPS
     ):
         rotated[:, 2] = -rotated[:, 2]
-    lat = np.arcsin(np.clip(rotated[2:, 2], -1.0, 1.0))
-    lon = np.arctan2(rotated[2:, 1], rotated[2:, 0])
-    a102 = math.atan2(rotated[1, 1], rotated[1, 0])
-    return rotated, (a102, lat[0], lon[0], lat[1], lon[1])
+    return rotated
 
 
 class TestTetrahedron:
@@ -122,7 +120,7 @@ class TestCanonicalFrame:
         u_in = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, -1.0]])
         cfg = canonical_frame(*u_in)
         assert np.array_equal(cfg.units[0], [1.0, 0.0, 0.0])
-        assert cfg.a102 == pytest.approx(math.pi / 2, abs=1e-14)
+        assert angle_sextuple(cfg).a102 == pytest.approx(math.pi / 2, abs=1e-14)
         assert np.allclose(
             pairwise_angles(cfg.units), pairwise_angles(u_in), atol=1e-12
         )
@@ -148,18 +146,6 @@ class TestCanonicalFrame:
             b = pairwise_angles(canonical_frame(*(u @ r.T)).units)
             assert np.allclose(a, b, atol=1e-10)
 
-    def test_spherical_reconstruction(self):
-        for i in range(100):
-            u = random_unit_quadruple(303, i)
-            cfg = canonical_frame(*u)
-            for leg, lat, lon in ((2, cfg.lat3, cfg.lon3), (3, cfg.lat4, cfg.lon4)):
-                expected = [
-                    math.cos(lat) * math.cos(lon),
-                    math.cos(lat) * math.sin(lon),
-                    math.sin(lat),
-                ]
-                assert np.allclose(cfg.units[leg], expected, atol=1e-12)
-
     def test_leg3_mirror_convention(self):
         for i in range(100):
             u = random_unit_quadruple(404, i)
@@ -177,14 +163,7 @@ class TestCanonicalFrame:
     def test_config_validates_rows(self):
         with pytest.raises(ValueError):
             DirectionConfig(
-                units=np.array(
-                    [[0.0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, -1.0]]
-                ),
-                a102=1.0,
-                lat3=0.0,
-                lon3=0.0,
-                lat4=0.0,
-                lon4=0.0,
+                np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, -1.0]])
             )
 
 
@@ -201,9 +180,7 @@ class TestCanonicalFrame:
     )
     def test_config_rejects_wrong_shape(self, units):
         with pytest.raises(ValueError, match="expected 4 direction rows"):
-            DirectionConfig(
-                units=units, a102=math.pi / 2, lat3=0.0, lon3=0.0, lat4=0.0, lon4=0.0
-            )
+            DirectionConfig(units)
 
     @pytest.mark.parametrize(
         "leg3",
@@ -215,14 +192,7 @@ class TestCanonicalFrame:
         # unchecked, a NaN leg clamps to cos = -1 and a long one to cos = 1,
         # so the angles would come out as pi and 0 without any error
         with pytest.raises(ValueError, match="finite unit vectors"):
-            DirectionConfig(
-                units=np.array([[1.0, 0, 0], [0, 1, 0], leg3, [0, 0, 1]]),
-                a102=math.pi / 2,
-                lat3=0.0,
-                lon3=0.0,
-                lat4=math.pi / 2,
-                lon4=0.0,
-            )
+            DirectionConfig(np.array([[1.0, 0, 0], [0, 1, 0], leg3, [0, 0, 1]]))
 
 
 class TestDirectionConfig:
@@ -234,18 +204,27 @@ class TestDirectionConfig:
             if sol.kind != "interior":
                 continue
             cfg = direction_config(t, sol.point)
-            rotated, params = numpy_frame(t, sol.point)
+            rotated = numpy_frame(t, sol.point)
             assert np.abs(cfg.units - rotated).max() <= 1e-13
-            got = (cfg.a102, cfg.lat3, cfg.lon3, cfg.lat4, cfg.lon4)
-            assert np.abs(np.subtract(got, params)).max() <= 1e-13
             checked += 1
         assert checked > 400
 
     def test_matches_numpy_rotation_at_hull_points(self):
         t = random_tetrahedron(1, 0)
         for p in hull_points(t, 200, np.random.default_rng(5)):
-            rotated, _ = numpy_frame(t, p)
+            rotated = numpy_frame(t, p)
             assert np.abs(direction_config(t, p).units - rotated).max() <= 1e-13
+
+    def test_rows_are_the_record(self):
+        t = random_tetrahedron(0, 0)
+        cfg = direction_config(t, solve(t).point)
+        again = DirectionConfig(cfg.rows)
+        assert again == cfg
+        assert hash(again) == hash(cfg)
+        assert DirectionConfig(cfg.units) == cfg
+        assert np.array_equal(cfg.units, np.array(cfg.rows))
+        with pytest.raises(ValueError):
+            cfg.units[2, 2] = 0.0
 
     def test_point_on_vertex_rejected(self, right_corner):
         for i in (1, 2, 3, 4):
@@ -272,8 +251,8 @@ class TestDirectionConfig:
 
 
 def test_records_compare_by_value(flat_vertex_case):
-    # Tetrahedron, FermatSolution and DirectionConfig hold an array field;
-    # == compares them by value and returns a bool, never raising
+    # Tetrahedron and FermatSolution hold an array field, and DirectionConfig
+    # accepts one; == compares them by value and returns a bool, never raising
     t = random_tetrahedron(0, 0)
     same = Tetrahedron(t.vertices.copy())
     nudge = np.zeros((4, 3))

@@ -65,27 +65,10 @@ def loop_unit(a, b):
     return dx / n, dy / n, dz / n
 
 
-def loop_latlon_xyz(lat, lon):
-    cl = math.cos(lat)
-    return cl * math.cos(lon), cl * math.sin(lon), math.sin(lat)
-
-
 def loop_config_from_canonical_rows(u):
-    """(snapped rows as lists, a102, lat3, lon3, lat4, lon4)."""
-    a102 = math.atan2(u[1][1], u[1][0])
-    lat3 = math.asin(min(1.0, max(-1.0, u[2][2])))
-    lon3 = math.atan2(u[2][1], u[2][0]) if abs(lat3) < math.pi / 2 else 0.0
-    lat4 = math.asin(min(1.0, max(-1.0, u[3][2])))
-    lon4 = math.atan2(u[3][1], u[3][0]) if abs(lat4) < math.pi / 2 else 0.0
-    snapped = np.array(
-        [
-            (1.0, 0.0, 0.0),
-            (math.cos(a102), math.sin(a102), 0.0),
-            loop_latlon_xyz(lat3, lon3),
-            loop_latlon_xyz(lat4, lon4),
-        ]
-    )
-    return snapped.tolist(), a102, lat3, lon3, lat4, lon4
+    """The rotated rows as lists, with leg 1 set to exactly (1, 0, 0) and
+    leg 2's z to exactly 0."""
+    return [[1.0, 0.0, 0.0], [u[1][0], u[1][1], 0.0], list(u[2]), list(u[3])]
 
 
 def loop_frame(u):
@@ -251,12 +234,8 @@ def same(a, b) -> bool:
 
 
 def assert_config_matches(cfg, ref):
-    units, a102, lat3, lon3, lat4, lon4 = ref
-    assert cfg.units.tolist() == units
-    assert cfg.rows == tuple(map(tuple, units))
-    assert (cfg.a102, cfg.lat3, cfg.lon3, cfg.lat4, cfg.lon4) == (
-        a102, lat3, lon3, lat4, lon4,
-    )
+    assert cfg.units.tolist() == ref
+    assert cfg.rows == tuple(map(tuple, ref))
 
 
 def assert_identities_match(cfg):
@@ -338,5 +317,6 @@ class TestIdentityLoopReference:
         cfg = canonical_frame(*legs)
         assert_config_matches(cfg, loop_canonical_frame(*legs))
         # the mirror was taken: the deciding leg now points up
-        assert cfg.lat3 > 0.0 or (cfg.lat3 == 0.0 and cfg.lat4 > 0.0)
+        z3, z4 = cfg.rows[2][2], cfg.rows[3][2]
+        assert z3 > 0.0 or (z3 == 0.0 and z4 > 0.0)
         assert_identities_match(cfg)

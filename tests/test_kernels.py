@@ -193,7 +193,7 @@ def corpus(n=40, seed=11):
     out = []
     for i in range(n):
         t = random_tetrahedron(seed, i)
-        c = t.centroid()
+        c = t.vertices.mean(axis=0)
         out.append((t.rows, (float(c[0]), float(c[1]), float(c[2]))))
     return out
 

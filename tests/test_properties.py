@@ -16,7 +16,6 @@ from tetrafermat import (
 from tetrafermat.properties import _angle_residuals
 from tetrafermat.sampling import (
     balanced_quadruple,
-    canonical_config,
     random_tetrahedron,
     random_unit_quadruple,
 )
@@ -84,7 +83,7 @@ class TestBisectors:
     def test_squared_norm_identity(self, seed):
         # |u_i + u_j|^2 = 2 (1 + cos a_i0j), pairs in the sextuple's order
         u = random_unit_quadruple(seed, 0)
-        cfg = canonical_config(u)
+        cfg = canonical_frame(*u)
         s = angle_sextuple(cfg)
         pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for (i, j), a in zip(pairs, s.as_tuple()):
@@ -105,13 +104,13 @@ class TestFundamentalProperty:
 
     def test_report_carries_its_sextuple(self):
         for i in range(20):
-            cfg = canonical_config(random_unit_quadruple(23, i))
+            cfg = canonical_frame(*random_unit_quadruple(23, i))
             assert verify_fundamental_property(cfg).angles == angle_sextuple(cfg)
 
     def test_balanced_quadruples_pass(self):
         for i in range(50):
             u = balanced_quadruple(23, i)
-            report = verify_fundamental_property(canonical_config(u))
+            report = verify_fundamental_property(canonical_frame(*u))
             assert report.passed, (i, report)
 
     def test_solver_pipeline_passes(self):
@@ -129,7 +128,7 @@ class TestFundamentalProperty:
     def test_unbalanced_quadruple_fails(self):
         # the check must not be vacuous
         u = random_unit_quadruple(123, 0)
-        report = verify_fundamental_property(canonical_config(u))
+        report = verify_fundamental_property(canonical_frame(*u))
         assert not report.passed
         worst = max(
             max(report.opposite_angle_residuals),
@@ -143,7 +142,7 @@ class TestFundamentalProperty:
         # d102 . d203 = 1 + cos a102 + cos a103 + cos a203 for any directions
         for i in range(30):
             u = random_unit_quadruple(66, i)
-            cfg = canonical_config(u)
+            cfg = canonical_frame(*u)
             s = angle_sextuple(cfg)
             u1, u2, u3, _ = cfg.units
             expected = 1 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a203)
