@@ -41,7 +41,6 @@ from .properties import (
 from .solver import (
     Classification,
     FermatSolution,
-    SolverConfig,
     classify,
     hull_points,
     objective,
@@ -66,7 +65,6 @@ __all__ = [
     "NonConvergence",
     "PropertyReport",
     "SixthAngleResult",
-    "SolverConfig",
     "TetrafermatError",
     "Tetrahedron",
     "UnrealizableTriple",

@@ -5,7 +5,9 @@ minimizer's legs in the canonical frame, measure the junction-angle
 identities.  The ``solve`` and ``verify`` commands print its
 ``SolutionReport``; ``run_batch_verify`` reads batch-verify's residuals off
 the same record for every tetrahedron of a seeded corpus and adds the
-sixth-angle cross-check.
+sixth-angle cross-check.  A caller sets the verification tolerance and
+the solver's iteration budget; the solver's stopping residual is the
+constant ``solver.GRAD_TOL``, which the batch-verify header prints.
 
 Shared by the command line and the acceptance tests.  Output is
 deterministic for a fixed seed: no wall-clock, no OS entropy.
@@ -23,7 +25,9 @@ from .geometry import DirectionConfig, Tetrahedron, direction_config
 from .properties import (
     DEFAULT_TOL, PropertyReport, verify_fundamental_property,
 )
-from .solver import BOUNDARY_EPS, INTERIOR, FermatSolution, SolverConfig, solve
+from .solver import (
+    BOUNDARY_EPS, GRAD_TOL, INTERIOR, MAX_ITER, FermatSolution, solve,
+)
 
 #: check names in reporting order
 CHECKS = (
@@ -54,7 +58,6 @@ class BatchSummary:
     seed: int
     count: int
     tol: float
-    grad_tol: float
     interior_count: int
     vertex_count: int
     max_residuals: dict[str, float]
@@ -65,7 +68,7 @@ class BatchSummary:
     def format_text(self) -> str:
         lines = [
             f"batch-verify seed={self.seed} count={self.count} "
-            f"tol={self.tol:.3e} grad_tol={self.grad_tol:.3e}",
+            f"tol={self.tol:.3e} grad_tol={GRAD_TOL:.3e}",
             f"instances: {self.interior_count} interior, "
             f"{self.vertex_count} vertex",
             "max residual per check:",
@@ -84,11 +87,12 @@ class BatchSummary:
         return "\n".join(lines)
 
 
-def build_report(tetra: Tetrahedron, config: SolverConfig,
-                 tol: float) -> SolutionReport:
-    """Solve one tetrahedron and, when the minimizer is interior, measure
-    every junction-angle identity under ``tol``."""
-    solution = solve(tetra, config)
+def build_report(tetra: Tetrahedron, tol: float,
+                 max_iter: int = MAX_ITER) -> SolutionReport:
+    """Solve one tetrahedron within ``max_iter`` iterations and, when the
+    minimizer is interior, measure every junction-angle identity under
+    ``tol``."""
+    solution = solve(tetra, max_iter)
     if solution.kind != INTERIOR:
         return SolutionReport(solution, None, None)
     frame = direction_config(tetra, solution.point)
@@ -133,10 +137,9 @@ def run_batch_verify(
     seed: int = 0,
     count: int = 1000,
     tol: float = DEFAULT_TOL,
-    config: SolverConfig | None = None,
+    max_iter: int = MAX_ITER,
 ) -> BatchSummary:
     """Generate, solve, and verify ``count`` seeded random tetrahedra."""
-    config = config or SolverConfig()
     max_residuals: dict[str, float] = {}
     failures: list[tuple[int, str, float]] = []
     errors: list[tuple[int, str]] = []
@@ -144,7 +147,7 @@ def run_batch_verify(
     for i in range(count):
         tetra = sampling.random_tetrahedron(seed, i)
         try:
-            report = build_report(tetra, config, tol)
+            report = build_report(tetra, tol, max_iter)
         except NonConvergence as exc:
             errors.append((i, f"no convergence (residual {exc.residual:.3e})"))
             continue
@@ -167,7 +170,6 @@ def run_batch_verify(
         seed=seed,
         count=count,
         tol=tol,
-        grad_tol=config.grad_tol,
         interior_count=interior,
         vertex_count=vertex,
         max_residuals=max_residuals,

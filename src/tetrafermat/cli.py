@@ -22,7 +22,7 @@ from .errors import NonConvergence, TetrafermatError
 from .formula import FiveAngles, sixth_angle
 from .geometry import Tetrahedron
 from .properties import DEFAULT_TOL
-from .solver import SolverConfig
+from .solver import MAX_ITER
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -168,11 +168,10 @@ def format_report_text(report: SolutionReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_solve(args: argparse.Namespace, config: SolverConfig,
-              verify_mode: bool = False) -> int:
+def cmd_solve(args: argparse.Namespace, verify_mode: bool = False) -> int:
     tetra = load_tetrahedron(args.input)
     try:
-        report = build_report(tetra, config, args.tol)
+        report = build_report(tetra, args.tol, args.max_iter)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -226,12 +225,12 @@ def cmd_sixth_angle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_batch_verify(args: argparse.Namespace, config: SolverConfig) -> int:
+def cmd_batch_verify(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError("count must be at least 1")
     if args.seed < 0:
         raise InputError("seed must be non-negative")
-    summary = run_batch_verify(args.seed, args.count, args.tol, config)
+    summary = run_batch_verify(args.seed, args.count, args.tol, args.max_iter)
     print(summary.format_text())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
@@ -249,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="JSON input file")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="verification tolerance (default %(default)g)")
-        p.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol,
-                       help="solver residual tolerance (default %(default)g)")
-        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+        p.add_argument("--max-iter", type=int, default=MAX_ITER,
                        help="solver iteration budget (default %(default)d)")
         if with_input:
             p.add_argument("--format", choices=("text", "json"), default="text")
@@ -283,13 +280,11 @@ def main(argv=None) -> int:
             return cmd_sixth_angle(args)
         if not 0 < args.tol < math.inf:
             raise InputError("tol must be positive and finite")
-        try:
-            config = SolverConfig(grad_tol=args.grad_tol, max_iter=args.max_iter)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        if args.max_iter < 1:
+            raise InputError("max_iter must be at least 1")
         if args.command == "batch-verify":
-            return cmd_batch_verify(args, config)
-        return cmd_solve(args, config, verify_mode=args.command == "verify")
+            return cmd_batch_verify(args)
+        return cmd_solve(args, verify_mode=args.command == "verify")
     except (InputError, TetrafermatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

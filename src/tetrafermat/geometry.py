@@ -85,12 +85,15 @@ class Tetrahedron:
     the edge matrix divided by the longest pairwise distance must have
     |det| above VOLUME_EPS, a test that neither overflows nor underflows at
     any scale.  A longest distance that is zero or overflows float64 raises
-    DegenerateInput.  Two tetrahedra are equal when their rows are.
+    DegenerateInput.  ``scale`` is the longest pairwise distance between
+    vertices.  ``rows`` holds the vertices as four (x, y, z) tuples of
+    Python floats, built once: the form every scalar kernel reads.  Two
+    tetrahedra are equal, and hash alike, when their rows are.
     """
 
     vertices: np.ndarray = field(compare=False)
-    _scale: float = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy, so that freezing it leaves the caller's array writable
@@ -128,8 +131,8 @@ class Tetrahedron:
                 f"longest pairwise distance is {s!r}; expected a positive "
                 "finite length"
             )
-        object.__setattr__(self, "_scale", s)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "rows", rows)
         # the first three edges are v[0] - v[1:], the negated edge matrix
         det = abs(_triple(
             (e[0] / s, e[1] / s, e[2] / s),
@@ -141,17 +144,6 @@ class Tetrahedron:
                 f"points are collinear or coplanar (|det| / scale^3 = "
                 f"{det:.3e}, scale = {s:.3e})"
             )
-
-    @property
-    def scale(self) -> float:
-        """Longest pairwise distance between vertices."""
-        return self._scale
-
-    @property
-    def rows(self) -> tuple:
-        """The vertices as four (x, y, z) tuples of Python floats, built
-        once: the form every scalar kernel reads."""
-        return self._rows
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex by 1-based label A1..A4."""

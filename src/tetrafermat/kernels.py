@@ -2,7 +2,9 @@
 safeguarded Newton iteration for the four-point distance minimizer and its
 start off a vertex, and a simplex minimizer specialized to the same
 objective.  ``newton`` has one step path: a Newton step that finds no
-trial point it can accept ends the iteration.
+trial point it can accept ends the iteration.  Its stopping residual,
+budget and vertex radius are parameters whose values ``solver`` sets
+(``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``).
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
 floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
@@ -174,7 +176,7 @@ def vertex_ray_start(rows, k):
     return vx + s * rx, vy + s * ry, vz + s * rz
 
 
-def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
+def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     """Safeguarded Newton iteration for the four-point distance minimizer.
 
     Precondition: no row passes the vertex-optimality test (every pull
@@ -203,11 +205,11 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     acceptance test.
 
     An iterate within ``vertex_eps`` of a row is a singular point of the
-    iteration; it restarts ``escape_step`` off the row along the resultant
-    of the other three legs there, the negated pull (the descent ray,
-    nonzero by the precondition).  ``vertex_eps`` and ``escape_step`` are
-    lengths in the units of ``rows``.  Each Newton step and escape counts
-    as one iteration.
+    iteration; it restarts ``10 * vertex_eps`` off the row along the
+    resultant of the other three legs there, the negated pull (the descent
+    ray, nonzero by the precondition).  ``vertex_eps`` is a length in the
+    units of ``rows``.  Each Newton step and escape counts as one
+    iteration.
 
     The four legs, distances, gradient and Hessian are straight-line code
     on the twelve row coordinates, bound once.  The distances an accepted
@@ -228,6 +230,7 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x, y, z = float(sx), float(sy), float(sz)
+    escape = 10.0 * vertex_eps
     it = 0
     carried = False
     while True:
@@ -256,9 +259,9 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
             vx, vy, vz = rows[imin]
             rx, ry, rz = _vertex_resultants(rows)[imin]
             rn = sqrt(rx * rx + ry * ry + rz * rz)
-            x = vx + escape_step * rx / rn
-            y = vy + escape_step * ry / rn
-            z = vz + escape_step * rz / rn
+            x = vx + escape * rx / rn
+            y = vy + escape * ry / rn
+            z = vz + escape * rz / rn
             it += 1
             if it >= max_iter:
                 res = resultant_norm(rows, x, y, z)

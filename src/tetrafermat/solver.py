@@ -6,9 +6,10 @@ and ``oracle_solve`` runs a derivative-free simplex search from one
 seeded point inside the hull, polished by two fresh small simplexes.
 Tests cross-validate one against the other.
 
-``solve`` is the only way into the Newton solver, and ``SolverConfig`` the
-only place that sets its defaults and checks them.  The kernels read the
-tetrahedron's float rows, ``Tetrahedron.rows``.
+``solve`` is the only way into the Newton solver.  Its stopping residual
+is the constant ``GRAD_TOL``, the value every check of the minimizer is
+written against; a caller sets only the iteration budget.  The kernels read
+the tetrahedron's float rows, ``Tetrahedron.rows``.
 """
 
 from __future__ import annotations
@@ -29,24 +30,13 @@ TIE_BAND = 1e-6
 #: an iterate within VERTEX_EPS * scale of a vertex is moved 10 times that
 #: distance off it, along the descent ray
 VERTEX_EPS = 1e-9
+#: the interior solve stops once the summed unit legs have at most this norm
+GRAD_TOL = 1e-10
+#: Newton steps and vertex escapes an interior solve may take by default
+MAX_ITER = 10000
 
 INTERIOR = "interior"
 VERTEX = "vertex"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration controls of the interior-case solve: the balancing
-    residual to reach and the iteration budget."""
-
-    grad_tol: float = 1e-10
-    max_iter: int = 10000
-
-    def __post_init__(self):
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,8 @@ class FermatSolution:
     all four legs for an interior solution, the three defined legs (the pull
     norm) for a vertex solution.  ``pull_norms`` are those of the
     classification the solve started from.  Two solutions are equal when
-    every field is, the point compared coordinate by coordinate.
+    every field is, the point compared coordinate by coordinate, and equal
+    solutions hash alike.
     """
 
     kind: str
@@ -86,10 +77,13 @@ class FermatSolution:
             return NotImplemented
         return self._key() == other._key()
 
+    def __hash__(self):
+        return hash(self._key())
+
     def _key(self) -> tuple:
         return (
             self.kind,
-            self.point.tolist(),
+            tuple(self.point.tolist()),
             self.vertex_index,
             self.residual,
             self.iterations,
@@ -128,13 +122,13 @@ def classify(tetra: Tetrahedron) -> Classification:
     return Classification(INTERIOR, None, pulls)
 
 
-def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolution:
+def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
     """Minimize the distance sum over the tetrahedron.
 
     ``classify`` makes the only vertex/interior decision.  Vertex case:
     returns the winning vertex exactly, with the classification's flags.
     Interior case: runs Newton's method until the balancing residual drops
-    below ``grad_tol``.  It starts one Newton step off the vertex with the
+    below ``GRAD_TOL``.  It starts one Newton step off the vertex with the
     smallest pull norm (the first, on a tie), along that vertex's descent
     ray (``kernels.vertex_ray_start``), which lands next to a minimizer that
     sits near a vertex, where Newton from a distant start takes longest.
@@ -153,9 +147,10 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     descent ray.  ``iterations`` counts Newton steps and vertex escapes
     alike.  An interior solution carries no flags: the minimizer it
     converged to has balanced unit legs, so it lies inside the hull, and no
-    hull test is made.  Raises NonConvergence when the iteration budget
-    runs out, and at once when a Newton step finds no trial point that does
-    not raise the objective, or ``det H`` is not positive (NaN included).
+    hull test is made.  Raises NonConvergence when the ``max_iter``
+    iterations run out (at the start when ``max_iter`` is 0), and at once
+    when a Newton step finds no trial point that does not raise the
+    objective, or ``det H`` is not positive (NaN included).
     """
     cls = classify(tetra)
     if cls.kind == VERTEX:
@@ -171,7 +166,6 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
             pull_norms=cls.pull_norms,
             flags=cls.flags,
         )
-    cfg = config or SolverConfig()
     pulls = cls.pull_norms
     scale = tetra.scale
     # 2**-e with scale = f * 2**e, 0.5 <= f < 1: multiplying by a power of
@@ -182,7 +176,7 @@ def solve(tetra: Tetrahedron, config: SolverConfig | None = None) -> FermatSolut
     sx, sy, sz = kernels.vertex_ray_start(rows, pulls.index(min(pulls)))
     eps = VERTEX_EPS * (scale * m)
     x, y, z, value, res, iters, status = kernels.newton(
-        rows, sx, sy, sz, cfg.grad_tol, cfg.max_iter, eps, 10.0 * eps,
+        rows, sx, sy, sz, GRAD_TOL, max_iter, eps,
     )
     point = np.array([x / m, y / m, z / m])
     if status == kernels.MAXITER:

@@ -161,7 +161,7 @@ class TestSolveCommand:
 
         monkeypatch.setattr(solver, "classify", counting_classify)
         tetra = Tetrahedron(np.array(payload["vertices"], dtype=float))
-        cli.build_report(tetra, solver.SolverConfig(), 1e-6)
+        cli.build_report(tetra, 1e-6)
         assert len(calls) == 1
 
 
@@ -253,7 +253,7 @@ class TestBatchVerifyCommand:
         path = write_json(REGULAR)
         assert main(["solve", "--input", path, "--tol", "0"]) == EXIT_INVALID_INPUT
 
-    @pytest.mark.parametrize("flag", ["--tol", "--grad-tol"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     def test_infinite_tolerance_exits_2(self, flag, write_json):
         path = write_json(RIGHT_CORNER)
         assert main(["verify", "--input", path, flag, "inf"]) == EXIT_INVALID_INPUT
@@ -263,6 +263,24 @@ class TestBatchVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["batch-verify", "--count", "10", "--format", "json"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "batch-verify"])
+    def test_grad_tol_flag_rejected(self, command, write_json):
+        # the solver's stopping residual is a constant, not an option
+        argv = [command, "--grad-tol", "1e-10"]
+        if command != "batch-verify":
+            argv += ["--input", write_json(RIGHT_CORNER)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "batch-verify"])
+    def test_zero_max_iter_exits_2(self, command, write_json, capsys):
+        argv = [command, "--max-iter", "0"]
+        if command != "batch-verify":
+            argv += ["--input", write_json(RIGHT_CORNER)]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
 
 
 # ``verify --format json`` output, recorded once; a rounding change at the

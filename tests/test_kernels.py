@@ -65,8 +65,9 @@ def loop_pull_norms(rows):
     return tuple(out)
 
 
-def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, escape_step):
+def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     x, y, z = float(sx), float(sy), float(sz)
+    escape_step = 10.0 * vertex_eps
     it = 0
     while True:
         dmin = -1.0
@@ -204,7 +205,7 @@ def newton_iterates(v, start, count):
     run."""
     out = [start]
     for k in range(1, count + 1):
-        x, y, z, _, _, _, status = kernels.newton(v, *start, 1e-10, k, 1e-12, 1e-11)
+        x, y, z, _, _, _, status = kernels.newton(v, *start, 1e-10, k, 1e-12)
         out.append((x, y, z))
         if status != kernels.MAXITER:
             break
@@ -229,7 +230,7 @@ class TestNewtonKernel:
     def test_converged_status(self):
         v, c = corpus(1)[0]
         x, y, z, _, res, it, status = kernels.newton(
-            v, *c, 1e-10, 10000, 1e-12, 1e-11
+            v, *c, 1e-10, 10000, 1e-12
         )
         assert status == kernels.CONVERGED
         assert res <= 1e-10
@@ -237,7 +238,7 @@ class TestNewtonKernel:
 
     def test_maxiter_status(self):
         x, y, z, _, res, it, status = kernels.newton(
-            RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12, 1e-11
+            RIGHT_CORNER, 0.25, 0.25, 0.25, 1e-10, 1, 1e-12
         )
         assert status == kernels.MAXITER
         assert it == 1
@@ -254,16 +255,15 @@ class TestNewtonKernel:
     )
     def test_vertex_escape(self, start, vertex_eps):
         # Vertex 1 of the right corner has pull norm sqrt(3) > 1, so an
-        # iterate within vertex_eps of it restarts escape_step along the
+        # iterate within vertex_eps of it restarts 10 * vertex_eps along the
         # descent ray (1, 1, 1) / sqrt(3); the escape uses up the budget and
         # the residual is the balancing residual there.
-        escape_step = 1e-2
         x, y, z, _, res, it, status = kernels.newton(
-            RIGHT_CORNER, *start, 1e-10, 1, vertex_eps, escape_step
+            RIGHT_CORNER, *start, 1e-10, 1, vertex_eps
         )
         assert status == kernels.MAXITER
         assert it == 1
-        e = escape_step / math.sqrt(3.0)
+        e = 10.0 * vertex_eps / math.sqrt(3.0)
         assert (x, y, z) == (e, e, e)
         assert res == kernels.resultant_norm(RIGHT_CORNER, x, y, z)
         assert res > 0
@@ -275,7 +275,7 @@ class TestNewtonKernel:
         # where it stands, whatever the budget.
         start = (1e10, 0.0, 0.0)
         x, y, z, f, res, it, status = kernels.newton(
-            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11
+            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12
         )
         assert status == kernels.MAXITER
         assert it == 1
@@ -288,7 +288,7 @@ class TestNewtonKernel:
         # the first step ends the iteration at its start, as in the loop
         monkeypatch.setattr(kernels, "ACCEPT_SLACK", -1.0)
         start = kernels.vertex_ray_start(RIGHT_CORNER, 0)
-        args = (RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11)
+        args = (RIGHT_CORNER, *start, 1e-10, 10000, 1e-12)
         out = kernels.newton(*args)
         assert out == loop_newton(*args)
         assert out[:3] == start
@@ -305,7 +305,7 @@ class TestNewtonKernel:
         # where the objective is equal within the acceptance slack, and
         # bounce between the two until the budget runs out.
         x, y, z, _, res, it, status = kernels.newton(
-            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12, 1e-11
+            RIGHT_CORNER, *start, 1e-10, 10000, 1e-12
         )
         assert status == kernels.CONVERGED
         assert it <= 20
@@ -346,7 +346,7 @@ class TestLoopReference:
 
     @staticmethod
     def assert_newton_matches(v, start, max_iter, scale=1.0):
-        args = (v, *start, 1e-10, max_iter, 1e-9 * scale, 1e-8 * scale)
+        args = (v, *start, 1e-10, max_iter, 1e-9 * scale)
         assert kernels.newton(*args) == loop_newton(*args)
 
     @staticmethod

@@ -6,7 +6,6 @@ import pytest
 
 from tetrafermat import (
     NonConvergence,
-    SolverConfig,
     Tetrahedron,
     classify,
     hull_points,
@@ -15,7 +14,7 @@ from tetrafermat import (
     solve,
 )
 from tetrafermat import kernels
-from tetrafermat.solver import VERTEX_EPS
+from tetrafermat.solver import GRAD_TOL, MAX_ITER, VERTEX_EPS
 from tetrafermat.sampling import (
     known_answer_tetrahedron,
     random_rotation,
@@ -261,7 +260,7 @@ class TestSolve:
 
     def test_nonconvergence_carries_best_iterate(self, right_corner):
         with pytest.raises(NonConvergence) as info:
-            solve(right_corner, SolverConfig(max_iter=1))
+            solve(right_corner, max_iter=1)
         assert info.value.iterations == 1
         assert info.value.residual > 0
         assert hull_weights(right_corner, info.value.point).min() >= 0.0
@@ -280,7 +279,7 @@ class TestSolve:
         t = random_tetrahedron(seed, index)
         sol = solve(t)
         assert sol.kind == "interior"
-        assert sol.residual <= SolverConfig().grad_tol
+        assert sol.residual <= GRAD_TOL
         assert kernels.resultant_norm(t.rows, *sol.point) <= 1e-10
         assert min(abs(p - 1.0) for p in classify(t).pull_norms) < 2e-3
 
@@ -321,7 +320,6 @@ class TestSolve:
         # the power of two makes the scaling exact: the same start and the
         # same Newton run on the input rows give the same answer bit for
         # bit, which a factor such as 1 / scale would not
-        cfg = SolverConfig()
         for i in range(200):
             t = random_tetrahedron(0, i)
             if classify(t).kind == "vertex":
@@ -329,7 +327,7 @@ class TestSolve:
             start = solve_start(t)
             eps = VERTEX_EPS * t.scale
             x, y, z, value, res, it, _ = kernels.newton(
-                t.rows, *start, cfg.grad_tol, cfg.max_iter, eps, 10.0 * eps,
+                t.rows, *start, GRAD_TOL, MAX_ITER, eps,
             )
             sol = solve(t)
             assert (sol.point.tolist(), sol.objective_value, sol.residual,
@@ -341,13 +339,19 @@ class TestSolve:
         for i in range(100):
             solve(Tetrahedron(random_tetrahedron(0, i).vertices * 10.0**e))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(grad_tol=math.inf)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
+    def test_config_validation(self, right_corner):
+        # solve does not check its budget: a zero budget ends the iteration
+        # at its start, with the typed error
+        with pytest.raises(NonConvergence) as info:
+            solve(right_corner, max_iter=0)
+        assert info.value.iterations == 0
+
+    def test_equal_solutions_hash_alike(self):
+        t = random_tetrahedron(0, 0)
+        a, b = solve(t), solve(t)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
     def test_monotone_objective_along_iteration(self, right_corner):
         # the objective after k iterations never exceeds that after k - 1
@@ -356,7 +360,7 @@ class TestSolve:
         prev = objective(right_corner, solve_start(right_corner))
         for k in range(1, 100):
             try:
-                point = solve(right_corner, SolverConfig(max_iter=k)).point
+                point = solve(right_corner, max_iter=k).point
                 done = True
             except NonConvergence as exc:
                 point, done = exc.point, False
