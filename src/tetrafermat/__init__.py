@@ -11,7 +11,6 @@ from .errors import (
     ClassificationConflict,
     CoincidentPoints,
     DegenerateBaseAngle,
-    DegenerateFrame,
     DegenerateInput,
     InfeasiblePair,
     NonConvergence,
@@ -29,7 +28,6 @@ from .formula import (
 from .geometry import (
     DirectionConfig,
     Tetrahedron,
-    canonical_frame,
     direction_config,
 )
 from .properties import (
@@ -56,7 +54,6 @@ __all__ = [
     "ClassificationConflict",
     "CoincidentPoints",
     "DegenerateBaseAngle",
-    "DegenerateFrame",
     "DegenerateInput",
     "DirectionConfig",
     "FermatSolution",
@@ -69,7 +66,6 @@ __all__ = [
     "Tetrahedron",
     "UnrealizableTriple",
     "angle_sextuple",
-    "canonical_frame",
     "classify",
     "config_from_five_angles",
     "direction_config",

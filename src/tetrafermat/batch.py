@@ -1,13 +1,14 @@
 """Per-instance reports and seeded batch verification.
 
-``build_report`` is the one per-instance pipeline: solve, put the interior
-minimizer's legs in the canonical frame, measure the junction-angle
-identities.  The ``solve`` and ``verify`` commands print its
-``SolutionReport``; ``run_batch_verify`` reads batch-verify's residuals off
-the same record for every tetrahedron of a seeded corpus and adds the
-sixth-angle cross-check.  A caller sets the verification tolerance and
-the solver's iteration budget; the solver's stopping residual is the
-constant ``solver.GRAD_TOL``, which the batch-verify header prints.
+``build_report`` is the one per-instance pipeline: solve, take the unit
+legs from the interior minimizer toward the vertices, measure the
+junction-angle identities on them.  The ``solve`` and ``verify`` commands
+print its ``SolutionReport``; ``run_batch_verify`` reads batch-verify's
+residuals off the same record for every tetrahedron of a seeded corpus
+and adds the sixth-angle cross-check.  A caller sets the verification
+tolerance and the solver's iteration budget; the solver's stopping
+residual is the constant ``solver.GRAD_TOL``, which the batch-verify
+header prints.
 
 Shared by the command line and the acceptance tests.  Output is
 deterministic for a fixed seed: no wall-clock, no OS entropy.
@@ -44,9 +45,9 @@ CHECKS = (
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """One tetrahedron's solution and, when it is interior, the canonical
-    frame of its legs and the identity residuals measured there; a vertex
-    solution carries None in both."""
+    """One tetrahedron's solution and, when it is interior, its unit legs
+    (``frame``, as ``direction_config`` returns them) and the identity
+    residuals measured on them; a vertex solution carries None in both."""
 
     solution: FermatSolution
     frame: DirectionConfig | None

@@ -15,11 +15,6 @@ class DegenerateInput(TetrafermatError):
     """Four points too close to collinear/coplanar to form a tetrahedron."""
 
 
-class DegenerateFrame(TetrafermatError):
-    """The first two direction vectors are (anti-)parallel, so no canonical
-    frame can be anchored on them."""
-
-
 class ClassificationConflict(TetrafermatError):
     """More than one vertex passed the vertex-optimality test; the input is
     numerically pathological."""
@@ -38,6 +33,11 @@ class NonConvergence(TetrafermatError):
             f"no convergence after {iterations} iterations "
             f"(residual {residual:.3e})"
         )
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone, which
+        # __init__ does not take; a process pool pickles errors it returns
+        return NonConvergence, (self.point, self.residual, self.iterations)
 
 
 class UnrealizableTriple(TetrafermatError):

@@ -174,11 +174,13 @@ def _leg_from_angles(a102: float, a10i: float, a20i: float, s: float):
 
 
 def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
-    """Rebuild a canonical direction configuration from five angles.
+    """Rebuild a direction configuration from five angles.
 
-    Leg 3 takes the non-negative z root; leg 4's z sign is set so the
-    configuration realizes the requested radical branch.  Raises
-    UnrealizableTriple when a z*z comes out negative beyond tolerance.
+    The construction puts leg 1 on the x-axis and leg 2 in the xy-plane
+    with positive y.  Leg 3 takes the non-negative z root; leg 4's z sign
+    is set so the configuration realizes the requested radical branch.
+    Raises UnrealizableTriple when a z*z comes out negative beyond
+    tolerance.
     """
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")

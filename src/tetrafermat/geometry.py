@@ -1,16 +1,16 @@
-"""Tetrahedron validation and the canonical frame: ``direction_config`` and
-``canonical_frame`` rigidly move four unit legs so that leg 1 lies on the
-x-axis and leg 2 in the xy-plane.
+"""Tetrahedron validation and the legs seen from a point:
+``direction_config`` returns the four unit vectors from a point toward the
+vertices, as computed.
 
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
 numpy's per-call overhead costs more than the arithmetic it saves.
 ``Tetrahedron`` builds its float rows once, the form the kernels read.
-``DirectionConfig`` stores nothing but its four float rows, the rotated
-legs as the frame computes them, which the angle and identity checks
-read; its ``units`` array is built from them when read.  Tetrahedron
-validation and the frame itself are straight-line code on those floats.
+``DirectionConfig`` stores nothing but its four float rows, the legs the
+angle and identity checks read; its ``units`` array is built from them
+when read.  Every check is unchanged by a rotation or a mirror of the
+legs, so none needs them in a particular frame.
 """
 
 from __future__ import annotations
@@ -20,18 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegenerateFrame, DegenerateInput
+from .errors import CoincidentPoints, DegenerateInput
 
 #: relative volume threshold below which four points are rejected as flat
 VOLUME_EPS = 1e-12
-#: |cos| of legs 1, 2 above 1 - FRAME_EPS: the anchor pair is (anti-)parallel
-FRAME_EPS = 1e-12
 #: relative distance below which two points cannot define a direction
 COINCIDENT_EPS = 1e-12
 #: tolerated deviation of a unit vector's squared norm from 1
 UNIT_NORM_EPS = 1e-12
-#: |z| below this puts a leg in the xy-plane for the mirror convention
-INPLANE_EPS = 1e-12
+
 
 def as_point(p) -> np.ndarray:
     """Coerce to a (3,) float64 array of finite coordinates."""
@@ -41,14 +38,6 @@ def as_point(p) -> np.ndarray:
     x, y, z = a.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("coordinates must be finite")
-    return a
-
-
-def as_unit(u) -> np.ndarray:
-    """Coerce to a (3,) float64 array and check it has unit norm."""
-    a = as_point(u)
-    if abs(a @ a - 1.0) > UNIT_NORM_EPS:
-        raise ValueError(f"not a unit vector (|v|^2 = {a @ a!r})")
     return a
 
 
@@ -164,17 +153,14 @@ def _det4(a, b, c, d) -> float:
 
 @dataclass(frozen=True)
 class DirectionConfig:
-    """Four unit directions in the canonical frame, stored as ``rows``: four
-    (x, y, z) tuples of Python floats, the form the angle and identity
-    checks read.
+    """Four unit directions, stored as ``rows``: four (x, y, z) tuples of
+    Python floats, the form the angle and identity checks read.
 
-    Leg 1 is (1, 0, 0) exactly; leg 2 lies in the xy-plane with y >= 0;
-    leg 3 has non-negative z (the mirror convention; applied to leg 4 when
-    leg 3 is in-plane).  Any 4x3 sequence of numbers, array or tuples, is
-    accepted; every row must be finite with a squared norm within
-    UNIT_NORM_EPS of 1.  ``units`` is the same rows as a read-only (4, 3)
-    array, built when read.  Two configurations are equal, and hash
-    alike, when their rows are.
+    Any 4x3 sequence of numbers, array or tuples, is accepted; every row
+    must be finite with a squared norm within UNIT_NORM_EPS of 1, and the
+    rows are kept as given, in any orientation.  ``units`` is the same rows
+    as a read-only (4, 3) array, built when read.  Two configurations are
+    equal, and hash alike, when their rows are.
     """
 
     rows: tuple
@@ -190,12 +176,8 @@ class DirectionConfig:
                 f"{self.rows!r}"
             ) from None
         object.__setattr__(self, "rows", rows)
-        if a != (1.0, 0.0, 0.0):
-            raise ValueError("leg 1 must be exactly (1, 0, 0)")
-        if abs(b[2]) > 1e-9 or b[1] < -1e-9:
-            raise ValueError("leg 2 must lie in the xy-plane with y >= 0")
-        for x, y, z in (b, c, d):
-            # leg 1 is exact; the test is false for NaN, and for inf squared
+        for x, y, z in (a, b, c, d):
+            # the test is false for NaN, and for inf squared
             if not abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS:
                 raise ValueError(f"rows must be finite unit vectors, got {(x, y, z)}")
 
@@ -207,59 +189,15 @@ class DirectionConfig:
         return u
 
 
-def _frame(a, b, c, d) -> DirectionConfig:
-    """``canonical_frame`` on four unit (x, y, z) rows of floats."""
-    ax, ay, az = a
-    bx, by, bz = b
-    c12 = ax * bx + ay * by + az * bz
-    if abs(c12) >= 1.0 - FRAME_EPS:
-        raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    e1x, e1y, e1z = ax / n, ay / n, az / n
-    x2 = bx * e1x + by * e1y + bz * e1z
-    px, py, pz = bx - x2 * e1x, by - x2 * e1y, bz - x2 * e1z
-    n = math.sqrt(px * px + py * py + pz * pz)
-    e2x, e2y, e2z = px / n, py / n, pz / n
-    e3x = e1y * e2z - e1z * e2y
-    e3y = e1z * e2x - e1x * e2z
-    e3z = e1x * e2y - e1y * e2x
-    # leg 1 rotates onto the x-axis and leg 2 into the xy-plane, so only
-    # legs 2-4 are rotated, and leg 2 only in x and y
-    y2 = bx * e2x + by * e2y + bz * e2z
-    cx, cy, cz = c
-    x3 = cx * e1x + cy * e1y + cz * e1z
-    y3 = cx * e2x + cy * e2y + cz * e2z
-    z3 = cx * e3x + cy * e3y + cz * e3z
-    dx, dy, dz = d
-    x4 = dx * e1x + dy * e1y + dz * e1z
-    y4 = dx * e2x + dy * e2y + dz * e2z
-    z4 = dx * e3x + dy * e3y + dz * e3z
-    if z3 < -INPLANE_EPS or (abs(z3) <= INPLANE_EPS and z4 < -INPLANE_EPS):
-        z3, z4 = -z3, -z4
-    return DirectionConfig(
-        ((1.0, 0.0, 0.0), (x2, y2, 0.0), (x3, y3, z3), (x4, y4, z4))
-    )
-
-
-def canonical_frame(u1, u2, u3, u4) -> DirectionConfig:
-    """Rigidly move four unit directions into the canonical frame.
-
-    The rotation maps leg 1 to (1, 0, 0) and leg 2 into the xy-plane with
-    positive y.  If leg 3 then points below the plane it is mirrored back
-    (z -> -z), which preserves every pairwise angle; when leg 3 is in-plane
-    the mirror convention falls through to leg 4.  The result is a
-    deterministic function of the input.
-
-    Raises DegenerateFrame when legs 1 and 2 are (anti-)parallel.
-    """
-    return _frame(*(as_unit(u).tolist() for u in (u1, u2, u3, u4)))
-
-
 def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
-    """Canonical direction configuration seen from a point inside a
-    tetrahedron."""
+    """The four unit legs from a point toward the vertices A1..A4.
+
+    Raises CoincidentPoints when the point is on, or relatively too close
+    to, a vertex."""
     p = as_point(point).tolist()
     px, py, pz = p
     pn = math.sqrt(px * px + py * py + pz * pz)
     a, b, c, d = tetra.rows
-    return _frame(_unit(p, pn, a), _unit(p, pn, b), _unit(p, pn, c), _unit(p, pn, d))
+    return DirectionConfig(
+        (_unit(p, pn, a), _unit(p, pn, b), _unit(p, pn, c), _unit(p, pn, d))
+    )

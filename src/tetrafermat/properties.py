@@ -7,9 +7,11 @@ are anti-parallel.  This module measures all of those as residuals.  The
 bisectors u_i + u_j are formed inside ``verify_fundamental_property`` and
 only their residuals are returned.
 
-Every function reads the frame's float rows, ``DirectionConfig.rows``
-(the one form the record stores), in straight-line code: each leg dot
-product and each angle's cosine is computed once per call.
+Every function reads the legs' float rows, ``DirectionConfig.rows`` (the
+one form the record stores), in straight-line code: each leg dot product
+and each angle's cosine is computed once per call.  Every quantity here
+is a function of dot products of legs and of their sums, so it is
+unchanged by a rotation or a mirror of the legs.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ class PropertyReport:
     flags: tuple[str, ...] = ()
 
 
-def _angles(rows) -> AngleSextuple:
-    """The six pairwise angles of four unit (x, y, z) rows: the arccosine of
-    each dot product, clamped to [-1, 1]."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
+def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
+    """All six pairwise leg angles of a direction configuration: the
+    arccosine of each dot product, clamped to [-1, 1]."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = config.rows
     return AngleSextuple(
         acos(min(1.0, max(-1.0, x1 * x2 + y1 * y2 + z1 * z2))),
         acos(min(1.0, max(-1.0, x1 * x3 + y1 * y3 + z1 * z3))),
@@ -72,11 +74,6 @@ def _angles(rows) -> AngleSextuple:
         acos(min(1.0, max(-1.0, x2 * x4 + y2 * y4 + z2 * z4))),
         acos(min(1.0, max(-1.0, x3 * x4 + y3 * y4 + z3 * z4))),
     )
-
-
-def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
-    """All six pairwise leg angles of a direction configuration."""
-    return _angles(config.rows)
 
 
 def _angle_residuals(s: AngleSextuple):
@@ -98,10 +95,9 @@ def verify_fundamental_property(
     three opposite bisector pairs against -1.  Meaningful for balanced
     quadruples; on unbalanced input the residuals simply come out large.
     """
-    rows = config.rows
-    s = _angles(rows)
+    s = angle_sextuple(config)
     opp, csum = _angle_residuals(s)
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = config.rows
     # the bisector u_i + u_j of each leg pair
     bx12, by12, bz12 = x1 + x2, y1 + y2, z1 + z2
     bx13, by13, bz13 = x1 + x3, y1 + y3, z1 + z3

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .formula import resolve_branch, FiveAngles
-from .geometry import DirectionConfig, Tetrahedron, _det4, canonical_frame
+from .geometry import DirectionConfig, Tetrahedron, _det4
 from .properties import angle_sextuple
 
 #: unit-cube tetrahedra flatter than this volume are rejected
@@ -53,7 +53,8 @@ def _unit_rows(rng: np.random.Generator, n: int = 4) -> np.ndarray:
 
 
 def _frame_ok(units: np.ndarray) -> bool:
-    """Reject quadruples whose frame or radical factors are near-degenerate."""
+    """Reject quadruples with a pair of legs near (anti-)parallel or a
+    near-degenerate radical factor."""
     c = units @ units.T
     if np.abs(c[np.triu_indices(4, 1)]).max() > MAX_PAIR_COS:
         return False
@@ -76,7 +77,7 @@ def balanced_quadruple(seed: int, index: int) -> np.ndarray:
 
     Project-and-renormalize fixed point: subtract the mean and rescale rows
     until the resultant norm drops below BALANCE_TOL; collapsing rows or
-    degenerate frames trigger a resample.
+    a quadruple ``_frame_ok`` rejects trigger a resample.
     """
     rng = instance_rng(seed, index)
     while True:
@@ -120,14 +121,14 @@ def known_answer_tetrahedron(seed: int, index: int) -> tuple[Tetrahedron, np.nda
 
 
 def random_five_angles(seed: int, index: int) -> tuple[FiveAngles, int, DirectionConfig]:
-    """A realizable five-angle set with its radical branch and the canonical
-    configuration that realizes it."""
+    """A realizable five-angle set with its radical branch and the
+    configuration of four random unit legs that realizes it."""
     rng = instance_rng(seed, index)
     while True:
         u = _unit_rows(rng)
         if not _frame_ok(u):
             continue
-        config = canonical_frame(*u)
+        config = DirectionConfig(u)
         branch = resolve_branch(config)
         if branch == 0:
             continue

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from tetrafermat import (
+    DirectionConfig,
     FiveAngles,
     InfeasiblePair,
     Tetrahedron,
     angle_sextuple,
-    canonical_frame,
     classify,
     config_from_five_angles,
     direction_config,
@@ -185,7 +185,7 @@ def test_criterion_5_sixth_angle_identity():
     worst = 0.0
     for i in range(500):
         for units in (balanced_quadruple(SEED, i), random_unit_quadruple(SEED, i)):
-            cfg = canonical_frame(*units)
+            cfg = DirectionConfig(units)
             s = angle_sextuple(cfg)
             fa = FiveAngles(s.a102, s.a103, s.a104, s.a203, s.a204)
             r = sixth_angle(fa)
@@ -193,7 +193,7 @@ def test_criterion_5_sixth_angle_identity():
             worst = max(worst, diff)
     regular = sixth_angle(FiveAngles(*(ARCCOS_THIRD,) * 5))
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
-    branch = resolve_branch(canonical_frame(*(v / math.sqrt(3.0))))
+    branch = resolve_branch(DirectionConfig(v / math.sqrt(3.0)))
     regular_err = abs(regular.cos_minus + 1.0 / 3.0)
     ok = worst <= 1e-8 and branch == -1 and regular_err <= 1e-12
     report(
@@ -277,9 +277,9 @@ max residual per check:
   vertex_optimality        0.000000e+00
   opposite_angles          1.264724e-10
   cosine_sum               7.490669e-11
-  bisector_orthogonality   7.286594e-11
-  bisector_antiparallel    3.330669e-16
-  sixth_angle_identity     6.861178e-14
+  bisector_orthogonality   7.286571e-11
+  bisector_antiparallel    4.440892e-16
+  sixth_angle_identity     6.838974e-14
   substitution_residual    4.996004e-14
 result: PASS"""
 

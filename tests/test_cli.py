@@ -319,9 +319,9 @@ REGULAR_VERIFY_JSON = """\
     ],
     "cosine_sum": 2.942091015256665e-14,
     "bisector_orthogonality": [
-      9.936496070395151e-15,
-      9.769962616701378e-15,
-      9.992007221626409e-15
+      9.871208456769157e-15,
+      9.743010944343478e-15,
+      9.871208456769157e-15
     ],
     "bisector_antiparallel": [
       0.0,
@@ -357,22 +357,22 @@ CUBE_3_0_VERIFY_JSON = """\
     "a104": 1.155026826829167,
     "a203": 1.1550268268291675,
     "a204": 2.0371774821169195,
-    "a304": 2.8378946116971373
+    "a304": 2.8378946116971386
   },
   "checks": {
     "opposite_angles": [
-      1.1102230246251565e-16,
+      2.220446049250313e-16,
       3.885780586188048e-16,
       7.771561172376096e-16
     ],
     "cosine_sum": 7.216449660063518e-16,
     "bisector_orthogonality": [
-      8.326672684688674e-17,
-      2.3245294578089215e-16,
-      3.3306690738754696e-16
+      1.708702623837155e-16,
+      1.249000902703301e-16,
+      3.191891195797325e-16
     ],
     "bisector_antiparallel": [
-      0.0,
+      1.1102230246251565e-16,
       0.0,
       0.0
     ],

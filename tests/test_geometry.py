@@ -6,24 +6,24 @@ import pytest
 
 from tetrafermat import (
     CoincidentPoints,
-    DegenerateFrame,
     DegenerateInput,
     DirectionConfig,
+    FiveAngles,
     Tetrahedron,
     angle_sextuple,
-    canonical_frame,
     direction_config,
     hull_points,
+    resolve_branch,
+    sixth_angle,
     solve,
+    verify_fundamental_property,
 )
-from tetrafermat.geometry import INPLANE_EPS
 from tetrafermat.sampling import (
+    balanced_quadruple,
     random_rotation,
     random_tetrahedron,
     random_unit_quadruple,
 )
-
-from conftest import ARCCOS_THIRD
 
 
 def pairwise_angles(units: np.ndarray) -> np.ndarray:
@@ -38,22 +38,28 @@ def norm_scale(v: np.ndarray) -> float:
     )
 
 
-def numpy_frame(tetra: Tetrahedron, point: np.ndarray) -> np.ndarray:
-    """Reference canonical frame in numpy: rotation rows e1, e2 and
-    e3 = e1 x e2 applied by a matrix product, then the mirror rule.
-    Returns the rotated legs."""
+def numpy_legs(tetra: Tetrahedron, point: np.ndarray) -> np.ndarray:
+    """Reference legs in numpy: (v - p) / |v - p| for each vertex v."""
     d = tetra.vertices - point
-    u = d / np.linalg.norm(d, axis=1, keepdims=True)
-    e1 = u[0] / np.linalg.norm(u[0])
-    perp = u[1] - (u[1] @ e1) * e1
-    e2 = perp / np.linalg.norm(perp)
-    e3 = np.cross(e1, e2)
-    rotated = u @ np.vstack([e1, e2, e3]).T
-    if rotated[2, 2] < -INPLANE_EPS or (
-        abs(rotated[2, 2]) <= INPLANE_EPS and rotated[3, 2] < -INPLANE_EPS
-    ):
-        rotated[:, 2] = -rotated[:, 2]
-    return rotated
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def check_values(cfg: DirectionConfig):
+    """Every value a check reads off a configuration: the angles, the
+    identity residuals, the radical branch and the sixth-angle error."""
+    s = angle_sextuple(cfg)
+    r = verify_fundamental_property(cfg)
+    branch = resolve_branch(cfg)
+    error = sixth_angle(FiveAngles(*s.as_tuple()[:5])).branch_error(
+        branch, math.cos(s.a304)
+    )
+    residuals = (
+        *r.opposite_angle_residuals,
+        r.cosine_sum_residual,
+        *r.bisector_dot_residuals,
+        *r.antiparallel_residuals,
+    )
+    return s.as_tuple(), residuals, branch, error
 
 
 class TestTetrahedron:
@@ -116,56 +122,44 @@ class TestTetrahedron:
 
 
 class TestCanonicalFrame:
+    """``DirectionConfig`` keeps four unit legs as given, in any frame."""
+
     def test_axis_example_preserves_angles(self):
         u_in = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, -1.0]])
-        cfg = canonical_frame(*u_in)
-        assert np.array_equal(cfg.units[0], [1.0, 0.0, 0.0])
+        cfg = DirectionConfig(u_in)
+        assert np.array_equal(cfg.units, u_in)
         assert angle_sextuple(cfg).a102 == pytest.approx(math.pi / 2, abs=1e-14)
         assert np.allclose(
-            pairwise_angles(cfg.units), pairwise_angles(u_in), atol=1e-12
+            angle_sextuple(cfg).as_tuple(), pairwise_angles(u_in), atol=1e-12
         )
 
-    def test_regular_directions(self):
-        v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
-        cfg = canonical_frame(*(v / math.sqrt(3.0)))
-        assert np.allclose(pairwise_angles(cfg.units), ARCCOS_THIRD, atol=1e-12)
-
-    def test_idempotent(self):
-        for i in range(25):
-            u = random_unit_quadruple(101, i)
-            cfg = canonical_frame(*u)
-            again = canonical_frame(*cfg.units)
-            assert np.allclose(again.units, cfg.units, atol=1e-12)
-
     def test_rotation_invariance_of_angles(self):
-        for i in range(200):
-            u = random_unit_quadruple(202, i)
-            rng = np.random.default_rng(i)
-            r = random_rotation(rng)
-            a = pairwise_angles(canonical_frame(*u).units)
-            b = pairwise_angles(canonical_frame(*(u @ r.T)).units)
-            assert np.allclose(a, b, atol=1e-10)
-
-    def test_leg3_mirror_convention(self):
-        for i in range(100):
-            u = random_unit_quadruple(404, i)
-            cfg = canonical_frame(*u)
-            assert cfg.units[2][2] >= -1e-12
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(DegenerateFrame):
-            canonical_frame((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1))
+        # every check reads dot products of legs and of their sums, or the
+        # sign of det(u1, u2, u3) * det(u1, u2, u4), so a rotation, and a
+        # rotation followed by a mirror, of the legs leaves each value as it is
+        for quadruple in (balanced_quadruple, random_unit_quadruple):
+            for seed in range(200):
+                u = quadruple(seed, 0)
+                r = random_rotation(np.random.default_rng(seed))
+                angles, residuals, branch, error = check_values(DirectionConfig(u))
+                for turned in (u @ r.T, u @ r.T * (1.0, 1.0, -1.0)):
+                    a, res, b, e = check_values(DirectionConfig(turned))
+                    assert np.abs(np.subtract(a, angles)).max() <= 1e-12
+                    assert np.abs(np.subtract(res, residuals)).max() <= 1e-12
+                    assert b == branch
+                    assert abs(e - error) <= 1e-12
 
     def test_rejects_non_unit_input(self):
-        with pytest.raises(ValueError):
-            canonical_frame((1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            DirectionConfig(((1, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_config_validates_rows(self):
-        with pytest.raises(ValueError):
-            DirectionConfig(
-                np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, -1.0]])
-            )
-
+        # leg 1 need not lie on the x-axis, but every row must be a unit leg
+        u = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, -1.0]])
+        assert DirectionConfig(u).rows == tuple(map(tuple, u.tolist()))
+        u[0, 1] = 1.0 + 1e-11
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            DirectionConfig(u)
 
     @pytest.mark.parametrize(
         "units",
@@ -196,7 +190,7 @@ class TestCanonicalFrame:
 
 
 class TestDirectionConfig:
-    def test_matches_numpy_rotation_at_solved_points(self):
+    def test_matches_numpy_legs_at_solved_points(self):
         checked = 0
         for i in range(500):
             t = random_tetrahedron(0, i)
@@ -204,16 +198,15 @@ class TestDirectionConfig:
             if sol.kind != "interior":
                 continue
             cfg = direction_config(t, sol.point)
-            rotated = numpy_frame(t, sol.point)
-            assert np.abs(cfg.units - rotated).max() <= 1e-13
+            assert np.abs(cfg.units - numpy_legs(t, sol.point)).max() <= 1e-13
             checked += 1
         assert checked > 400
 
-    def test_matches_numpy_rotation_at_hull_points(self):
+    def test_matches_numpy_legs_at_hull_points(self):
         t = random_tetrahedron(1, 0)
         for p in hull_points(t, 200, np.random.default_rng(5)):
-            rotated = numpy_frame(t, p)
-            assert np.abs(direction_config(t, p).units - rotated).max() <= 1e-13
+            legs = numpy_legs(t, p)
+            assert np.abs(direction_config(t, p).units - legs).max() <= 1e-13
 
     def test_rows_are_the_record(self):
         t = random_tetrahedron(0, 0)
@@ -241,13 +234,15 @@ class TestDirectionConfig:
         with pytest.raises(ValueError):
             direction_config(right_corner, (np.nan, 0.0, 0.0))
 
-    def test_edge_midpoint_rejected(self, right_corner):
-        # legs 1 and 2 are antiparallel at the midpoint of edge A1A2
+    def test_edge_midpoint_legs_are_antiparallel(self, right_corner):
+        # at the midpoint of edge A1A2 legs 1 and 2 are antiparallel up to
+        # rounding; acos near -1 magnifies that to about sqrt(eps) in a102
         t = random_tetrahedron(0, 0)
         for tetra in (right_corner, t):
             mid = 0.5 * (tetra.vertex(1) + tetra.vertex(2))
-            with pytest.raises(DegenerateFrame):
-                direction_config(tetra, mid)
+            cfg = direction_config(tetra, mid)
+            assert np.abs(cfg.units[0] + cfg.units[1]).max() <= 1e-15
+            assert math.pi - angle_sextuple(cfg).a102 <= 1e-7
 
 
 def test_records_compare_by_value(flat_vertex_case):

@@ -1,6 +1,6 @@
 """The identity layer against its earlier loop form.
 
-``direction_config``/``canonical_frame``, ``angle_sextuple``,
+``direction_config``, ``angle_sextuple``,
 ``verify_fundamental_property``, ``sixth_angle`` and
 ``ft_substitution_residual`` are straight-line float code that reads
 ``DirectionConfig.rows`` and computes each cosine once.  The functions
@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from tetrafermat import (
+    DirectionConfig,
     SixthAngleResult,
     TetrafermatError,
-    canonical_frame,
     direction_config,
     ft_substitution_residual,
     hull_points,
@@ -27,7 +27,6 @@ from tetrafermat import (
 from tetrafermat.errors import (
     CoincidentPoints,
     DegenerateBaseAngle,
-    DegenerateFrame,
     InfeasiblePair,
     UnrealizableTriple,
 )
@@ -38,7 +37,7 @@ from tetrafermat.formula import (
     FiveAngles,
     sixth_angle,
 )
-from tetrafermat.geometry import COINCIDENT_EPS, FRAME_EPS, INPLANE_EPS
+from tetrafermat.geometry import COINCIDENT_EPS
 from tetrafermat.properties import BISECTOR_EPS, angle_sextuple
 from tetrafermat.sampling import (
     balanced_quadruple,
@@ -65,48 +64,10 @@ def loop_unit(a, b):
     return dx / n, dy / n, dz / n
 
 
-def loop_config_from_canonical_rows(u):
-    """The rotated rows as lists, with leg 1 set to exactly (1, 0, 0) and
-    leg 2's z to exactly 0."""
-    return [[1.0, 0.0, 0.0], [u[1][0], u[1][1], 0.0], list(u[2]), list(u[3])]
-
-
-def loop_frame(u):
-    (ax, ay, az), (bx, by, bz) = u[0], u[1]
-    c12 = ax * bx + ay * by + az * bz
-    if abs(c12) >= 1.0 - FRAME_EPS:
-        raise DegenerateFrame("legs 1 and 2 are parallel or anti-parallel")
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    e1x, e1y, e1z = ax / n, ay / n, az / n
-    c = bx * e1x + by * e1y + bz * e1z
-    px, py, pz = bx - c * e1x, by - c * e1y, bz - c * e1z
-    n = math.sqrt(px * px + py * py + pz * pz)
-    e2x, e2y, e2z = px / n, py / n, pz / n
-    e3x = e1y * e2z - e1z * e2y
-    e3y = e1z * e2x - e1x * e2z
-    e3z = e1x * e2y - e1y * e2x
-    rotated = [
-        (
-            x * e1x + y * e1y + z * e1z,
-            x * e2x + y * e2y + z * e2z,
-            x * e3x + y * e3y + z * e3z,
-        )
-        for x, y, z in u
-    ]
-    if rotated[2][2] < -INPLANE_EPS or (
-        abs(rotated[2][2]) <= INPLANE_EPS and rotated[3][2] < -INPLANE_EPS
-    ):
-        rotated = [(x, y, -z) for x, y, z in rotated]
-    return loop_config_from_canonical_rows(rotated)
-
-
 def loop_direction_config(tetra, point):
+    """The unit legs from the point toward each vertex, one row at a time."""
     p = np.asarray(point, dtype=float).tolist()
-    return loop_frame([loop_unit(p, v) for v in tetra.rows])
-
-
-def loop_canonical_frame(u1, u2, u3, u4):
-    return loop_frame([np.asarray(u, dtype=float).tolist() for u in (u1, u2, u3, u4)])
+    return [list(loop_unit(p, v)) for v in tetra.rows]
 
 
 def _dot(a, b):
@@ -239,7 +200,7 @@ def assert_config_matches(cfg, ref):
 
 
 def assert_identities_match(cfg):
-    """Every layer after the frame, on one configuration."""
+    """Every layer after the legs, on one configuration."""
     units = [list(r) for r in cfg.rows]
     angles, opp, csum, orth, anti, passed, flags = loop_verify(units)
     assert angle_sextuple(cfg).as_tuple() == angles
@@ -291,32 +252,11 @@ class TestIdentityLoopReference:
     def test_quadruples(self, quadruple):
         for i in range(500):
             u = quadruple(0, i)
-            cfg = canonical_frame(*u)
-            assert_config_matches(cfg, loop_canonical_frame(*u))
+            cfg = DirectionConfig(u)
+            assert_config_matches(cfg, u.tolist())
             assert_identities_match(cfg)
 
     def test_degenerate_bisector(self):
-        cfg = canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
-        assert_config_matches(
-            cfg, loop_canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
-        )
+        cfg = DirectionConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)))
         assert verify_fundamental_property(cfg).flags
-        assert_identities_match(cfg)
-
-    @pytest.mark.parametrize(
-        "legs",
-        [
-            # leg 3 below the leg-1/leg-2 plane
-            ((1, 0, 0), (0, 1, 0), (0.6, 0, -0.8), (0, -0.6, 0.8)),
-            # leg 3 in the plane, leg 4 below it
-            ((1, 0, 0), (0, 1, 0), (-0.6, -0.8, 0), (0, 0.6, -0.8)),
-        ],
-        ids=["leg3_below", "leg3_in_plane_leg4_below"],
-    )
-    def test_mirror_cases(self, legs):
-        cfg = canonical_frame(*legs)
-        assert_config_matches(cfg, loop_canonical_frame(*legs))
-        # the mirror was taken: the deciding leg now points up
-        z3, z4 = cfg.rows[2][2], cfg.rows[3][2]
-        assert z3 > 0.0 or (z3 == 0.0 and z4 > 0.0)
         assert_identities_match(cfg)

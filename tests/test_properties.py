@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tetrafermat import (
     AngleSextuple,
+    DirectionConfig,
     angle_sextuple,
-    canonical_frame,
     direction_config,
     solve,
     verify_fundamental_property,
@@ -25,7 +25,7 @@ from conftest import ARCCOS_THIRD
 
 def regular_config():
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
-    return canonical_frame(*(v / math.sqrt(3.0)))
+    return DirectionConfig(v / math.sqrt(3.0))
 
 
 class TestAngleSextuple:
@@ -35,7 +35,7 @@ class TestAngleSextuple:
 
     def test_axes_plus_diagonal(self):
         u4 = -np.ones(3) / math.sqrt(3.0)
-        cfg = canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), u4)
+        cfg = DirectionConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), u4))
         s = angle_sextuple(cfg)
         right = math.pi / 2
         diag = math.acos(-1.0 / math.sqrt(3.0))
@@ -83,7 +83,7 @@ class TestBisectors:
     def test_squared_norm_identity(self, seed):
         # |u_i + u_j|^2 = 2 (1 + cos a_i0j), pairs in the sextuple's order
         u = random_unit_quadruple(seed, 0)
-        cfg = canonical_frame(*u)
+        cfg = DirectionConfig(u)
         s = angle_sextuple(cfg)
         pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         for (i, j), a in zip(pairs, s.as_tuple()):
@@ -104,13 +104,13 @@ class TestFundamentalProperty:
 
     def test_report_carries_its_sextuple(self):
         for i in range(20):
-            cfg = canonical_frame(*random_unit_quadruple(23, i))
+            cfg = DirectionConfig(random_unit_quadruple(23, i))
             assert verify_fundamental_property(cfg).angles == angle_sextuple(cfg)
 
     def test_balanced_quadruples_pass(self):
         for i in range(50):
             u = balanced_quadruple(23, i)
-            report = verify_fundamental_property(canonical_frame(*u))
+            report = verify_fundamental_property(DirectionConfig(u))
             assert report.passed, (i, report)
 
     def test_solver_pipeline_passes(self):
@@ -128,7 +128,7 @@ class TestFundamentalProperty:
     def test_unbalanced_quadruple_fails(self):
         # the check must not be vacuous
         u = random_unit_quadruple(123, 0)
-        report = verify_fundamental_property(canonical_frame(*u))
+        report = verify_fundamental_property(DirectionConfig(u))
         assert not report.passed
         worst = max(
             max(report.opposite_angle_residuals),
@@ -142,7 +142,7 @@ class TestFundamentalProperty:
         # d102 . d203 = 1 + cos a102 + cos a103 + cos a203 for any directions
         for i in range(30):
             u = random_unit_quadruple(66, i)
-            cfg = canonical_frame(*u)
+            cfg = DirectionConfig(u)
             s = angle_sextuple(cfg)
             u1, u2, u3, _ = cfg.units
             expected = 1 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a203)
@@ -150,7 +150,7 @@ class TestFundamentalProperty:
             assert float((u1 + u2) @ (u1 + u3)) == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_bisector_is_flagged(self):
-        cfg = canonical_frame((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+        cfg = DirectionConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)))
         report = verify_fundamental_property(cfg)
         assert report.flags
         assert any(math.isnan(r) for r in report.antiparallel_residuals)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -264,6 +265,18 @@ class TestSolve:
         assert info.value.iterations == 1
         assert info.value.residual > 0
         assert hull_weights(right_corner, info.value.point).min() >= 0.0
+
+    def test_nonconvergence_survives_pickling(self):
+        # a process pool sends an error back to its parent by pickling it
+        with pytest.raises(NonConvergence) as info:
+            solve(random_tetrahedron(0, 0), max_iter=1)
+        exc = info.value
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is NonConvergence
+        assert np.array_equal(back.point, exc.point)
+        assert back.residual == exc.residual
+        assert back.iterations == exc.iterations
+        assert str(back) == str(exc)
 
     def test_nonconvergence_when_no_trial_passes(self, right_corner, monkeypatch):
         # a Newton step that finds no trial point ends the solve at once,
