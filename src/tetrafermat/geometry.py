@@ -6,16 +6,18 @@ All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
 numpy's per-call overhead costs more than the arithmetic it saves.
-``Tetrahedron`` builds its float rows once, the form the kernels read.
-``DirectionConfig`` stores nothing but its four float rows, the legs the
-angle and identity checks read; its ``units`` array is built from them
-when read.  Every check is unchanged by a rotation or a mirror of the
-legs, so none needs them in a particular frame.
+``Tetrahedron`` builds its float rows once, scaled by a power of two: the
+one frame every kernel reads.  ``DirectionConfig`` stores nothing but its
+four float rows, the legs the angle and identity checks read; its
+``units`` array is built from them when read.  Every check is unchanged by
+a rotation or a mirror of the legs, so none needs them in a particular
+frame.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +45,8 @@ def as_point(p) -> np.ndarray:
 
 def _unit(a, an, b):
     """Unit vector from row ``a``, of norm ``an``, toward row ``b`` as a
-    tuple.  Raises CoincidentPoints when ``|b - a|`` is at most
-    COINCIDENT_EPS times the larger point norm."""
+    tuple, or None when ``|b - a|`` is at most COINCIDENT_EPS times the
+    larger point norm: the points coincide."""
     ax, ay, az = a
     bx, by, bz = b
     dx = bx - ax
@@ -53,7 +55,7 @@ def _unit(a, an, b):
     n = math.sqrt(dx * dx + dy * dy + dz * dz)
     scale = max(an, math.sqrt(bx * bx + by * by + bz * bz))
     if n <= COINCIDENT_EPS * scale or n == 0.0:
-        raise CoincidentPoints(f"points {a} and {b} coincide")
+        return None
     return dx / n, dy / n, dz / n
 
 
@@ -70,64 +72,67 @@ def _triple(a, b, c) -> float:
 class Tetrahedron:
     """Four labeled points, validated non-collinear and non-coplanar.
 
-    Rows of ``vertices`` are the points A1..A4.  The volume test is relative:
-    the edge matrix divided by the longest pairwise distance must have
-    |det| above VOLUME_EPS, a test that neither overflows nor underflows at
-    any scale.  A longest distance that is zero or overflows float64 raises
-    DegenerateInput.  ``scale`` is the longest pairwise distance between
-    vertices.  ``rows`` holds the vertices as four (x, y, z) tuples of
-    Python floats, built once: the form every scalar kernel reads.  Two
-    tetrahedra are equal, and hash alike, when their rows are.
+    Rows of ``vertices`` are the points A1..A4.  ``scale`` is the longest
+    pairwise distance, the largest ``math.hypot`` of an edge's coordinate
+    differences, which neither overflows nor underflows; one below the
+    least normal float (zero included) or beyond the largest raises
+    DegenerateInput.  The volume test is relative: the edge matrix divided
+    by ``scale`` must have |det| above VOLUME_EPS.
+
+    ``frame`` holds the vertices times ``to_frame``, ``2**-e`` for
+    ``scale = f * 2**e`` with ``0.5 <= f < 1``, as four (x, y, z) tuples of
+    Python floats, built once: the rows every kernel reads.  Points and
+    lengths go into the frame times ``to_frame`` and come back divided by
+    it.  Exactness: in the normal range a product by a power of two is
+    exact and commutes with every IEEE operation the kernels use (+, -, *,
+    /, sqrt, comparisons), so the frame moves no iterate, count, residual
+    or decision, a power-of-two factor on the input scales every answer
+    exactly, and squared lengths and Newton's Hessian stay finite at every
+    accepted scale.  Only ``hypot`` rounds ``scale`` its own way, within
+    about an ulp of the exact length.  No input-unit copy of the rows is
+    kept: no kernel reads one.  Two tetrahedra are equal, and hash alike,
+    when their frames and factors are.
     """
 
     vertices: np.ndarray = field(compare=False)
     scale: float = field(init=False, repr=False, compare=False)
-    rows: tuple = field(init=False, repr=False)
+    frame: tuple = field(init=False, repr=False)
+    to_frame: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy, so that freezing it leaves the caller's array writable
         v = np.array(self.vertices, dtype=float, order="C")
         if v.shape != (4, 3):
             raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
-        a, b, c, d = rows = tuple(map(tuple, v.tolist()))
-        if not all(map(math.isfinite, (*a, *b, *c, *d))):
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows = v.tolist()
+        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
             raise DegenerateInput("vertex coordinates must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        ax, ay, az = a
-        bx, by, bz = b
-        cx, cy, cz = c
-        dx, dy, dz = d
         # rows v[i] - v[j] for the six pairs i < j, in the order (0,1) (0,2)
-        # (0,3) (1,2) (1,3) (2,3), flat
+        # (0,3) (1,2) (1,3) (2,3)
         e = (
-            ax - bx, ay - by, az - bz,
-            ax - cx, ay - cy, az - cz,
-            ax - dx, ay - dy, az - dz,
-            bx - cx, by - cy, bz - cz,
-            bx - dx, by - dy, bz - dz,
-            cx - dx, cy - dy, cz - dz,
+            (ax - bx, ay - by, az - bz),
+            (ax - cx, ay - cy, az - cz),
+            (ax - dx, ay - dy, az - dz),
+            (bx - cx, by - cy, bz - cz),
+            (bx - dx, by - dy, bz - dz),
+            (cx - dx, cy - dy, cz - dz),
         )
-        # np.linalg.norm(r) is sqrt(r.dot(r)), and vecdot runs the same BLAS
-        # dot, so this scale matches norm bit for bit; a Python sum of
-        # squares does not, as the BLAS kernel fuses multiply-adds.  A length
-        # that overflows is inf and rejected below, so no warning is due.
-        r = np.array(e).reshape(6, 3)
-        with np.errstate(over="ignore"):
-            s = math.sqrt(max(np.vecdot(r, r).tolist()))
-        if not 0.0 < s < math.inf:
+        s = max([math.hypot(*r) for r in e])
+        # below the least normal float, 2**-e would overflow
+        if not sys.float_info.min <= s < math.inf:
             raise DegenerateInput(
-                f"longest pairwise distance is {s!r}; expected a positive "
-                "finite length"
+                f"longest pairwise distance is {s!r}; expected a finite "
+                f"length of at least {sys.float_info.min!r}"
             )
+        m = math.ldexp(1.0, -math.frexp(s)[1])
         object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "to_frame", m)
+        frame = tuple([(x * m, y * m, z * m) for x, y, z in rows])
+        object.__setattr__(self, "frame", frame)
         # the first three edges are v[0] - v[1:], the negated edge matrix
-        det = abs(_triple(
-            (e[0] / s, e[1] / s, e[2] / s),
-            (e[3] / s, e[4] / s, e[5] / s),
-            (e[6] / s, e[7] / s, e[8] / s),
-        ))
+        det = abs(_triple(*[(x / s, y / s, z / s) for x, y, z in e[:3]]))
         if det <= VOLUME_EPS:
             raise DegenerateInput(
                 f"points are collinear or coplanar (|det| / scale^3 = "
@@ -195,9 +200,11 @@ def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     Raises CoincidentPoints when the point is on, or relatively too close
     to, a vertex."""
     p = as_point(point).tolist()
-    px, py, pz = p
-    pn = math.sqrt(px * px + py * py + pz * pz)
-    a, b, c, d = tetra.rows
-    return DirectionConfig(
-        (_unit(p, pn, a), _unit(p, pn, b), _unit(p, pn, c), _unit(p, pn, d))
-    )
+    m = tetra.to_frame
+    q = qx, qy, qz = p[0] * m, p[1] * m, p[2] * m
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    legs = [_unit(q, qn, r) for r in tetra.frame]
+    if None in legs:
+        vertex = tuple(tetra.vertices[legs.index(None)].tolist())
+        raise CoincidentPoints(f"points {p} and {vertex} coincide")
+    return DirectionConfig(legs)

@@ -7,7 +7,7 @@ budget and vertex radius are parameters whose values ``solver`` sets
 (``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``).
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
-floats (``Tetrahedron.rows``, built once per tetrahedron).  Scalar math
+floats (``Tetrahedron.frame``, built once per tetrahedron).  Scalar math
 only; no numpy inside the loops.  With four points the per-call overhead of
 numpy outweighs the arithmetic it would vectorize.  The hot kernels
 (``pull_norms``, ``newton``, ``nelder_mead``'s objective) bind the twelve row

@@ -8,13 +8,14 @@ Tests cross-validate one against the other.
 
 ``solve`` is the only way into the Newton solver.  Its stopping residual
 is the constant ``GRAD_TOL``, the value every check of the minimizer is
-written against; a caller sets only the iteration budget.  The kernels read
-the tetrahedron's float rows, ``Tetrahedron.rows``.
+written against; a caller sets only the iteration budget.  Every kernel
+reads the tetrahedron's frame, ``Tetrahedron.frame``: its vertices times
+the power of two ``Tetrahedron.to_frame``.  Points and lengths go into the
+frame times that power and come back divided by it, both exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class FermatSolution:
 
 def objective(tetra: Tetrahedron, point) -> float:
     """Sum of distances from a point to the four vertices."""
-    p = as_point(point)
-    return float(kernels.distance_sum(tetra.rows, p[0], p[1], p[2]))
+    m = tetra.to_frame
+    return kernels.distance_sum(tetra.frame, *(as_point(point) * m).tolist()) / m
 
 
 def classify(tetra: Tetrahedron) -> Classification:
@@ -106,7 +107,7 @@ def classify(tetra: Tetrahedron) -> Classification:
     At most one vertex can qualify on non-degenerate input; two or more
     raise ClassificationConflict.
     """
-    pulls = kernels.pull_norms(tetra.rows)
+    pulls = kernels.pull_norms(tetra.frame)
     winners = [i for i, p in zip((1, 2, 3, 4), pulls) if p <= 1.0 + BOUNDARY_EPS]
     if len(winners) > 1:
         raise ClassificationConflict(
@@ -132,49 +133,39 @@ def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
     smallest pull norm (the first, on a tie), along that vertex's descent
     ray (``kernels.vertex_ray_start``), which lands next to a minimizer that
     sits near a vertex, where Newton from a distant start takes longest.
-    It iterates on the vertices times ``2**-e``, where
-    ``scale = f * 2**e`` with ``0.5 <= f < 1``, and divides the answer by
-    the same power of two.  Both products are exact, so the iterates,
-    ``iterations``, ``residual`` and ``objective_value`` are those of the
-    same start in input units, scaling the input by a power of two scales
-    the answer exactly, and the determinant of the Hessian stays finite at
-    every accepted scale.  Each step solves ``H s = sum u_i`` with the
-    Hessian ``H = sum (I - u_i u_i^T) / d_i``.  The full step is tried
-    first; when it raises the objective beyond rounding, it is retried at
-    the distance to the nearest vertex (where the quadratic model stops
-    holding) and then halved until the objective does not rise.  Iterates
-    within ``VERTEX_EPS * scale`` of a vertex are moved off it along the
-    descent ray.  ``iterations`` counts Newton steps and vertex escapes
-    alike.  An interior solution carries no flags: the minimizer it
-    converged to has balanced unit legs, so it lies inside the hull, and no
-    hull test is made.  Raises NonConvergence when the ``max_iter``
-    iterations run out (at the start when ``max_iter`` is 0), and at once
-    when a Newton step finds no trial point that does not raise the
-    objective, or ``det H`` is not positive (NaN included).
+    It iterates in the tetrahedron's frame, which moves no iterate (see
+    ``Tetrahedron``), and divides the answer by ``to_frame``.  Each step
+    solves ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) /
+    d_i``.  The full step is tried first; when it raises the objective
+    beyond rounding, it is retried at the distance to the nearest vertex
+    (where the quadratic model stops holding) and then halved until the
+    objective does not rise.  Iterates within ``VERTEX_EPS * scale`` of a
+    vertex are moved off it along the descent ray.  ``iterations`` counts
+    Newton steps and vertex escapes alike.  An interior solution carries no
+    flags: the minimizer it converged to has balanced unit legs, so it lies
+    inside the hull, and no hull test is made.  Raises NonConvergence when
+    the ``max_iter`` iterations run out (at the start when ``max_iter`` is
+    0), and at once when a Newton step finds no trial point that does not
+    raise the objective, or ``det H`` is not positive (NaN included).
     """
     cls = classify(tetra)
+    rows = tetra.frame
+    m = tetra.to_frame
     if cls.kind == VERTEX:
         i = cls.vertex_index
-        rows = tetra.rows
         return FermatSolution(
             kind=VERTEX,
             point=tetra.vertex(i).copy(),
             vertex_index=i,
             residual=cls.pull_norms[i - 1],
             iterations=0,
-            objective_value=kernels.distance_sum(rows, *rows[i - 1]),
+            objective_value=kernels.distance_sum(rows, *rows[i - 1]) / m,
             pull_norms=cls.pull_norms,
             flags=cls.flags,
         )
     pulls = cls.pull_norms
-    scale = tetra.scale
-    # 2**-e with scale = f * 2**e, 0.5 <= f < 1: multiplying by a power of
-    # two is exact, so the iteration runs as it would on the input rows,
-    # with its lengths near 1 and its Hessian finite at any scale
-    m = math.ldexp(1.0, -math.frexp(scale)[1])
-    rows = tuple((x * m, y * m, z * m) for x, y, z in tetra.rows)
     sx, sy, sz = kernels.vertex_ray_start(rows, pulls.index(min(pulls)))
-    eps = VERTEX_EPS * (scale * m)
+    eps = VERTEX_EPS * (tetra.scale * m)
     x, y, z, value, res, iters, status = kernels.newton(
         rows, sx, sy, sz, GRAD_TOL, max_iter, eps,
     )
@@ -212,8 +203,9 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     it starts at a seeded point inside the hull, ``solve`` next to a
     vertex.  Deterministic for a fixed seed.
     """
-    rows = tetra.rows
-    scale = tetra.scale
+    rows = tetra.frame
+    m = tetra.to_frame
+    scale = tetra.scale * m
     # barycentric weights on the float rows, summed left to right, so the
     # start does not depend on how a BLAS build rounds a matrix product
     w0, w1, w2, w3 = np.random.default_rng(seed).dirichlet(np.ones(4)).tolist()
@@ -228,4 +220,4 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
         )
         if fv < best[3]:
             best = (x, y, z, fv)
-    return np.array(best[:3])
+    return np.array([c / m for c in best[:3]])

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -13,6 +14,34 @@ def hull_weights(tetra: Tetrahedron, point) -> np.ndarray:
     non-negative exactly when the point lies in the hull."""
     m = np.vstack([tetra.vertices.T, np.ones(4)])
     return np.linalg.solve(m, np.append(np.asarray(point, dtype=float), 1.0))
+
+
+def scale_error_ulps(vertices, scale: float) -> float:
+    """How far ``scale`` is from the exact longest pairwise distance of the
+    vertices, in units in the last place of ``scale``.  The exact distance
+    is computed with ``decimal`` at 50 digits from the exact float
+    coordinates, for the edges that ``math.dist`` puts within 1e-12 of the
+    longest (the others cannot be it)."""
+    v = np.asarray(vertices).tolist()
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    approx = [math.dist(v[i], v[j]) for i, j in pairs]
+    top = max(approx)
+    d = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = max(
+            sum((d(p) - d(q)) ** 2 for p, q in zip(v[i], v[j]))
+            for (i, j), length in zip(pairs, approx)
+            if length >= top * (1.0 - 1e-12)
+        ).sqrt()
+        return float(abs(d(scale) - exact) / d(math.ulp(scale)))
+
+
+def input_rows(tetra: Tetrahedron) -> tuple:
+    """The vertices as four (x, y, z) tuples of Python floats, in input
+    units: the form the kernels take, without the tetrahedron's power-of-two
+    frame."""
+    return tuple(map(tuple, tetra.vertices.tolist()))
 
 
 @pytest.fixture

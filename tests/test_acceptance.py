@@ -31,10 +31,11 @@ from tetrafermat import (
     verify_fundamental_property,
 )
 from tetrafermat.batch import run_batch_verify
-from tetrafermat.sampling import (
+from tetrafermat.sampling import random_tetrahedron
+
+from corpora import (
     balanced_quadruple,
     random_five_angles,
-    random_tetrahedron,
     random_unit_quadruple,
 )
 

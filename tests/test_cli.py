@@ -178,6 +178,15 @@ class TestVerifyCommand:
     def test_vertex_case_passes(self, write_json):
         assert main(["verify", "--input", write_json(FLAT)]) == EXIT_OK
 
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_passes_at_extreme_scales(self, factor, write_json, capsys):
+        # edges whose squares leave float64 are accepted and verified
+        v = (random_tetrahedron(0, 0).vertices * factor).tolist()
+        path = write_json({"vertices": v})
+        assert main(["verify", "--input", path]) == EXIT_OK
+        assert main(["solve", "--input", path]) == EXIT_OK
+        assert "kind: interior" in capsys.readouterr().out.splitlines()
+
 
 class TestSixthAngleCommand:
     def test_degrees_input_plus_branch(self, write_json, capsys):

@@ -20,13 +20,13 @@ from tetrafermat import (
     solve,
 )
 from tetrafermat.formula import MIN_BASE_SIN, _radical
-from tetrafermat.sampling import (
+from tetrafermat.sampling import random_tetrahedron
+
+from corpora import (
     balanced_quadruple,
     random_five_angles,
-    random_tetrahedron,
     random_unit_quadruple,
 )
-
 from conftest import ARCCOS_THIRD
 
 

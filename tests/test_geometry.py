@@ -18,24 +18,15 @@ from tetrafermat import (
     solve,
     verify_fundamental_property,
 )
-from tetrafermat.sampling import (
-    balanced_quadruple,
-    random_rotation,
-    random_tetrahedron,
-    random_unit_quadruple,
-)
+from tetrafermat.sampling import random_tetrahedron
+
+from corpora import balanced_quadruple, random_rotation, random_unit_quadruple
+from conftest import scale_error_ulps
 
 
 def pairwise_angles(units: np.ndarray) -> np.ndarray:
     c = np.clip(units @ units.T, -1.0, 1.0)
     return np.arccos(c)[np.triu_indices(4, 1)]
-
-
-def norm_scale(v: np.ndarray) -> float:
-    """Longest pairwise distance by np.linalg.norm, the reference scale."""
-    return max(
-        float(np.linalg.norm(v[a] - v[b])) for a in range(4) for b in range(a + 1, 4)
-    )
 
 
 def numpy_legs(tetra: Tetrahedron, point: np.ndarray) -> np.ndarray:
@@ -81,18 +72,19 @@ class TestTetrahedron:
         Tetrahedron(v)
 
     @pytest.mark.parametrize("factor", [1.0, 1e103, 1e-110])
-    def test_scale_is_norm_bit_for_bit_at_any_scale(self, factor):
+    def test_scale_is_longest_edge_at_any_scale(self, factor):
         # well-shaped inputs stay valid at extreme scales (the relative
-        # volume test must neither overflow nor underflow), and scale
-        # equals the np.linalg.norm one exactly
+        # volume test must neither overflow nor underflow), and scale is
+        # the exact longest edge to within 2 units in its last place
         for i in range(100):
             v = random_tetrahedron(0, i).vertices * factor
-            assert Tetrahedron(v).scale == norm_scale(v)
+            assert scale_error_ulps(v, Tetrahedron(v).scale) <= 2.0
 
     def test_rejects_overflowing_scale(self):
-        # the typed error, with no numpy overflow warning on the way
-        v = random_tetrahedron(0, 0).vertices * 1e160
-        with pytest.raises(DegenerateInput), warnings.catch_warnings():
+        # an edge longer than the largest float: the typed error, with no
+        # numpy overflow warning on the way
+        v = [[-1e308, 0, 0], [1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]
+        with pytest.raises(DegenerateInput, match="is inf"), warnings.catch_warnings():
             warnings.simplefilter("error")
             Tetrahedron(v)
 

@@ -39,11 +39,9 @@ from tetrafermat.formula import (
 )
 from tetrafermat.geometry import COINCIDENT_EPS
 from tetrafermat.properties import BISECTOR_EPS, angle_sextuple
-from tetrafermat.sampling import (
-    balanced_quadruple,
-    random_tetrahedron,
-    random_unit_quadruple,
-)
+from tetrafermat.sampling import random_tetrahedron
+
+from corpora import balanced_quadruple, random_unit_quadruple
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 OPPOSITE = ((0, 5), (3, 2), (1, 4))
@@ -67,7 +65,7 @@ def loop_unit(a, b):
 def loop_direction_config(tetra, point):
     """The unit legs from the point toward each vertex, one row at a time."""
     p = np.asarray(point, dtype=float).tolist()
-    return [list(loop_unit(p, v)) for v in tetra.rows]
+    return [list(loop_unit(p, v)) for v in tetra.vertices.tolist()]
 
 
 def _dot(a, b):

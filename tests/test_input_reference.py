@@ -2,13 +2,16 @@
 form.
 
 ``Tetrahedron.__post_init__`` is straight-line float code: the six edges
-are float differences, their squared lengths come from one ``np.vecdot``,
+are float differences, ``scale`` is the largest ``math.hypot`` of them,
 and the relative volume test is a scalar triple product.
 ``random_tetrahedron`` tests each draw's volume with the scalar ``_det4``.
 The functions below are their earlier bodies: fancy-indexed edges, a
 ``dot`` per edge and LAPACK determinants.  They are the reference the
 package must match: the same accept decision and error type on every
-input, the same vertex bytes, and ``scale`` and ``rows`` equal with ``==``.
+input, and the same vertex bytes.  ``scale`` is judged against the exact
+longest edge instead, to within 2 units in its last place: the reference
+squares unscaled lengths, which overflow beyond about 1e154 and underflow
+below about 1e-154, where ``hypot`` does neither.
 """
 
 import math
@@ -19,20 +22,18 @@ import pytest
 
 from tetrafermat import DegenerateInput, Tetrahedron
 from tetrafermat.geometry import VOLUME_EPS
-from tetrafermat.sampling import (
-    MIN_VOLUME,
-    instance_rng,
-    random_rotation,
-    random_tetrahedron,
-)
+from tetrafermat.sampling import MIN_VOLUME, instance_rng, random_tetrahedron
+
+from corpora import random_rotation
+from conftest import scale_error_ulps
 
 EDGE_I = [0, 0, 0, 1, 1, 2]
 EDGE_J = [1, 2, 3, 2, 3, 3]
 
 
 def numpy_tetrahedron(vertices):
-    """(vertices, scale, rows) as the earlier constructor built them; raises
-    where it raised."""
+    """The vertex array as the earlier constructor kept it; raises where it
+    raised."""
     v = np.array(vertices, dtype=float, order="C")
     if v.shape != (4, 3):
         raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
@@ -46,7 +47,7 @@ def numpy_tetrahedron(vertices):
     det = abs(float(np.linalg.det(e[:3] / d)))
     if det <= VOLUME_EPS:
         raise DegenerateInput(f"|det| / scale^3 = {det:.3e}")
-    return v, d, tuple(map(tuple, v.tolist()))
+    return v
 
 
 def numpy_draws(seed, index):
@@ -63,15 +64,16 @@ def numpy_draws(seed, index):
 
 def outcome(build, v):
     """What a constructor makes of ``v``: the error type it raises, or the
-    vertex bytes, scale and rows it keeps."""
+    vertex bytes it keeps.  An accepted tetrahedron's scale must be the
+    exact longest edge to within 2 units in its last place."""
     try:
         got = build(v)
     except Exception as exc:  # the type is what is compared
         return type(exc)
     if isinstance(got, Tetrahedron):
-        return got.vertices.tobytes(), got.scale, got.rows
-    w, scale, rows = got
-    return w.tobytes(), scale, rows
+        assert scale_error_ulps(got.vertices, got.scale) <= 2.0
+        got = got.vertices
+    return got.tobytes()
 
 
 def assert_same_outcome(v):
@@ -95,18 +97,22 @@ def test_unit_cube_corpus_matches_numpy_sampler(seed):
 
 
 @pytest.mark.parametrize(
-    "factor, accepted",
+    "factor, numpy_accepts",
     [(1.0, True), (1e103, True), (1e-110, True), (1e160, False), (1e-300, False)],
 )
-def test_scaled_inputs_match_numpy_constructor(factor, accepted):
-    # at 1e160 the squared lengths overflow and at 1e-300 they underflow to
-    # zero: both raise DegenerateInput, with no numpy warning on the way
+def test_scaled_inputs_match_numpy_constructor(factor, numpy_accepts):
+    # at 1e160 the reference's squared lengths overflow and at 1e-300 they
+    # underflow to zero, so it raises DegenerateInput; the package accepts
+    # every factor, with the reference's vertex bytes where it accepts too,
+    # and no numpy warning on the way
     for i in range(20):
         v = random_tetrahedron(0, i).vertices * factor
+        expected = outcome(numpy_tetrahedron, v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = assert_same_outcome(v)
-        assert (got is not DegenerateInput) == accepted
+            got = outcome(Tetrahedron, v)
+        assert got == v.tobytes()
+        assert expected == (got if numpy_accepts else DegenerateInput)
 
 
 def test_near_flat_sweep_matches_numpy_decision():

@@ -8,19 +8,22 @@ import pytest
 from tetrafermat import Tetrahedron, kernels
 from tetrafermat.sampling import random_tetrahedron
 
-RIGHT_CORNER = Tetrahedron(
+from conftest import input_rows
+
+# the kernels are tested on rows in input units, as they read any rows
+RIGHT_CORNER = input_rows(Tetrahedron(
     np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
-).rows
-SYMMETRIC = Tetrahedron(
+))
+SYMMETRIC = input_rows(Tetrahedron(
     np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1.0]])
-).rows
+))
 # a tetrahedron whose smallest pull norm is 1 + 7.6e-5 (vertex 3)
-NEAR_TIE = Tetrahedron(np.array([
+NEAR_TIE = input_rows(Tetrahedron(np.array([
     [0.8949727407898387, 0.8604144367749376, 0.32137482233751336],
     [0.31687460853267846, 0.29913400765044673, 0.6884899769535706],
     [0.4134545612807018, 0.700293235979378, 0.36862247125054426],
     [0.16478835974904438, 0.9082636842342459, 0.5414058680395614],
-])).rows
+])))
 
 
 #: seed-0 unit-cube input 0 translated by 1e5: the balancing residual
@@ -195,7 +198,7 @@ def corpus(n=40, seed=11):
     for i in range(n):
         t = random_tetrahedron(seed, i)
         c = t.vertices.mean(axis=0)
-        out.append((t.rows, (float(c[0]), float(c[1]), float(c[2]))))
+        out.append((input_rows(t), (float(c[0]), float(c[1]), float(c[2]))))
     return out
 
 
@@ -325,11 +328,12 @@ class TestVertexRayStart:
     def test_matches_loop_and_numpy_references(self):
         for i in range(200):
             t = random_tetrahedron(0, i)
+            rows = input_rows(t)
             for k in range(4):
-                start = kernels.vertex_ray_start(t.rows, k)
-                assert start == loop_vertex_ray_start(t.rows, k)
+                start = kernels.vertex_ray_start(rows, k)
+                assert start == loop_vertex_ray_start(rows, k)
                 np.testing.assert_allclose(
-                    start, numpy_vertex_ray_start(t.rows, k),
+                    start, numpy_vertex_ray_start(rows, k),
                     rtol=1e-12, atol=1e-13 * t.scale,
                 )
 
@@ -339,7 +343,7 @@ class TestLoopReference:
     same floats, same iteration counts, same statuses."""
 
     def test_pull_norms(self):
-        cases = [RIGHT_CORNER, SYMMETRIC, NEAR_TIE, OFFSET_1E5.rows]
+        cases = [RIGHT_CORNER, SYMMETRIC, NEAR_TIE, input_rows(OFFSET_1E5)]
         cases += [v for v, _ in corpus(300, seed=0)]
         for v in cases:
             assert kernels.pull_norms(v) == loop_pull_norms(v)
@@ -380,30 +384,34 @@ class TestLoopReference:
         # det H is NaN (inf - inf) at the centroid of 1e-102 x the unit cube,
         # unscaled: NaN is not positive, so the iteration stops there too
         t = Tetrahedron(random_tetrahedron(0, 2).vertices * 1e-102)
-        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*t.rows))
-        self.assert_newton_matches(t.rows, c, 10000, t.scale)
+        rows = input_rows(t)
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
+        self.assert_newton_matches(rows, c, 10000, t.scale)
 
     @pytest.mark.parametrize("budget", range(1, 21))
     def test_newton_maxiter_iterates_offset_input(self, budget):
-        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*OFFSET_1E5.rows))
-        self.assert_newton_matches(OFFSET_1E5.rows, c, budget, OFFSET_1E5.scale)
+        rows = input_rows(OFFSET_1E5)
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
+        self.assert_newton_matches(rows, c, budget, OFFSET_1E5.scale)
 
 
 class TestRows:
     def test_rows_match_elementwise_floats(self):
-        # the kernels read Tetrahedron.rows, built once from the vertex
-        # array; it must hold the same floats as indexing each element
+        # the kernels read Tetrahedron.frame, built once from the vertex
+        # array; it must hold each element's float times to_frame, the
+        # power of two that brings scale into [0.5, 1)
         for i in range(200):
             t = random_tetrahedron(0, i)
-            vtx = t.vertices
+            vtx, m = t.vertices, t.to_frame
+            assert math.frexp(m)[0] == 0.5 and 0.5 <= t.scale * m < 1.0
             expected = tuple(
-                (float(vtx[k][0]), float(vtx[k][1]), float(vtx[k][2]))
+                (float(vtx[k][0]) * m, float(vtx[k][1]) * m, float(vtx[k][2]) * m)
                 for k in range(4)
             )
-            assert type(t.rows) is tuple and len(t.rows) == 4
-            assert all(type(r) is tuple for r in t.rows)
-            assert t.rows == expected
-            assert all(type(c) is float for r in t.rows for c in r)
+            assert type(t.frame) is tuple and len(t.frame) == 4
+            assert all(type(r) is tuple for r in t.frame)
+            assert t.frame == expected
+            assert all(type(c) is float for r in t.frame for c in r)
 
 
 class TestNelderMeadKernel:

@@ -14,12 +14,9 @@ from tetrafermat import (
     verify_fundamental_property,
 )
 from tetrafermat.properties import _angle_residuals
-from tetrafermat.sampling import (
-    balanced_quadruple,
-    random_tetrahedron,
-    random_unit_quadruple,
-)
+from tetrafermat.sampling import random_tetrahedron
 
+from corpora import balanced_quadruple, random_unit_quadruple
 from conftest import ARCCOS_THIRD
 
 

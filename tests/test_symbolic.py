@@ -10,7 +10,8 @@ import math
 import sympy
 
 from tetrafermat import sixth_angle
-from tetrafermat.sampling import random_five_angles
+
+from corpora import random_five_angles
 
 g12, g13 = sympy.symbols("g12 g13", real=True)
 #: |u4|^2 = |u1 + u2 + u3|^2 = 3 + 2 (g12 + g13 + g23) = 1
