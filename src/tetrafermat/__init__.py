@@ -8,6 +8,7 @@ that recovers the sixth leg-pair angle from the other five.
 """
 
 from .errors import (
+    AngleOutOfRange,
     ClassificationConflict,
     CoincidentPoints,
     DegenerateBaseAngle,
@@ -49,6 +50,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AngleOutOfRange",
     "AngleSextuple",
     "Classification",
     "ClassificationConflict",

@@ -3,12 +3,22 @@
 ``build_report`` is the one per-instance pipeline: solve, take the unit
 legs from the interior minimizer toward the vertices, measure the
 junction-angle identities on them.  The ``solve`` and ``verify`` commands
-print its ``SolutionReport``; ``run_batch_verify`` reads batch-verify's
-residuals off the same record for every tetrahedron of a seeded corpus
-and adds the sixth-angle cross-check.  A caller sets the verification
-tolerance and the solver's iteration budget; the solver's stopping
-residual is the constant ``solver.GRAD_TOL``, which the batch-verify
-header prints.
+print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
+residuals off it, the sixth-angle cross-check included.
+
+``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
+instances.  It solves a chunk one instance at a time (Newton stays scalar),
+then evaluates the identity layer on float64 columns of the chunk's
+interior solutions, one element per instance, through the same kernels the
+scalar API calls with floats (see ``ops``): every residual is bit for bit
+the one ``_check_residuals`` reads off ``build_report``'s record.  A row
+that fails a check is recomputed through that scalar path, so its error
+text or flag is the scalar one.  The residuals are merged in instance
+order.  ``CHUNK`` bounds the columns' memory for any count.
+
+A caller sets the verification tolerance and the solver's iteration
+budget; the solver's stopping residual is the constant
+``solver.GRAD_TOL``, which the batch-verify header prints.
 
 Shared by the command line and the acceptance tests.  Output is
 deterministic for a fixed seed: no wall-clock, no OS entropy.
@@ -19,12 +29,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import sampling
 from .errors import NonConvergence, TetrafermatError
-from .formula import ft_substitution_residual, resolve_branch, sixth_angle, FiveAngles
-from .geometry import DirectionConfig, Tetrahedron, direction_config
+from .formula import (
+    FiveAngles, branch_residual, branch_sign, ft_substitution_residual, inside,
+    resolve_branch, sixth_angle, sixth_cosines, substitution_residual,
+)
+from .geometry import (
+    DirectionConfig, Tetrahedron, direction_config, unit_legs, unit_rows,
+)
+from .ops import Columns
 from .properties import (
-    DEFAULT_TOL, PropertyReport, verify_fundamental_property,
+    DEFAULT_TOL, PropertyReport, angle_residuals, bisector_residuals,
+    leg_angles, verify_fundamental_property,
 )
 from .solver import (
     BOUNDARY_EPS, GRAD_TOL, INTERIOR, MAX_ITER, FermatSolution, solve,
@@ -41,6 +60,15 @@ CHECKS = (
     "sixth_angle_identity",
     "substitution_residual",
 )
+#: the checks of an interior instance, in the order ``_check_residuals``
+#: returns them
+INTERIOR_CHECKS = tuple(name for name in CHECKS if name != "vertex_optimality")
+#: instances per chunk of ``run_batch_verify``: the identity layer runs on
+#: float64 columns of a chunk's interior solutions, and a chunk's columns
+#: are dropped before the next chunk is solved, so memory stays bounded for
+#: any count while a column still spans enough rows to pay numpy's per-call
+#: cost (a 1000-instance corpus is one chunk)
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,7 +121,12 @@ def build_report(tetra: Tetrahedron, tol: float,
     """Solve one tetrahedron within ``max_iter`` iterations and, when the
     minimizer is interior, measure every junction-angle identity under
     ``tol``."""
-    solution = solve(tetra, max_iter)
+    return _report(tetra, solve(tetra, max_iter), tol)
+
+
+def _report(tetra: Tetrahedron, solution: FermatSolution,
+            tol: float) -> SolutionReport:
+    """``build_report`` after the solve."""
     if solution.kind != INTERIOR:
         return SolutionReport(solution, None, None)
     frame = direction_config(tetra, solution.point)
@@ -108,7 +141,8 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
 
     The closed-formula cross-check feeds the five measured angles and the
     realized branch to ``sixth_angle``, which must reproduce the measured
-    sixth cosine; a ``TetrafermatError`` it raises propagates.
+    sixth cosine; a ``TetrafermatError`` it or ``FiveAngles`` raises
+    propagates.
     """
     sol = report.solution
     if sol.kind != INTERIOR:
@@ -134,38 +168,114 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
     }
 
 
+def _column_residuals(interior) -> list:
+    """Batch-verify's residuals of the interior instances ``interior``, a
+    list of (tetrahedron, solution) pairs, evaluated on float64 columns with
+    one element per pair, through the kernels the scalar API calls.
+
+    Returns, per pair, the residuals after ``solve_residual`` in
+    ``INTERIOR_CHECKS`` order, equal to those ``_check_residuals`` reads off
+    ``build_report``'s record; or None where a check fails (a coincident,
+    overflowed or non-unit leg, a degenerate bisector, an angle not
+    strictly inside (0, pi), a degenerate base angle, an unrealizable triple
+    or an infeasible induced pair), for the scalar API to recompute.
+    """
+    cols = np.array(
+        [[*sol.point.tolist(), t.to_frame, *t.frame[0], *t.frame[1],
+          *t.frame[2], *t.frame[3]] for t, sol in interior]
+    ).T.copy()
+    px, py, pz, m = cols[:4]
+    rows = (cols[4:7], cols[7:10], cols[10:13], cols[13:16])
+    xp = Columns(len(interior))
+    with np.errstate(all="ignore"):
+        legs, apart, _ = unit_legs((px * m, py * m, pz * m), rows, xp)
+        for ok in apart + unit_rows(legs):
+            xp.require(ok)
+        angles = leg_angles(legs, xp)
+        opp, csum = angle_residuals(angles, xp)
+        orth, anti, short = bisector_residuals(legs, xp)
+        for s in short:
+            xp.require(~s)
+        a102, a103, a104, a203, a204, a304 = angles
+        for a in angles[:5]:
+            xp.require(inside(a))
+        _, cos_plus, cos_minus = sixth_cosines(a102, a103, a104, a203, a204, xp)
+        identity = branch_residual(
+            cos_plus, cos_minus, branch_sign(legs, xp), xp.cos(a304), xp
+        )
+        substitution = substitution_residual(a102, a203, xp)
+    larger = np.maximum
+    checks = (
+        larger(larger(*opp[:2]), opp[2]),
+        csum,
+        larger(larger(*orth[:2]), orth[2]),
+        larger(larger(*anti[:2]), anti[2]),
+        identity,
+        substitution,
+    )
+    values = zip(*[c.tolist() for c in checks])
+    return [None if f else v for f, v in zip(xp.failed.tolist(), values)]
+
+
+def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
+    """Batch-verify's outcome for each instance of ``indices``, in order:
+    its residual per check, or the text of the error it records."""
+    outcomes: list = []
+    interior = []
+    for i in indices:
+        tetra = sampling.random_tetrahedron(seed, i)
+        try:
+            solution = solve(tetra, max_iter)
+        except NonConvergence as exc:
+            outcomes.append(f"no convergence (residual {exc.residual:.3e})")
+            continue
+        if solution.kind == INTERIOR:
+            interior.append((len(outcomes), tetra, solution))
+            outcomes.append(None)
+        else:
+            outcomes.append(_check_residuals(SolutionReport(solution, None, None)))
+    if not interior:
+        return outcomes
+    rows = _column_residuals([(t, sol) for _, t, sol in interior])
+    for (slot, tetra, solution), row in zip(interior, rows):
+        if row is not None:
+            outcomes[slot] = dict(zip(INTERIOR_CHECKS, (solution.residual, *row)))
+            continue
+        report = _report(tetra, solution, tol)
+        try:
+            outcomes[slot] = _check_residuals(report)
+        except TetrafermatError as exc:
+            outcomes[slot] = f"formula cross-check failed: {exc}"
+    return outcomes
+
+
 def run_batch_verify(
     seed: int = 0,
     count: int = 1000,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITER,
 ) -> BatchSummary:
-    """Generate, solve, and verify ``count`` seeded random tetrahedra."""
+    """Generate, solve, and verify ``count`` seeded random tetrahedra, in
+    chunks of ``CHUNK``."""
     max_residuals: dict[str, float] = {}
     failures: list[tuple[int, str, float]] = []
     errors: list[tuple[int, str]] = []
     interior = vertex = 0
-    for i in range(count):
-        tetra = sampling.random_tetrahedron(seed, i)
-        try:
-            report = build_report(tetra, tol, max_iter)
-        except NonConvergence as exc:
-            errors.append((i, f"no convergence (residual {exc.residual:.3e})"))
-            continue
-        try:
-            residuals = _check_residuals(report)
-        except TetrafermatError as exc:
-            errors.append((i, f"formula cross-check failed: {exc}"))
-            continue
-        if report.solution.kind == INTERIOR:
-            interior += 1
-        else:
-            vertex += 1
-        for name, value in residuals.items():
-            if name not in max_residuals or value > max_residuals[name]:
-                max_residuals[name] = value
-            if not value <= tol:
-                failures.append((i, name, value))
+    for start in range(0, count, CHUNK):
+        chunk = range(start, min(count, start + CHUNK))
+        for i, outcome in zip(chunk, _verify_chunk(seed, chunk, tol, max_iter)):
+            if isinstance(outcome, str):
+                errors.append((i, outcome))
+                continue
+            if "vertex_optimality" in outcome:
+                vertex += 1
+            else:
+                interior += 1
+            for name, value in outcome.items():
+                if name not in max_residuals or value > max_residuals[name]:
+                    max_residuals[name] = value
+                if not value <= tol:
+                    failures.append((i, name, value))
     passed = not failures and not errors
     return BatchSummary(
         seed=seed,

@@ -45,6 +45,11 @@ class UnrealizableTriple(TetrafermatError):
     determinant would be negative)."""
 
 
+class AngleOutOfRange(TetrafermatError, ValueError):
+    """An angle that must lie strictly between 0 and pi does not; also a
+    ValueError, the type the angle checks raised before."""
+
+
 class DegenerateBaseAngle(TetrafermatError):
     """The angle between legs 1 and 2 is too close to 0 or pi; the frame
     equations divide by its sine."""

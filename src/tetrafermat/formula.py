@@ -6,6 +6,12 @@ ambiguity: the radical's sign encodes whether legs 3 and 4 lie on the same
 side of the plane spanned by legs 1 and 2.  ``sixth_angle`` evaluates both
 branches; ``resolve_branch`` reads the correct sign off an actual
 configuration; ``config_from_five_angles`` rebuilds the rays.
+
+The kernels ``sixth_cosines``, ``branch_residual``, ``branch_sign`` and
+``substitution_residual`` take their angles or legs as floats or as
+columns of many instances (see ``ops``); ``sixth_angle``,
+``SixthAngleResult.branch_error``, ``resolve_branch`` and
+``ft_substitution_residual`` call them with floats.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBaseAngle, InfeasiblePair, UnrealizableTriple
+from .errors import (
+    AngleOutOfRange, DegenerateBaseAngle, InfeasiblePair, UnrealizableTriple,
+)
 from .geometry import DirectionConfig, _triple
+from .ops import FLOATS
 
 #: a positive radical factor beyond this margin means an unrealizable triple
 GRAM_TOL = 1e-9
@@ -27,11 +36,35 @@ REALIZABLE_TOL = 1e-9
 BRANCH_EPS = 1e-12
 
 
+def inside(a):
+    """Whether an angle lies strictly between 0 and pi."""
+    return (0.0 < a) & (a < math.pi)
+
+
 def _check_range(name: str, value: float) -> float:
     v = float(value)
-    if not 0.0 < v < math.pi:
-        raise ValueError(f"{name} must lie strictly between 0 and pi, got {v!r}")
+    if not inside(v):
+        raise AngleOutOfRange(
+            f"{name} must lie strictly between 0 and pi, got {v!r}"
+        )
     return v
+
+
+def _degenerate_base(s, equations):
+    return DegenerateBaseAngle(f"sin(a102) = {s:.3e} is too small for {equations}")
+
+
+def _unrealizable(f3, f4):
+    return UnrealizableTriple(
+        f"radical factors must be non-positive, got {f3:.3e} and {f4:.3e}"
+    )
+
+
+def _infeasible(c):
+    return InfeasiblePair(
+        f"induced cosine {c:.6f} is outside (-1, 1); the pair admits no "
+        "third angle under the cosine-sum identity"
+    )
 
 
 @dataclass(frozen=True)
@@ -46,9 +79,8 @@ class FiveAngles:
 
     def __post_init__(self):
         try:
-            ok = (0.0 < self.a102 < math.pi and 0.0 < self.a103 < math.pi
-                  and 0.0 < self.a104 < math.pi and 0.0 < self.a203 < math.pi
-                  and 0.0 < self.a204 < math.pi)
+            ok = (inside(self.a102) and inside(self.a103) and inside(self.a104)
+                  and inside(self.a203) and inside(self.a204))
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -88,9 +120,9 @@ class SixthAngleResult:
         Branch 0 (a leg in the leg-1/leg-2 plane, where the two branches
         meet) takes the nearer of the two branch cosines.
         """
-        if branch == 0:
-            return min(abs(self.cos_plus - target), abs(self.cos_minus - target))
-        return abs(self.cosine(branch) - target)
+        if branch != 0:
+            self.cosine(branch)  # rejects a branch other than 0, +1 and -1
+        return branch_residual(self.cos_plus, self.cos_minus, branch, target, FLOATS)
 
 
 def _radical(c2a: float, c2b: float, c2c: float,
@@ -105,42 +137,54 @@ def _radical(c2a: float, c2b: float, c2c: float,
     return 1.0 + c2a + c2b + c2c - 4.0 * ca * cb * cc
 
 
+def sixth_cosines(a102, a103, a104, a203, a204, xp):
+    """The radical magnitude b and the sixth-angle cosine with +b and with
+    -b, from five angles: the sixth-angle kernel, on floats or on columns
+    (see ``ops``).
+
+    Requires sin(a102) above MIN_BASE_SIN (else DegenerateBaseAngle) and
+    both radical factors at most GRAM_TOL (else UnrealizableTriple).  Each
+    cosine is computed once and shared by both radical factors and both
+    branches.
+    """
+    s = xp.sin(a102)
+    xp.require(s > MIN_BASE_SIN, _degenerate_base, s, "the frame equations")
+    cos = xp.cos
+    c102, c103, c104 = cos(a102), cos(a103), cos(a104)
+    c203, c204 = cos(a203), cos(a204)
+    c2_102 = cos(2.0 * a102)
+    f3 = _radical(c2_102, cos(2.0 * a103), cos(2.0 * a203), c102, c103, c203)
+    f4 = _radical(c2_102, cos(2.0 * a104), cos(2.0 * a204), c102, c104, c204)
+    xp.require((f3 <= GRAM_TOL) & (f4 <= GRAM_TOL), _unrealizable, f3, f4)
+    product = f3 * f4
+    # a negative product has one factor within the rounding margin of zero
+    # on the wrong side
+    b = xp.sqrt(xp.where(product < 0.0, 0.0, product))
+    csc2 = 1.0 / (s * s)
+    # cos a304 = (p + 2 (+-b + q)) / (4 sin^2 a102), with p and q shared
+    p = 4.0 * c103 * (c104 - c102 * c204)
+    q = 2.0 * c203 * (-c102 * c104 + c204)
+    return b, 0.25 * (p + 2.0 * (b + q)) * csc2, 0.25 * (p + 2.0 * (-b + q)) * csc2
+
+
+def branch_residual(cos_plus, cos_minus, branch, target, xp):
+    """|cosine of ``branch`` - target|, the nearer of the two for branch 0,
+    on floats or on columns."""
+    plus, minus = abs(cos_plus - target), abs(cos_minus - target)
+    return xp.where(
+        branch == 0, xp.minimum(plus, minus), xp.where(branch == 1, plus, minus)
+    )
+
+
 def sixth_angle(fa: FiveAngles) -> SixthAngleResult:
     """Evaluate the sixth-angle cosine for both signs of the radical.
 
     Raises UnrealizableTriple when either triple {a102, a10i, a20i} cannot
     come from unit vectors, and DegenerateBaseAngle when sin(a102) vanishes.
-    Each cosine is computed once and shared by both radical factors and
-    both branches.
     """
-    a102 = fa.a102
-    s = math.sin(a102)
-    if s <= MIN_BASE_SIN:
-        raise DegenerateBaseAngle(
-            f"sin(a102) = {s:.3e} is too small for the frame equations"
-        )
-    c102, c103, c104 = math.cos(a102), math.cos(fa.a103), math.cos(fa.a104)
-    c203, c204 = math.cos(fa.a203), math.cos(fa.a204)
-    c2_102 = math.cos(2.0 * a102)
-    f3 = _radical(c2_102, math.cos(2.0 * fa.a103), math.cos(2.0 * fa.a203),
-                  c102, c103, c203)
-    f4 = _radical(c2_102, math.cos(2.0 * fa.a104), math.cos(2.0 * fa.a204),
-                  c102, c104, c204)
-    if f3 > GRAM_TOL or f4 > GRAM_TOL:
-        raise UnrealizableTriple(
-            f"radical factors must be non-positive, got {f3:.3e} and {f4:.3e}"
-        )
-    product = f3 * f4
-    if product < 0.0:
-        # one factor within the rounding margin of zero on the wrong side
-        product = 0.0
-    b = math.sqrt(product)
-    csc2 = 1.0 / (s * s)
-    # cos a304 = (p + 2 (+-b + q)) / (4 sin^2 a102), with p and q shared
-    p = 4.0 * c103 * (c104 - c102 * c204)
-    q = 2.0 * c203 * (-c102 * c104 + c204)
-    cos_plus = 0.25 * (p + 2.0 * (b + q)) * csc2
-    cos_minus = 0.25 * (p + 2.0 * (-b + q)) * csc2
+    b, cos_plus, cos_minus = sixth_cosines(
+        fa.a102, fa.a103, fa.a104, fa.a203, fa.a204, FLOATS
+    )
     return SixthAngleResult(
         b_magnitude=b,
         cos_plus=cos_plus,
@@ -148,6 +192,15 @@ def sixth_angle(fa: FiveAngles) -> SixthAngleResult:
         realizable_plus=abs(cos_plus) <= 1.0 + REALIZABLE_TOL,
         realizable_minus=abs(cos_minus) <= 1.0 + REALIZABLE_TOL,
     )
+
+
+def branch_sign(rows, xp):
+    """The sign of det(u1, u2, u3) * det(u1, u2, u4) for the legs ``rows``,
+    0 when that product is below BRANCH_EPS in magnitude: the branch-sign
+    kernel, on floats or on columns."""
+    u1, u2, u3, u4 = rows
+    p = _triple(u1, u2, u3) * _triple(u1, u2, u4)
+    return xp.where(abs(p) < BRANCH_EPS, 0, xp.where(p > 0.0, 1, -1))
 
 
 def resolve_branch(config: DirectionConfig) -> int:
@@ -158,11 +211,7 @@ def resolve_branch(config: DirectionConfig) -> int:
     same side of the leg-1/leg-2 plane, -1 on opposite sides, 0 when either
     is in-plane (within BRANCH_EPS on the product).
     """
-    u1, u2, u3, u4 = config.rows
-    p = _triple(u1, u2, u3) * _triple(u1, u2, u4)
-    if abs(p) < BRANCH_EPS:
-        return 0
-    return 1 if p > 0.0 else -1
+    return branch_sign(config.rows, FLOATS)
 
 
 def _leg_from_angles(a102: float, a10i: float, a20i: float, s: float):
@@ -186,9 +235,7 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
         raise ValueError(f"branch must be +1 or -1, got {branch!r}")
     s = math.sin(fa.a102)
     if s <= MIN_BASE_SIN:
-        raise DegenerateBaseAngle(
-            f"sin(a102) = {s:.3e} is too small for the frame equations"
-        )
+        raise _degenerate_base(s, "the frame equations")
     x3, y3, z3sq = _leg_from_angles(fa.a102, fa.a103, fa.a203, s)
     x4, y4, z4sq = _leg_from_angles(fa.a102, fa.a104, fa.a204, s)
     if z3sq < -GRAM_TOL or z4sq < -GRAM_TOL:
@@ -208,6 +255,24 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
     ))
 
 
+def substitution_residual(a102, a203, xp):
+    """The substitution kernel behind ``ft_substitution_residual``, on
+    angles strictly between 0 and pi given as floats or as columns.
+
+    Requires an induced cosine strictly inside (-1, 1) (else
+    InfeasiblePair) and sin^2(a102) above MIN_BASE_SIN (else
+    DegenerateBaseAngle).  The induced a103 = acos(c) then lies strictly
+    between 0 and pi too, so the five substituted angles need no check.
+    """
+    c = -(1.0 + xp.cos(a102) + xp.cos(a203))
+    xp.require((-1.0 < c) & (c < 1.0), _infeasible, c)
+    s = xp.sin(a102)
+    xp.require(s * s > MIN_BASE_SIN, _degenerate_base, s, "the substituted formula")
+    a103 = xp.acos(c)
+    _, cos_plus, cos_minus = sixth_cosines(a102, a103, a203, a203, a103, xp)
+    return branch_residual(cos_plus, cos_minus, 0, xp.cos(a102), xp)
+
+
 def ft_substitution_residual(a102: float, a203: float) -> float:
     """The closed sixth-angle formula after the interior-minimizer
     substitutions, as a residual.
@@ -221,23 +286,11 @@ def ft_substitution_residual(a102: float, a203: float) -> float:
     identity over the feasible region, not a relation between a102 and
     a203.  In float64 it is at most about 1e-15 / sin^2(a102).
 
-    Raises InfeasiblePair when no induced a103 exists, and
+    Raises AngleOutOfRange unless both angles lie strictly between 0 and
+    pi, InfeasiblePair when no induced a103 exists, and
     DegenerateBaseAngle when sin^2(a102) is at most MIN_BASE_SIN, which
     keeps that rounding error near 1e-6 or below.
     """
     a102 = _check_range("a102", a102)
     a203 = _check_range("a203", a203)
-    c = -(1.0 + math.cos(a102) + math.cos(a203))
-    if not -1.0 < c < 1.0:
-        raise InfeasiblePair(
-            f"induced cosine {c:.6f} is outside (-1, 1); the pair admits no "
-            "third angle under the cosine-sum identity"
-        )
-    s = math.sin(a102)
-    if s * s <= MIN_BASE_SIN:
-        raise DegenerateBaseAngle(
-            f"sin(a102) = {s:.3e} is too small for the substituted formula"
-        )
-    a103 = math.acos(c)
-    fa = FiveAngles(a102=a102, a103=a103, a104=a203, a203=a203, a204=a103)
-    return sixth_angle(fa).branch_error(0, math.cos(a102))
+    return substitution_residual(a102, a203, FLOATS)

@@ -5,7 +5,9 @@ vertices, as computed.
 All angles are radians.  Points and directions are float64 numpy arrays of
 shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
-numpy's per-call overhead costs more than the arithmetic it saves.
+numpy's per-call overhead costs more than the arithmetic it saves.  The
+leg kernel ``unit_legs`` takes its coordinates as floats or as columns of
+many instances (see ``ops``); ``direction_config`` calls it with floats.
 ``Tetrahedron`` builds its float rows once, scaled by a power of two: the
 one frame every kernel reads.  ``DirectionConfig`` stores nothing but its
 four float rows, the legs the angle and identity checks read; its
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoincidentPoints, DegenerateInput
+from .ops import FLOATS
 
 #: relative volume threshold below which four points are rejected as flat
 VOLUME_EPS = 1e-12
@@ -41,22 +44,6 @@ def as_point(p) -> np.ndarray:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("coordinates must be finite")
     return a
-
-
-def _unit(a, an, b):
-    """Unit vector from row ``a``, of norm ``an``, toward row ``b`` as a
-    tuple, or None when ``|b - a|`` is at most COINCIDENT_EPS times the
-    larger point norm: the points coincide."""
-    ax, ay, az = a
-    bx, by, bz = b
-    dx = bx - ax
-    dy = by - ay
-    dz = bz - az
-    n = math.sqrt(dx * dx + dy * dy + dz * dz)
-    scale = max(an, math.sqrt(bx * bx + by * by + bz * bz))
-    if n <= COINCIDENT_EPS * scale or n == 0.0:
-        return None
-    return dx / n, dy / n, dz / n
 
 
 def _triple(a, b, c) -> float:
@@ -181,10 +168,10 @@ class DirectionConfig:
                 f"{self.rows!r}"
             ) from None
         object.__setattr__(self, "rows", rows)
-        for x, y, z in (a, b, c, d):
-            # the test is false for NaN, and for inf squared
-            if not abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS:
-                raise ValueError(f"rows must be finite unit vectors, got {(x, y, z)}")
+        unit = unit_rows(rows)
+        if not all(unit):
+            row = rows[unit.index(False)]
+            raise ValueError(f"rows must be finite unit vectors, got {row}")
 
     @property
     def units(self) -> np.ndarray:
@@ -194,6 +181,40 @@ class DirectionConfig:
         return u
 
 
+def unit_rows(rows):
+    """Whether each (x, y, z) row's squared norm is within UNIT_NORM_EPS of
+    1, on floats or on columns: false for NaN, and for inf squared."""
+    return [abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS for x, y, z in rows]
+
+
+def unit_legs(q, rows, xp):
+    """The unit legs from the point ``q`` toward each of four ``rows``: the
+    leg kernel, on floats or on columns (see ``ops``).
+
+    Returns the legs as four (x, y, z) triples; per leg, whether it is
+    longer than COINCIDENT_EPS times the larger of the two point norms,
+    else the points coincide and the leg means nothing; and ``|q|``, which
+    is inf when ``q``'s squared norm overflows.
+    """
+    qx, qy, qz = q
+    sqrt, maximum = xp.sqrt, xp.maximum
+    qn = sqrt(qx * qx + qy * qy + qz * qz)
+    legs = []
+    apart = []
+    for bx, by, bz in rows:
+        dx = bx - qx
+        dy = by - qy
+        dz = bz - qz
+        n = sqrt(dx * dx + dy * dy + dz * dz)
+        scale = maximum(qn, sqrt(bx * bx + by * by + bz * bz))
+        apart.append(n > COINCIDENT_EPS * scale)
+        # a zero length divides as 1, never raising; elsewhere the added
+        # False is an exact + 0
+        n = n + (n == 0.0)
+        legs.append((dx / n, dy / n, dz / n))
+    return legs, apart, qn
+
+
 def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     """The four unit legs from a point toward the vertices A1..A4.
 
@@ -201,10 +222,17 @@ def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
     to, a vertex."""
     p = as_point(point).tolist()
     m = tetra.to_frame
-    q = qx, qy, qz = p[0] * m, p[1] * m, p[2] * m
-    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
-    legs = [_unit(q, qn, r) for r in tetra.frame]
-    if None in legs:
-        vertex = tuple(tetra.vertices[legs.index(None)].tolist())
-        raise CoincidentPoints(f"points {p} and {vertex} coincide")
+    legs, apart, qn = unit_legs((p[0] * m, p[1] * m, p[2] * m), tetra.frame, FLOATS)
+    if not all(apart):
+        if qn == math.inf:
+            # the point is so far away, against the scale, that its squared
+            # norm overflows in the frame; in a frame scaled to the point
+            # instead, the vertices shrink toward the origin and nothing
+            # overflows
+            f = math.ldexp(1.0, -math.frexp(max(map(abs, p)))[1])
+            rows = [(x * f, y * f, z * f) for x, y, z in tetra.vertices.tolist()]
+            legs, apart, _ = unit_legs((p[0] * f, p[1] * f, p[2] * f), rows, FLOATS)
+        if not all(apart):
+            vertex = tuple(tetra.vertices[apart.index(False)].tolist())
+            raise CoincidentPoints(f"points {p} and {vertex} coincide")
     return DirectionConfig(legs)

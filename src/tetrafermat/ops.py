@@ -1,0 +1,104 @@
+"""The elementary operations of the identity-layer kernels, for floats or
+for columns.
+
+The kernels in ``geometry``, ``properties`` and ``formula`` are written
+once, for coordinates that are either Python floats (the scalar API, one
+instance per call) or 1-D float64 arrays with one element per instance
+(``batch.run_batch_verify``, one chunk per call).  ``+ - * /``,
+comparisons, ``&``, ``|`` and ``abs`` need nothing: floats and numpy
+arrays both define them, and every element of an array result is the IEEE
+result the float operation gives (a comparison's bool adds as 0 or 1 in
+both).  The rest comes from one of two namespaces, passed to each kernel
+as ``xp``:
+
+- ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, and
+  a conditional expression as ``where``.
+- ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum`` and ``where``.
+  ``acos``, ``cos`` and ``sin`` map ``math``'s functions element by
+  element: numpy's own can differ from them in the last bit, and a column
+  must hold exactly the value the scalar API computes.  ``maximum`` and
+  ``minimum`` differ from the float ones only in which zero a tie of +0
+  and -0 returns; no kernel result depends on that.
+
+``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
+``error(*args)`` when ``ok`` is false, where the scalar code has always
+raised.  ``Columns`` records the rows where ``ok`` is false in ``failed``
+and goes on; a caller recomputes those rows through the scalar API, so
+their error text or flag is the scalar one.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+
+def _require(ok, error, *args):
+    if not ok:
+        raise error(*args)
+
+
+def _where(cond, a, b):
+    return a if cond else b
+
+
+# the built-in max and min of two floats, which keep the first argument
+# unless the second compares greater (less); as Python functions they cost
+# a third of the built-ins' call on CPython 3.11
+def _maximum(a, b):
+    return b if b > a else a
+
+
+def _minimum(a, b):
+    return b if b < a else a
+
+
+#: the operations on Python floats
+FLOATS = SimpleNamespace(
+    sqrt=math.sqrt,
+    acos=math.acos,
+    cos=math.cos,
+    sin=math.sin,
+    maximum=_maximum,
+    minimum=_minimum,
+    where=_where,
+    require=_require,
+)
+
+
+def _mapped(f):
+    def column(a):
+        return np.fromiter(map(f, a.tolist()), float, len(a))
+
+    return column
+
+
+class Columns:
+    """The operations on 1-D float64 columns of ``n`` rows, with the rows
+    that failed a check so far.
+
+    Values on a failed row are never used, and may be NaN or infinite, so
+    a caller evaluates under ``np.errstate(all="ignore")``.  ``acos``
+    clamps to [-1, 1] before mapping, which changes no value in its domain
+    and keeps such a row from raising.  ``cos`` and ``sin`` need no guard:
+    the kernels take them only of angles, which ``acos`` returns finite.
+    """
+
+    sqrt = staticmethod(np.sqrt)
+    maximum = staticmethod(np.maximum)
+    minimum = staticmethod(np.minimum)
+    where = staticmethod(np.where)
+    cos = staticmethod(_mapped(math.cos))
+    sin = staticmethod(_mapped(math.sin))
+    _acos = staticmethod(_mapped(math.acos))
+
+    def __init__(self, n: int):
+        self.failed = np.zeros(n, dtype=bool)
+
+    def acos(self, c):
+        return self._acos(np.clip(c, -1.0, 1.0))
+
+    def require(self, ok, error=None, *args):
+        self.failed |= ~ok

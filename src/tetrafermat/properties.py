@@ -4,12 +4,15 @@ For a balanced direction quadruple (an interior minimizer), opposite angles
 match, the three cosines against leg 1 sum to -1, the bisectors of the three
 angle pairs at the junction are mutually orthogonal, and opposite bisectors
 are anti-parallel.  This module measures all of those as residuals.  The
-bisectors u_i + u_j are formed inside ``verify_fundamental_property`` and
-only their residuals are returned.
+bisectors u_i + u_j are formed inside ``bisector_residuals`` and only
+their residuals are returned.
 
-Every function reads the legs' float rows, ``DirectionConfig.rows`` (the
-one form the record stores), in straight-line code: each leg dot product
-and each angle's cosine is computed once per call.  Every quantity here
+The kernels ``leg_angles``, ``angle_residuals`` and
+``bisector_residuals`` are straight-line code on legs given as floats or as
+columns of many instances (see ``ops``): each leg dot product and each
+angle's cosine is computed once per call.  ``angle_sextuple`` and
+``verify_fundamental_property`` call them with the float rows of a
+``DirectionConfig``, the one form the record stores.  Every quantity here
 is a function of dot products of legs and of their sums, so it is
 unchanged by a rotation or a mirror of the legs.
 """
@@ -17,9 +20,9 @@ unchanged by a rotation or a mirror of the legs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, sqrt
 
 from .geometry import DirectionConfig
+from .ops import FLOATS
 
 #: default residual tolerance for the verification report
 DEFAULT_TOL = 1e-6
@@ -62,42 +65,45 @@ class PropertyReport:
     flags: tuple[str, ...] = ()
 
 
-def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
-    """All six pairwise leg angles of a direction configuration: the
-    arccosine of each dot product, clamped to [-1, 1]."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = config.rows
-    return AngleSextuple(
-        acos(min(1.0, max(-1.0, x1 * x2 + y1 * y2 + z1 * z2))),
-        acos(min(1.0, max(-1.0, x1 * x3 + y1 * y3 + z1 * z3))),
-        acos(min(1.0, max(-1.0, x1 * x4 + y1 * y4 + z1 * z4))),
-        acos(min(1.0, max(-1.0, x2 * x3 + y2 * y3 + z2 * z3))),
-        acos(min(1.0, max(-1.0, x2 * x4 + y2 * y4 + z2 * z4))),
-        acos(min(1.0, max(-1.0, x3 * x4 + y3 * y4 + z3 * z4))),
+def leg_angles(rows, xp):
+    """The six angles a102, a103, a104, a203, a204, a304 between the legs
+    ``rows``: the arccosine of each dot product, clamped to [-1, 1].  The
+    angle kernel, on floats or on columns (see ``ops``)."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
+    acos, lesser, greater = xp.acos, xp.minimum, xp.maximum
+    return (
+        acos(lesser(1.0, greater(-1.0, x1 * x2 + y1 * y2 + z1 * z2))),
+        acos(lesser(1.0, greater(-1.0, x1 * x3 + y1 * y3 + z1 * z3))),
+        acos(lesser(1.0, greater(-1.0, x1 * x4 + y1 * y4 + z1 * z4))),
+        acos(lesser(1.0, greater(-1.0, x2 * x3 + y2 * y3 + z2 * z3))),
+        acos(lesser(1.0, greater(-1.0, x2 * x4 + y2 * y4 + z2 * z4))),
+        acos(lesser(1.0, greater(-1.0, x3 * x4 + y3 * y4 + z3 * z4))),
     )
 
 
-def _angle_residuals(s: AngleSextuple):
-    """The opposite-angle residuals and the cosine-sum residual, from one
-    cosine per angle."""
-    c102, c103, c104 = cos(s.a102), cos(s.a103), cos(s.a104)
-    c203, c204, c304 = cos(s.a203), cos(s.a204), cos(s.a304)
+def angle_residuals(angles, xp):
+    """The opposite-angle residuals and the cosine-sum residual of the six
+    ``angles``, from one cosine per angle: a kernel on floats or columns."""
+    a102, a103, a104, a203, a204, a304 = angles
+    cos = xp.cos
+    c102, c103, c104 = cos(a102), cos(a103), cos(a104)
+    c203, c204, c304 = cos(a203), cos(a204), cos(a304)
     opposite = (abs(c102 - c304), abs(c203 - c104), abs(c103 - c204))
     return opposite, abs(1.0 + c102 + c103 + c104)
 
 
-def verify_fundamental_property(
-    config: DirectionConfig, tol: float = DEFAULT_TOL
-) -> PropertyReport:
-    """Measure every junction-angle identity on one configuration.
+def bisector_residuals(rows, xp):
+    """The bisector identities on the legs ``rows``: a kernel on floats or
+    columns.
 
-    Orthogonality is checked on the raw dot products of the bisectors of
-    a102, a203, a103; anti-parallelism on the normalized dot products of the
-    three opposite bisector pairs against -1.  Meaningful for balanced
-    quadruples; on unbalanced input the residuals simply come out large.
+    Returns the orthogonality residuals, the raw dot products of the
+    bisectors u_i + u_j of a102, a203, a103; then, for the opposite bisector
+    pairs 102_304, 203_104, 103_204, the anti-parallelism residuals, their
+    normalized dot products against -1; and whether each pair has a
+    bisector shorter than BISECTOR_EPS, too short to normalize, whose
+    residual means nothing.
     """
-    s = angle_sextuple(config)
-    opp, csum = _angle_residuals(s)
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = config.rows
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
     # the bisector u_i + u_j of each leg pair
     bx12, by12, bz12 = x1 + x2, y1 + y2, z1 + z2
     bx13, by13, bz13 = x1 + x3, y1 + y3, z1 + z3
@@ -110,30 +116,60 @@ def verify_fundamental_property(
         abs(bx12 * bx13 + by12 * by13 + bz12 * bz13),
         abs(bx23 * bx13 + by23 * by13 + bz23 * bz13),
     )
+    sqrt = xp.sqrt
     anti = []
-    flags: list[str] = []
-    for px, py, pz, qx, qy, qz, name in (
-        (bx12, by12, bz12, bx34, by34, bz34, "102_304"),
-        (bx23, by23, bz23, bx14, by14, bz14, "203_104"),
-        (bx13, by13, bz13, bx24, by24, bz24, "103_204"),
+    short = []
+    for px, py, pz, qx, qy, qz in (
+        (bx12, by12, bz12, bx34, by34, bz34),
+        (bx23, by23, bz23, bx14, by14, bz14),
+        (bx13, by13, bz13, bx24, by24, bz24),
     ):
         ni = sqrt(px * px + py * py + pz * pz)
         nj = sqrt(qx * qx + qy * qy + qz * qz)
-        if ni < BISECTOR_EPS or nj < BISECTOR_EPS:
-            flags.append("degenerate_bisector_" + name)
-            anti.append(float("nan"))
-            continue
-        anti.append(abs((px * qx + py * qy + pz * qz) / (ni * nj) + 1.0))
+        s = (ni < BISECTOR_EPS) | (nj < BISECTOR_EPS)
+        # a short pair divides by ni * nj + 1, never by 0; elsewhere the
+        # added False is an exact + 0
+        anti.append(abs((px * qx + py * qy + pz * qz) / (ni * nj + s) + 1.0))
+        short.append(s)
+    return orth, anti, short
+
+
+def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
+    """All six pairwise leg angles of a direction configuration: the
+    arccosine of each dot product, clamped to [-1, 1]."""
+    return AngleSextuple(*leg_angles(config.rows, FLOATS))
+
+
+def verify_fundamental_property(
+    config: DirectionConfig, tol: float = DEFAULT_TOL
+) -> PropertyReport:
+    """Measure every junction-angle identity on one configuration.
+
+    Orthogonality is checked on the raw dot products of the bisectors of
+    a102, a203, a103; anti-parallelism on the normalized dot products of the
+    three opposite bisector pairs against -1.  Meaningful for balanced
+    quadruples; on unbalanced input the residuals simply come out large.
+    """
+    angles = leg_angles(config.rows, FLOATS)
+    opp, csum = angle_residuals(angles, FLOATS)
+    orth, anti, short = bisector_residuals(config.rows, FLOATS)
+    flags = ()
+    if True in short:
+        flags = tuple(
+            "degenerate_bisector_" + name
+            for name, s in zip(("102_304", "203_104", "103_204"), short) if s
+        )
+        anti = [float("nan") if s else r for r, s in zip(anti, short)]
     passed = not flags and all(
         r <= tol for r in (*opp, csum, *orth, *anti)
     )
     return PropertyReport(
-        angles=s,
+        angles=AngleSextuple(*angles),
         opposite_angle_residuals=opp,
         cosine_sum_residual=csum,
         bisector_dot_residuals=orth,
         antiparallel_residuals=tuple(anti),
         tol=tol,
         passed=passed,
-        flags=tuple(flags),
+        flags=flags,
     )

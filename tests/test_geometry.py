@@ -226,6 +226,25 @@ class TestDirectionConfig:
         with pytest.raises(ValueError):
             direction_config(right_corner, (np.nan, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "factor, point",
+        [
+            (1e-100, (1e210, 0.0, 0.0)),
+            (1.0, (1e300, 0.0, 0.0)),
+            (1.0, (-1e155, 0.0, 0.0)),
+        ],
+    )
+    def test_far_point_whose_length_overflows(self, right_corner, factor, point):
+        # the point times the frame's power of two, or its squared norm,
+        # overflows: the legs are still the unit vectors toward the vertices,
+        # all of them the direction back to the tetrahedron
+        t = Tetrahedron(right_corner.vertices * factor)
+        units = direction_config(t, point).units
+        assert np.isfinite(units).all()
+        back = -np.sign(point[0]) * np.array([1.0, 0.0, 0.0])
+        assert np.abs(units - back).max() <= 1e-15
+        assert np.abs((units * units).sum(axis=1) - 1.0).max() <= 1e-15
+
     def test_edge_midpoint_legs_are_antiparallel(self, right_corner):
         # at the midpoint of edge A1A2 legs 1 and 2 are antiparallel up to
         # rounding; acos near -1 magnifies that to about sqrt(eps) in a102
