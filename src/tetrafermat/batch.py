@@ -7,14 +7,18 @@ print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
 residuals off it, the sixth-angle cross-check included.
 
 ``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
-instances.  It solves a chunk one instance at a time (Newton stays scalar),
-then evaluates the identity layer on float64 columns of the chunk's
-interior solutions, one element per instance, through the same kernels the
-scalar API calls with floats (see ``ops``): every residual is bit for bit
-the one ``_check_residuals`` reads off ``build_report``'s record.  A row
-that fails a check is recomputed through that scalar path, so its error
-text or flag is the scalar one.  The residuals are merged in instance
-order.  ``CHUNK`` bounds the columns' memory for any count.
+instances.  ``solver.solve_columns`` solves a chunk's interior instances
+on float64 columns, one element per instance, in lockstep Newton sweeps
+of full steps; each instance it leaves (a vertex or boundary case, an
+escape, a rejected full step, a non-positive ``det H``, a budget run
+out) goes to ``solve``, so every safeguard, flag and NonConvergence text
+is the scalar one.  The identity layer is then evaluated on columns of
+the chunk's interior solutions, through the same kernels the scalar API
+calls with floats (see ``ops``): every solution and every residual is bit
+for bit the one ``_check_residuals`` reads off ``build_report``'s record.
+A row that fails a check is recomputed through that scalar path, so its
+error text or flag is the scalar one.  The residuals are merged in
+instance order.  ``CHUNK`` bounds the columns' memory for any count.
 
 A caller sets the verification tolerance and the solver's iteration
 budget; the solver's stopping residual is the constant
@@ -42,11 +46,12 @@ from .geometry import (
 )
 from .ops import Columns
 from .properties import (
-    DEFAULT_TOL, PropertyReport, angle_residuals, bisector_residuals,
+    DEFAULT_TOL, PropertyReport, bisector_residuals, cosine_residuals,
     leg_angles, verify_fundamental_property,
 )
 from .solver import (
     BOUNDARY_EPS, GRAD_TOL, INTERIOR, MAX_ITER, FermatSolution, solve,
+    solve_columns,
 )
 
 #: check names in reporting order
@@ -63,8 +68,8 @@ CHECKS = (
 #: the checks of an interior instance, in the order ``_check_residuals``
 #: returns them
 INTERIOR_CHECKS = tuple(name for name in CHECKS if name != "vertex_optimality")
-#: instances per chunk of ``run_batch_verify``: the identity layer runs on
-#: float64 columns of a chunk's interior solutions, and a chunk's columns
+#: instances per chunk of ``run_batch_verify``: the solve and the identity
+#: layer run on float64 columns of a chunk's instances, and a chunk's columns
 #: are dropped before the next chunk is solved, so memory stays bounded for
 #: any count while a column still spans enough rows to pay numpy's per-call
 #: cost (a 1000-instance corpus is one chunk)
@@ -168,42 +173,45 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
     }
 
 
-def _column_residuals(interior) -> list:
-    """Batch-verify's residuals of the interior instances ``interior``, a
-    list of (tetrahedron, solution) pairs, evaluated on float64 columns with
-    one element per pair, through the kernels the scalar API calls.
+def _column_residuals(point, m, frame) -> list:
+    """Batch-verify's residuals of interior solutions given as columns, one
+    element per instance: ``point`` (3, k) in input units, ``m`` the
+    tetrahedra's ``to_frame`` and ``frame`` (12, k) their frame
+    coordinates, evaluated through the kernels the scalar API calls.
 
-    Returns, per pair, the residuals after ``solve_residual`` in
+    Returns, per instance, the residuals after ``solve_residual`` in
     ``INTERIOR_CHECKS`` order, equal to those ``_check_residuals`` reads off
     ``build_report``'s record; or None where a check fails (a coincident,
     overflowed or non-unit leg, a degenerate bisector, an angle not
     strictly inside (0, pi), a degenerate base angle, an unrealizable triple
-    or an infeasible induced pair), for the scalar API to recompute.
+    or an infeasible induced pair), for the scalar API to recompute.  Each
+    angle's cosine, the cosine of its double and sin a102 are computed
+    once and shared by every kernel that reads them.
     """
-    cols = np.array(
-        [[*sol.point.tolist(), t.to_frame, *t.frame[0], *t.frame[1],
-          *t.frame[2], *t.frame[3]] for t, sol in interior]
-    ).T.copy()
-    px, py, pz, m = cols[:4]
-    rows = (cols[4:7], cols[7:10], cols[10:13], cols[13:16])
-    xp = Columns(len(interior))
+    px, py, pz = point
+    rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
+    xp = Columns(len(m))
     with np.errstate(all="ignore"):
         legs, apart, _ = unit_legs((px * m, py * m, pz * m), rows, xp)
         for ok in apart + unit_rows(legs):
             xp.require(ok)
         angles = leg_angles(legs, xp)
-        opp, csum = angle_residuals(angles, xp)
         orth, anti, short = bisector_residuals(legs, xp)
         for s in short:
             xp.require(~s)
-        a102, a103, a104, a203, a204, a304 = angles
         for a in angles[:5]:
             xp.require(inside(a))
-        _, cos_plus, cos_minus = sixth_cosines(a102, a103, a104, a203, a204, xp)
+        cosines = [xp.cos(a) for a in angles]
+        doubles = [xp.cos(2.0 * a) for a in angles[:5]]
+        s102 = xp.sin(angles[0])
+        opp, csum = cosine_residuals(cosines)
+        _, cos_plus, cos_minus = sixth_cosines(s102, cosines[:5], doubles, xp)
         identity = branch_residual(
-            cos_plus, cos_minus, branch_sign(legs, xp), xp.cos(a304), xp
+            cos_plus, cos_minus, branch_sign(legs, xp), cosines[5], xp
         )
-        substitution = substitution_residual(a102, a203, xp)
+        substitution = substitution_residual(
+            cosines[0], cosines[3], s102, doubles[0], doubles[3], xp
+        )
     larger = np.maximum
     checks = (
         larger(larger(*opp[:2]), opp[2]),
@@ -220,28 +228,39 @@ def _column_residuals(interior) -> list:
 def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
     """Batch-verify's outcome for each instance of ``indices``, in order:
     its residual per check, or the text of the error it records."""
-    outcomes: list = []
-    interior = []
-    for i in indices:
-        tetra = sampling.random_tetrahedron(seed, i)
+    tetras = [sampling.random_tetrahedron(seed, i) for i in indices]
+    chunk = solve_columns(tetras, max_iter)
+    outcomes: list = [None] * len(tetras)
+    left = np.ones(len(tetras), dtype=bool)
+    left[chunk.rows] = False
+    # the interior solutions solve found for the rows the columns left
+    found = []
+    for slot in np.flatnonzero(left).tolist():
         try:
-            solution = solve(tetra, max_iter)
+            solution = solve(tetras[slot], max_iter)
         except NonConvergence as exc:
-            outcomes.append(f"no convergence (residual {exc.residual:.3e})")
+            outcomes[slot] = f"no convergence (residual {exc.residual:.3e})"
             continue
         if solution.kind == INTERIOR:
-            interior.append((len(outcomes), tetra, solution))
-            outcomes.append(None)
+            found.append((slot, solution))
         else:
-            outcomes.append(_check_residuals(SolutionReport(solution, None, None)))
-    if not interior:
+            outcomes[slot] = _check_residuals(SolutionReport(solution, None, None))
+    slots = chunk.rows.tolist() + [slot for slot, _ in found]
+    if not slots:
         return outcomes
-    rows = _column_residuals([(t, sol) for _, t, sol in interior])
-    for (slot, tetra, solution), row in zip(interior, rows):
+    point = chunk.point
+    if found:
+        extra = np.array([sol.point for _, sol in found]).T
+        point = np.concatenate([point, extra], axis=1)
+    residuals = chunk.residual.tolist() + [sol.residual for _, sol in found]
+    rows = _column_residuals(point, chunk.to_frame[slots], chunk.frame[:, slots])
+    for j, (slot, residual, row) in enumerate(zip(slots, residuals, rows)):
         if row is not None:
-            outcomes[slot] = dict(zip(INTERIOR_CHECKS, (solution.residual, *row)))
+            outcomes[slot] = dict(zip(INTERIOR_CHECKS, (residual, *row)))
             continue
-        report = _report(tetra, solution, tol)
+        k = j - len(chunk.rows)
+        solution = chunk.solution(j) if k < 0 else found[k][1]
+        report = _report(tetras[slot], solution, tol)
         try:
             outcomes[slot] = _check_residuals(report)
         except TetrafermatError as exc:

@@ -93,13 +93,22 @@ def load_five_angles(path: str) -> FiveAngles:
         raise InputError(f"{path}: {exc}")
 
 
+def _finite(value: float) -> float | None:
+    """A JSON number for a finite float; None (null) for inf or NaN, which
+    JSON cannot hold."""
+    return value if math.isfinite(value) else None
+
+
 def to_dict(report: SolutionReport) -> dict:
+    """The report as JSON values: an objective beyond the float64 range,
+    and a NaN antiparallel residual (a degenerate bisector, named in the
+    flags), are null."""
     sol = report.solution
     d = {
         "kind": sol.kind,
         "point": [float(c) for c in sol.point],
         "vertex_index": sol.vertex_index,
-        "objective": sol.objective_value,
+        "objective": _finite(sol.objective_value),
         "residual": sol.residual,
         "iterations": sol.iterations,
         "pull_norms": list(sol.pull_norms),
@@ -118,7 +127,7 @@ def to_dict(report: SolutionReport) -> dict:
             "opposite_angles": list(r.opposite_angle_residuals),
             "cosine_sum": r.cosine_sum_residual,
             "bisector_orthogonality": list(r.bisector_dot_residuals),
-            "bisector_antiparallel": list(r.antiparallel_residuals),
+            "bisector_antiparallel": [_finite(x) for x in r.antiparallel_residuals],
             "pass": r.passed,
         }
     return d
@@ -176,7 +185,7 @@ def cmd_solve(args: argparse.Namespace, verify_mode: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     if args.format == "json":
-        print(json.dumps(to_dict(report), indent=2))
+        print(json.dumps(to_dict(report), indent=2, allow_nan=False))
     else:
         print(format_report_text(report))
     if verify_mode and report.property_report is not None \
@@ -198,7 +207,7 @@ def cmd_sixth_angle(args: argparse.Namespace) -> int:
             "angle_plus_rad": result.angle(1) if result.realizable_plus else None,
             "angle_minus_rad": result.angle(-1) if result.realizable_minus else None,
         }
-        print(json.dumps(out, indent=2))
+        print(json.dumps(out, indent=2, allow_nan=False))
     else:
         lines = [
             "input angles (rad): "

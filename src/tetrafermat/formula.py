@@ -8,8 +8,9 @@ branches; ``resolve_branch`` reads the correct sign off an actual
 configuration; ``config_from_five_angles`` rebuilds the rays.
 
 The kernels ``sixth_cosines``, ``branch_residual``, ``branch_sign`` and
-``substitution_residual`` take their angles or legs as floats or as
-columns of many instances (see ``ops``); ``sixth_angle``,
+``substitution_residual`` take the cosines and sines of their angles, or
+their legs, as floats or as columns of many instances (see ``ops``), so a
+caller computes each cosine once; ``sixth_angle``,
 ``SixthAngleResult.branch_error``, ``resolve_branch`` and
 ``ft_substitution_residual`` call them with floats.
 """
@@ -137,30 +138,27 @@ def _radical(c2a: float, c2b: float, c2c: float,
     return 1.0 + c2a + c2b + c2c - 4.0 * ca * cb * cc
 
 
-def sixth_cosines(a102, a103, a104, a203, a204, xp):
+def sixth_cosines(s102, cosines, doubles, xp):
     """The radical magnitude b and the sixth-angle cosine with +b and with
-    -b, from five angles: the sixth-angle kernel, on floats or on columns
-    (see ``ops``).
+    -b: the sixth-angle kernel, on floats or on columns (see ``ops``).
 
+    Takes sin(a102), the cosines of the five angles a102, a103, a104,
+    a203, a204 and the cosines of their doubles, each computed once by the
+    caller and shared by both radical factors and both branches.
     Requires sin(a102) above MIN_BASE_SIN (else DegenerateBaseAngle) and
-    both radical factors at most GRAM_TOL (else UnrealizableTriple).  Each
-    cosine is computed once and shared by both radical factors and both
-    branches.
+    both radical factors at most GRAM_TOL (else UnrealizableTriple).
     """
-    s = xp.sin(a102)
-    xp.require(s > MIN_BASE_SIN, _degenerate_base, s, "the frame equations")
-    cos = xp.cos
-    c102, c103, c104 = cos(a102), cos(a103), cos(a104)
-    c203, c204 = cos(a203), cos(a204)
-    c2_102 = cos(2.0 * a102)
-    f3 = _radical(c2_102, cos(2.0 * a103), cos(2.0 * a203), c102, c103, c203)
-    f4 = _radical(c2_102, cos(2.0 * a104), cos(2.0 * a204), c102, c104, c204)
+    xp.require(s102 > MIN_BASE_SIN, _degenerate_base, s102, "the frame equations")
+    c102, c103, c104, c203, c204 = cosines
+    d102, d103, d104, d203, d204 = doubles
+    f3 = _radical(d102, d103, d203, c102, c103, c203)
+    f4 = _radical(d102, d104, d204, c102, c104, c204)
     xp.require((f3 <= GRAM_TOL) & (f4 <= GRAM_TOL), _unrealizable, f3, f4)
     product = f3 * f4
     # a negative product has one factor within the rounding margin of zero
     # on the wrong side
     b = xp.sqrt(xp.where(product < 0.0, 0.0, product))
-    csc2 = 1.0 / (s * s)
+    csc2 = 1.0 / (s102 * s102)
     # cos a304 = (p + 2 (+-b + q)) / (4 sin^2 a102), with p and q shared
     p = 4.0 * c103 * (c104 - c102 * c204)
     q = 2.0 * c203 * (-c102 * c104 + c204)
@@ -182,8 +180,14 @@ def sixth_angle(fa: FiveAngles) -> SixthAngleResult:
     Raises UnrealizableTriple when either triple {a102, a10i, a20i} cannot
     come from unit vectors, and DegenerateBaseAngle when sin(a102) vanishes.
     """
+    a102, a103, a104, a203, a204 = fa.a102, fa.a103, fa.a104, fa.a203, fa.a204
+    cos = math.cos
     b, cos_plus, cos_minus = sixth_cosines(
-        fa.a102, fa.a103, fa.a104, fa.a203, fa.a204, FLOATS
+        math.sin(a102),
+        (cos(a102), cos(a103), cos(a104), cos(a203), cos(a204)),
+        (cos(2.0 * a102), cos(2.0 * a103), cos(2.0 * a104), cos(2.0 * a203),
+         cos(2.0 * a204)),
+        FLOATS,
     )
     return SixthAngleResult(
         b_magnitude=b,
@@ -255,22 +259,27 @@ def config_from_five_angles(fa: FiveAngles, branch: int) -> DirectionConfig:
     ))
 
 
-def substitution_residual(a102, a203, xp):
+def substitution_residual(c102, c203, s102, d102, d203, xp):
     """The substitution kernel behind ``ft_substitution_residual``, on
-    angles strictly between 0 and pi given as floats or as columns.
+    floats or on columns: from cos a102, cos a203 and sin a102 of two
+    angles strictly between 0 and pi, and the cosines d102, d203 of their
+    doubles.
 
     Requires an induced cosine strictly inside (-1, 1) (else
     InfeasiblePair) and sin^2(a102) above MIN_BASE_SIN (else
     DegenerateBaseAngle).  The induced a103 = acos(c) then lies strictly
     between 0 and pi too, so the five substituted angles need no check.
     """
-    c = -(1.0 + xp.cos(a102) + xp.cos(a203))
+    c = -(1.0 + c102 + c203)
     xp.require((-1.0 < c) & (c < 1.0), _infeasible, c)
-    s = xp.sin(a102)
-    xp.require(s * s > MIN_BASE_SIN, _degenerate_base, s, "the substituted formula")
+    xp.require(s102 * s102 > MIN_BASE_SIN, _degenerate_base, s102,
+               "the substituted formula")
     a103 = xp.acos(c)
-    _, cos_plus, cos_minus = sixth_cosines(a102, a103, a203, a203, a103, xp)
-    return branch_residual(cos_plus, cos_minus, 0, xp.cos(a102), xp)
+    c103, d103 = xp.cos(a103), xp.cos(2.0 * a103)
+    _, cos_plus, cos_minus = sixth_cosines(
+        s102, (c102, c103, c203, c203, c103), (d102, d103, d203, d203, d103), xp
+    )
+    return branch_residual(cos_plus, cos_minus, 0, c102, xp)
 
 
 def ft_substitution_residual(a102: float, a203: float) -> float:
@@ -293,4 +302,7 @@ def ft_substitution_residual(a102: float, a203: float) -> float:
     """
     a102 = _check_range("a102", a102)
     a203 = _check_range("a203", a203)
-    return substitution_residual(a102, a203, FLOATS)
+    return substitution_residual(
+        math.cos(a102), math.cos(a203), math.sin(a102),
+        math.cos(2.0 * a102), math.cos(2.0 * a203), FLOATS,
+    )

@@ -1,4 +1,4 @@
-"""Scalar kernels: distance sums, resultants of unit vectors, the
+"""Numeric kernels: distance sums, resultants of unit vectors, the
 safeguarded Newton iteration for the four-point distance minimizer and its
 start off a vertex, and a simplex minimizer specialized to the same
 objective.  ``newton`` has one step path: a Newton step that finds no
@@ -6,22 +6,35 @@ trial point it can accept ends the iteration.  Its stopping residual,
 budget and vertex radius are parameters whose values ``solver`` sets
 (``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``).
 
-Every kernel takes ``rows``, the four vertices as (x, y, z) tuples of Python
-floats (``Tetrahedron.frame``, built once per tetrahedron).  Scalar math
-only; no numpy inside the loops.  With four points the per-call overhead of
-numpy outweighs the arithmetic it would vectorize.  The hot kernels
-(``pull_norms``, ``newton``, ``nelder_mead``'s objective) bind the twelve row
-coordinates once and write the four legs (for ``pull_norms`` the six edges)
-out as straight-line code, with no per-row loop; ``newton`` carries the
-distances of an accepted trial point into the next iterate.  Each keeps the
-floating-point operations of a per-row loop in the same order, so its
-answers are bit-identical to one.
+Every kernel takes ``rows``, the four vertices as (x, y, z) triples
+(``Tetrahedron.frame``, built once per tetrahedron).  The arithmetic of
+the pull norms (``_vertex_resultants``, ``pull_norms``), of the start off
+a vertex (``ray_start``) and of a Newton iterate (``distances``, then
+``newton_step``: legs, gradient, Hessian, adjugate step) is written once,
+for coordinates that are Python floats or 1-D float64 columns with one
+element per tetrahedron (see ``ops``; ``sqrt`` and ``all`` come from the
+``xp`` passed in).  Two drivers call it: ``newton`` on floats, with every
+safeguard, and ``newton_columns`` on columns, which runs a chunk of
+tetrahedra in lockstep while each takes full Newton steps and leaves the
+rest to ``newton``.  On four points a numpy call costs more than the
+arithmetic it vectorizes, so the scalar API stays on floats.  The kernels
+bind the twelve row coordinates once and write the four legs (for
+``pull_norms`` the six edges) out as straight-line code, with no per-row
+loop; ``newton`` carries the distances of an accepted trial point into
+the next iterate.  Each keeps the floating-point operations of a per-row
+loop in the same order, so its answers are bit-identical to one, on
+floats and on columns alike.  ``nelder_mead`` and ``distance_sum`` compute
+on floats only.
 """
 
 from __future__ import annotations
 
 from math import sqrt
 from operator import itemgetter
+
+import numpy as np
+
+from .ops import FLOATS, Columns
 
 # newton() status codes
 CONVERGED = 0
@@ -84,7 +97,7 @@ def resultant_norm(rows, x: float, y: float, z: float) -> float:
     return sqrt(rx * rx + ry * ry + rz * rz)
 
 
-def _vertex_resultants(rows):
+def _vertex_resultants(rows, xp):
     """The resultant at each row, in row order: the sum of the unit vectors
     from the row toward the other three, taken in row order.
 
@@ -95,6 +108,7 @@ def _vertex_resultants(rows):
     included.
     """
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    sqrt = xp.sqrt
     ex, ey, ez = bx - ax, by - ay, bz - az
     n = sqrt(ex * ex + ey * ey + ez * ez)
     abx, aby, abz = ex / n, ey / n, ez / n
@@ -121,13 +135,14 @@ def _vertex_resultants(rows):
     )
 
 
-def pull_norms(rows) -> tuple[float, float, float, float]:
+def pull_norms(rows, xp=FLOATS):
     """Pull norm of each row, in row order: the norm of the sum of the unit
     vectors from the other three rows toward it (the resultant at the row,
     negated)."""
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = (
-        _vertex_resultants(rows)
+        _vertex_resultants(rows, xp)
     )
+    sqrt = xp.sqrt
     return (
         sqrt(ax * ax + ay * ay + az * az),
         sqrt(bx * bx + by * by + bz * bz),
@@ -136,21 +151,13 @@ def pull_norms(rows) -> tuple[float, float, float, float]:
     )
 
 
-def vertex_ray_start(rows, k):
-    """One Newton step off row ``k`` along its descent ray: ``v_k + s r``.
-
-    The legs from row k toward the other three rows, taken in row order,
-    give units u_j and weights w_j = 1 / d_j; their resultant, of norm p
-    (row k's pull norm, up to rounding), gives the unit ray r.  Along the
-    ray the distance sum is phi(s) = s + sum_j |v_k + s r - v_j|, with
-    phi'(0) = 1 - p and phi''(0) = kappa = sum_j (1 - (u_j . r)^2) w_j, so
-    the step is s = (p - 1) / kappa.  It is exact to first order when the
-    minimizer sits near v_k, and positive when p > 1 (the interior case);
-    far from v_k it can land outside the hull, and ``newton``'s safeguards
-    take it from there.  Straight-line code, like ``_vertex_resultants``.
-    """
-    vx, vy, vz = rows[k]
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rows[:k] + rows[k + 1:]
+def ray_start(v, others, xp):
+    """One Newton step off the row ``v`` along its descent ray, given the
+    other three rows ``others`` in row order: the kernel of
+    ``vertex_ray_start``, on floats or on columns."""
+    vx, vy, vz = v
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = others
+    sqrt = xp.sqrt
     ex, ey, ez = ax - vx, ay - vy, az - vz
     d = sqrt(ex * ex + ey * ey + ez * ez)
     wa = 1.0 / d
@@ -176,6 +183,100 @@ def vertex_ray_start(rows, k):
     return vx + s * rx, vy + s * ry, vz + s * rz
 
 
+def vertex_ray_start(rows, k):
+    """One Newton step off row ``k`` along its descent ray: ``v_k + s r``.
+
+    The legs from row k toward the other three rows, taken in row order,
+    give units u_j and weights w_j = 1 / d_j; their resultant, of norm p
+    (row k's pull norm, up to rounding), gives the unit ray r.  Along the
+    ray the distance sum is phi(s) = s + sum_j |v_k + s r - v_j|, with
+    phi'(0) = 1 - p and phi''(0) = kappa = sum_j (1 - (u_j . r)^2) w_j, so
+    the step is s = (p - 1) / kappa.  It is exact to first order when the
+    minimizer sits near v_k, and positive when p > 1 (the interior case);
+    far from v_k it can land outside the hull, and ``newton``'s safeguards
+    take it from there.  The arithmetic is ``ray_start``'s, straight-line
+    code like ``_vertex_resultants``.
+    """
+    return ray_start(rows[k], rows[:k] + rows[k + 1:], FLOATS)
+
+
+def distances(rows, x, y, z, xp):
+    """The distances from (x, y, z) to the four rows and their sum, added
+    left to right, as ``distance_sum`` adds them: a kernel on floats or on
+    columns."""
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    sqrt = xp.sqrt
+    tx, ty, tz = x - ax, y - ay, z - az
+    n0 = sqrt(tx * tx + ty * ty + tz * tz)
+    tx, ty, tz = x - bx, y - by, z - bz
+    n1 = sqrt(tx * tx + ty * ty + tz * tz)
+    tx, ty, tz = x - cx, y - cy, z - cz
+    n2 = sqrt(tx * tx + ty * ty + tz * tz)
+    tx, ty, tz = x - dx, y - dy, z - dz
+    n3 = sqrt(tx * tx + ty * ty + tz * tz)
+    return n0, n1, n2, n3, n0 + n1 + n2 + n3
+
+
+def newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, xp):
+    """One Newton iterate at (x, y, z), whose distances to the rows are
+    d0..d3 (none zero): the balancing residual ``res = |g|`` and
+    ``(det H, H^-1 g)``, the full step, where ``g`` is the sum of the unit
+    legs toward the rows and ``H = sum (I - u_i u_i^T) / d_i``, solved by
+    the closed-form 3x3 adjugate.  A kernel on floats or on columns.  When
+    every residual is at most ``grad_tol`` there is no step to take, and
+    the step is None.  The step is meaningless where ``det H`` is not
+    positive; a zero determinant divides as 1, so that floats never raise.
+
+    Every floating-point operation keeps the order of a per-row loop that
+    accumulates from 0.0.  The gradient and diagonal Hessian sums start
+    from their first term instead, which cannot change them, as none of
+    their terms is -0.0; the off-diagonal Hessian terms
+    (``0.0 - a - b - c - d``) keep the 0.0, as a -0.0 term can occur there.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    w0 = 1.0 / d0
+    w1 = 1.0 / d1
+    w2 = 1.0 / d2
+    w3 = 1.0 / d3
+    # the legs toward the rows; each squares exactly as its negation, so
+    # the distances ``distances`` measured are theirs
+    ux0, uy0, uz0 = (ax - x) * w0, (ay - y) * w0, (az - z) * w0
+    ux1, uy1, uz1 = (bx - x) * w1, (by - y) * w1, (bz - z) * w1
+    ux2, uy2, uz2 = (cx - x) * w2, (cy - y) * w2, (cz - z) * w2
+    ux3, uy3, uz3 = (dx - x) * w3, (dy - y) * w3, (dz - z) * w3
+    gx = ux0 + ux1 + ux2 + ux3
+    gy = uy0 + uy1 + uy2 + uy3
+    gz = uz0 + uz1 + uz2 + uz3
+    res = xp.sqrt(gx * gx + gy * gy + gz * gz)
+    if xp.all(res <= grad_tol):
+        return res, None
+    hxx = ((1.0 - ux0 * ux0) * w0 + (1.0 - ux1 * ux1) * w1
+           + (1.0 - ux2 * ux2) * w2 + (1.0 - ux3 * ux3) * w3)
+    hyy = ((1.0 - uy0 * uy0) * w0 + (1.0 - uy1 * uy1) * w1
+           + (1.0 - uy2 * uy2) * w2 + (1.0 - uy3 * uy3) * w3)
+    hzz = ((1.0 - uz0 * uz0) * w0 + (1.0 - uz1 * uz1) * w1
+           + (1.0 - uz2 * uz2) * w2 + (1.0 - uz3 * uz3) * w3)
+    hxy = (0.0 - ux0 * uy0 * w0 - ux1 * uy1 * w1
+           - ux2 * uy2 * w2 - ux3 * uy3 * w3)
+    hxz = (0.0 - ux0 * uz0 * w0 - ux1 * uz1 * w1
+           - ux2 * uz2 * w2 - ux3 * uz3 * w3)
+    hyz = (0.0 - uy0 * uz0 * w0 - uy1 * uz1 * w1
+           - uy2 * uz2 * w2 - uy3 * uz3 * w3)
+    c00 = hyy * hzz - hyz * hyz
+    c01 = hxz * hyz - hxy * hzz
+    c02 = hxy * hyz - hxz * hyy
+    det = hxx * c00 + hxy * c01 + hxz * c02
+    c11 = hxx * hzz - hxz * hxz
+    c12 = hxy * hxz - hxx * hyz
+    c22 = hxx * hyy - hxy * hxy
+    # the added False is an exact + 0 wherever det is not zero
+    q = det + (det == 0.0)
+    px = (c00 * gx + c01 * gy + c02 * gz) / q
+    py = (c01 * gx + c11 * gy + c12 * gz) / q
+    pz = (c02 * gx + c12 * gy + c22 * gz) / q
+    return res, (det, px, py, pz)
+
+
 def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     """Safeguarded Newton iteration for the four-point distance minimizer.
 
@@ -185,24 +286,23 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
 
     Each iteration solves ``H s = g``, where ``g`` is the sum of the unit
     vectors u_i toward the rows (the negative gradient) and
-    ``H = sum (I - u_i u_i^T) / d_i`` the Hessian, by the closed-form 3x3
-    adjugate, and takes the step only when ``det H > 0``.  A trial point is
-    accepted when the objective rises by at most ``ACCEPT_SLACK`` relative
-    to the current value.  The full step is tried first.  The quadratic
-    model of a leg ``|x - v_i|`` holds only within about ``d_i`` of
-    ``v_i``, so a rejected full step ``s`` is retried at length ``dmin``,
-    the distance to the nearest row (step fraction ``dmin / |s|``, when
-    that is below 0.5, else 0.5), and then halved; ``MAX_HALVINGS``
-    shortened trials are made in all.  When no trial point passes, or when
-    ``det H`` is not positive (zero or negative after rounding, or NaN when
-    the distances are so small, about 1e-103 and below, that the
-    determinant, cubic in the weights ``1 / d_i``, sums terms that overflow
-    to ``inf - inf``), the iteration stops with MAXITER at the iterate it
-    stands at; that step counts as an iteration, and ``solver.solve``
-    raises NonConvergence on it.  This is the quadratically convergent
-    scheme of Overton (Math. Programming 27, 1983), which keeps its
-    guarantees with any sequence of trial steps that ends in the same
-    acceptance test.
+    ``H = sum (I - u_i u_i^T) / d_i`` the Hessian (``newton_step``), and
+    takes the step only when ``det H > 0``.  A trial point is accepted when
+    the objective rises by at most ``ACCEPT_SLACK`` relative to the current
+    value.  The full step is tried first.  The quadratic model of a leg
+    ``|x - v_i|`` holds only within about ``d_i`` of ``v_i``, so a
+    rejected full step ``s`` is retried at length ``dmin``, the distance to
+    the nearest row (step fraction ``dmin / |s|``, when that is below 0.5,
+    else 0.5), and then halved; ``MAX_HALVINGS`` shortened trials are made
+    in all.  When no trial point passes, or when ``det H`` is not positive
+    (zero or negative after rounding, or NaN when the distances are so
+    small, about 1e-103 and below, that the determinant, cubic in the
+    weights ``1 / d_i``, sums terms that overflow to ``inf - inf``), the
+    iteration stops with MAXITER at the iterate it stands at; that step
+    counts as an iteration, and ``solver.solve`` raises NonConvergence on
+    it.  This is the quadratically convergent scheme of Overton (Math.
+    Programming 27, 1983), which keeps its guarantees with any sequence of
+    trial steps that ends in the same acceptance test.
 
     An iterate within ``vertex_eps`` of a row is a singular point of the
     iteration; it restarts ``10 * vertex_eps`` off the row along the
@@ -211,15 +311,10 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     units of ``rows``.  Each Newton step and escape counts as one
     iteration.
 
-    The four legs, distances, gradient and Hessian are straight-line code
-    on the twelve row coordinates, bound once.  The distances an accepted
-    trial point was judged by are the next iterate's distances and are not
-    computed again.  Every floating-point operation keeps the order of a
-    per-row loop that accumulates from 0.0.  The distance, gradient and
-    diagonal Hessian sums start from their first term instead, which
-    cannot change them, as none of their terms is -0.0; the off-diagonal
-    Hessian terms (``0.0 - a - b - c - d``) keep the 0.0, as a -0.0 term
-    can occur there.
+    The arithmetic is that of the kernels ``distances`` and
+    ``newton_step``, which ``newton_columns`` runs on columns too; the
+    distances an accepted trial point was judged by are the next iterate's
+    distances and are not computed again.
 
     Returns ``(x, y, z, value, residual, iterations, status)``, where
     ``value`` is the distance sum at (x, y, z), bit-identical to
@@ -228,36 +323,23 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     and status is CONVERGED (residual <= ``grad_tol``) or MAXITER
     (``max_iter`` iterations ran out, or a step found no trial point).
     """
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x, y, z = float(sx), float(sy), float(sz)
     escape = 10.0 * vertex_eps
     it = 0
-    carried = False
+    d0, d1, d2, d3, f = distances(rows, x, y, z, FLOATS)
     while True:
-        # the legs toward the rows; each squares exactly as its negation,
-        # so the distances match the objective's
-        ex0, ey0, ez0 = ax - x, ay - y, az - z
-        ex1, ey1, ez1 = bx - x, by - y, bz - z
-        ex2, ey2, ez2 = cx - x, cy - y, cz - z
-        ex3, ey3, ez3 = dx - x, dy - y, dz - z
-        if carried:
-            carried = False
-        else:
-            d0 = sqrt(ex0 * ex0 + ey0 * ey0 + ez0 * ez0)
-            d1 = sqrt(ex1 * ex1 + ey1 * ey1 + ez1 * ez1)
-            d2 = sqrt(ex2 * ex2 + ey2 * ey2 + ez2 * ez2)
-            d3 = sqrt(ex3 * ex3 + ey3 * ey3 + ez3 * ez3)
-            f = d0 + d1 + d2 + d3
-        dmin, imin = d0, 0
+        dmin = d0
         if d1 < dmin:
-            dmin, imin = d1, 1
+            dmin = d1
         if d2 < dmin:
-            dmin, imin = d2, 2
+            dmin = d2
         if d3 < dmin:
-            dmin, imin = d3, 3
+            dmin = d3
         if dmin <= vertex_eps:
+            # the first row at the least distance
+            imin = (d0, d1, d2, d3).index(dmin)
             vx, vy, vz = rows[imin]
-            rx, ry, rz = _vertex_resultants(rows)[imin]
+            rx, ry, rz = _vertex_resultants(rows, FLOATS)[imin]
             rn = sqrt(rx * rx + ry * ry + rz * rz)
             x = vx + escape * rx / rn
             y = vy + escape * ry / rn
@@ -266,68 +348,28 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
             if it >= max_iter:
                 res = resultant_norm(rows, x, y, z)
                 return (x, y, z, distance_sum(rows, x, y, z), res, it, MAXITER)
+            d0, d1, d2, d3, f = distances(rows, x, y, z, FLOATS)
             continue
-        w0 = 1.0 / d0
-        w1 = 1.0 / d1
-        w2 = 1.0 / d2
-        w3 = 1.0 / d3
-        ux0, uy0, uz0 = ex0 * w0, ey0 * w0, ez0 * w0
-        ux1, uy1, uz1 = ex1 * w1, ey1 * w1, ez1 * w1
-        ux2, uy2, uz2 = ex2 * w2, ey2 * w2, ez2 * w2
-        ux3, uy3, uz3 = ex3 * w3, ey3 * w3, ez3 * w3
-        gx = ux0 + ux1 + ux2 + ux3
-        gy = uy0 + uy1 + uy2 + uy3
-        gz = uz0 + uz1 + uz2 + uz3
-        res = sqrt(gx * gx + gy * gy + gz * gz)
-        if res <= grad_tol:
+        res, step = newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, FLOATS)
+        if step is None:
             return (x, y, z, f, res, it, CONVERGED)
         if it >= max_iter:
             return (x, y, z, f, res, it, MAXITER)
         it += 1
-        hxx = ((1.0 - ux0 * ux0) * w0 + (1.0 - ux1 * ux1) * w1
-               + (1.0 - ux2 * ux2) * w2 + (1.0 - ux3 * ux3) * w3)
-        hyy = ((1.0 - uy0 * uy0) * w0 + (1.0 - uy1 * uy1) * w1
-               + (1.0 - uy2 * uy2) * w2 + (1.0 - uy3 * uy3) * w3)
-        hzz = ((1.0 - uz0 * uz0) * w0 + (1.0 - uz1 * uz1) * w1
-               + (1.0 - uz2 * uz2) * w2 + (1.0 - uz3 * uz3) * w3)
-        hxy = (0.0 - ux0 * uy0 * w0 - ux1 * uy1 * w1
-               - ux2 * uy2 * w2 - ux3 * uy3 * w3)
-        hxz = (0.0 - ux0 * uz0 * w0 - ux1 * uz1 * w1
-               - ux2 * uz2 * w2 - ux3 * uz3 * w3)
-        hyz = (0.0 - uy0 * uz0 * w0 - uy1 * uz1 * w1
-               - uy2 * uz2 * w2 - uy3 * uz3 * w3)
-        c00 = hyy * hzz - hyz * hyz
-        c01 = hxz * hyz - hxy * hzz
-        c02 = hxy * hyz - hxz * hyy
-        det = hxx * c00 + hxy * c01 + hxz * c02
+        det, px, py, pz = step
         if not det > 0.0:
             # zero or negative after rounding, or NaN: no Newton step
             return (x, y, z, f, res, it, MAXITER)
-        c11 = hxx * hzz - hxz * hxz
-        c12 = hxy * hxz - hxx * hyz
-        c22 = hxx * hyy - hxy * hxy
-        px = (c00 * gx + c01 * gy + c02 * gz) / det
-        py = (c01 * gx + c11 * gy + c12 * gz) / det
-        pz = (c02 * gx + c12 * gy + c22 * gz) / det
         fmax = f * (1.0 + ACCEPT_SLACK)
         t = 1.0
         for k in range(MAX_HALVINGS + 1):
             nx = x + t * px
             ny = y + t * py
             nz = z + t * pz
-            tx, ty, tz = nx - ax, ny - ay, nz - az
-            n0 = sqrt(tx * tx + ty * ty + tz * tz)
-            tx, ty, tz = nx - bx, ny - by, nz - bz
-            n1 = sqrt(tx * tx + ty * ty + tz * tz)
-            tx, ty, tz = nx - cx, ny - cy, nz - cz
-            n2 = sqrt(tx * tx + ty * ty + tz * tz)
-            tx, ty, tz = nx - dx, ny - dy, nz - dz
-            n3 = sqrt(tx * tx + ty * ty + tz * tz)
-            fn = n0 + n1 + n2 + n3
+            n0, n1, n2, n3, fn = distances(rows, nx, ny, nz, FLOATS)
             if fn <= fmax:
                 x, y, z = nx, ny, nz
                 d0, d1, d2, d3, f = n0, n1, n2, n3, fn
-                carried = True
                 break
             if k == 0:
                 # the quadratic model of a leg holds only within about its
@@ -340,6 +382,69 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
         else:
             # no trial point passes: the step makes no progress
             return (x, y, z, f, res, it, MAXITER)
+
+
+def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
+    """``newton`` on columns, one element per instance, all instances in
+    lockstep, taking only full Newton steps.
+
+    ``rows`` holds the four rows as (x, y, z) triples of columns, and
+    ``sx, sy, sz`` and ``vertex_eps`` are columns too.  Each sweep runs the
+    kernels ``newton_step`` and ``distances`` on the instances still
+    iterating; one whose residual is at most ``grad_tol`` is done, with
+    the sweep's count as its iterations.  An instance leaves the columns,
+    not done, at the first iterate where ``newton`` would take a path
+    other than the full step: it lies within ``vertex_eps`` of a row (an
+    escape), ``det H`` is not positive (NaN included), the full step is
+    rejected (a retry), or ``max_iter`` iterations have run out.  It is
+    left for ``newton`` to solve from its start, so every safeguard and
+    every MAXITER outcome has that one implementation.  A done
+    instance took exactly ``newton``'s path, so its point, value,
+    residual and iterations are ``newton``'s, bit for bit.
+
+    Returns ``(x, y, z, value, residual, iterations, done)`` as columns
+    over all instances; only the elements where ``done`` is true mean
+    anything.  Evaluates under ``np.errstate(all="ignore")``: an instance
+    that leaves may meet NaN or infinite values on its way out.
+    """
+    n = len(sx)
+    out = np.zeros((5, n))
+    iterations = np.zeros(n, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    it = 0
+    with np.errstate(all="ignore"):
+        # the instances still iterating, one column each: the twelve row
+        # coordinates, the vertex radius, the instance index, the iterate,
+        # its four distances and its value
+        state = np.vstack([
+            *[c for row in rows for c in row], vertex_eps,
+            np.arange(n, dtype=float), sx, sy, sz,
+            *distances(rows, sx, sy, sz, Columns),
+        ])
+        while state.shape[1]:
+            rows = tuple(zip(state[0:12:3], state[1:12:3], state[2:12:3]))
+            eps, index, x, y, z, d0, d1, d2, d3, f = state[12:]
+            # an escape, which only newton makes
+            near = np.minimum(np.minimum(d0, d1), np.minimum(d2, d3)) <= eps
+            res, step = newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, Columns)
+            converged = (res <= grad_tol) & ~near
+            if converged.any():
+                j = index[converged].astype(np.int64)
+                out[:, j] = np.vstack((x, y, z, f, res))[:, converged]
+                iterations[j] = it
+                done[j] = True
+            if step is None or it >= max_iter:
+                break
+            it += 1
+            det, px, py, pz = step
+            nx, ny, nz = x + px, y + py, z + pz
+            trial = distances(rows, nx, ny, nz, Columns)
+            keep = ~converged & ~near & (det > 0.0) & (
+                trial[4] <= f * (1.0 + ACCEPT_SLACK)
+            )
+            state[14:] = nx, ny, nz, *trial
+            state = state[:, keep]
+    return (*out, iterations, done)
 
 
 def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):

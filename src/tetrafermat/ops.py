@@ -1,9 +1,10 @@
-"""The elementary operations of the identity-layer kernels, for floats or
-for columns.
+"""The elementary operations of the numeric kernels, for floats or for
+columns.
 
-The kernels in ``geometry``, ``properties`` and ``formula`` are written
-once, for coordinates that are either Python floats (the scalar API, one
-instance per call) or 1-D float64 arrays with one element per instance
+The kernels in ``kernels`` (pull norms, the Newton start and iterate),
+``geometry``, ``properties`` and ``formula`` are written once, for
+coordinates that are either Python floats (the scalar API, one instance
+per call) or 1-D float64 arrays with one element per instance
 (``batch.run_batch_verify``, one chunk per call).  ``+ - * /``,
 comparisons, ``&``, ``|`` and ``abs`` need nothing: floats and numpy
 arrays both define them, and every element of an array result is the IEEE
@@ -11,9 +12,10 @@ result the float operation gives (a comparison's bool adds as 0 or 1 in
 both).  The rest comes from one of two namespaces, passed to each kernel
 as ``xp``:
 
-- ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, and
-  a conditional expression as ``where``.
-- ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum`` and ``where``.
+- ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, a
+  conditional expression as ``where``, and ``operator.truth`` as ``all``.
+- ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where`` and
+  ``all``.
   ``acos``, ``cos`` and ``sin`` map ``math``'s functions element by
   element: numpy's own can differ from them in the last bit, and a column
   must hold exactly the value the scalar API computes.  ``maximum`` and
@@ -30,6 +32,7 @@ their error text or flag is the scalar one.
 from __future__ import annotations
 
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +67,7 @@ FLOATS = SimpleNamespace(
     maximum=_maximum,
     minimum=_minimum,
     where=_where,
+    all=operator.truth,
     require=_require,
 )
 
@@ -90,6 +94,7 @@ class Columns:
     maximum = staticmethod(np.maximum)
     minimum = staticmethod(np.minimum)
     where = staticmethod(np.where)
+    all = staticmethod(np.all)
     cos = staticmethod(_mapped(math.cos))
     sin = staticmethod(_mapped(math.sin))
     _acos = staticmethod(_mapped(math.acos))

@@ -7,10 +7,11 @@ are anti-parallel.  This module measures all of those as residuals.  The
 bisectors u_i + u_j are formed inside ``bisector_residuals`` and only
 their residuals are returned.
 
-The kernels ``leg_angles``, ``angle_residuals`` and
-``bisector_residuals`` are straight-line code on legs given as floats or as
-columns of many instances (see ``ops``): each leg dot product and each
-angle's cosine is computed once per call.  ``angle_sextuple`` and
+The kernels ``leg_angles``, ``cosine_residuals`` and
+``bisector_residuals`` are straight-line code on legs, or on the angles'
+cosines, given as floats or as columns of many instances (see ``ops``):
+each leg dot product is computed once per call, and each angle's cosine
+once by the caller.  ``angle_sextuple`` and
 ``verify_fundamental_property`` call them with the float rows of a
 ``DirectionConfig``, the one form the record stores.  Every quantity here
 is a function of dot products of legs and of their sums, so it is
@@ -20,6 +21,7 @@ unchanged by a rotation or a mirror of the legs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos
 
 from .geometry import DirectionConfig
 from .ops import FLOATS
@@ -81,13 +83,11 @@ def leg_angles(rows, xp):
     )
 
 
-def angle_residuals(angles, xp):
-    """The opposite-angle residuals and the cosine-sum residual of the six
-    ``angles``, from one cosine per angle: a kernel on floats or columns."""
-    a102, a103, a104, a203, a204, a304 = angles
-    cos = xp.cos
-    c102, c103, c104 = cos(a102), cos(a103), cos(a104)
-    c203, c204, c304 = cos(a203), cos(a204), cos(a304)
+def cosine_residuals(cosines):
+    """The opposite-angle residuals and the cosine-sum residual, from the
+    cosines of the six angles a102, a103, a104, a203, a204, a304: a kernel
+    on floats or on columns."""
+    c102, c103, c104, c203, c204, c304 = cosines
     opposite = (abs(c102 - c304), abs(c203 - c104), abs(c103 - c204))
     return opposite, abs(1.0 + c102 + c103 + c104)
 
@@ -150,8 +150,10 @@ def verify_fundamental_property(
     three opposite bisector pairs against -1.  Meaningful for balanced
     quadruples; on unbalanced input the residuals simply come out large.
     """
-    angles = leg_angles(config.rows, FLOATS)
-    opp, csum = angle_residuals(angles, FLOATS)
+    angles = a102, a103, a104, a203, a204, a304 = leg_angles(config.rows, FLOATS)
+    opp, csum = cosine_residuals(
+        (cos(a102), cos(a103), cos(a104), cos(a203), cos(a204), cos(a304))
+    )
     orth, anti, short = bisector_residuals(config.rows, FLOATS)
     flags = ()
     if True in short:

@@ -6,23 +6,28 @@ and ``oracle_solve`` runs a derivative-free simplex search from one
 seeded point inside the hull, polished by two fresh small simplexes.
 Tests cross-validate one against the other.
 
-``solve`` is the only way into the Newton solver.  Its stopping residual
-is the constant ``GRAD_TOL``, the value every check of the minimizer is
-written against; a caller sets only the iteration budget.  Every kernel
-reads the tetrahedron's frame, ``Tetrahedron.frame``: its vertices times
-the power of two ``Tetrahedron.to_frame``.  Points and lengths go into the
-frame times that power and come back divided by it, both exact.
+``solve`` is the way into the Newton solver; ``solve_columns`` solves a
+chunk of tetrahedra at once for batch-verify, on the same kernels, and
+leaves every tetrahedron that needs a safeguard to ``solve``.  The
+stopping residual is the constant ``GRAD_TOL``, the value every check of
+the minimizer is written against; a caller sets only the iteration
+budget.  Every kernel reads the tetrahedron's frame,
+``Tetrahedron.frame``: its vertices times the power of two
+``Tetrahedron.to_frame``.  Points and lengths go into the frame times
+that power and come back divided by it, both exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import kernels
 from .errors import ClassificationConflict, NonConvergence
 from .geometry import Tetrahedron, as_point
+from .ops import Columns
 
 #: a vertex wins the optimality test when its pull norm is <= 1 + BOUNDARY_EPS
 BOUNDARY_EPS = 1e-9
@@ -35,6 +40,11 @@ VERTEX_EPS = 1e-9
 GRAD_TOL = 1e-10
 #: Newton steps and vertex escapes an interior solve may take by default
 MAX_ITER = 10000
+#: lockstep Newton sweeps ``solve_columns`` runs at most (unit-cube
+#: interiors converge in at most 8); a tetrahedron still iterating then,
+#: stalled at its rounding floor, is left to ``solve``, which iterates it
+#: for a fraction of a sweep's numpy calls
+MAX_SWEEPS = 32
 
 INTERIOR = "interior"
 VERTEX = "vertex"
@@ -56,7 +66,9 @@ class FermatSolution:
 
     ``residual`` is the norm of the summed unit vectors toward the vertices:
     all four legs for an interior solution, the three defined legs (the pull
-    norm) for a vertex solution.  ``pull_norms`` are those of the
+    norm) for a vertex solution.  ``objective_value`` is the distance sum
+    at ``point``; it is ``inf`` when that sum exceeds the float64 range,
+    though the point itself is finite.  ``pull_norms`` are those of the
     classification the solve started from.  Two solutions are equal when
     every field is, the point compared coordinate by coordinate, and equal
     solutions hash alike.
@@ -108,6 +120,9 @@ def classify(tetra: Tetrahedron) -> Classification:
     raise ClassificationConflict.
     """
     pulls = kernels.pull_norms(tetra.frame)
+    if min(pulls) > 1.0 + BOUNDARY_EPS:
+        # no winner; a NaN pull norm, never a winner, takes the long way
+        return Classification(INTERIOR, None, pulls)
     winners = [i for i, p in zip((1, 2, 3, 4), pulls) if p <= 1.0 + BOUNDARY_EPS]
     if len(winners) > 1:
         raise ClassificationConflict(
@@ -180,6 +195,99 @@ def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
         iterations=iters,
         objective_value=value / m,
         pull_norms=pulls,
+    )
+
+
+#: for each vertex k, the other three in row order
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnSolutions:
+    """The interior solutions ``solve_columns`` found for a chunk of
+    tetrahedra, as columns.
+
+    ``frame`` holds the chunk's ``Tetrahedron.frame`` coordinates, shape
+    (12, n), vertex by vertex and x, y, z within a vertex, and
+    ``to_frame`` their factors.  ``rows`` are the positions in the chunk
+    of the tetrahedra solved; column j of ``point`` (3, k), ``residual``,
+    ``iterations``, ``objective`` and ``pull_norms`` (4, k) holds the
+    solution of ``rows[j]``, the one ``solve`` returns (``solution``).
+    """
+
+    frame: np.ndarray
+    to_frame: np.ndarray
+    rows: np.ndarray
+    point: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    objective: np.ndarray
+    pull_norms: np.ndarray
+
+    def solution(self, j: int) -> FermatSolution:
+        """The record of column j, equal to ``solve``'s."""
+        return FermatSolution(
+            kind=INTERIOR,
+            point=self.point[:, j].copy(),
+            vertex_index=None,
+            residual=self.residual[j].item(),
+            iterations=self.iterations[j].item(),
+            objective_value=self.objective[j].item(),
+            pull_norms=tuple(self.pull_norms[:, j].tolist()),
+        )
+
+
+def solve_columns(tetras, max_iter: int = MAX_ITER) -> ColumnSolutions:
+    """``solve`` on a chunk of tetrahedra at once, for the interior ones
+    that take only full Newton steps.
+
+    Gathers the frames into columns, computes every pull norm on them, and
+    takes the tetrahedra whose four pull norms all exceed
+    ``1 + BOUNDARY_EPS``; each starts off the vertex with the smallest
+    pull norm (the first, on a tie), as ``solve`` does, and
+    ``kernels.newton_columns`` iterates them in lockstep, for at most
+    ``MAX_SWEEPS`` iterations.  The rest, and those that leave the
+    columns, are not in ``rows``: ``solve`` handles each of them, the
+    vertex and boundary-tie cases, ClassificationConflict, escapes,
+    shortened steps and NonConvergence included.  Every solution found
+    here is the one ``solve`` returns, bit for bit: the kernels are the
+    same, in the same order of operations.
+    """
+    n = len(tetras)
+    coords = chain.from_iterable(chain.from_iterable([t.frame for t in tetras]))
+    frame = np.fromiter(coords, float, 12 * n).reshape(n, 12).T.copy()
+    m = np.array([t.to_frame for t in tetras])
+    with np.errstate(all="ignore"):
+        rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
+        pulls = np.array(kernels.pull_norms(rows, Columns))
+        # NaN is not above the bound: such a tetrahedron is left to solve
+        inner = np.flatnonzero((pulls > 1.0 + BOUNDARY_EPS).all(axis=0))
+        pulls = pulls[:, inner]
+        k = pulls.argmin(axis=0)
+        # (vertex, coordinate, instance)
+        vertices = frame[:, inner].reshape(4, 3, len(inner))
+        at = np.arange(len(inner))
+        start = kernels.ray_start(
+            vertices[k, :, at].T,
+            vertices[_OTHERS[k], :, at[:, None]].transpose(1, 2, 0),
+            Columns,
+        )
+        mi = m[inner]
+        scale = np.array([tetras[i].scale for i in inner.tolist()])
+        x, y, z, value, res, iters, done = kernels.newton_columns(
+            tuple(zip(vertices[:, 0], vertices[:, 1], vertices[:, 2])), *start,
+            GRAD_TOL, min(max_iter, MAX_SWEEPS), VERTEX_EPS * (scale * mi),
+        )
+    mi = mi[done]
+    return ColumnSolutions(
+        frame=frame,
+        to_frame=m,
+        rows=inner[done],
+        point=np.array([x[done] / mi, y[done] / mi, z[done] / mi]),
+        residual=res[done],
+        iterations=iters[done],
+        objective=value[done] / mi,
+        pull_norms=pulls[:, done],
     )
 
 

@@ -1,13 +1,18 @@
 """batch-verify against its per-instance loop.
 
-``run_batch_verify`` solves one instance at a time, then evaluates the
-identity layer per chunk on float64 columns of the interior solutions.
+``run_batch_verify`` solves a chunk's interior instances on float64
+columns in lockstep (``solve_columns``), hands every other instance, and
+every one that leaves the columns, to ``solve``, then evaluates the
+identity layer per chunk on columns of the interior solutions.
 ``loop_batch_verify`` below is its earlier form: ``build_report``, then
 ``_check_residuals``, then the max/failure merge, one instance at a time,
 all through the scalar API.  The two must return equal ``BatchSummary``
 records: the same counts, the same maxima, and the same failures and
 errors, values and text, in the same order.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +36,13 @@ from tetrafermat.batch import (
 )
 from tetrafermat.errors import NonConvergence
 from tetrafermat.properties import DEFAULT_TOL
-from tetrafermat.solver import INTERIOR, MAX_ITER
+from tetrafermat.solver import INTERIOR, MAX_ITER, classify, solve, solve_columns
+
+from corpora import known_answer_tetrahedron
+
+#: unit-cube instances whose full Newton step is rejected on the way to the
+#: minimizer: the columns leave them, and solve's retry converges
+REJECTED_FULL_STEP = ((2, 156), (2, 772), (3, 288), (3, 492), (4, 13))
 
 
 def loop_batch_verify(seed, count, tol=DEFAULT_TOL, max_iter=MAX_ITER):
@@ -92,7 +103,7 @@ def test_failures_at_a_tight_tolerance():
     assert len(summary.failures) > 300
 
 
-@pytest.mark.parametrize("max_iter", [1, 2])
+@pytest.mark.parametrize("max_iter", [1, 2, 4])
 def test_nonconvergence_interleaved(max_iter):
     summary = assert_same(0, 300, max_iter=max_iter)
     assert 0 < len(summary.errors) < 300
@@ -102,6 +113,66 @@ def test_nonconvergence_interleaved(max_iter):
 def test_count_spanning_three_chunks():
     count = 2 * CHUNK + 452
     assert assert_same(1, count).count == count
+
+
+def without(chunk, drop):
+    """``chunk`` without the solved rows where ``drop`` is true, which
+    batch-verify then hands to the per-instance solve."""
+    keep = ~np.array(drop, dtype=bool)
+    return dataclasses.replace(
+        chunk,
+        rows=chunk.rows[keep],
+        point=chunk.point[:, keep],
+        residual=chunk.residual[keep],
+        iterations=chunk.iterations[keep],
+        objective=chunk.objective[keep],
+        pull_norms=chunk.pull_norms[:, keep],
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_solutions_are_solves(seed):
+    tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
+    chunk = solve_columns(tetras)
+    for j, i in enumerate(chunk.rows.tolist()):
+        assert chunk.solution(j) == solve(tetras[i])
+    interior = {i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR}
+    left = interior - set(chunk.rows.tolist())
+    assert set(chunk.rows.tolist()) <= interior
+    assert left == {i for s, i in REJECTED_FULL_STEP if s == seed}
+
+
+def boundary_tie():
+    """Apex height r/sqrt(8) over an equilateral base of circumradius r: the
+    apex pull norm is 1 within rounding, a vertex solution flagged
+    boundary_tie."""
+    h = 1.0 / math.sqrt(8.0)
+    return Tetrahedron(np.array([
+        [1.0, 0.0, 0.0],
+        [-0.5, math.sqrt(3.0) / 2.0, 0.0],
+        [-0.5, -math.sqrt(3.0) / 2.0, 0.0],
+        [0.0, 0.0, h],
+    ]))
+
+
+def test_rows_leaving_the_columns(monkeypatch):
+    # known-answer tetrahedra, some with the minimizer within 1e-9 of a
+    # vertex (escapes) and some stalled at their rounding floor until the
+    # budget runs out (NonConvergence), the rejected full steps and the
+    # boundary tie, interleaved with unit-cube instances the columns solve
+    corpus = []
+    for k in range(24):
+        corpus += [known_answer_tetrahedron(0, k)[0], sampling.random_tetrahedron(0, k)]
+    corpus[5:5] = [sampling.random_tetrahedron(s, i) for s, i in REJECTED_FULL_STEP]
+    corpus.insert(11, boundary_tie())
+    assert solve(corpus[11]).flags == ("boundary_tie",)
+    monkeypatch.setattr(sampling, "random_tetrahedron", lambda seed, i: corpus[i])
+    summary = assert_same(0, len(corpus))
+    assert any("no convergence" in text for _, text in summary.errors)
+    left = set(range(len(corpus))) - set(solve_columns(corpus).rows.tolist())
+    # every vertex, every NonConvergence and every rejected full step
+    assert {5, 6, 7, 8, 9, 11} <= left
+    assert len(left) == len(REJECTED_FULL_STEP) + len(summary.errors) + summary.vertex_count
 
 
 def right_corner():
@@ -140,14 +211,21 @@ def test_rows_failing_a_check_take_the_scalar_path(monkeypatch):
 
     edge = {right_corner(): 2, draw(0, 6): 2, draw(0, 8): 4}
     solve = batch.solve
+    solve_columns = batch.solve_columns
 
     def fake_solve(tetra, max_iter=MAX_ITER):
         if tetra in edge:
             return midpoint_solution(tetra, edge[tetra])
         return solve(tetra, max_iter)
 
+    def fake_solve_columns(tetras, max_iter=MAX_ITER):
+        # the three take the per-instance solve, which answers the midpoint
+        chunk = solve_columns(tetras, max_iter)
+        return without(chunk, [tetras[i] in edge for i in chunk.rows.tolist()])
+
     monkeypatch.setattr(sampling, "random_tetrahedron", random_tetrahedron)
     monkeypatch.setattr(batch, "solve", fake_solve)
+    monkeypatch.setattr(batch, "solve_columns", fake_solve_columns)
     summary = assert_same(0, 12)
     (i3, text3), (i6, text6) = summary.errors
     assert (i3, i6) == (3, 6)

@@ -110,6 +110,24 @@ class TestSolveCommand:
         assert data["angles_rad"] is None
         assert data["checks"] is None
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowed_objective_json_is_valid(self, command, write_json, capsys):
+        # the right corner times 2**1023 solves to a finite point whose
+        # distance sum overflows: JSON has no Infinity, so it is null
+        corner = (np.array(RIGHT_CORNER["vertices"]) * 2.0 ** 1023).tolist()
+        path = write_json({"vertices": corner})
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        code = main([command, "--input", path, "--format", "json"])
+        assert code == EXIT_OK
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data["objective"] is None
+        assert all(math.isfinite(c) for c in data["point"])
+        assert main([command, "--input", path]) == EXIT_OK
+        assert "objective: inf\n" in capsys.readouterr().out
+
     def test_coplanar_input_exits_2(self, write_json, capsys):
         code = main(["solve", "--input", write_json(COPLANAR)])
         assert code == EXIT_INVALID_INPUT

@@ -13,12 +13,16 @@ from tetrafermat import (
     solve,
     verify_fundamental_property,
 )
-from tetrafermat.ops import FLOATS
-from tetrafermat.properties import angle_residuals
+from tetrafermat.properties import cosine_residuals
 from tetrafermat.sampling import random_tetrahedron
 
 from corpora import balanced_quadruple, random_unit_quadruple
 from conftest import ARCCOS_THIRD
+
+
+def angle_residuals(s):
+    """The opposite-angle and cosine-sum residuals of a sextuple."""
+    return cosine_residuals([math.cos(a) for a in s.as_tuple()])
 
 
 def regular_config():
@@ -48,7 +52,7 @@ class TestAngleSextuple:
         assert sol.kind == "interior"
         s = angle_sextuple(direction_config(t, sol.point))
         assert all(0.0 < a < math.pi for a in s.as_tuple())
-        opposite, cosine_sum = angle_residuals(s.as_tuple(), FLOATS)
+        opposite, cosine_sum = angle_residuals(s)
         assert max(opposite) <= 1e-6
         assert cosine_sum <= 1e-6
 
@@ -56,11 +60,11 @@ class TestAngleSextuple:
 class TestChecks:
     def test_opposite_angles_zero_for_regular(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 6)
-        assert angle_residuals(s.as_tuple(), FLOATS)[0] == (0.0, 0.0, 0.0)
+        assert angle_residuals(s)[0] == (0.0, 0.0, 0.0)
 
     def test_opposite_angles_detects_perturbation(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 5, ARCCOS_THIRD + 0.1)
-        res = angle_residuals(s.as_tuple(), FLOATS)[0]
+        res = angle_residuals(s)[0]
         expected = abs(math.cos(ARCCOS_THIRD) - math.cos(ARCCOS_THIRD + 0.1))
         assert res[0] == pytest.approx(expected, abs=1e-15)
         assert res[0] > 0
@@ -68,11 +72,11 @@ class TestChecks:
 
     def test_cosine_sum_regular(self):
         s = AngleSextuple(*(ARCCOS_THIRD,) * 6)
-        assert angle_residuals(s.as_tuple(), FLOATS)[1] <= 1e-15
+        assert angle_residuals(s)[1] <= 1e-15
 
     def test_cosine_sum_right_angles(self):
         s = AngleSextuple(*(math.pi / 2,) * 6)
-        csum = angle_residuals(s.as_tuple(), FLOATS)[1]
+        csum = angle_residuals(s)[1]
         assert csum == pytest.approx(1.0, abs=1e-15)
 
 
