@@ -7,17 +7,22 @@ print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
 residuals off it, the sixth-angle cross-check included.
 
 ``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
-instances.  ``solver.solve_columns`` solves a chunk's interior instances
-on float64 columns, one element per instance, in lockstep Newton sweeps
-of full steps; each instance it leaves (a vertex or boundary case, an
-escape, a rejected full step, a non-positive ``det H``, a budget run
-out) goes to ``solve``, so every safeguard, flag and NonConvergence text
-is the scalar one.  The identity layer is then evaluated on columns of
-the chunk's interior solutions, through the same kernels the scalar API
-calls with floats (see ``ops``): every solution and every residual is bit
-for bit the one ``_check_residuals`` reads off ``build_report``'s record.
-A row that fails a check is recomputed through that scalar path, so its
-error text or flag is the scalar one.  The residuals are merged in
+instances, with no per-instance object: a chunk's draws
+(``sampling.random_vertices``) are stacked, validated and framed on
+float64 columns, one element per instance, by the kernel ``Tetrahedron``
+runs on floats (``geometry.frame_columns``).  ``solver.solve_columns``
+settles the chunk's vertex instances from their column pull norms and
+solves its interior instances in lockstep Newton sweeps of full steps;
+each instance it leaves (two winning vertices, an escape, a rejected
+full step, a non-positive ``det H``, a budget run out) is built as a
+``Tetrahedron`` and goes to ``solve``, so every safeguard and
+NonConvergence text is the scalar one.  The identity layer is then
+evaluated on columns of the chunk's interior solutions, through the same
+kernels the scalar API calls with floats (see ``ops``): every solution
+and every residual is bit for bit the one ``_check_residuals`` reads off
+``build_report``'s record.  A row that fails a check is recomputed
+through that scalar path, so its error text or flag is the scalar one; a
+``Tetrahedron`` is built for it then, once.  The residuals are merged in
 instance order.  ``CHUNK`` bounds the columns' memory for any count.
 
 A caller sets the verification tolerance and the solver's iteration
@@ -42,7 +47,8 @@ from .formula import (
     resolve_branch, sixth_angle, sixth_cosines, substitution_residual,
 )
 from .geometry import (
-    DirectionConfig, Tetrahedron, direction_config, unit_legs, unit_rows,
+    DirectionConfig, Tetrahedron, direction_config, frame_columns, unit_legs,
+    unit_rows,
 )
 from .ops import Columns
 from .properties import (
@@ -151,9 +157,7 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
     """
     sol = report.solution
     if sol.kind != INTERIOR:
-        return {
-            "vertex_optimality": max(0.0, sol.residual - (1.0 + BOUNDARY_EPS))
-        }
+        return _vertex_residuals(sol.residual)
     r = report.property_report
     s = r.angles
     anti = [x for x in r.antiparallel_residuals if not math.isnan(x)]
@@ -171,6 +175,12 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
         ),
         "substitution_residual": ft_substitution_residual(s.a102, s.a203),
     }
+
+
+def _vertex_residuals(residual: float) -> dict[str, float]:
+    """Batch-verify's residuals of a vertex solution whose ``residual`` is
+    the winning vertex's pull norm."""
+    return {"vertex_optimality": max(0.0, residual - (1.0 + BOUNDARY_EPS))}
 
 
 def _column_residuals(point, m, frame) -> list:
@@ -227,24 +237,34 @@ def _column_residuals(point, m, frame) -> list:
 
 def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
     """Batch-verify's outcome for each instance of ``indices``, in order:
-    its residual per check, or the text of the error it records."""
-    tetras = [sampling.random_tetrahedron(seed, i) for i in indices]
-    chunk = solve_columns(tetras, max_iter)
-    outcomes: list = [None] * len(tetras)
-    left = np.ones(len(tetras), dtype=bool)
+    its residual per check, or the text of the error it records.
+
+    The draws are validated and framed on columns; a ``Tetrahedron`` is
+    built only for an instance the columns leave to the scalar path, once.
+    """
+    vertices = np.array([sampling.random_vertices(seed, i) for i in indices])
+    frame, scale, m, rejected = frame_columns(vertices)
+    for slot in np.flatnonzero(rejected).tolist():
+        # raises the DegenerateInput the instance has always raised
+        Tetrahedron(vertices[slot])
+    chunk = solve_columns(frame, scale, m, max_iter)
+    outcomes: list = [None] * len(vertices)
+    for slot, residual in zip(chunk.vertex_rows.tolist(),
+                              chunk.vertex_residual.tolist()):
+        outcomes[slot] = _vertex_residuals(residual)
+    left = np.ones(len(vertices), dtype=bool)
     left[chunk.rows] = False
-    # the interior solutions solve found for the rows the columns left
+    left[chunk.vertex_rows] = False
+    tetras = {}
+    # the solutions solve found for the rows the columns left, all interior:
+    # the columns settled every vertex case
     found = []
     for slot in np.flatnonzero(left).tolist():
+        tetras[slot] = Tetrahedron(vertices[slot])
         try:
-            solution = solve(tetras[slot], max_iter)
+            found.append((slot, solve(tetras[slot], max_iter)))
         except NonConvergence as exc:
             outcomes[slot] = f"no convergence (residual {exc.residual:.3e})"
-            continue
-        if solution.kind == INTERIOR:
-            found.append((slot, solution))
-        else:
-            outcomes[slot] = _check_residuals(SolutionReport(solution, None, None))
     slots = chunk.rows.tolist() + [slot for slot, _ in found]
     if not slots:
         return outcomes
@@ -253,14 +273,15 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
         extra = np.array([sol.point for _, sol in found]).T
         point = np.concatenate([point, extra], axis=1)
     residuals = chunk.residual.tolist() + [sol.residual for _, sol in found]
-    rows = _column_residuals(point, chunk.to_frame[slots], chunk.frame[:, slots])
+    rows = _column_residuals(point, m[slots], frame[:, slots])
     for j, (slot, residual, row) in enumerate(zip(slots, residuals, rows)):
         if row is not None:
             outcomes[slot] = dict(zip(INTERIOR_CHECKS, (residual, *row)))
             continue
         k = j - len(chunk.rows)
         solution = chunk.solution(j) if k < 0 else found[k][1]
-        report = _report(tetras[slot], solution, tol)
+        tetra = tetras[slot] if slot in tetras else Tetrahedron(vertices[slot])
+        report = _report(tetra, solution, tol)
         try:
             outcomes[slot] = _check_residuals(report)
         except TetrafermatError as exc:

@@ -2,18 +2,21 @@
 ``direction_config`` returns the four unit vectors from a point toward the
 vertices, as computed.
 
-All angles are radians.  Points and directions are float64 numpy arrays of
-shape (3,); any sequence of three finite numbers is accepted on input.
+All angles are radians.  Points and directions are float64 numpy arrays
+of shape (3,); any sequence of three finite numbers is accepted on input.
 Inside, the per-instance steps compute on Python floats: on 3-vectors,
 numpy's per-call overhead costs more than the arithmetic it saves.  The
-leg kernel ``unit_legs`` takes its coordinates as floats or as columns of
-many instances (see ``ops``); ``direction_config`` calls it with floats.
-``Tetrahedron`` builds its float rows once, scaled by a power of two: the
-one frame every kernel reads.  ``DirectionConfig`` stores nothing but its
-four float rows, the legs the angle and identity checks read; its
-``units`` array is built from them when read.  Every check is unchanged by
-a rotation or a mirror of the legs, so none needs them in a particular
-frame.
+validation kernel ``frame_rows`` and the leg kernel ``unit_legs`` take
+their coordinates as floats or as columns of many instances (see
+``ops``).  ``Tetrahedron`` calls ``frame_rows`` with floats and builds
+its float rows once, scaled by a power of two: the one frame every kernel
+reads.  ``frame_columns`` calls it with the columns of a batch-verify
+chunk, whose instances need no ``Tetrahedron`` unless they take the
+scalar path.  ``direction_config`` calls ``unit_legs`` with floats.
+``DirectionConfig`` stores nothing but its four float rows, the legs the
+angle and identity checks read; its ``units`` array is built from them
+when read.  Every check is unchanged by a rotation or a mirror of the
+legs, so none needs them in a particular frame.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoincidentPoints, DegenerateInput
-from .ops import FLOATS
+from .ops import FLOATS, Columns
 
 #: relative volume threshold below which four points are rejected as flat
 VOLUME_EPS = 1e-12
@@ -55,6 +58,82 @@ def _triple(a, b, c) -> float:
     )
 
 
+def _scale_error(s):
+    # below the least normal float, 2**-e would overflow
+    return DegenerateInput(
+        f"longest pairwise distance is {s!r}; expected a finite "
+        f"length of at least {sys.float_info.min!r}"
+    )
+
+
+def _flat_error(det, s):
+    return DegenerateInput(
+        f"points are collinear or coplanar (|det| / scale^3 = "
+        f"{det:.3e}, scale = {s:.3e})"
+    )
+
+
+def frame_rows(rows, xp):
+    """``Tetrahedron``'s validation and frame of four (x, y, z) vertex
+    ``rows``: the validation kernel, on floats or on columns (see ``ops``).
+
+    Requires, in order, that every coordinate is finite, that ``scale``,
+    the largest ``hypot`` of the six edges, is at least the least normal
+    float and finite, and that the edge matrix divided by ``scale`` has
+    |det| above VOLUME_EPS; each failed requirement is a DegenerateInput.
+    Returns the frame, the rows times ``to_frame = 2**-e`` for
+    ``scale = f * 2**e`` with ``0.5 <= f < 1``, as a tuple of four
+    (x, y, z) triples, with ``scale`` and ``to_frame``.
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
+    xp.require(
+        xp.finite((ax, ay, az, bx, by, bz, cx, cy, cz, dx, dy, dz)),
+        DegenerateInput, "vertex coordinates must be finite",
+    )
+    # the edges v[0] - v[1:], the negated edge matrix; with the three
+    # others, the six pairs i < j in the order (0,1) (0,2) (0,3) (1,2)
+    # (1,3) (2,3)
+    e = (
+        (ax - bx, ay - by, az - bz),
+        (ax - cx, ay - cy, az - cz),
+        (ax - dx, ay - dy, az - dz),
+    )
+    hypot, maximum = xp.hypot, xp.maximum
+    # no length is NaN or -0.0 on a row that passed the finite test, so the
+    # order of the maxima cannot change their value
+    s = maximum(
+        maximum(maximum(hypot(*e[0]), hypot(*e[1])),
+                maximum(hypot(*e[2]), hypot(bx - cx, by - cy, bz - cz))),
+        maximum(hypot(bx - dx, by - dy, bz - dz), hypot(cx - dx, cy - dy, cz - dz)),
+    )
+    xp.require((s >= sys.float_info.min) & (s < math.inf), _scale_error, s)
+    m = xp.ldexp(1.0, -xp.frexp(s)[1])
+    frame = tuple([(x * m, y * m, z * m) for x, y, z in rows])
+    det = abs(_triple(*[(x / s, y / s, z / s) for x, y, z in e]))
+    xp.require(det > VOLUME_EPS, _flat_error, det, s)
+    return frame, s, m
+
+
+def frame_columns(vertices: np.ndarray):
+    """``frame_rows`` on the columns of an (n, 4, 3) array of ``n``
+    tetrahedra's vertices.
+
+    Returns their frames as a (12, n) array, vertex by vertex and x, y, z
+    within a vertex, their ``scale`` and ``to_frame`` columns, and a bool
+    column that is true where ``Tetrahedron`` raises DegenerateInput; the
+    values on such a row mean nothing.  Every other row holds exactly the
+    ``frame``, ``scale`` and ``to_frame`` of ``Tetrahedron`` on it.
+    """
+    n = len(vertices)
+    coords = np.ascontiguousarray(vertices.reshape(n, 12).T)
+    xp = Columns(n)
+    with np.errstate(all="ignore"):
+        frame, s, m = frame_rows(
+            tuple(zip(coords[0::3], coords[1::3], coords[2::3])), xp
+        )
+    return np.array([c for row in frame for c in row]), s, m, xp.failed
+
+
 @dataclass(frozen=True)
 class Tetrahedron:
     """Four labeled points, validated non-collinear and non-coplanar.
@@ -64,7 +143,8 @@ class Tetrahedron:
     differences, which neither overflows nor underflows; one below the
     least normal float (zero included) or beyond the largest raises
     DegenerateInput.  The volume test is relative: the edge matrix divided
-    by ``scale`` must have |det| above VOLUME_EPS.
+    by ``scale`` must have |det| above VOLUME_EPS.  The arithmetic is the
+    kernel ``frame_rows``, on floats.
 
     ``frame`` holds the vertices times ``to_frame``, ``2**-e`` for
     ``scale = f * 2**e`` with ``0.5 <= f < 1``, as four (x, y, z) tuples of
@@ -91,40 +171,12 @@ class Tetrahedron:
         v = np.array(self.vertices, dtype=float, order="C")
         if v.shape != (4, 3):
             raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows = v.tolist()
-        if not all(map(math.isfinite, rows[0] + rows[1] + rows[2] + rows[3])):
-            raise DegenerateInput("vertex coordinates must be finite")
+        frame, s, m = frame_rows(v.tolist(), FLOATS)
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        # rows v[i] - v[j] for the six pairs i < j, in the order (0,1) (0,2)
-        # (0,3) (1,2) (1,3) (2,3)
-        e = (
-            (ax - bx, ay - by, az - bz),
-            (ax - cx, ay - cy, az - cz),
-            (ax - dx, ay - dy, az - dz),
-            (bx - cx, by - cy, bz - cz),
-            (bx - dx, by - dy, bz - dz),
-            (cx - dx, cy - dy, cz - dz),
-        )
-        s = max([math.hypot(*r) for r in e])
-        # below the least normal float, 2**-e would overflow
-        if not sys.float_info.min <= s < math.inf:
-            raise DegenerateInput(
-                f"longest pairwise distance is {s!r}; expected a finite "
-                f"length of at least {sys.float_info.min!r}"
-            )
-        m = math.ldexp(1.0, -math.frexp(s)[1])
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "to_frame", m)
-        frame = tuple([(x * m, y * m, z * m) for x, y, z in rows])
         object.__setattr__(self, "frame", frame)
-        # the first three edges are v[0] - v[1:], the negated edge matrix
-        det = abs(_triple(*[(x / s, y / s, z / s) for x, y, z in e[:3]]))
-        if det <= VOLUME_EPS:
-            raise DegenerateInput(
-                f"points are collinear or coplanar (|det| / scale^3 = "
-                f"{det:.3e}, scale = {s:.3e})"
-            )
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex by 1-based label A1..A4."""

@@ -29,7 +29,7 @@ on floats only.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from operator import itemgetter
 
 import numpy as np
@@ -321,7 +321,9 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
     ``distance_sum`` there (the same squares, summed left to right),
     ``residual`` is the balancing residual (the norm of ``g``) at (x, y, z)
     and status is CONVERGED (residual <= ``grad_tol``) or MAXITER
-    (``max_iter`` iterations ran out, or a step found no trial point).
+    (``max_iter`` iterations ran out, or a step found no trial point).  At
+    the iterate where the budget has run out only the residual is
+    computed, not the Hessian or the step no iteration would take.
     """
     x, y, z = float(sx), float(sy), float(sz)
     escape = 10.0 * vertex_eps
@@ -350,11 +352,14 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
                 return (x, y, z, distance_sum(rows, x, y, z), res, it, MAXITER)
             d0, d1, d2, d3, f = distances(rows, x, y, z, FLOATS)
             continue
+        if it >= max_iter:
+            # no step is taken, so an infinite tolerance skips computing
+            # one; the residual alone decides the status
+            res, _ = newton_step(rows, x, y, z, d0, d1, d2, d3, inf, FLOATS)
+            return (x, y, z, f, res, it, CONVERGED if res <= grad_tol else MAXITER)
         res, step = newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, FLOATS)
         if step is None:
             return (x, y, z, f, res, it, CONVERGED)
-        if it >= max_iter:
-            return (x, y, z, f, res, it, MAXITER)
         it += 1
         det, px, py, pz = step
         if not det > 0.0:

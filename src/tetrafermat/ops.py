@@ -2,10 +2,10 @@
 columns.
 
 The kernels in ``kernels`` (pull norms, the Newton start and iterate),
-``geometry``, ``properties`` and ``formula`` are written once, for
-coordinates that are either Python floats (the scalar API, one instance
-per call) or 1-D float64 arrays with one element per instance
-(``batch.run_batch_verify``, one chunk per call).  ``+ - * /``,
+``geometry`` (validation, legs), ``properties`` and ``formula`` are
+written once, for coordinates that are either Python floats (the scalar
+API, one instance per call) or 1-D float64 arrays with one element per
+instance (``batch.run_batch_verify``, one chunk per call).  ``+ - * /``,
 comparisons, ``&``, ``|`` and ``abs`` need nothing: floats and numpy
 arrays both define them, and every element of an array result is the IEEE
 result the float operation gives (a comparison's bool adds as 0 or 1 in
@@ -13,14 +13,16 @@ both).  The rest comes from one of two namespaces, passed to each kernel
 as ``xp``:
 
 - ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, a
-  conditional expression as ``where``, and ``operator.truth`` as ``all``.
-- ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where`` and
-  ``all``.
-  ``acos``, ``cos`` and ``sin`` map ``math``'s functions element by
-  element: numpy's own can differ from them in the last bit, and a column
-  must hold exactly the value the scalar API computes.  ``maximum`` and
-  ``minimum`` differ from the float ones only in which zero a tie of +0
-  and -0 returns; no kernel result depends on that.
+  conditional expression as ``where``, ``operator.truth`` as ``all``, and
+  as ``finite`` whether every value of a sequence is finite.
+- ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
+  ``all``, ``frexp`` and ``ldexp``, and ``finite`` per row.  ``acos``,
+  ``cos``, ``sin`` and the three-argument ``hypot`` map ``math``'s
+  functions element by element: numpy's own can differ from them in the
+  last bit, and a column must hold exactly the value the scalar API
+  computes.  ``maximum`` and ``minimum`` differ from the float ones only
+  in which zero a tie of +0 and -0 returns; no kernel result depends on
+  that.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always
@@ -47,6 +49,10 @@ def _where(cond, a, b):
     return a if cond else b
 
 
+def _finite(values):
+    return all(map(math.isfinite, values))
+
+
 # the built-in max and min of two floats, which keep the first argument
 # unless the second compares greater (less); as Python functions they cost
 # a third of the built-ins' call on CPython 3.11
@@ -64,6 +70,10 @@ FLOATS = SimpleNamespace(
     acos=math.acos,
     cos=math.cos,
     sin=math.sin,
+    hypot=math.hypot,
+    frexp=math.frexp,
+    ldexp=math.ldexp,
+    finite=_finite,
     maximum=_maximum,
     minimum=_minimum,
     where=_where,
@@ -73,10 +83,14 @@ FLOATS = SimpleNamespace(
 
 
 def _mapped(f):
-    def column(a):
-        return np.fromiter(map(f, a.tolist()), float, len(a))
+    def column(*args):
+        return np.fromiter(map(f, *[a.tolist() for a in args]), float, len(args[0]))
 
     return column
+
+
+def _finite_rows(values):
+    return np.isfinite(values).all(axis=0)
 
 
 class Columns:
@@ -87,7 +101,8 @@ class Columns:
     a caller evaluates under ``np.errstate(all="ignore")``.  ``acos``
     clamps to [-1, 1] before mapping, which changes no value in its domain
     and keeps such a row from raising.  ``cos`` and ``sin`` need no guard:
-    the kernels take them only of angles, which ``acos`` returns finite.
+    the kernels take them only of angles, which ``acos`` returns finite;
+    nor does ``hypot``, which returns inf or NaN for a non-finite argument.
     """
 
     sqrt = staticmethod(np.sqrt)
@@ -95,8 +110,12 @@ class Columns:
     minimum = staticmethod(np.minimum)
     where = staticmethod(np.where)
     all = staticmethod(np.all)
+    frexp = staticmethod(np.frexp)
+    ldexp = staticmethod(np.ldexp)
+    finite = staticmethod(_finite_rows)
     cos = staticmethod(_mapped(math.cos))
     sin = staticmethod(_mapped(math.sin))
+    hypot = staticmethod(_mapped(math.hypot))
     _acos = staticmethod(_mapped(math.acos))
 
     def __init__(self, n: int):

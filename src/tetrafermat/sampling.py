@@ -2,6 +2,10 @@
 
 Every generator derives its stream from (seed, index) so corpora are
 reproducible instance by instance, independent of evaluation order.
+``random_vertices`` is the unit-cube draw itself, a (4, 3) vertex array:
+batch-verify stacks a chunk's draws and validates them on columns
+(``geometry.frame_columns``), with no per-instance object.
+``random_tetrahedron`` is the same draw as a ``Tetrahedron``.
 """
 
 from __future__ import annotations
@@ -19,10 +23,16 @@ def instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def random_tetrahedron(seed: int, index: int) -> Tetrahedron:
-    """Vertices uniform in the unit cube, rejecting volume < MIN_VOLUME."""
+def random_vertices(seed: int, index: int) -> np.ndarray:
+    """Four vertices uniform in the unit cube, as a (4, 3) array, redrawn
+    while their volume is below MIN_VOLUME."""
     rng = instance_rng(seed, index)
     while True:
         v = rng.random((4, 3))
         if abs(_det4(*v.tolist())) / 6.0 >= MIN_VOLUME:
-            return Tetrahedron(v)
+            return v
+
+
+def random_tetrahedron(seed: int, index: int) -> Tetrahedron:
+    """The tetrahedron on ``random_vertices(seed, index)``."""
+    return Tetrahedron(random_vertices(seed, index))

@@ -7,8 +7,11 @@ seeded point inside the hull, polished by two fresh small simplexes.
 Tests cross-validate one against the other.
 
 ``solve`` is the way into the Newton solver; ``solve_columns`` solves a
-chunk of tetrahedra at once for batch-verify, on the same kernels, and
-leaves every tetrahedron that needs a safeguard to ``solve``.  The
+chunk of tetrahedra at once for batch-verify, on the same kernels, from
+their frames as columns (``geometry.frame_columns``) with no
+``Tetrahedron`` per instance: it settles the vertex cases and the
+interior ones that take only full Newton steps, and leaves every
+tetrahedron that needs a safeguard to ``solve``.  The
 stopping residual is the constant ``GRAD_TOL``, the value every check of
 the minimizer is written against; a caller sets only the iteration
 budget.  Every kernel reads the tetrahedron's frame,
@@ -20,8 +23,6 @@ that power and come back divided by it, both exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 import numpy as np
 
 from . import kernels
@@ -204,25 +205,27 @@ _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 @dataclass(frozen=True, eq=False)
 class ColumnSolutions:
-    """The interior solutions ``solve_columns`` found for a chunk of
-    tetrahedra, as columns.
+    """The solutions ``solve_columns`` found for a chunk of tetrahedra, as
+    columns.
 
-    ``frame`` holds the chunk's ``Tetrahedron.frame`` coordinates, shape
-    (12, n), vertex by vertex and x, y, z within a vertex, and
-    ``to_frame`` their factors.  ``rows`` are the positions in the chunk
-    of the tetrahedra solved; column j of ``point`` (3, k), ``residual``,
-    ``iterations``, ``objective`` and ``pull_norms`` (4, k) holds the
-    solution of ``rows[j]``, the one ``solve`` returns (``solution``).
+    ``rows`` are the positions in the chunk of the interior tetrahedra
+    solved; column j of ``point`` (3, k), ``residual``, ``iterations``,
+    ``objective`` and ``pull_norms`` (4, k) holds the solution of
+    ``rows[j]``, the one ``solve`` returns (``solution``).
+    ``vertex_rows`` are the positions of the tetrahedra with exactly one
+    vertex that passes the optimality test, the vertex ``solve`` returns,
+    and ``vertex_residual`` that vertex's pull norm, its solution's
+    ``residual``.
     """
 
-    frame: np.ndarray
-    to_frame: np.ndarray
     rows: np.ndarray
     point: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
     objective: np.ndarray
     pull_norms: np.ndarray
+    vertex_rows: np.ndarray
+    vertex_residual: np.ndarray
 
     def solution(self, j: int) -> FermatSolution:
         """The record of column j, equal to ``solve``'s."""
@@ -237,31 +240,34 @@ class ColumnSolutions:
         )
 
 
-def solve_columns(tetras, max_iter: int = MAX_ITER) -> ColumnSolutions:
-    """``solve`` on a chunk of tetrahedra at once, for the interior ones
-    that take only full Newton steps.
+def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSolutions:
+    """``solve`` on a chunk of tetrahedra at once, for the vertex ones and
+    the interior ones that take only full Newton steps.
 
-    Gathers the frames into columns, computes every pull norm on them, and
-    takes the tetrahedra whose four pull norms all exceed
-    ``1 + BOUNDARY_EPS``; each starts off the vertex with the smallest
-    pull norm (the first, on a tie), as ``solve`` does, and
-    ``kernels.newton_columns`` iterates them in lockstep, for at most
-    ``MAX_SWEEPS`` iterations.  The rest, and those that leave the
-    columns, are not in ``rows``: ``solve`` handles each of them, the
-    vertex and boundary-tie cases, ClassificationConflict, escapes,
-    shortened steps and NonConvergence included.  Every solution found
-    here is the one ``solve`` returns, bit for bit: the kernels are the
-    same, in the same order of operations.
+    ``frame`` (12, n) holds the chunk's ``Tetrahedron.frame`` coordinates,
+    vertex by vertex and x, y, z within a vertex, and ``scale`` and
+    ``to_frame`` their ``Tetrahedron`` values (``geometry.frame_columns``).
+    Computes every pull norm on the columns.  A tetrahedron with exactly
+    one pull norm at most ``1 + BOUNDARY_EPS`` is the vertex case
+    ``classify`` finds: its residual is that pull norm.  The tetrahedra
+    whose four pull norms all exceed ``1 + BOUNDARY_EPS`` are interior;
+    each starts off the vertex with the smallest pull norm (the first, on
+    a tie), as ``solve`` does, and ``kernels.newton_columns`` iterates
+    them in lockstep, for at most ``MAX_SWEEPS`` iterations.  The rest,
+    and those that leave the columns, are in neither ``rows`` nor
+    ``vertex_rows``: ``solve`` handles each of them, ClassificationConflict,
+    escapes, shortened steps and NonConvergence included.  Every solution
+    found here is the one ``solve`` returns, bit for bit: the kernels are
+    the same, in the same order of operations.
     """
-    n = len(tetras)
-    coords = chain.from_iterable(chain.from_iterable([t.frame for t in tetras]))
-    frame = np.fromiter(coords, float, 12 * n).reshape(n, 12).T.copy()
-    m = np.array([t.to_frame for t in tetras])
     with np.errstate(all="ignore"):
         rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
         pulls = np.array(kernels.pull_norms(rows, Columns))
+        wins = pulls <= 1.0 + BOUNDARY_EPS
+        vertex = np.flatnonzero(wins.sum(axis=0) == 1)
         # NaN is not above the bound: such a tetrahedron is left to solve
         inner = np.flatnonzero((pulls > 1.0 + BOUNDARY_EPS).all(axis=0))
+        vertex_residual = pulls[wins[:, vertex].argmax(axis=0), vertex]
         pulls = pulls[:, inner]
         k = pulls.argmin(axis=0)
         # (vertex, coordinate, instance)
@@ -272,22 +278,21 @@ def solve_columns(tetras, max_iter: int = MAX_ITER) -> ColumnSolutions:
             vertices[_OTHERS[k], :, at[:, None]].transpose(1, 2, 0),
             Columns,
         )
-        mi = m[inner]
-        scale = np.array([tetras[i].scale for i in inner.tolist()])
+        mi = to_frame[inner]
         x, y, z, value, res, iters, done = kernels.newton_columns(
             tuple(zip(vertices[:, 0], vertices[:, 1], vertices[:, 2])), *start,
-            GRAD_TOL, min(max_iter, MAX_SWEEPS), VERTEX_EPS * (scale * mi),
+            GRAD_TOL, min(max_iter, MAX_SWEEPS), VERTEX_EPS * (scale[inner] * mi),
         )
     mi = mi[done]
     return ColumnSolutions(
-        frame=frame,
-        to_frame=m,
         rows=inner[done],
         point=np.array([x[done] / mi, y[done] / mi, z[done] / mi]),
         residual=res[done],
         iterations=iters[done],
         objective=value[done] / mi,
         pull_norms=pulls[:, done],
+        vertex_rows=vertex,
+        vertex_residual=vertex_residual,
     )
 
 

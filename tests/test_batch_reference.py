@@ -35,8 +35,11 @@ from tetrafermat.batch import (
     run_batch_verify,
 )
 from tetrafermat.errors import NonConvergence
+from tetrafermat.geometry import frame_columns
 from tetrafermat.properties import DEFAULT_TOL
-from tetrafermat.solver import INTERIOR, MAX_ITER, classify, solve, solve_columns
+from tetrafermat.solver import (
+    INTERIOR, MAX_ITER, VERTEX, classify, solve, solve_columns,
+)
 
 from corpora import known_answer_tetrahedron
 
@@ -115,6 +118,13 @@ def test_count_spanning_three_chunks():
     assert assert_same(1, count).count == count
 
 
+def columns(tetras, max_iter=MAX_ITER):
+    """``solve_columns`` on the tetrahedra's vertices, framed on columns."""
+    frame, scale, m, rejected = frame_columns(np.array([t.vertices for t in tetras]))
+    assert not rejected.any()
+    return solve_columns(frame, scale, m, max_iter)
+
+
 def without(chunk, drop):
     """``chunk`` without the solved rows where ``drop`` is true, which
     batch-verify then hands to the per-instance solve."""
@@ -133,13 +143,53 @@ def without(chunk, drop):
 @pytest.mark.parametrize("seed", range(4))
 def test_column_solutions_are_solves(seed):
     tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
-    chunk = solve_columns(tetras)
+    chunk = columns(tetras)
     for j, i in enumerate(chunk.rows.tolist()):
         assert chunk.solution(j) == solve(tetras[i])
-    interior = {i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR}
+    for i, residual in zip(chunk.vertex_rows.tolist(), chunk.vertex_residual.tolist()):
+        solution = solve(tetras[i])
+        assert solution.kind == VERTEX
+        assert residual == solution.residual
+    kinds = {i: classify(t).kind for i, t in enumerate(tetras)}
+    interior = {i for i, kind in kinds.items() if kind == INTERIOR}
     left = interior - set(chunk.rows.tolist())
     assert set(chunk.rows.tolist()) <= interior
+    assert set(chunk.vertex_rows.tolist()) == set(kinds) - interior
     assert left == {i for s, i in REJECTED_FULL_STEP if s == seed}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
+    # a chunk is validated and framed on columns, and its vertex rows are
+    # settled there: a Tetrahedron is built, once, only for a row left to
+    # solve (the rejected full steps) or one that fails an identity check;
+    # none fails on these corpora, so the first two column rows and the
+    # last interior row are made to fail one
+    tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
+    solved = columns(tetras).rows.tolist()
+    left = [i for s, i in REJECTED_FULL_STEP if s == seed]
+    failing = {solved[0], solved[1], (solved + left)[-1]}
+    expected = run_batch_verify(seed, 1000)
+    column_residuals = batch._column_residuals
+
+    def fail_three(point, m, frame):
+        rows = column_residuals(point, m, frame)
+        return [None if j in (0, 1, len(rows) - 1) else r for j, r in enumerate(rows)]
+
+    built = []
+    post_init = Tetrahedron.__post_init__
+
+    def counted(self):
+        built.append(self.vertices.tobytes())
+        post_init(self)
+
+    monkeypatch.setattr(batch, "_column_residuals", fail_three)
+    monkeypatch.setattr(Tetrahedron, "__post_init__", counted)
+    assert run_batch_verify(seed, 1000) == expected
+    assert len(built) == len(set(left) | failing)
+    assert sorted(built) == sorted(
+        tetras[i].vertices.tobytes() for i in set(left) | failing
+    )
 
 
 def boundary_tie():
@@ -166,10 +216,10 @@ def test_rows_leaving_the_columns(monkeypatch):
     corpus[5:5] = [sampling.random_tetrahedron(s, i) for s, i in REJECTED_FULL_STEP]
     corpus.insert(11, boundary_tie())
     assert solve(corpus[11]).flags == ("boundary_tie",)
-    monkeypatch.setattr(sampling, "random_tetrahedron", lambda seed, i: corpus[i])
+    monkeypatch.setattr(sampling, "random_vertices", lambda seed, i: corpus[i].vertices)
     summary = assert_same(0, len(corpus))
     assert any("no convergence" in text for _, text in summary.errors)
-    left = set(range(len(corpus))) - set(solve_columns(corpus).rows.tolist())
+    left = set(range(len(corpus))) - set(columns(corpus).rows.tolist())
     # every vertex, every NonConvergence and every rejected full step
     assert {5, 6, 7, 8, 9, 11} <= left
     assert len(left) == len(REJECTED_FULL_STEP) + len(summary.errors) + summary.vertex_count
@@ -205,9 +255,10 @@ def test_rows_failing_a_check_take_the_scalar_path(monkeypatch):
     # leave all three to the scalar API, which records the first two as
     # errors and measures the third
     draw = sampling.random_tetrahedron
+    vertices = sampling.random_vertices
 
-    def random_tetrahedron(seed, index):
-        return right_corner() if index == 3 else draw(seed, index)
+    def random_vertices(seed, index):
+        return right_corner().vertices if index == 3 else vertices(seed, index)
 
     edge = {right_corner(): 2, draw(0, 6): 2, draw(0, 8): 4}
     solve = batch.solve
@@ -218,12 +269,12 @@ def test_rows_failing_a_check_take_the_scalar_path(monkeypatch):
             return midpoint_solution(tetra, edge[tetra])
         return solve(tetra, max_iter)
 
-    def fake_solve_columns(tetras, max_iter=MAX_ITER):
+    def fake_solve_columns(frame, scale, to_frame, max_iter=MAX_ITER):
         # the three take the per-instance solve, which answers the midpoint
-        chunk = solve_columns(tetras, max_iter)
-        return without(chunk, [tetras[i] in edge for i in chunk.rows.tolist()])
+        chunk = solve_columns(frame, scale, to_frame, max_iter)
+        return without(chunk, [i in (3, 6, 8) for i in chunk.rows.tolist()])
 
-    monkeypatch.setattr(sampling, "random_tetrahedron", random_tetrahedron)
+    monkeypatch.setattr(sampling, "random_vertices", random_vertices)
     monkeypatch.setattr(batch, "solve", fake_solve)
     monkeypatch.setattr(batch, "solve_columns", fake_solve_columns)
     summary = assert_same(0, 12)

@@ -12,17 +12,26 @@ input, and the same vertex bytes.  ``scale`` is judged against the exact
 longest edge instead, to within 2 units in its last place: the reference
 squares unscaled lengths, which overflow beyond about 1e154 and underflow
 below about 1e-154, where ``hypot`` does neither.
+
+``Tetrahedron`` runs the validation kernel ``frame_rows`` on floats, and
+batch-verify runs it on columns (``frame_columns``).  On every input
+below, gathered in one set of columns, a row must be rejected exactly
+where ``Tetrahedron`` raises, and an accepted row must hold its
+``frame``, ``scale`` and ``to_frame`` bit for bit.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from tetrafermat import DegenerateInput, Tetrahedron
-from tetrafermat.geometry import VOLUME_EPS
-from tetrafermat.sampling import MIN_VOLUME, instance_rng, random_tetrahedron
+from tetrafermat.geometry import VOLUME_EPS, frame_columns
+from tetrafermat.sampling import (
+    MIN_VOLUME, instance_rng, random_tetrahedron, random_vertices,
+)
 
 from corpora import random_rotation
 from conftest import scale_error_ulps
@@ -115,37 +124,94 @@ def test_scaled_inputs_match_numpy_constructor(factor, numpy_accepts):
         assert expected == (got if numpy_accepts else DegenerateInput)
 
 
-def test_near_flat_sweep_matches_numpy_decision():
-    # four points within a slab of relative thickness 10**-12.5 .. 10**-9.5,
-    # turned and moved off the axes, so |det| / scale^3 spreads around
-    # VOLUME_EPS with the cancellation of a real near-flat input
+def near_flat_sweep():
+    """Four points within a slab of relative thickness 10**-12.5 ..
+    10**-9.5, turned and moved off the axes, so |det| / scale^3 spreads
+    around VOLUME_EPS with the cancellation of a real near-flat input."""
     rng = np.random.default_rng(2024)
-    kept = 0
     for _ in range(3000):
         v = rng.random((4, 3))
         v[:, 2] *= 10.0 ** rng.uniform(-12.5, -9.5)
-        v = v @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
-        kept += assert_same_outcome(v) is not DegenerateInput
+        yield v @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3)
+
+
+def test_near_flat_sweep_matches_numpy_decision():
+    kept = sum(assert_same_outcome(v) is not DegenerateInput for v in near_flat_sweep())
     assert 300 < kept < 2700
+
+
+#: the first five have shape (4, 3)
+INVALID = [
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.inf]],
+    [[0, 0, 0], [1, 0, 0], [-math.inf, 1, 0], [0, 0, 1]],
+    [[1, 2, 3]] * 4,
+    [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1]],
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+    [[0, 0], [1, 0], [0, 1], [1, 1]],
+    [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+    [[0, 0, 0], [1, 0], [0, 1, 0], [0, 0, 1]],
+]
 
 
 @pytest.mark.parametrize(
     "vertices",
-    [
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.nan]],
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, math.inf]],
-        [[0, 0, 0], [1, 0, 0], [-math.inf, 1, 0], [0, 0, 1]],
-        [[1, 2, 3]] * 4,
-        [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 1]],
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
-        [[0, 0], [1, 0], [0, 1], [1, 1]],
-        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
-        [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
-        [[0, 0, 0], [1, 0], [0, 1, 0], [0, 0, 1]],
-    ],
+    INVALID,
     ids=["nan", "inf", "minus_inf", "all_coincident", "two_coincident",
          "three_points", "planar_coords", "four_coords", "flat_list", "ragged"],
 )
 def test_invalid_inputs_raise_as_numpy_constructor(vertices):
     got = assert_same_outcome(vertices)
     assert isinstance(got, type) and issubclass(got, Exception)
+
+
+def kernel_inputs():
+    """Every (4, 3) input of this module and of ``test_frame``, and the
+    edge cases of the scale range: unit-cube draws, the rejected ones
+    included; seeded inputs times 2**+-1000, 1e+-300 and the other factors
+    above; the near-flat sweep; non-finite, zero-length, coincident and
+    collinear points; the scale floor; an edge that overflows."""
+    inputs = [v for seed in range(2) for i in range(300) for v in numpy_draws(seed, i)]
+    factors = [1e103, 1e-110, 1e160, 1e-300, 1e-200, 1e300, 2.0 ** -1000, 2.0 ** 1000]
+    shifts = [0.0, 1e5, -2.0]
+    inputs += [random_vertices(0, i) * f for i in range(20) for f in factors]
+    with np.errstate(over="ignore"):
+        # at 2**1023 a shifted input overflows to inf: a non-finite input
+        inputs += [
+            np.ldexp(random_vertices(0, i) + shift, k)
+            for i in range(20) for shift in shifts
+            for k in (-1070, -1000, -8, 0, 8, 1000, 1023)
+        ]
+    inputs += list(near_flat_sweep())
+    corner = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+    inputs += [corner * 2.0 ** -1022, corner * 2.0 ** -1023, corner * sys.float_info.max]
+    inputs += INVALID[:5]
+    inputs += [
+        [[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 1]],
+        [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]],
+        [[0, 0, 0], [-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]],
+        [[math.nan] * 3] * 4,
+    ]
+    return np.array(inputs, dtype=float)
+
+
+def test_validation_kernel_on_columns_matches_tetrahedron():
+    vertices = kernel_inputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame, scale, to_frame, rejected = frame_columns(vertices)
+    kept = 0
+    for j, v in enumerate(vertices):
+        try:
+            t = Tetrahedron(v)
+        except DegenerateInput:
+            assert rejected[j]
+            continue
+        assert not rejected[j]
+        assert frame[:, j].tobytes() == np.array(t.frame).tobytes()
+        assert scale[j].tobytes() == np.float64(t.scale).tobytes()
+        assert to_frame[j].tobytes() == np.float64(t.to_frame).tobytes()
+        kept += 1
+    # both outcomes are well represented
+    assert 1000 < kept < len(vertices) - 1000

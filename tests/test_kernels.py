@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from tetrafermat import Tetrahedron, kernels
+from tetrafermat import NonConvergence, Tetrahedron, kernels
 from tetrafermat.sampling import random_tetrahedron
+from tetrafermat.solver import GRAD_TOL, INTERIOR, VERTEX_EPS, classify, solve
 
 from conftest import input_rows
+from corpora import known_answer_tetrahedron
 
 # the kernels are tested on rows in input units, as they read any rows
 RIGHT_CORNER = input_rows(Tetrahedron(
@@ -393,6 +395,33 @@ class TestLoopReference:
         rows = input_rows(OFFSET_1E5)
         c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
         self.assert_newton_matches(rows, c, budget, OFFSET_1E5.scale)
+
+    @pytest.mark.parametrize("budget", range(1, 5))
+    def test_newton_budget_exit_known_answers(self, budget):
+        # known answers seed 0 #0-23, from solve's start, with budgets too
+        # small for most of them: where the budget runs out the iteration
+        # stops at the loop's iterate, with its residual and count, and
+        # solve's NonConvergence carries them
+        stopped = 0
+        for k in range(24):
+            t, _ = known_answer_tetrahedron(0, k)
+            cls = classify(t)
+            if cls.kind != INTERIOR:
+                continue
+            pulls, m = cls.pull_norms, t.to_frame
+            start = kernels.vertex_ray_start(t.frame, pulls.index(min(pulls)))
+            args = (t.frame, *start, GRAD_TOL, budget, VERTEX_EPS * (t.scale * m))
+            x, y, z, _, res, it, status = got = kernels.newton(*args)
+            assert got == loop_newton(*args)
+            if status == kernels.CONVERGED:
+                assert solve(t, budget).residual == res
+                continue
+            with pytest.raises(NonConvergence) as info:
+                solve(t, budget)
+            assert info.value.point.tolist() == [x / m, y / m, z / m]
+            assert (info.value.residual, info.value.iterations) == (res, it)
+            stopped += 1
+        assert stopped >= 5
 
 
 class TestRows:
