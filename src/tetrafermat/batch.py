@@ -7,10 +7,11 @@ print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
 residuals off it, the sixth-angle cross-check included.
 
 ``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
-instances, with no per-instance object: a chunk's draws
-(``sampling.random_vertices``) are stacked, validated and framed on
-float64 columns, one element per instance, by the kernel ``Tetrahedron``
-runs on floats (``geometry.frame_columns``).  ``solver.solve_columns``
+instances, with no per-instance object: a chunk's vertices are drawn on
+integer columns, byte for byte the per-instance ``random_vertices`` draws
+(``sampling.random_vertex_columns``), then validated and framed on float64
+columns, one element per instance, by the kernel ``Tetrahedron`` runs on
+floats (``geometry.frame_columns``).  ``solver.solve_columns``
 settles the chunk's vertex instances from their column pull norms and
 solves its interior instances in lockstep Newton sweeps of full steps;
 each instance it leaves (two winning vertices, an escape, a rejected
@@ -239,10 +240,11 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
     """Batch-verify's outcome for each instance of ``indices``, in order:
     its residual per check, or the text of the error it records.
 
-    The draws are validated and framed on columns; a ``Tetrahedron`` is
-    built only for an instance the columns leave to the scalar path, once.
+    The draws are made, validated and framed on columns; a ``Tetrahedron``
+    is built only for an instance the columns leave to the scalar path,
+    once.
     """
-    vertices = np.array([sampling.random_vertices(seed, i) for i in indices])
+    vertices = sampling.random_vertex_columns(seed, indices)
     frame, scale, m, rejected = frame_columns(vertices)
     for slot in np.flatnonzero(rejected).tolist():
         # raises the DegenerateInput the instance has always raised
@@ -296,7 +298,13 @@ def run_batch_verify(
     max_iter: int = MAX_ITER,
 ) -> BatchSummary:
     """Generate, solve, and verify ``count`` seeded random tetrahedra, in
-    chunks of ``CHUNK``."""
+    chunks of ``CHUNK``.  A negative ``count`` or ``seed`` raises
+    ValueError."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if seed < 0:
+        # the message numpy's SeedSequence gives a negative seed
+        raise ValueError("expected non-negative integer")
     max_residuals: dict[str, float] = {}
     failures: list[tuple[int, str, float]] = []
     errors: list[tuple[int, str]] = []

@@ -118,6 +118,18 @@ def test_count_spanning_three_chunks():
     assert assert_same(1, count).count == count
 
 
+def test_two_word_seed():
+    # the chunk's column draw reads a seed of 2**32 as two uint32 words
+    assert assert_same(2**32, 300).passed
+
+
+def test_negative_count_or_seed_raises():
+    with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+        run_batch_verify(0, -3)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        run_batch_verify(-1, 0)
+
+
 def columns(tetras, max_iter=MAX_ITER):
     """``solve_columns`` on the tetrahedra's vertices, framed on columns."""
     frame, scale, m, rejected = frame_columns(np.array([t.vertices for t in tetras]))
@@ -205,6 +217,11 @@ def boundary_tie():
     ]))
 
 
+def stacked(draw):
+    """A chunk's column draw made of ``draw(seed, i)`` per instance."""
+    return lambda seed, indices: np.array([draw(seed, i) for i in indices])
+
+
 def test_rows_leaving_the_columns(monkeypatch):
     # known-answer tetrahedra, some with the minimizer within 1e-9 of a
     # vertex (escapes) and some stalled at their rounding floor until the
@@ -216,7 +233,13 @@ def test_rows_leaving_the_columns(monkeypatch):
     corpus[5:5] = [sampling.random_tetrahedron(s, i) for s, i in REJECTED_FULL_STEP]
     corpus.insert(11, boundary_tie())
     assert solve(corpus[11]).flags == ("boundary_tie",)
-    monkeypatch.setattr(sampling, "random_vertices", lambda seed, i: corpus[i].vertices)
+    # the reference loop draws through random_vertices, a chunk through
+    # random_vertex_columns: both read the corpus
+    def draw(seed, i):
+        return corpus[i].vertices
+
+    monkeypatch.setattr(sampling, "random_vertices", draw)
+    monkeypatch.setattr(sampling, "random_vertex_columns", stacked(draw))
     summary = assert_same(0, len(corpus))
     assert any("no convergence" in text for _, text in summary.errors)
     left = set(range(len(corpus))) - set(columns(corpus).rows.tolist())
@@ -275,6 +298,7 @@ def test_rows_failing_a_check_take_the_scalar_path(monkeypatch):
         return without(chunk, [i in (3, 6, 8) for i in chunk.rows.tolist()])
 
     monkeypatch.setattr(sampling, "random_vertices", random_vertices)
+    monkeypatch.setattr(sampling, "random_vertex_columns", stacked(random_vertices))
     monkeypatch.setattr(batch, "solve", fake_solve)
     monkeypatch.setattr(batch, "solve_columns", fake_solve_columns)
     summary = assert_same(0, 12)
