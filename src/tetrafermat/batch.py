@@ -23,8 +23,12 @@ kernels the scalar API calls with floats (see ``ops``): every solution
 and every residual is bit for bit the one ``_check_residuals`` reads off
 ``build_report``'s record.  A row that fails a check is recomputed
 through that scalar path, so its error text or flag is the scalar one; a
-``Tetrahedron`` is built for it then, once.  The residuals are merged in
-instance order.  ``CHUNK`` bounds the columns' memory for any count.
+``Tetrahedron`` is built for it then, once.  A chunk returns its
+residuals as columns, one row per check and one column per instance, with
+the mask of the checks that apply to each instance; ``run_batch_verify``
+reduces them to each check's maximum and failures, in the order a merge
+one instance at a time gives.  ``CHUNK`` bounds the columns' memory for
+any count.
 
 A caller sets the verification tolerance and the solver's iteration
 budget; the solver's stopping residual is the constant
@@ -43,18 +47,15 @@ import numpy as np
 
 from . import sampling
 from .errors import NonConvergence, TetrafermatError
-from .formula import (
-    FiveAngles, branch_residual, branch_sign, ft_substitution_residual, inside,
-    resolve_branch, sixth_angle, sixth_cosines, substitution_residual,
-)
+from .formula import formula_residuals
 from .geometry import (
     DirectionConfig, Tetrahedron, direction_config, frame_columns, unit_legs,
     unit_rows,
 )
-from .ops import Columns
+from .ops import FLOATS, Columns
 from .properties import (
     DEFAULT_TOL, PropertyReport, bisector_residuals, cosine_residuals,
-    leg_angles, verify_fundamental_property,
+    leg_cosines, verify_fundamental_property,
 )
 from .solver import (
     BOUNDARY_EPS, GRAD_TOL, INTERIOR, MAX_ITER, FermatSolution, solve,
@@ -75,6 +76,10 @@ CHECKS = (
 #: the checks of an interior instance, in the order ``_check_residuals``
 #: returns them
 INTERIOR_CHECKS = tuple(name for name in CHECKS if name != "vertex_optimality")
+#: the rows of a chunk's residual array that hold the vertex check and the
+#: interior checks
+_VERTEX = CHECKS.index("vertex_optimality")
+_INTERIOR = [CHECKS.index(name) for name in INTERIOR_CHECKS]
 #: instances per chunk of ``run_batch_verify``: the solve and the identity
 #: layer run on float64 columns of a chunk's instances, and a chunk's columns
 #: are dropped before the next chunk is solved, so memory stays bounded for
@@ -151,19 +156,19 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
     """Batch-verify's residual of every check that applies to the report,
     in ``CHECKS`` order.
 
-    The closed-formula cross-check feeds the five measured angles and the
-    realized branch to ``sixth_angle``, which must reproduce the measured
-    sixth cosine; a ``TetrafermatError`` it or ``FiveAngles`` raises
-    propagates.
+    The closed-formula cross-check (``formula_residuals``) reads the
+    cosines of the measured angles, which must reproduce the measured
+    sixth cosine on the realized branch; a ``TetrafermatError`` it raises
+    propagates, with the text ``FiveAngles`` and ``sixth_angle`` give.
     """
     sol = report.solution
     if sol.kind != INTERIOR:
         return _vertex_residuals(sol.residual)
     r = report.property_report
-    s = r.angles
+    rows = report.frame.rows
     anti = [x for x in r.antiparallel_residuals if not math.isnan(x)]
-    fa = FiveAngles(
-        a102=s.a102, a103=s.a103, a104=s.a104, a203=s.a203, a204=s.a204
+    identity, substitution = formula_residuals(
+        rows, leg_cosines(rows, FLOATS), FLOATS
     )
     return {
         "solve_residual": sol.residual,
@@ -171,33 +176,38 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
         "cosine_sum": r.cosine_sum_residual,
         "bisector_orthogonality": max(r.bisector_dot_residuals),
         "bisector_antiparallel": max(anti) if anti else float("inf"),
-        "sixth_angle_identity": sixth_angle(fa).branch_error(
-            resolve_branch(report.frame), math.cos(s.a304)
-        ),
-        "substitution_residual": ft_substitution_residual(s.a102, s.a203),
+        "sixth_angle_identity": identity,
+        "substitution_residual": substitution,
     }
 
 
 def _vertex_residuals(residual: float) -> dict[str, float]:
     """Batch-verify's residuals of a vertex solution whose ``residual`` is
     the winning vertex's pull norm."""
-    return {"vertex_optimality": max(0.0, residual - (1.0 + BOUNDARY_EPS))}
+    return {"vertex_optimality": _vertex_excess(residual, FLOATS)}
 
 
-def _column_residuals(point, m, frame) -> list:
+def _vertex_excess(residual, xp):
+    """How far a winning vertex's pull norm exceeds 1 + BOUNDARY_EPS, or 0:
+    the vertex check, on floats or on columns."""
+    excess = residual - (1.0 + BOUNDARY_EPS)
+    return xp.where(excess > 0.0, excess, 0.0)
+
+
+def _column_residuals(point, m, frame):
     """Batch-verify's residuals of interior solutions given as columns, one
     element per instance: ``point`` (3, k) in input units, ``m`` the
     tetrahedra's ``to_frame`` and ``frame`` (12, k) their frame
     coordinates, evaluated through the kernels the scalar API calls.
 
-    Returns, per instance, the residuals after ``solve_residual`` in
-    ``INTERIOR_CHECKS`` order, equal to those ``_check_residuals`` reads off
-    ``build_report``'s record; or None where a check fails (a coincident,
-    overflowed or non-unit leg, a degenerate bisector, an angle not
-    strictly inside (0, pi), a degenerate base angle, an unrealizable triple
-    or an infeasible induced pair), for the scalar API to recompute.  Each
-    angle's cosine, the cosine of its double and sin a102 are computed
-    once and shared by every kernel that reads them.
+    Returns the residuals after ``solve_residual``, one row per check in
+    ``INTERIOR_CHECKS`` order and one column per instance, equal to those
+    ``_check_residuals`` reads off ``build_report``'s record; and the mask
+    of the instances that fail a check (a coincident, overflowed or
+    non-unit leg, a degenerate bisector, an angle not strictly inside
+    (0, pi), a degenerate base angle, an unrealizable triple or an
+    infeasible induced pair), whose residuals mean nothing and which the
+    scalar API recomputes.
     """
     px, py, pz = point
     rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
@@ -206,55 +216,48 @@ def _column_residuals(point, m, frame) -> list:
         legs, apart, _ = unit_legs((px * m, py * m, pz * m), rows, xp)
         for ok in apart + unit_rows(legs):
             xp.require(ok)
-        angles = leg_angles(legs, xp)
+        cosines = leg_cosines(legs, xp)
         orth, anti, short = bisector_residuals(legs, xp)
         for s in short:
             xp.require(~s)
-        for a in angles[:5]:
-            xp.require(inside(a))
-        cosines = [xp.cos(a) for a in angles]
-        doubles = [xp.cos(2.0 * a) for a in angles[:5]]
-        s102 = xp.sin(angles[0])
         opp, csum = cosine_residuals(cosines)
-        _, cos_plus, cos_minus = sixth_cosines(s102, cosines[:5], doubles, xp)
-        identity = branch_residual(
-            cos_plus, cos_minus, branch_sign(legs, xp), cosines[5], xp
-        )
-        substitution = substitution_residual(
-            cosines[0], cosines[3], s102, doubles[0], doubles[3], xp
-        )
+        identity, substitution = formula_residuals(legs, cosines, xp)
     larger = np.maximum
-    checks = (
+    checks = np.array([
         larger(larger(*opp[:2]), opp[2]),
         csum,
         larger(larger(*orth[:2]), orth[2]),
         larger(larger(*anti[:2]), anti[2]),
         identity,
         substitution,
-    )
-    values = zip(*[c.tolist() for c in checks])
-    return [None if f else v for f, v in zip(xp.failed.tolist(), values)]
+    ])
+    return checks, xp.failed
 
 
-def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
-    """Batch-verify's outcome for each instance of ``indices``, in order:
-    its residual per check, or the text of the error it records.
+def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
+    """Batch-verify's outcome for the instances of ``indices``, as columns.
 
-    The draws are made, validated and framed on columns; a ``Tetrahedron``
-    is built only for an instance the columns leave to the scalar path,
-    once.
+    Returns the residuals, one row per check in ``CHECKS`` order and one
+    column per instance; the mask, of the same shape, of the checks that
+    apply to each instance (the vertex check to a vertex solution, the
+    others to an interior one, none to an error); and the (instance, error
+    text) pairs in instance order.  The draws are made, validated and
+    framed on columns; a ``Tetrahedron`` is built only for an instance the
+    columns leave to the scalar path, once.
     """
     vertices = sampling.random_vertex_columns(seed, indices)
+    n = len(vertices)
     frame, scale, m, rejected = frame_columns(vertices)
     for slot in np.flatnonzero(rejected).tolist():
         # raises the DegenerateInput the instance has always raised
         Tetrahedron(vertices[slot])
     chunk = solve_columns(frame, scale, m, max_iter)
-    outcomes: list = [None] * len(vertices)
-    for slot, residual in zip(chunk.vertex_rows.tolist(),
-                              chunk.vertex_residual.tolist()):
-        outcomes[slot] = _vertex_residuals(residual)
-    left = np.ones(len(vertices), dtype=bool)
+    values = np.zeros((len(CHECKS), n))
+    applies = np.zeros((len(CHECKS), n), dtype=bool)
+    errors = []
+    values[_VERTEX, chunk.vertex_rows] = _vertex_excess(chunk.vertex_residual, np)
+    applies[_VERTEX, chunk.vertex_rows] = True
+    left = np.ones(n, dtype=bool)
     left[chunk.rows] = False
     left[chunk.vertex_rows] = False
     tetras = {}
@@ -266,29 +269,55 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int) -> list:
         try:
             found.append((slot, solve(tetras[slot], max_iter)))
         except NonConvergence as exc:
-            outcomes[slot] = f"no convergence (residual {exc.residual:.3e})"
-    slots = chunk.rows.tolist() + [slot for slot, _ in found]
-    if not slots:
-        return outcomes
+            errors.append((slot, f"no convergence (residual {exc.residual:.3e})"))
+    slots = np.concatenate([chunk.rows, [slot for slot, _ in found]]).astype(int)
+    if not len(slots):
+        return values, applies, errors
     point = chunk.point
     if found:
         extra = np.array([sol.point for _, sol in found]).T
         point = np.concatenate([point, extra], axis=1)
-    residuals = chunk.residual.tolist() + [sol.residual for _, sol in found]
-    rows = _column_residuals(point, m[slots], frame[:, slots])
-    for j, (slot, residual, row) in enumerate(zip(slots, residuals, rows)):
-        if row is not None:
-            outcomes[slot] = dict(zip(INTERIOR_CHECKS, (residual, *row)))
-            continue
+    checks, failed = _column_residuals(point, m[slots], frame[:, slots])
+    values[_INTERIOR[0], slots] = np.concatenate(
+        [chunk.residual, [sol.residual for _, sol in found]]
+    )
+    values[np.ix_(_INTERIOR[1:], slots)] = checks
+    applies[np.ix_(_INTERIOR, slots[~failed])] = True
+    for j in np.flatnonzero(failed).tolist():
+        slot = int(slots[j])
         k = j - len(chunk.rows)
         solution = chunk.solution(j) if k < 0 else found[k][1]
         tetra = tetras[slot] if slot in tetras else Tetrahedron(vertices[slot])
         report = _report(tetra, solution, tol)
         try:
-            outcomes[slot] = _check_residuals(report)
+            residuals = _check_residuals(report)
         except TetrafermatError as exc:
-            outcomes[slot] = f"formula cross-check failed: {exc}"
-    return outcomes
+            errors.append((slot, f"formula cross-check failed: {exc}"))
+            continue
+        for name, value in residuals.items():
+            values[CHECKS.index(name), slot] = value
+            applies[CHECKS.index(name), slot] = True
+    errors.sort()
+    return values, applies, errors
+
+
+def _running_max(current, column):
+    """The running maximum of batch-verify's merge after the values of
+    ``column``, in instance order, starting from ``current`` (None before
+    the first value).
+
+    A value replaces the maximum only when it compares greater, as the
+    merge has always done one value at a time: a NaN replaces nothing, so
+    only a first value can leave a NaN maximum, and of equal values the
+    first is kept.
+    """
+    if current is None:
+        current, column = column[0], column[1:]
+    if len(column):
+        top = np.fmax.reduce(column)
+        if top > current:
+            current = column[np.argmax(column == top)]
+    return float(current)
 
 
 def run_batch_verify(
@@ -298,32 +327,43 @@ def run_batch_verify(
     max_iter: int = MAX_ITER,
 ) -> BatchSummary:
     """Generate, solve, and verify ``count`` seeded random tetrahedra, in
-    chunks of ``CHUNK``.  A negative ``count`` or ``seed`` raises
-    ValueError."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    chunks of ``CHUNK``.  A negative ``seed``, or a ``count`` below 1,
+    raises ValueError.
+
+    Each check's maximum and failures are reductions over a chunk's
+    residual columns, with the rule and order of a merge one instance at a
+    time: see ``_running_max``; the failures are the applicable residuals
+    not at or below ``tol`` (so a NaN fails), by instance and then in
+    ``CHECKS`` order.
+    """
     if seed < 0:
         # the message numpy's SeedSequence gives a negative seed
         raise ValueError("expected non-negative integer")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if count == 0:
+        raise ValueError("count must be at least 1: no verdict on no instances")
     max_residuals: dict[str, float] = {}
     failures: list[tuple[int, str, float]] = []
     errors: list[tuple[int, str]] = []
     interior = vertex = 0
     for start in range(0, count, CHUNK):
         chunk = range(start, min(count, start + CHUNK))
-        for i, outcome in zip(chunk, _verify_chunk(seed, chunk, tol, max_iter)):
-            if isinstance(outcome, str):
-                errors.append((i, outcome))
-                continue
-            if "vertex_optimality" in outcome:
-                vertex += 1
-            else:
-                interior += 1
-            for name, value in outcome.items():
-                if name not in max_residuals or value > max_residuals[name]:
-                    max_residuals[name] = value
-                if not value <= tol:
-                    failures.append((i, name, value))
+        values, applies, chunk_errors = _verify_chunk(seed, chunk, tol, max_iter)
+        # solve_residual applies to every interior instance
+        interior += int(applies[_INTERIOR[0]].sum())
+        vertex += int(applies[_VERTEX].sum())
+        errors += [(start + slot, text) for slot, text in chunk_errors]
+        for k, name in enumerate(CHECKS):
+            column = values[k, applies[k]]
+            if len(column):
+                max_residuals[name] = _running_max(max_residuals.get(name), column)
+        # instance by instance, and within one in CHECKS order; NaN fails
+        slot, k = np.nonzero((applies & ~(values <= tol)).T)
+        failures += [
+            (start + i, CHECKS[c], value)
+            for i, c, value in zip(slot.tolist(), k.tolist(), values[k, slot].tolist())
+        ]
     passed = not failures and not errors
     return BatchSummary(
         seed=seed,

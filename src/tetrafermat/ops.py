@@ -16,13 +16,14 @@ as ``xp``:
   conditional expression as ``where``, ``operator.truth`` as ``all``, and
   as ``finite`` whether every value of a sequence is finite.
 - ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
-  ``all``, ``frexp`` and ``ldexp``, and ``finite`` per row.  ``acos``,
-  ``cos``, ``sin`` and the three-argument ``hypot`` map ``math``'s
-  functions element by element: numpy's own can differ from them in the
-  last bit, and a column must hold exactly the value the scalar API
-  computes.  ``maximum`` and ``minimum`` differ from the float ones only
-  in which zero a tie of +0 and -0 returns; no kernel result depends on
-  that.
+  ``all``, ``frexp`` and ``ldexp``, and ``finite`` per row.  The
+  three-argument ``hypot`` is the one function it maps from ``math``
+  element by element: numpy's own can differ from it in the last bit, and
+  a column must hold exactly the value the scalar API computes.  No kernel
+  takes a trigonometric function: the identity checks read the cosines of
+  the leg angles, which are dot products.  ``maximum`` and ``minimum``
+  differ from the float ones only in which zero a tie of +0 and -0
+  returns; no kernel result depends on that.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always
@@ -67,9 +68,6 @@ def _minimum(a, b):
 #: the operations on Python floats
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
-    acos=math.acos,
-    cos=math.cos,
-    sin=math.sin,
     hypot=math.hypot,
     frexp=math.frexp,
     ldexp=math.ldexp,
@@ -98,11 +96,8 @@ class Columns:
     that failed a check so far.
 
     Values on a failed row are never used, and may be NaN or infinite, so
-    a caller evaluates under ``np.errstate(all="ignore")``.  ``acos``
-    clamps to [-1, 1] before mapping, which changes no value in its domain
-    and keeps such a row from raising.  ``cos`` and ``sin`` need no guard:
-    the kernels take them only of angles, which ``acos`` returns finite;
-    nor does ``hypot``, which returns inf or NaN for a non-finite argument.
+    a caller evaluates under ``np.errstate(all="ignore")``.  ``hypot``
+    needs no guard there: it returns inf or NaN for a non-finite argument.
     """
 
     sqrt = staticmethod(np.sqrt)
@@ -113,16 +108,10 @@ class Columns:
     frexp = staticmethod(np.frexp)
     ldexp = staticmethod(np.ldexp)
     finite = staticmethod(_finite_rows)
-    cos = staticmethod(_mapped(math.cos))
-    sin = staticmethod(_mapped(math.sin))
     hypot = staticmethod(_mapped(math.hypot))
-    _acos = staticmethod(_mapped(math.acos))
 
     def __init__(self, n: int):
         self.failed = np.zeros(n, dtype=bool)
-
-    def acos(self, c):
-        return self._acos(np.clip(c, -1.0, 1.0))
 
     def require(self, ok, error=None, *args):
         self.failed |= ~ok

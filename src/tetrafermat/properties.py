@@ -7,21 +7,23 @@ are anti-parallel.  This module measures all of those as residuals.  The
 bisectors u_i + u_j are formed inside ``bisector_residuals`` and only
 their residuals are returned.
 
-The kernels ``leg_angles``, ``cosine_residuals`` and
-``bisector_residuals`` are straight-line code on legs, or on the angles'
-cosines, given as floats or as columns of many instances (see ``ops``):
-each leg dot product is computed once per call, and each angle's cosine
-once by the caller.  ``angle_sextuple`` and
-``verify_fundamental_property`` call them with the float rows of a
-``DirectionConfig``, the one form the record stores.  Every quantity here
-is a function of dot products of legs and of their sums, so it is
-unchanged by a rotation or a mirror of the legs.
+The kernels ``leg_cosines``, ``cosine_residuals`` and
+``bisector_residuals`` are straight-line code on legs, or on the cosines
+of the angles between them, given as floats or as columns of many
+instances (see ``ops``): each leg dot product is computed once per call.
+Every check reads those cosines, the dot products clamped to [-1, 1];
+``leg_angles`` takes their arccosine only for the angles a report
+carries.  ``angle_sextuple`` and ``verify_fundamental_property`` call the
+kernels with the float rows of a ``DirectionConfig``, the one form the
+record stores.  Every quantity here is a function of dot products of legs
+and of their sums, so it is unchanged by a rotation or a mirror of the
+legs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos
+from math import acos
 
 from .geometry import DirectionConfig
 from .ops import FLOATS
@@ -67,19 +69,28 @@ class PropertyReport:
     flags: tuple[str, ...] = ()
 
 
-def leg_angles(rows, xp):
-    """The six angles a102, a103, a104, a203, a204, a304 between the legs
-    ``rows``: the arccosine of each dot product, clamped to [-1, 1].  The
-    angle kernel, on floats or on columns (see ``ops``)."""
+def leg_cosines(rows, xp):
+    """The cosines of the six angles a102, a103, a104, a203, a204, a304
+    between the legs ``rows``: each dot product, clamped to [-1, 1].  The
+    cosine kernel, on floats or on columns (see ``ops``)."""
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
-    acos, lesser, greater = xp.acos, xp.minimum, xp.maximum
+    lesser, greater = xp.minimum, xp.maximum
     return (
-        acos(lesser(1.0, greater(-1.0, x1 * x2 + y1 * y2 + z1 * z2))),
-        acos(lesser(1.0, greater(-1.0, x1 * x3 + y1 * y3 + z1 * z3))),
-        acos(lesser(1.0, greater(-1.0, x1 * x4 + y1 * y4 + z1 * z4))),
-        acos(lesser(1.0, greater(-1.0, x2 * x3 + y2 * y3 + z2 * z3))),
-        acos(lesser(1.0, greater(-1.0, x2 * x4 + y2 * y4 + z2 * z4))),
-        acos(lesser(1.0, greater(-1.0, x3 * x4 + y3 * y4 + z3 * z4))),
+        lesser(1.0, greater(-1.0, x1 * x2 + y1 * y2 + z1 * z2)),
+        lesser(1.0, greater(-1.0, x1 * x3 + y1 * y3 + z1 * z3)),
+        lesser(1.0, greater(-1.0, x1 * x4 + y1 * y4 + z1 * z4)),
+        lesser(1.0, greater(-1.0, x2 * x3 + y2 * y3 + z2 * z3)),
+        lesser(1.0, greater(-1.0, x2 * x4 + y2 * y4 + z2 * z4)),
+        lesser(1.0, greater(-1.0, x3 * x4 + y3 * y4 + z3 * z4)),
+    )
+
+
+def leg_angles(cosines) -> AngleSextuple:
+    """The sextuple of angles whose cosines are ``cosines``, as
+    ``leg_cosines`` returns them on floats."""
+    c102, c103, c104, c203, c204, c304 = cosines
+    return AngleSextuple(
+        acos(c102), acos(c103), acos(c104), acos(c203), acos(c204), acos(c304)
     )
 
 
@@ -137,7 +148,7 @@ def bisector_residuals(rows, xp):
 def angle_sextuple(config: DirectionConfig) -> AngleSextuple:
     """All six pairwise leg angles of a direction configuration: the
     arccosine of each dot product, clamped to [-1, 1]."""
-    return AngleSextuple(*leg_angles(config.rows, FLOATS))
+    return leg_angles(leg_cosines(config.rows, FLOATS))
 
 
 def verify_fundamental_property(
@@ -150,10 +161,8 @@ def verify_fundamental_property(
     three opposite bisector pairs against -1.  Meaningful for balanced
     quadruples; on unbalanced input the residuals simply come out large.
     """
-    angles = a102, a103, a104, a203, a204, a304 = leg_angles(config.rows, FLOATS)
-    opp, csum = cosine_residuals(
-        (cos(a102), cos(a103), cos(a104), cos(a203), cos(a204), cos(a304))
-    )
+    cosines = leg_cosines(config.rows, FLOATS)
+    opp, csum = cosine_residuals(cosines)
     orth, anti, short = bisector_residuals(config.rows, FLOATS)
     flags = ()
     if True in short:
@@ -166,7 +175,7 @@ def verify_fundamental_property(
         r <= tol for r in (*opp, csum, *orth, *anti)
     )
     return PropertyReport(
-        angles=AngleSextuple(*angles),
+        angles=leg_angles(cosines),
         opposite_angle_residuals=opp,
         cosine_sum_residual=csum,
         bisector_dot_residuals=orth,

@@ -277,11 +277,11 @@ max residual per check:
   solve_residual           9.831736e-11
   vertex_optimality        0.000000e+00
   opposite_angles          1.264724e-10
-  cosine_sum               7.490669e-11
+  cosine_sum               7.490672e-11
   bisector_orthogonality   7.286571e-11
   bisector_antiparallel    4.440892e-16
-  sixth_angle_identity     6.838974e-14
-  substitution_residual    4.996004e-14
+  sixth_angle_identity     3.264056e-14
+  substitution_residual    3.863576e-14
 result: PASS"""
 
 

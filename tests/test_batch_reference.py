@@ -87,10 +87,20 @@ def loop_batch_verify(seed, count, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     )
 
 
+def exact(summary):
+    """The summary with each residual as its ``float.hex``: equal records
+    compare equal also with a NaN residual, and a -0.0 differs from 0.0."""
+    return dataclasses.replace(
+        summary,
+        max_residuals={k: float.hex(v) for k, v in summary.max_residuals.items()},
+        failures=[(i, name, float.hex(v)) for i, name, v in summary.failures],
+    )
+
+
 def assert_same(seed, count, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     got = run_batch_verify(seed, count, tol, max_iter)
     want = loop_batch_verify(seed, count, tol, max_iter)
-    assert got == want
+    assert exact(got) == exact(want)
     assert got.format_text() == want.format_text()
     return got
 
@@ -104,6 +114,13 @@ def test_failures_at_a_tight_tolerance():
     # hundreds of failures, so their order and values are compared too
     summary = assert_same(0, 300, tol=1e-15)
     assert len(summary.failures) > 300
+
+
+def test_failures_across_three_chunks():
+    # each chunk's failures are offset by its start and listed after the
+    # previous chunk's
+    summary = assert_same(1, 2 * CHUNK + 452, tol=1e-15)
+    assert {i // CHUNK for i, _, _ in summary.failures} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 4])
@@ -121,6 +138,12 @@ def test_count_spanning_three_chunks():
 def test_two_word_seed():
     # the chunk's column draw reads a seed of 2**32 as two uint32 words
     assert assert_same(2**32, 300).passed
+
+
+def test_empty_corpus_raises():
+    # no verdict on no instances, as the command line's --count 0
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        run_batch_verify(0, 0)
 
 
 def test_negative_count_or_seed_raises():
@@ -185,8 +208,9 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     column_residuals = batch._column_residuals
 
     def fail_three(point, m, frame):
-        rows = column_residuals(point, m, frame)
-        return [None if j in (0, 1, len(rows) - 1) else r for j, r in enumerate(rows)]
+        checks, failed = column_residuals(point, m, frame)
+        failed[[0, 1, -1]] = True
+        return checks, failed
 
     built = []
     post_init = Tetrahedron.__post_init__
@@ -202,6 +226,53 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     assert sorted(built) == sorted(
         tetras[i].vertices.tobytes() for i in set(left) | failing
     )
+
+
+def test_nan_and_inf_residuals_on_the_scalar_path(monkeypatch):
+    # the columns leave every row to _check_residuals, which is made to
+    # return a NaN or an inf on some: a NaN first value of a check is its
+    # maximum, a NaN later replaces nothing, also when it opens the second
+    # chunk, and both fail, as in the reference loop
+    count = CHUNK + 100
+    tetras = [sampling.random_tetrahedron(0, i) for i in range(count)]
+    interior = [i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR]
+    first, later = interior[0], interior[5]
+    second_chunk = [i for i in interior if i >= CHUNK]
+    opening, further = second_chunk[0], second_chunk[5]
+    forced = {
+        first: {"sixth_angle_identity": math.nan},
+        later: {"cosine_sum": math.inf, "opposite_angles": math.nan},
+        opening: {"substitution_residual": math.nan},
+        further: {"substitution_residual": 1.0},
+    }
+    points = {solve(tetras[i]).point.tobytes(): i for i in forced}
+    check_residuals = batch._check_residuals
+
+    def forced_residuals(report):
+        residuals = check_residuals(report)
+        i = points.get(report.solution.point.tobytes())
+        return residuals if i is None else {**residuals, **forced[i]}
+
+    column_residuals = batch._column_residuals
+
+    def fail_all(point, m, frame):
+        checks, failed = column_residuals(point, m, frame)
+        return checks, failed | True
+
+    monkeypatch.setattr(batch, "_check_residuals", forced_residuals)
+    monkeypatch.setattr(batch, "_column_residuals", fail_all)
+    monkeypatch.setitem(globals(), "_check_residuals", forced_residuals)
+    summary = assert_same(0, count)
+    assert math.isnan(summary.max_residuals["sixth_angle_identity"])
+    assert summary.max_residuals["cosine_sum"] == math.inf
+    assert summary.max_residuals["substitution_residual"] == 1.0
+    assert [(i, name) for i, name, _ in summary.failures] == [
+        (first, "sixth_angle_identity"),
+        (later, "opposite_angles"),
+        (later, "cosine_sum"),
+        (opening, "substitution_residual"),
+        (further, "substitution_residual"),
+    ]
 
 
 def boundary_tie():

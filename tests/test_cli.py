@@ -340,11 +340,11 @@ REGULAR_VERIFY_JSON = """\
   },
   "checks": {
     "opposite_angles": [
-      1.965094753586527e-14,
-      1.965094753586527e-14,
-      1.965094753586527e-14
+      1.970645868709653e-14,
+      1.970645868709653e-14,
+      1.970645868709653e-14
     ],
-    "cosine_sum": 2.942091015256665e-14,
+    "cosine_sum": 2.9531932455029164e-14,
     "bisector_orthogonality": [
       9.871208456769157e-15,
       9.743010944343478e-15,
@@ -389,10 +389,10 @@ CUBE_3_0_VERIFY_JSON = """\
   "checks": {
     "opposite_angles": [
       2.220446049250313e-16,
-      3.885780586188048e-16,
-      7.771561172376096e-16
+      2.7755575615628914e-16,
+      5.551115123125783e-16
     ],
-    "cosine_sum": 7.216449660063518e-16,
+    "cosine_sum": 5.551115123125783e-16,
     "bisector_orthogonality": [
       1.708702623837155e-16,
       1.249000902703301e-16,

@@ -1,12 +1,21 @@
 """The identity layer against its earlier loop form.
 
 ``direction_config``, ``angle_sextuple``,
-``verify_fundamental_property``, ``sixth_angle`` and
-``ft_substitution_residual`` are straight-line float code that reads
-``DirectionConfig.rows`` and computes each cosine once.  The functions
-below are their earlier bodies, with per-pair loops, list-of-tuple rows and
-a cosine per use: the reference the package must match field for field,
-with ``==``.
+``verify_fundamental_property``, ``sixth_angle``,
+``ft_substitution_residual`` and ``formula_residuals`` are straight-line
+float code that reads ``DirectionConfig.rows`` and computes each cosine
+once.  The ``loop_`` functions below are their definitions written with
+per-pair loops, list-of-tuple rows and a cosine per use: the reference the
+package must match field for field, with ``==``.  The checks read the
+cosines of the leg angles, the clamped dot products, and take the cosine
+of a double angle and sin a102 as polynomials and a square root of them.
+
+The ``trig_`` functions are the earlier trigonometric route to the same
+check values: ``math.cos`` of each angle and of its double, ``math.sin``
+of a102, and the induced angle through ``acos``.  Both routes compute the
+same quantities in exact arithmetic, so on batch-verify's corpora their
+values may differ only at rounding level, by at most the bounds of
+``TestCosineRouteAgainstTrigRoute``.
 """
 
 import math
@@ -21,10 +30,13 @@ from tetrafermat import (
     direction_config,
     ft_substitution_residual,
     hull_points,
+    resolve_branch,
     solve,
     verify_fundamental_property,
 )
+from tetrafermat.batch import _check_residuals, build_report
 from tetrafermat.errors import (
+    AngleOutOfRange,
     CoincidentPoints,
     DegenerateBaseAngle,
     InfeasiblePair,
@@ -35,10 +47,15 @@ from tetrafermat.formula import (
     MIN_BASE_SIN,
     REALIZABLE_TOL,
     FiveAngles,
+    formula_residuals,
     sixth_angle,
 )
 from tetrafermat.geometry import COINCIDENT_EPS
-from tetrafermat.properties import BISECTOR_EPS, angle_sextuple
+from tetrafermat.ops import FLOATS
+from tetrafermat.properties import (
+    BISECTOR_EPS, DEFAULT_TOL, angle_sextuple, leg_cosines,
+)
+from tetrafermat.solver import INTERIOR
 from tetrafermat.sampling import random_tetrahedron
 
 from corpora import balanced_quadruple, random_unit_quadruple
@@ -72,20 +89,22 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def loop_cosines(u):
+    """The cosine of each leg angle: the dot product, clamped to [-1, 1]."""
+    return [min(1.0, max(-1.0, _dot(u[i - 1], u[j - 1]))) for i, j in PAIRS]
+
+
 def loop_angle_sextuple(u):
-    angles = []
-    for i, j in PAIRS:
-        c = _dot(u[i - 1], u[j - 1])
-        angles.append(math.acos(min(1.0, max(-1.0, c))))
-    return tuple(angles)
+    return tuple(math.acos(c) for c in loop_cosines(u))
 
 
 def loop_verify(u, tol=1e-6):
     """(angles, opposite, cosine sum, orthogonality, antiparallel, passed,
-    flags) of the earlier ``verify_fundamental_property``."""
-    a = loop_angle_sextuple(u)
-    opp = tuple(abs(math.cos(a[i]) - math.cos(a[j])) for i, j in OPPOSITE)
-    csum = abs(1.0 + math.cos(a[0]) + math.cos(a[1]) + math.cos(a[2]))
+    flags) of ``verify_fundamental_property``, on the legs' cosines."""
+    c = loop_cosines(u)
+    a = tuple(math.acos(x) for x in c)
+    opp = tuple(abs(c[i] - c[j]) for i, j in OPPOSITE)
+    csum = abs(1.0 + c[0] + c[1] + c[2])
     b = []
     for i, j in PAIRS:
         (x1, y1, z1), (x2, y2, z2) = u[i - 1], u[j - 1]
@@ -111,24 +130,29 @@ def loop_verify(u, tol=1e-6):
     return a, opp, csum, orth, tuple(anti), passed, tuple(flags)
 
 
-def loop_radical_factor(a102, a10i, a20i):
-    return (
-        1.0
-        + math.cos(2.0 * a102)
-        + math.cos(2.0 * a10i)
-        + math.cos(2.0 * a20i)
-        - 4.0 * math.cos(a102) * math.cos(a10i) * math.cos(a20i)
-    )
+def loop_double(c):
+    """cos 2a from c = cos a, in the form that rounds better on each side
+    of c^2 = 1/2."""
+    if c * c < 0.5:
+        return 2.0 * c * c - 1.0
+    return 1.0 - 2.0 * ((1.0 - c) * (1.0 + c))
 
 
-def loop_sixth_angle(a102, a103, a104, a203, a204):
-    s = math.sin(a102)
+def loop_radical_factor(d102, d10i, d20i, c102, c10i, c20i):
+    return 1.0 + d102 + d10i + d20i - 4.0 * c102 * c10i * c20i
+
+
+def loop_sixth_cosines(s, c, d):
+    """(b, cos_plus, cos_minus) from sin a102, the cosines ``c`` of a102,
+    a103, a104, a203, a204 and the cosines ``d`` of their doubles."""
     if s <= MIN_BASE_SIN:
         raise DegenerateBaseAngle(
             f"sin(a102) = {s:.3e} is too small for the frame equations"
         )
-    f3 = loop_radical_factor(a102, a103, a203)
-    f4 = loop_radical_factor(a102, a104, a204)
+    c102, c103, c104, c203, c204 = c
+    d102, d103, d104, d203, d204 = d
+    f3 = loop_radical_factor(d102, d103, d203, c102, c103, c203)
+    f4 = loop_radical_factor(d102, d104, d204, c102, c104, c204)
     if f3 > GRAM_TOL or f4 > GRAM_TOL:
         raise UnrealizableTriple(
             f"radical factors must be non-positive, got {f3:.3e} and {f4:.3e}"
@@ -141,17 +165,18 @@ def loop_sixth_angle(a102, a103, a104, a203, a204):
 
     def evaluate(signed_b):
         return 0.25 * (
-            4.0 * math.cos(a103)
-            * (math.cos(a104) - math.cos(a102) * math.cos(a204))
-            + 2.0 * (
-                signed_b
-                + 2.0 * math.cos(a203)
-                * (-math.cos(a102) * math.cos(a104) + math.cos(a204))
-            )
+            4.0 * c103 * (c104 - c102 * c204)
+            + 2.0 * (signed_b + 2.0 * c203 * (-c102 * c104 + c204))
         ) * csc2
 
-    cos_plus = evaluate(b)
-    cos_minus = evaluate(-b)
+    return b, evaluate(b), evaluate(-b)
+
+
+def loop_sixth_angle(a102, a103, a104, a203, a204):
+    five = (a102, a103, a104, a203, a204)
+    b, cos_plus, cos_minus = loop_sixth_cosines(
+        math.sin(a102), [math.cos(a) for a in five], [math.cos(2.0 * a) for a in five]
+    )
     return SixthAngleResult(
         b_magnitude=b,
         cos_plus=cos_plus,
@@ -161,21 +186,82 @@ def loop_sixth_angle(a102, a103, a104, a203, a204):
     )
 
 
-def loop_ft_substitution_residual(a102, a203):
-    c = -(1.0 + math.cos(a102) + math.cos(a203))
+def loop_branch_error(cos_plus, cos_minus, branch, target):
+    if branch == 1:
+        return abs(cos_plus - target)
+    if branch == -1:
+        return abs(cos_minus - target)
+    return min(abs(cos_plus - target), abs(cos_minus - target))
+
+
+def loop_substitution(c102, c203, s, d102, d203):
+    """The substitution residual from cos a102, cos a203, sin a102 and the
+    cosines of the doubles of a102 and a203; the induced cosine enters the
+    formula as it is."""
+    c = -(1.0 + c102 + c203)
     if not -1.0 < c < 1.0:
         raise InfeasiblePair(
             f"induced cosine {c:.6f} is outside (-1, 1); the pair admits no "
             "third angle under the cosine-sum identity"
         )
-    s = math.sin(a102)
     if s * s <= MIN_BASE_SIN:
         raise DegenerateBaseAngle(
             f"sin(a102) = {s:.3e} is too small for the substituted formula"
         )
+    d = loop_double(c)
+    _, cos_plus, cos_minus = loop_sixth_cosines(
+        s, (c102, c, c203, c203, c), (d102, d, d203, d203, d)
+    )
+    return loop_branch_error(cos_plus, cos_minus, 0, c102)
+
+
+def loop_ft_substitution_residual(a102, a203):
+    return loop_substitution(
+        math.cos(a102), math.cos(a203), math.sin(a102),
+        math.cos(2.0 * a102), math.cos(2.0 * a203),
+    )
+
+
+def loop_formula_residuals(u, branch):
+    """(sixth-angle identity, substitution) of ``formula_residuals``: the
+    cross-check on the legs' cosines, with ``branch`` the legs' realized
+    branch."""
+    c = loop_cosines(u)
+    for name, x in zip(("a102", "a103", "a104", "a203", "a204"), c):
+        if not -1.0 < x < 1.0:
+            raise AngleOutOfRange(
+                f"{name} must lie strictly between 0 and pi, got {math.acos(x)!r}"
+            )
+    s = math.sqrt((1.0 - c[0]) * (1.0 + c[0]))
+    d = [loop_double(x) for x in c[:5]]
+    _, cos_plus, cos_minus = loop_sixth_cosines(s, c[:5], d)
+    return (
+        loop_branch_error(cos_plus, cos_minus, branch, c[5]),
+        loop_substitution(c[0], c[3], s, d[0], d[3]),
+    )
+
+
+def trig_ft_substitution_residual(a102, a203):
+    """The substitution residual with the induced angle taken by ``acos``
+    and its cosines by ``math.cos``."""
+    c = -(1.0 + math.cos(a102) + math.cos(a203))
     a103 = math.acos(c)
     return loop_sixth_angle(a102, a103, a203, a203, a103).branch_error(
         0, math.cos(a102)
+    )
+
+
+def trig_checks(u, branch):
+    """(opposite angles, cosine sum, sixth-angle identity, substitution) of
+    batch-verify on the legs ``u`` by the trigonometric route: the angles'
+    cosines as ``math.cos`` of their arccosines."""
+    a = loop_angle_sextuple(u)
+    cos = [math.cos(x) for x in a]
+    return (
+        max(abs(cos[i] - cos[j]) for i, j in OPPOSITE),
+        abs(1.0 + cos[0] + cos[1] + cos[2]),
+        loop_sixth_angle(*a[:5]).branch_error(branch, cos[5]),
+        trig_ft_substitution_residual(a[0], a[3]),
     )
 
 
@@ -219,6 +305,9 @@ def assert_identities_match(cfg):
     assert outcome(ft_substitution_residual, angles[0], angles[3]) == outcome(
         loop_ft_substitution_residual, angles[0], angles[3]
     )
+    assert outcome(
+        formula_residuals, cfg.rows, leg_cosines(cfg.rows, FLOATS), FLOATS
+    ) == outcome(loop_formula_residuals, units, resolve_branch(cfg))
 
 
 class TestIdentityLoopReference:
@@ -258,3 +347,42 @@ class TestIdentityLoopReference:
         cfg = DirectionConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)))
         assert verify_fundamental_property(cfg).flags
         assert_identities_match(cfg)
+
+
+class TestCosineRouteAgainstTrigRoute:
+    """batch-verify's check values against the trigonometric route.
+
+    Measured per instance, the routes differ by at most (seeds 0-1, 1823
+    interior instances; seeds 0-19, 18 410):
+
+    - opposite angles 4.4e-16 and 4.4e-16, cosine sum 5.0e-16 and 5.6e-16:
+      one rounding of each cosine;
+    - sixth-angle identity 1.1e-13 and 1.8e-13, substitution 8.4e-14 and
+      4.9e-13: rounding amplified by 1 / sin^2(a102).
+
+    The bounds, 2e-15 and 1e-12, leave a factor of at least 3.6 and 2 over
+    every seed of 0-19.  The bisector residuals read the legs, not the
+    angles, and are the same on both routes.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_verify_seeds(self, seed):
+        checked = 0
+        for i in range(1000):
+            report = build_report(random_tetrahedron(seed, i), DEFAULT_TOL)
+            if report.solution.kind != INTERIOR:
+                continue
+            got = _check_residuals(report)
+            units = [list(r) for r in report.frame.rows]
+            opp, csum, identity, substitution = trig_checks(
+                units, resolve_branch(report.frame)
+            )
+            assert abs(got["opposite_angles"] - opp) <= 2e-15
+            assert abs(got["cosine_sum"] - csum) <= 2e-15
+            assert abs(got["sixth_angle_identity"] - identity) <= 1e-12
+            assert abs(got["substitution_residual"] - substitution) <= 1e-12
+            _, _, _, orth, anti, _, _ = loop_verify(units)
+            assert got["bisector_orthogonality"] == max(orth)
+            assert got["bisector_antiparallel"] == max(anti)
+            checked += 1
+        assert checked > 800
