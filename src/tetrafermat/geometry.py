@@ -78,9 +78,10 @@ def frame_rows(rows, xp):
     ``rows``: the validation kernel, on floats or on columns (see ``ops``).
 
     Requires, in order, that every coordinate is finite, that ``scale``,
-    the largest ``hypot`` of the six edges, is at least the least normal
-    float and finite, and that the edge matrix divided by ``scale`` has
-    |det| above VOLUME_EPS; each failed requirement is a DegenerateInput.
+    the largest ``math.hypot`` of the six edges (``xp.longest``), is at
+    least the least normal float and finite, and that the edge matrix
+    divided by ``scale`` has |det| above VOLUME_EPS; each failed
+    requirement is a DegenerateInput.
     Returns the frame, the rows times ``to_frame = 2**-e`` for
     ``scale = f * 2**e`` with ``0.5 <= f < 1``, as a tuple of four
     (x, y, z) triples, with ``scale`` and ``to_frame``.
@@ -98,14 +99,12 @@ def frame_rows(rows, xp):
         (ax - cx, ay - cy, az - cz),
         (ax - dx, ay - dy, az - dz),
     )
-    hypot, maximum = xp.hypot, xp.maximum
     # no length is NaN or -0.0 on a row that passed the finite test, so the
     # order of the maxima cannot change their value
-    s = maximum(
-        maximum(maximum(hypot(*e[0]), hypot(*e[1])),
-                maximum(hypot(*e[2]), hypot(bx - cx, by - cy, bz - cz))),
-        maximum(hypot(bx - dx, by - dy, bz - dz), hypot(cx - dx, cy - dy, cz - dz)),
-    )
+    s = xp.longest((
+        *e, (bx - cx, by - cy, bz - cz), (bx - dx, by - dy, bz - dz),
+        (cx - dx, cy - dy, cz - dz),
+    ))
     xp.require((s >= sys.float_info.min) & (s < math.inf), _scale_error, s)
     m = xp.ldexp(1.0, -xp.frexp(s)[1])
     frame = tuple([(x * m, y * m, z * m) for x, y, z in rows])
@@ -122,7 +121,10 @@ def frame_columns(vertices: np.ndarray):
     within a vertex, their ``scale`` and ``to_frame`` columns, and a bool
     column that is true where ``Tetrahedron`` raises DegenerateInput; the
     values on such a row mean nothing.  Every other row holds exactly the
-    ``frame``, ``scale`` and ``to_frame`` of ``Tetrahedron`` on it.
+    ``frame``, ``scale`` and ``to_frame`` of ``Tetrahedron`` on it:
+    ``scale`` is ``math.hypot`` of the longest edge, taken only of the
+    edges numpy's length puts within 2**-47 of the longest (see
+    ``ops.Columns.longest``).
     """
     n = len(vertices)
     coords = np.ascontiguousarray(vertices.reshape(n, 12).T)

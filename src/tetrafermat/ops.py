@@ -13,17 +13,21 @@ both).  The rest comes from one of two namespaces, passed to each kernel
 as ``xp``:
 
 - ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, a
-  conditional expression as ``where``, ``operator.truth`` as ``all``, and
-  as ``finite`` whether every value of a sequence is finite.
+  conditional expression as ``where``, ``operator.truth`` as ``all``, as
+  ``finite`` whether every value of a sequence is finite, and as
+  ``longest`` the largest ``math.hypot`` of a sequence of (x, y, z) edges.
 - ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
-  ``all``, ``frexp`` and ``ldexp``, and ``finite`` per row.  The
-  three-argument ``hypot`` is the one function it maps from ``math``
-  element by element: numpy's own can differ from it in the last bit, and
-  a column must hold exactly the value the scalar API computes.  No kernel
-  takes a trigonometric function: the identity checks read the cosines of
-  the leg angles, which are dot products.  ``maximum`` and ``minimum``
-  differ from the float ones only in which zero a tie of +0 and -0
-  returns; no kernel result depends on that.
+  ``all``, ``frexp`` and ``ldexp``, ``finite`` per row, and ``longest``
+  per row.  Numpy's length of an edge can differ from ``math.hypot``'s in
+  the last bits, and a column must hold exactly the value the scalar API
+  computes, so ``longest`` ranks each row's edges by numpy's length and
+  takes ``math.hypot`` element by element only of the edges that could be
+  the longest: one per row but for near-ties.  It is the only ``math``
+  call on a column.  No kernel takes a trigonometric function: the
+  identity checks read the cosines of the leg angles, which are dot
+  products.  ``maximum`` and ``minimum`` differ from the float ones only
+  in which zero a tie of +0 and -0 returns; no kernel result depends on
+  that.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import starmap
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,6 +59,10 @@ def _finite(values):
     return all(map(math.isfinite, values))
 
 
+def _longest(edges):
+    return max(starmap(math.hypot, edges))
+
+
 # the built-in max and min of two floats, which keep the first argument
 # unless the second compares greater (less); as Python functions they cost
 # a third of the built-ins' call on CPython 3.11
@@ -68,10 +77,10 @@ def _minimum(a, b):
 #: the operations on Python floats
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
-    hypot=math.hypot,
     frexp=math.frexp,
     ldexp=math.ldexp,
     finite=_finite,
+    longest=_longest,
     maximum=_maximum,
     minimum=_minimum,
     where=_where,
@@ -80,15 +89,42 @@ FLOATS = SimpleNamespace(
 )
 
 
-def _mapped(f):
-    def column(*args):
-        return np.fromiter(map(f, *[a.tolist() for a in args]), float, len(args[0]))
-
-    return column
-
-
 def _finite_rows(values):
     return np.isfinite(values).all(axis=0)
+
+
+#: the least and the largest longest-edge estimate whose candidates' squares
+#: neither overflow nor lose a relevant bit to underflow
+_SAFE_LENGTHS = 2.0**-450, 2.0**450
+#: an edge whose estimate is at least this fraction of its row's largest
+#: may be the longest
+_NEAR = 1.0 - 2.0**-47
+
+
+def _longest_rows(edges):
+    """The largest ``math.hypot`` of each row's (x, y, z) edges, taken only
+    of the edges that could be the largest."""
+    d = np.array(edges)
+    # sqrt(x*x + y*y + z*z) rounds three squares, two sums and the root:
+    # relative error at most 2.5 * 2**-53, within 2.5 ulp of the length,
+    # where no square overflows or underflows significantly; math.hypot's
+    # is below one ulp, at most 2**-52 relative.  Two edges whose
+    # estimates differ by more than about 2**-50 relatively are in the same
+    # order under math.hypot, so a margin of 2**-47 drops no edge that could
+    # be the longest.  In [2**-450, 2**450] no candidate's square overflows,
+    # and a square that underflows is below 2**-1022, nothing against a
+    # candidate's squared length; a row whose largest estimate lies outside
+    # that range or is not finite takes every edge.
+    estimate = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    top = estimate.max(axis=0)
+    low, high = _SAFE_LENGTHS
+    near = (estimate >= top * _NEAR) | ~((top >= low) & (top <= high))
+    edge, row = np.nonzero(near)
+    lengths = np.zeros(estimate.shape)
+    lengths[edge, row] = np.fromiter(
+        map(math.hypot, *d[edge, :, row].T.tolist()), float, len(row)
+    )
+    return lengths.max(axis=0)
 
 
 class Columns:
@@ -96,8 +132,9 @@ class Columns:
     that failed a check so far.
 
     Values on a failed row are never used, and may be NaN or infinite, so
-    a caller evaluates under ``np.errstate(all="ignore")``.  ``hypot``
-    needs no guard there: it returns inf or NaN for a non-finite argument.
+    a caller evaluates under ``np.errstate(all="ignore")``.  ``longest``
+    needs no guard there: ``math.hypot`` returns inf or NaN for a
+    non-finite argument.
     """
 
     sqrt = staticmethod(np.sqrt)
@@ -108,7 +145,7 @@ class Columns:
     frexp = staticmethod(np.frexp)
     ldexp = staticmethod(np.ldexp)
     finite = staticmethod(_finite_rows)
-    hypot = staticmethod(_mapped(math.hypot))
+    longest = staticmethod(_longest_rows)
 
     def __init__(self, n: int):
         self.failed = np.zeros(n, dtype=bool)

@@ -16,6 +16,16 @@ doubles as ``(x >> 11) * 2**-53`` and the volume test through the same
 ``_det4`` expression.  The constants below are numpy's (``SeedSequence``:
 numpy/random/bit_generator.pyx; ``PCG64``: O'Neill, PCG, HMC-CS-2014-0905);
 NEP 19 keeps both streams stable across numpy versions.
+
+Every row draws its first 12 doubles in step; the volume test rejects
+about 6 % of unit-cube draws, and those rows then draw their next
+``_BLOCKS`` draws in one round, each block of 12 started by jumping its
+stream ahead: k LCG steps are one affine map, ``s * a**k + inc * (a**k -
+1) / (a - 1)`` mod 2**128 (F. Brown, "Random number generation with
+arbitrary strides", 1994), whose constants are tabled once.  A row keeps
+its first accepted block, and one with none goes on from the end of its
+last block.  No row is left to ``random_vertices``: loading numpy's
+``numpy.random`` would add about 5.5 MB to a batch-verify process.
 """
 
 from __future__ import annotations
@@ -36,8 +46,9 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-#: PCG64's LCG multiplier as (high, low) 64-bit halves
-_PCG_MULT = (2549297995355413924, 4865540595714422341)
+_M64, _M128 = 2**64 - 1, 2**128 - 1
+#: PCG64's LCG multiplier
+_PCG_A = 2549297995355413924 << 64 | 4865540595714422341
 
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -64,9 +75,16 @@ def random_vertex_columns(seed: int, indices) -> np.ndarray:
     """``np.array([random_vertices(seed, i) for i in indices])`` as an
     (n, 4, 3) array, byte for byte, drawn on integer columns.
 
-    An index outside [0, 2**32) takes ``random_vertices`` itself, as does
-    its error; a negative seed raises numpy's ValueError.
+    Integer ``indices`` all in [0, 2**32) go to the columns as one array.
+    Otherwise an index outside that range takes ``random_vertices``
+    itself, as does its error; a negative seed raises numpy's ValueError.
     """
+    index = np.asarray(indices)
+    if index.dtype.kind in "iu" and index.ndim == 1 and (
+        not len(index) or (index.min() >= 0 and index.max() <= _M32)
+    ):
+        words = _uint32_words(operator.index(seed))
+        return _draw_columns(_pcg_seed(_pool([*words, index.astype(np.uint32)])))
     indices = [operator.index(i) for i in indices]
     words = _uint32_words(operator.index(seed))
     index = np.array([i if 0 <= i <= _M32 else 0 for i in indices], dtype=np.uint32)
@@ -136,10 +154,29 @@ def _pcg_seed(pool: list):
     128-bit state and increment, each as (high, low) uint64 columns."""
     constants = _hash_constants(_INIT_B, _MULT_B)
     w = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (w[k] | (w[k + 1] << 32) for k in range(0, 8, 2))
-    inc = ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1)
+    seed_hi, seed_lo, seq_hi, seq_lo = (w[k] | (w[k + 1] << _32) for k in range(0, 8, 2))
+    inc = ((seq_hi << _1) | (seq_lo >> _63), (seq_lo << _1) | _1)
     # state 0, one step (to inc), the seed added, one more step
     return _step(_add(inc, (seed_hi, seed_lo)), inc), inc
+
+
+def _constant(values) -> tuple:
+    """128-bit constants as ``_mul`` reads them: their high halves, low
+    halves and the low and high 32 bits of the low halves, each a uint64
+    array of ``np.shape(values)``."""
+    values = np.array(values, dtype=object)
+    return tuple(
+        np.array(values >> shift & mask, dtype=np.uint64)
+        for shift, mask in ((64, _M64), (0, _M64), (0, _M32), (32, _M32))
+    )
+
+
+#: the uint64 operands of the column arithmetic, bound once as 0-d arrays:
+#: numpy combines one with a column faster than a Python int or a scalar
+_1, _11, _32, _58, _63, _64, _LOW32 = (
+    np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, 64, _M32)
+)
+_PCG_MULT = _constant(_PCG_A)
 
 
 def _add(a, b):
@@ -148,41 +185,92 @@ def _add(a, b):
     return a[0] + b[0] + (lo < b[1]), lo
 
 
-def _mulhi(a, b: int):
-    """The high 64 bits of the 128-bit product of a uint64 column and a
-    64-bit constant, from 32-bit halves."""
-    a0, a1 = a & _M32, a >> 32
-    b0, b1 = b & _M32, b >> 32
-    low, cross1, cross2 = a0 * b0, a0 * b1, a1 * b0
-    carry = ((low >> 32) + (cross1 & _M32) + (cross2 & _M32)) >> 32
-    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + carry
+def _mul(a, m):
+    """a * m mod 2**128 of (high, low) uint64 columns and a ``_constant``:
+    the low half's 128-bit product, from 32-bit halves, and the cross
+    terms' low 64 bits added to the high half."""
+    hi, lo = a
+    m_hi, m_lo, m0, m1 = m
+    a0, a1 = lo & _LOW32, lo >> _32
+    low, cross1, cross2 = a0 * m0, a0 * m1, a1 * m0
+    carry = ((low >> _32) + (cross1 & _LOW32) + (cross2 & _LOW32)) >> _32
+    mulhi = a1 * m1 + (cross1 >> _32) + (cross2 >> _32) + carry
+    return mulhi + hi * m_lo + lo * m_hi, lo * m_lo
 
 
 def _step(state, inc):
     """One LCG step, state * multiplier + inc mod 2**128."""
-    hi, lo = state
-    m_hi, m_lo = _PCG_MULT
-    return _add((_mulhi(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo), inc)
+    return _add(_mul(state, _PCG_MULT), inc)
+
+
+def _block(state, inc):
+    """The next 12 doubles of each stream, one (4, 3) draw, as a (12, ...)
+    array as ``Generator.random`` fills it (step, XSL-RR output,
+    ``(x >> 11) * 2**-53``, in C order), and the state after them."""
+    draws = np.empty((12, *np.shape(state[1])))
+    for k in range(12):
+        state = _step(state, inc)
+        hi, lo = state
+        x = hi ^ lo
+        rot = hi >> _58
+        x = (x >> rot) | (x << ((_64 - rot) & _63))
+        draws[k] = (x >> _11).astype(float) * 2.0**-53
+    return draws, state
+
+
+def _accepted(draws):
+    """Whether each draw of a ``_block`` passes the volume test."""
+    v = tuple(tuple(draws[3 * r:3 * r + 3]) for r in range(4))
+    return np.abs(_det4(*v)) / 6.0 >= MIN_VOLUME
 
 
 def _draw_columns(generator) -> np.ndarray:
     """Each row's first (4, 3) draw from its PCG64 stream with volume at
-    least MIN_VOLUME, as ``Generator.random`` fills it: step, XSL-RR
-    output, ``(x >> 11) * 2**-53``, in C order."""
-    (hi, lo), (inc_hi, inc_lo) = generator
-    out = np.empty((len(lo), 4, 3))
-    rows = np.arange(len(lo))
+    least MIN_VOLUME.
+
+    Every row draws one block of 12 doubles; the rows it rejects then
+    draw their next ``_BLOCKS`` blocks at once, each started by a
+    jump-ahead from the row's state, and keep the first accepted one, as
+    many times as some row accepts none.
+    """
+    state, inc = generator
+    draws, state = _block(state, inc)
+    kept = _accepted(draws)
+    out = np.empty((len(kept), 4, 3))
+    out[kept] = draws[:, kept].T.reshape(-1, 4, 3)
+    rows = np.flatnonzero(~kept)
+    state, inc = [tuple(c[rows] for c in pair) for pair in (state, inc)]
     while len(rows):
-        draws = np.empty((12, len(rows)))
-        for k in range(12):
-            hi, lo = _step((hi, lo), (inc_hi, inc_lo))
-            x = hi ^ lo
-            rot = hi >> 58
-            x = (x >> rot) | (x << ((64 - rot) & 63))
-            draws[k] = (x >> 11).astype(float) * 2.0**-53
-        v = tuple(tuple(draws[3 * r:3 * r + 3]) for r in range(4))
-        kept = np.abs(_det4(*v)) / 6.0 >= MIN_VOLUME
-        out[rows[kept]] = draws[:, kept].T.reshape(-1, 4, 3)
-        left = ~kept
-        rows, hi, lo, inc_hi, inc_lo = (c[left] for c in (rows, hi, lo, inc_hi, inc_lo))
+        starts = _add(_mul(state, _JUMP_MULT), _mul(inc, _JUMP_INC))
+        draws, state = _block(starts, inc)
+        kept = _accepted(draws)
+        first = kept.argmax(axis=0)
+        columns = np.arange(len(rows))
+        done = kept[first, columns]
+        out[rows[done]] = draws[:, first[done], columns[done]].T.reshape(-1, 4, 3)
+        # a row with no accepted block goes on from the end of its last
+        left = ~done
+        rows = rows[left]
+        state = tuple(c[-1, left] for c in state)
+        inc = tuple(c[left] for c in inc)
     return out
+
+
+def _jump_constants(blocks: int):
+    """The jumps of 0, 12, ... 12 * (blocks - 1) LCG steps: each one's
+    multiplier a**k and increment factor (a**k - 1) / (a - 1) mod 2**128,
+    ``s -> s * a**k + inc * (a**k - 1) / (a - 1)``, as (blocks, 1)
+    ``_constant`` arrays."""
+    power, total, mult, factor = 1, 0, [], []
+    for k in range(12 * blocks):
+        if k % 12 == 0:
+            mult.append([power])
+            factor.append([total])
+        power, total = power * _PCG_A & _M128, (total * _PCG_A + 1) & _M128
+    return _constant(mult), _constant(factor)
+
+
+#: how many blocks of 12 a rejected row draws in one further round
+_BLOCKS = 4
+#: the jumps to the starts of those blocks, 0, 12, 24 and 36 steps on
+_JUMP_MULT, _JUMP_INC = _jump_constants(_BLOCKS)

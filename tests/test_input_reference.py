@@ -17,7 +17,12 @@ below about 1e-154, where ``hypot`` does neither.
 batch-verify runs it on columns (``frame_columns``).  On every input
 below, gathered in one set of columns, a row must be rejected exactly
 where ``Tetrahedron`` raises, and an accepted row must hold its
-``frame``, ``scale`` and ``to_frame`` bit for bit.
+``frame``, ``scale`` and ``to_frame`` bit for bit.  On columns the longest
+edge is ranked by numpy's length and only the near-longest edges take
+``math.hypot``, so the inputs include near-ties: regular and isosceles
+tetrahedra with a coordinate moved by one ulp, and turned regular
+tetrahedra on which numpy's length and ``math.hypot`` rank the longest
+edges in different orders.
 """
 
 import math
@@ -166,12 +171,56 @@ def test_invalid_inputs_raise_as_numpy_constructor(vertices):
     assert isinstance(got, type) and issubclass(got, Exception)
 
 
+def numpy_lengths(v):
+    """The six edge lengths of ``v`` as numpy's sqrt(x*x + y*y + z*z)."""
+    e = v[EDGE_I] - v[EDGE_J]
+    return np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1] + e[:, 2] * e[:, 2])
+
+
+def near_tie_inputs():
+    """Tetrahedra whose longest edges tie, or nearly: the regular one and
+    two isosceles ones (three edges of the unit corner, and an apex with
+    three equal edges) with each coordinate moved one ulp either way, at
+    scales on both sides of 2**+-450 and where squares are subnormal; and
+    turned, moved regular tetrahedra whose longest edges by numpy's length
+    are not the longest by ``math.hypot``, also at 2**-525."""
+    bases = [
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 0, 3], [1, 0, 0], [-0.5, 0.75 ** 0.5, 0], [-0.5, -(0.75 ** 0.5), 0]],
+    ]
+    inputs = []
+    for base in np.array(bases, dtype=float):
+        for k in (-520, -460, -449, 0, 449, 460):
+            for slot in range(12):
+                for toward in (-math.inf, math.inf):
+                    v = np.ldexp(base, k).reshape(12)
+                    v[slot] = np.nextafter(v[slot], toward)
+                    inputs.append(v.reshape(4, 3))
+    rng = np.random.default_rng(27)
+    regular = np.array(bases[0], dtype=float)
+    swapped = []
+    while len(swapped) < 24:
+        v = regular * rng.uniform(0.5, 2.0) @ random_rotation(rng).T
+        v += rng.uniform(-1, 1, 3)
+        lengths = np.array([math.hypot(*e) for e in (v[EDGE_I] - v[EDGE_J]).tolist()])
+        estimates = numpy_lengths(v)
+        # the longest by numpy's length are shorter by math.hypot than
+        # another edge: about one draw in 200
+        if lengths[estimates == estimates.max()].max() < lengths.max():
+            swapped.append(v)
+    # at 2**-525 the squares are subnormal and numpy's lengths of the six
+    # nearly equal edges lose their order
+    return inputs + swapped + [np.ldexp(v, -525) for v in swapped]
+
+
 def kernel_inputs():
     """Every (4, 3) input of this module and of ``test_frame``, and the
     edge cases of the scale range: unit-cube draws, the rejected ones
     included; seeded inputs times 2**+-1000, 1e+-300 and the other factors
     above; the near-flat sweep; non-finite, zero-length, coincident and
-    collinear points; the scale floor; an edge that overflows."""
+    collinear points; the scale floor; an edge that overflows; the
+    near-ties of the longest edge."""
     inputs = [v for seed in range(2) for i in range(300) for v in numpy_draws(seed, i)]
     factors = [1e103, 1e-110, 1e160, 1e-300, 1e-200, 1e300, 2.0 ** -1000, 2.0 ** 1000]
     shifts = [0.0, 1e5, -2.0]
@@ -193,6 +242,7 @@ def kernel_inputs():
         [[0, 0, 0], [-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]],
         [[math.nan] * 3] * 4,
     ]
+    inputs += near_tie_inputs()
     return np.array(inputs, dtype=float)
 
 
