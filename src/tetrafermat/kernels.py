@@ -457,8 +457,15 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
 
     Standard reflect/expand/contract/shrink scheme with coefficients
     1, 2, 0.5, 0.5.  Terminates when the simplex collapses below ``xatol``
-    in every coordinate and the value spread drops below ``fatol``, or after
-    ``max_iter`` iterations.  Returns ``(x, y, z, fmin, iterations)``.
+    in every coordinate and the value spread drops below ``fatol``, when
+    its best and worst values are equal, or after ``max_iter`` iterations.
+    Returns ``(x, y, z, fmin, iterations)``.
+
+    Equal values leave the search nothing to compare: near a smooth
+    minimum f is flat to rounding over about sqrt(eps) * scale, and further
+    iterations only sample rounding.  At a vertex minimizer (a kink) the
+    values keep differing until ``xatol``.  A simplex of four infinite
+    values stops too; one of NaN values runs to ``max_iter``.
 
     The simplex is kept in sixteen scalar locals, vertex k as
     ``(fk, xk, yk, zk)``, ordered best to worst as if by a stable sort, so
@@ -490,7 +497,7 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
 
     it = 0
     while it < max_iter:
-        if f3 - f0 <= fatol and max(
+        if f3 == f0 or f3 - f0 <= fatol and max(
             abs(x1 - x0), abs(y1 - y0), abs(z1 - z0),
             abs(x2 - x0), abs(y2 - y0), abs(z2 - z0),
             abs(x3 - x0), abs(y3 - y0), abs(z3 - z0),

@@ -109,12 +109,16 @@ def _uint32_words(n: int) -> list:
 
 def _hash_constants(init: int, mult: int):
     """The running hash constant of ``SeedSequence``: per hashmix, the
-    value it is XORed with and the next value, which it multiplies."""
-    h = init
+    value it is XORed with and the next value, which it multiplies.  Each
+    value is made a 0-d uint32 array once, in ``_HASH_RUNS``, the first
+    time a pool needs it."""
+    run = _HASH_RUNS[init]
+    k = 0
     while True:
-        following = h * mult & _M32
-        yield h, following
-        h = following
+        if k + 1 == len(run):
+            run.append(np.array(int(run[k]) * mult & _M32, dtype=np.uint32))
+        yield run[k], run[k + 1]
+        k += 1
 
 
 def _hashmix(value, constants):
@@ -122,13 +126,13 @@ def _hashmix(value, constants):
     running ``constants``."""
     xor, mult = next(constants)
     value = (value ^ xor) * mult
-    return value ^ (value >> 16)
+    return value ^ (value >> _16)
 
 
 def _mix(x, y):
     """``SeedSequence``'s mix of two uint32 columns."""
     result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> 16)
+    return result ^ (result >> _16)
 
 
 def _pool(entropy: list) -> list:
@@ -177,6 +181,15 @@ _1, _11, _32, _58, _63, _64, _LOW32 = (
     np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, 64, _M32)
 )
 _PCG_MULT = _constant(_PCG_A)
+#: the uint32 operands of ``SeedSequence``'s hashes, bound the same way; the
+#: running hash constants of the pool (A) and of ``generate_state`` (B) are
+#: bound as far as a pool has needed them
+_16, _MIX_L, _MIX_R = (
+    np.array(k, dtype=np.uint32) for k in (16, _MIX_L, _MIX_R)
+)
+_HASH_RUNS = {
+    init: [np.array(init, dtype=np.uint32)] for init in (_INIT_A, _INIT_B)
+}
 
 
 def _add(a, b):

@@ -310,8 +310,11 @@ def oracle_solve(tetra: Tetrahedron, seed: int = 0) -> np.ndarray:
     once its simplex spans at most 1e-3 * scale in every coordinate, the
     size of the first polish simplex, and its values at most 1e-6 * scale:
     the polish passes restart from a fresh small simplex at the best point
-    found and set the final precision (down to 1e-12 * scale).  On a convex
-    objective more starts do not guard against simplex stagnation; the
+    found and set the final precision.  At an interior minimizer, where
+    rounding of the distance sum leaves nothing to compare, that is a few
+    1e-8 * scale (at most 7e-8 on 1200 known answers, 1.1e-7 on a sliver
+    flattened by 1e-3); at a vertex minimizer a few 1e-12 * scale.  On a
+    convex objective more starts do not guard against simplex stagnation; the
     fresh polish simplexes do.  The search shares no start with ``solve``:
     it starts at a seeded point inside the hull, ``solve`` next to a
     vertex.  Deterministic for a fixed seed.

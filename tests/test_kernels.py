@@ -451,6 +451,22 @@ class TestNelderMeadKernel:
         assert np.allclose([x, y, z], 1.0 / 6.0, atol=1e-7)
         assert fv == pytest.approx(5.0 * math.sqrt(3.0) / 3.0, abs=1e-12)
 
+    def test_stops_on_equal_values(self):
+        # a 1e-12 simplex at the minimizer: its four values round to one
+        # number, so the search stops before its first iteration
+        third = 1.0 / 6.0
+        x, y, z, fv, it = kernels.nelder_mead(
+            RIGHT_CORNER, third, third, third, 1e-12, 1e-15, 1e-14, 2000
+        )
+        assert (x, y, z, it) == (third, third, third, 0)
+        assert fv == pytest.approx(5.0 * math.sqrt(3.0) / 3.0, abs=1e-15)
+
+    def test_stops_on_infinite_values(self):
+        x, y, z, fv, it = kernels.nelder_mead(
+            RIGHT_CORNER, 1e308, 1e308, 1e308, 1.0, 1e-3, 1e-3, 50
+        )
+        assert (x, y, z, fv, it) == (1e308, 1e308, 1e308, math.inf, 0)
+
     def test_deterministic(self):
         v, c = corpus(1)[0]
         a = kernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
@@ -465,12 +481,12 @@ class TestNelderMeadKernel:
             # stable order of tied vertices.
             (
                 SYMMETRIC, (0.0, 0.0, 0.0), (0.2, 1e-12, 1e-14, 2000),
-                (0.0, 0.0, 0.0, 6.928203230275509, 138),
+                (0.0, 0.0, 0.0, 6.928203230275509, 118),
             ),
             (
                 *corpus(1)[0], (0.2, 1e-10, 1e-13, 600),
                 (0.6771431202334386, 0.568279692721028, 0.5237333610853623,
-                 1.5887260825215628, 114),
+                 1.5887260825215628, 100),
             ),
             (
                 NEAR_TIE,
