@@ -12,7 +12,10 @@ their coordinates as floats or as columns of many instances (see
 its float rows once, scaled by a power of two: the one frame every kernel
 reads.  ``frame_columns`` calls it with the columns of a batch-verify
 chunk, whose instances need no ``Tetrahedron`` unless they take the
-scalar path.  ``direction_config`` calls ``unit_legs`` with floats.
+scalar path.  ``direction_config`` calls ``unit_legs`` with floats and
+keeps the float legs it computed as its ``DirectionConfig``'s rows,
+without coercing them again; they pass the same finite-unit check
+(``_require_units``) as rows given to ``DirectionConfig``.
 ``DirectionConfig`` stores nothing but its four float rows, the legs the
 angle and identity checks read; its ``units`` array is built from them
 when read.  Every check is unchanged by a rotation or a mirror of the
@@ -222,10 +225,7 @@ class DirectionConfig:
                 f"{self.rows!r}"
             ) from None
         object.__setattr__(self, "rows", rows)
-        unit = unit_rows(rows)
-        if not all(unit):
-            row = rows[unit.index(False)]
-            raise ValueError(f"rows must be finite unit vectors, got {row}")
+        _require_units(rows)
 
     @property
     def units(self) -> np.ndarray:
@@ -239,6 +239,25 @@ def unit_rows(rows):
     """Whether each (x, y, z) row's squared norm is within UNIT_NORM_EPS of
     1, on floats or on columns: false for NaN, and for inf squared."""
     return [abs(x * x + y * y + z * z - 1.0) <= UNIT_NORM_EPS for x, y, z in rows]
+
+
+def _require_units(rows):
+    """Raise ValueError unless every (x, y, z) float row of ``rows`` is a
+    finite unit vector (``unit_rows``)."""
+    unit = unit_rows(rows)
+    if not all(unit):
+        row = rows[unit.index(False)]
+        raise ValueError(f"rows must be finite unit vectors, got {row}")
+
+
+def _float_config(rows: tuple) -> DirectionConfig:
+    """``DirectionConfig(rows)`` for a tuple of four (x, y, z) tuples of
+    Python floats, which need no coercion: only the finite-unit check
+    runs."""
+    _require_units(rows)
+    config = object.__new__(DirectionConfig)
+    object.__setattr__(config, "rows", rows)
+    return config
 
 
 def unit_legs(q, rows, xp):
@@ -289,4 +308,4 @@ def direction_config(tetra: Tetrahedron, point) -> DirectionConfig:
         if not all(apart):
             vertex = tuple(tetra.vertices[apart.index(False)].tolist())
             raise CoincidentPoints(f"points {p} and {vertex} coincide")
-    return DirectionConfig(legs)
+    return _float_config(tuple(legs))

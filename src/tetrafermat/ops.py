@@ -12,22 +12,26 @@ result the float operation gives (a comparison's bool adds as 0 or 1 in
 both).  The rest comes from one of two namespaces, passed to each kernel
 as ``xp``:
 
-- ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, a
+- ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, as
+  ``clip`` a value clamped to [-1, 1] by one conditional expression, a
   conditional expression as ``where``, ``operator.truth`` as ``all``, as
   ``finite`` whether every value of a sequence is finite, and as
   ``longest`` the largest ``math.hypot`` of a sequence of (x, y, z) edges.
 - ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
-  ``all``, ``frexp`` and ``ldexp``, ``finite`` per row, and ``longest``
-  per row.  Numpy's length of an edge can differ from ``math.hypot``'s in
-  the last bits, and a column must hold exactly the value the scalar API
-  computes, so ``longest`` ranks each row's edges by numpy's length and
-  takes ``math.hypot`` element by element only of the edges that could be
-  the longest: one per row but for near-ties.  It is the only ``math``
+  ``all``, ``frexp`` and ``ldexp``, ``clip`` as ``minimum(1, maximum(-1,
+  c))``, ``finite`` per row, and ``longest`` per row.  Numpy's length of
+  an edge can differ from ``math.hypot``'s in the last bits, and a column
+  must hold exactly the value the scalar API computes, so ``longest``
+  ranks each row's edges by numpy's length and takes ``math.hypot``
+  element by element only of the edges that could be the longest: one
+  per row but for near-ties.  It is the only ``math``
   call on a column.  No kernel takes a trigonometric function: the
   identity checks read the cosines of the leg angles, which are dot
   products.  ``maximum`` and ``minimum`` differ from the float ones only
   in which zero a tie of +0 and -0 returns; no kernel result depends on
-  that.
+  that.  ``clip`` keeps -0.0 and takes +-inf to +-1 in both, but takes
+  NaN to -1.0 on floats and keeps it NaN on columns; a NaN cosine comes
+  only from a non-finite leg, whose row has already failed a check.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always
@@ -74,6 +78,11 @@ def _minimum(a, b):
     return b if b < a else a
 
 
+def _clip(c):
+    # _minimum(1.0, _maximum(-1.0, c)) in one call: NaN gives -1.0
+    return (c if c < 1.0 else 1.0) if c > -1.0 else -1.0
+
+
 #: the operations on Python floats
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
@@ -83,10 +92,16 @@ FLOATS = SimpleNamespace(
     longest=_longest,
     maximum=_maximum,
     minimum=_minimum,
+    clip=_clip,
     where=_where,
     all=operator.truth,
     require=_require,
 )
+
+
+def _clip_rows(c):
+    # np.clip measured slower on a chunk's columns
+    return np.minimum(1.0, np.maximum(-1.0, c))
 
 
 def _finite_rows(values):
@@ -144,6 +159,7 @@ class Columns:
     all = staticmethod(np.all)
     frexp = staticmethod(np.frexp)
     ldexp = staticmethod(np.ldexp)
+    clip = staticmethod(_clip_rows)
     finite = staticmethod(_finite_rows)
     longest = staticmethod(_longest_rows)
 

@@ -11,13 +11,18 @@ The kernels ``leg_cosines``, ``cosine_residuals`` and
 ``bisector_residuals`` are straight-line code on legs, or on the cosines
 of the angles between them, given as floats or as columns of many
 instances (see ``ops``): each leg dot product is computed once per call.
-Every check reads those cosines, the dot products clamped to [-1, 1];
-``leg_angles`` takes their arccosine only for the angles a report
-carries.  ``angle_sextuple`` and ``verify_fundamental_property`` call the
-kernels with the float rows of a ``DirectionConfig``, the one form the
-record stores.  Every quantity here is a function of dot products of legs
-and of their sums, so it is unchanged by a rotation or a mirror of the
-legs.
+Every check reads those cosines, the dot products clamped to [-1, 1] by
+``xp.clip``; a NaN dot product, which only a non-finite leg gives and
+which no ``DirectionConfig`` or passing column holds, clamps to -1.0 on
+floats and stays NaN on columns.  ``leg_angles`` takes their arccosine
+only for the angles a report carries.  ``angle_sextuple`` and
+``verify_fundamental_property`` call the kernels with the float rows of a
+``DirectionConfig``, the one form the record stores.  Besides them,
+``angle_sextuple`` takes six ``acos``, and ``verify_fundamental_property``
+also sets its flags and its verdict: every residual at most ``tol``,
+compared one by one, so a NaN residual fails.  Every quantity
+here is a function of dot products of legs and of their sums, so it is
+unchanged by a rotation or a mirror of the legs.
 """
 
 from __future__ import annotations
@@ -74,14 +79,14 @@ def leg_cosines(rows, xp):
     between the legs ``rows``: each dot product, clamped to [-1, 1].  The
     cosine kernel, on floats or on columns (see ``ops``)."""
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = rows
-    lesser, greater = xp.minimum, xp.maximum
+    clip = xp.clip
     return (
-        lesser(1.0, greater(-1.0, x1 * x2 + y1 * y2 + z1 * z2)),
-        lesser(1.0, greater(-1.0, x1 * x3 + y1 * y3 + z1 * z3)),
-        lesser(1.0, greater(-1.0, x1 * x4 + y1 * y4 + z1 * z4)),
-        lesser(1.0, greater(-1.0, x2 * x3 + y2 * y3 + z2 * z3)),
-        lesser(1.0, greater(-1.0, x2 * x4 + y2 * y4 + z2 * z4)),
-        lesser(1.0, greater(-1.0, x3 * x4 + y3 * y4 + z3 * z4)),
+        clip(x1 * x2 + y1 * y2 + z1 * z2),
+        clip(x1 * x3 + y1 * y3 + z1 * z3),
+        clip(x1 * x4 + y1 * y4 + z1 * z4),
+        clip(x2 * x3 + y2 * y3 + z2 * z3),
+        clip(x2 * x4 + y2 * y4 + z2 * z4),
+        clip(x3 * x4 + y3 * y4 + z3 * z4),
     )
 
 
@@ -128,20 +133,28 @@ def bisector_residuals(rows, xp):
         abs(bx23 * bx13 + by23 * by13 + bz23 * bz13),
     )
     sqrt = xp.sqrt
-    anti = []
-    short = []
-    for px, py, pz, qx, qy, qz in (
-        (bx12, by12, bz12, bx34, by34, bz34),
-        (bx23, by23, bz23, bx14, by14, bz14),
-        (bx13, by13, bz13, bx24, by24, bz24),
-    ):
-        ni = sqrt(px * px + py * py + pz * pz)
-        nj = sqrt(qx * qx + qy * qy + qz * qz)
-        s = (ni < BISECTOR_EPS) | (nj < BISECTOR_EPS)
-        # a short pair divides by ni * nj + 1, never by 0; elsewhere the
-        # added False is an exact + 0
-        anti.append(abs((px * qx + py * qy + pz * qz) / (ni * nj + s) + 1.0))
-        short.append(s)
+    n12 = sqrt(bx12 * bx12 + by12 * by12 + bz12 * bz12)
+    n34 = sqrt(bx34 * bx34 + by34 * by34 + bz34 * bz34)
+    n23 = sqrt(bx23 * bx23 + by23 * by23 + bz23 * bz23)
+    n14 = sqrt(bx14 * bx14 + by14 * by14 + bz14 * bz14)
+    n13 = sqrt(bx13 * bx13 + by13 * by13 + bz13 * bz13)
+    n24 = sqrt(bx24 * bx24 + by24 * by24 + bz24 * bz24)
+    short = (
+        (n12 < BISECTOR_EPS) | (n34 < BISECTOR_EPS),
+        (n23 < BISECTOR_EPS) | (n14 < BISECTOR_EPS),
+        (n13 < BISECTOR_EPS) | (n24 < BISECTOR_EPS),
+    )
+    s1, s2, s3 = short
+    # a short pair divides by ni * nj + 1, never by 0; elsewhere the added
+    # False is an exact + 0
+    anti = (
+        abs((bx12 * bx34 + by12 * by34 + bz12 * bz34) / (n12 * n34 + s1)
+            + 1.0),
+        abs((bx23 * bx14 + by23 * by14 + bz23 * bz14) / (n23 * n14 + s2)
+            + 1.0),
+        abs((bx13 * bx24 + by13 * by24 + bz13 * bz24) / (n13 * n24 + s3)
+            + 1.0),
+    )
     return orth, anti, short
 
 
@@ -170,17 +183,16 @@ def verify_fundamental_property(
             "degenerate_bisector_" + name
             for name, s in zip(("102_304", "203_104", "103_204"), short) if s
         )
-        anti = [float("nan") if s else r for r, s in zip(anti, short)]
-    passed = not flags and all(
-        r <= tol for r in (*opp, csum, *orth, *anti)
+        anti = tuple([float("nan") if s else r for r, s in zip(anti, short)])
+    o1, o2, o3 = opp
+    b1, b2, b3 = orth
+    a1, a2, a3 = anti
+    # every residual at most tol; a NaN fails
+    passed = not flags and (
+        o1 <= tol and o2 <= tol and o3 <= tol and csum <= tol
+        and b1 <= tol and b2 <= tol and b3 <= tol
+        and a1 <= tol and a2 <= tol and a3 <= tol
     )
     return PropertyReport(
-        angles=leg_angles(cosines),
-        opposite_angle_residuals=opp,
-        cosine_sum_residual=csum,
-        bisector_dot_residuals=orth,
-        antiparallel_residuals=tuple(anti),
-        tol=tol,
-        passed=passed,
-        flags=flags,
+        leg_angles(cosines), opp, csum, orth, anti, tol, passed, flags
     )

@@ -17,14 +17,15 @@ doubles as ``(x >> 11) * 2**-53`` and the volume test through the same
 numpy/random/bit_generator.pyx; ``PCG64``: O'Neill, PCG, HMC-CS-2014-0905);
 NEP 19 keeps both streams stable across numpy versions.
 
-Every row draws its first 12 doubles in step; the volume test rejects
-about 6 % of unit-cube draws, and those rows then draw their next
-``_BLOCKS`` draws in one round, each block of 12 started by jumping its
-stream ahead: k LCG steps are one affine map, ``s * a**k + inc * (a**k -
-1) / (a - 1)`` mod 2**128 (F. Brown, "Random number generation with
-arbitrary strides", 1994), whose constants are tabled once.  A row keeps
-its first accepted block, and one with none goes on from the end of its
-last block.  No row is left to ``random_vertices``: loading numpy's
+Every row draws its first 12 doubles in 12 sequential LCG steps; the
+volume test rejects about 6 % of unit-cube draws, and those rows then
+draw their next ``_BLOCKS`` draws in one round, all 48 states at once by
+jumping each stream ahead: k LCG steps are one affine map, ``s * a**k +
+inc * (a**k - 1) / (a - 1)`` mod 2**128 (F. Brown, "Random number
+generation with arbitrary strides", 1994), whose constants for k = 1 ..
+48 are tabled once, so one broadcasting product gives them all.  A row
+keeps its first accepted block, and one with none goes on from the end
+of its last block.  No row is left to ``random_vertices``: loading numpy's
 ``numpy.random`` would add about 5.5 MB to a batch-verify process.
 """
 
@@ -216,18 +217,24 @@ def _step(state, inc):
     return _add(_mul(state, _PCG_MULT), inc)
 
 
+def _double(state):
+    """The double ``Generator.random`` makes of each LCG state: its XSL-RR
+    output ``x``, then ``(x >> 11) * 2**-53``."""
+    hi, lo = state
+    x = hi ^ lo
+    rot = hi >> _58
+    x = (x >> rot) | (x << ((_64 - rot) & _63))
+    return (x >> _11).astype(float) * 2.0**-53
+
+
 def _block(state, inc):
     """The next 12 doubles of each stream, one (4, 3) draw, as a (12, ...)
-    array as ``Generator.random`` fills it (step, XSL-RR output,
-    ``(x >> 11) * 2**-53``, in C order), and the state after them."""
+    array as ``Generator.random`` fills it (a step, then its double, in C
+    order), and the state after them."""
     draws = np.empty((12, *np.shape(state[1])))
     for k in range(12):
         state = _step(state, inc)
-        hi, lo = state
-        x = hi ^ lo
-        rot = hi >> _58
-        x = (x >> rot) | (x << ((_64 - rot) & _63))
-        draws[k] = (x >> _11).astype(float) * 2.0**-53
+        draws[k] = _double(state)
     return draws, state
 
 
@@ -242,9 +249,9 @@ def _draw_columns(generator) -> np.ndarray:
     least MIN_VOLUME.
 
     Every row draws one block of 12 doubles; the rows it rejects then
-    draw their next ``_BLOCKS`` blocks at once, each started by a
-    jump-ahead from the row's state, and keep the first accepted one, as
-    many times as some row accepts none.
+    draw their next ``_BLOCKS`` blocks at once, every state of them
+    jumped ahead from the row's state in one product, and keep the first
+    accepted one, as many times as some row accepts none.
     """
     state, inc = generator
     draws, state = _block(state, inc)
@@ -254,8 +261,9 @@ def _draw_columns(generator) -> np.ndarray:
     rows = np.flatnonzero(~kept)
     state, inc = [tuple(c[rows] for c in pair) for pair in (state, inc)]
     while len(rows):
-        starts = _add(_mul(state, _JUMP_MULT), _mul(inc, _JUMP_INC))
-        draws, state = _block(starts, inc)
+        # the states 1 .. 12 * _BLOCKS steps on, block by block
+        state = _add(_mul(state, _JUMP_MULT), _mul(inc, _JUMP_INC))
+        draws = _double(state).reshape(_BLOCKS, 12, -1).transpose(1, 0, 2)
         kept = _accepted(draws)
         first = kept.argmax(axis=0)
         columns = np.arange(len(rows))
@@ -269,21 +277,20 @@ def _draw_columns(generator) -> np.ndarray:
     return out
 
 
-def _jump_constants(blocks: int):
-    """The jumps of 0, 12, ... 12 * (blocks - 1) LCG steps: each one's
-    multiplier a**k and increment factor (a**k - 1) / (a - 1) mod 2**128,
-    ``s -> s * a**k + inc * (a**k - 1) / (a - 1)``, as (blocks, 1)
+def _jump_constants(steps: int):
+    """The jumps of 1, 2, ... ``steps`` LCG steps: each one's multiplier
+    a**k and increment factor (a**k - 1) / (a - 1) mod 2**128,
+    ``s -> s * a**k + inc * (a**k - 1) / (a - 1)``, as (steps, 1)
     ``_constant`` arrays."""
     power, total, mult, factor = 1, 0, [], []
-    for k in range(12 * blocks):
-        if k % 12 == 0:
-            mult.append([power])
-            factor.append([total])
+    for _ in range(steps):
         power, total = power * _PCG_A & _M128, (total * _PCG_A + 1) & _M128
+        mult.append([power])
+        factor.append([total])
     return _constant(mult), _constant(factor)
 
 
 #: how many blocks of 12 a rejected row draws in one further round
 _BLOCKS = 4
-#: the jumps to the starts of those blocks, 0, 12, 24 and 36 steps on
-_JUMP_MULT, _JUMP_INC = _jump_constants(_BLOCKS)
+#: the jumps to every state of those blocks, 1 to 48 steps on
+_JUMP_MULT, _JUMP_INC = _jump_constants(12 * _BLOCKS)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tetrafermat import geometry
 from tetrafermat import (
     CoincidentPoints,
     DegenerateInput,
@@ -174,11 +175,21 @@ class TestCanonicalFrame:
          (1.0 + 1e-11, 0.0, 0.0)],
         ids=["nan", "inf", "five", "long"],
     )
-    def test_config_rejects_nonfinite_and_non_unit_rows(self, leg3):
+    def test_config_rejects_nonfinite_and_non_unit_rows(
+        self, leg3, right_corner, monkeypatch
+    ):
         # unchecked, a NaN leg clamps to cos = -1 and a long one to cos = 1,
         # so the angles would come out as pi and 0 without any error
+        legs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), leg3, (0.0, 0.0, 1.0)]
         with pytest.raises(ValueError, match="finite unit vectors"):
-            DirectionConfig(np.array([[1.0, 0, 0], [0, 1, 0], leg3, [0, 0, 1]]))
+            DirectionConfig(np.array(legs))
+        # direction_config builds its record from the float legs it
+        # computed, uncoerced, and checks them the same way
+        monkeypatch.setattr(
+            geometry, "unit_legs", lambda q, rows, xp: (legs, [True] * 4, 1.0)
+        )
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            direction_config(right_corner, (0.25, 0.25, 0.25))
 
 
 class TestDirectionConfig:

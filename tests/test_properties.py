@@ -13,7 +13,11 @@ from tetrafermat import (
     solve,
     verify_fundamental_property,
 )
-from tetrafermat.properties import cosine_residuals
+from tetrafermat import properties
+from tetrafermat.ops import FLOATS, Columns
+from tetrafermat.properties import (
+    DEFAULT_TOL, bisector_residuals, cosine_residuals, leg_cosines,
+)
 from tetrafermat.sampling import random_tetrahedron
 
 from corpora import balanced_quadruple, random_unit_quadruple
@@ -78,6 +82,68 @@ class TestChecks:
         s = AngleSextuple(*(math.pi / 2,) * 6)
         csum = angle_residuals(s)[1]
         assert csum == pytest.approx(1.0, abs=1e-15)
+
+
+def as_columns(row_sets):
+    """Four (x, y, z) rows of float64 columns, one element per row set."""
+    a = np.array(row_sets, dtype=float)
+    return tuple(tuple(a[:, r, k] for k in range(3)) for r in range(4))
+
+
+INV3, INV2 = 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(2.0)
+#: u . u rounds to 1 + 2**-52 for u = (1, 1, 1) / sqrt(3), so the dot
+#: products of legs 1 and 2 and of legs 1 and 4 overshoot 1 and -1
+OVERSHOOT = (
+    (INV3, INV3, INV3), (INV3, INV3, INV3), (INV2, INV2, 0.0),
+    (-INV3, -INV3, -INV3),
+)
+#: dot products -inf, -0.0, inf, +0.0, -inf and NaN (-0.0 times inf)
+SPECIAL = (
+    (1e200, 0.0, 0.0), (-1e200, 0.0, 0.0), (-0.0, -0.0, -0.0),
+    (math.inf, 0.0, 0.0),
+)
+
+
+class TestKernelsOnFloatsAndColumns:
+    def test_leg_cosines_clamp(self):
+        c = 2.0 * INV3 * INV2
+        pinned = {
+            OVERSHOOT: (1.0, c, -1.0, c, -1.0, -c),
+            SPECIAL: (-1.0, -0.0, 1.0, 0.0, -1.0, -1.0),
+        }
+        # repr tells -0.0 from 0.0
+        for rows, want in pinned.items():
+            got = leg_cosines(rows, FLOATS)
+            assert list(map(repr, got)) == list(map(repr, want))
+        with np.errstate(all="ignore"):
+            columns = leg_cosines(as_columns(list(pinned)), Columns(2))
+        want = [list(w) for w in pinned.values()]
+        # the one difference: a NaN dot product stays NaN on columns
+        want[1][5] = math.nan
+        for got, w in zip(np.transpose(columns).tolist(), want):
+            assert list(map(repr, got)) == list(map(repr, w))
+
+    def test_bisector_residuals_on_columns_are_the_floats(self):
+        row_sets = [
+            *(random_unit_quadruple(41, i).tolist() for i in range(20)),
+            *(balanced_quadruple(41, i).tolist() for i in range(20)),
+            # a short bisector in each opposite pair, then both of one pair
+            ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)),
+            ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1)),
+            ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)),
+        ]
+        xp = Columns(len(row_sets))
+        columns = bisector_residuals(as_columns(row_sets), xp)
+        columns = [np.transpose(part).tolist() for part in columns]
+        shorts = 0
+        for i, rows in enumerate(row_sets):
+            rows = tuple(tuple(map(float, r)) for r in rows)
+            floats = bisector_residuals(rows, FLOATS)
+            for got, want in zip(columns, floats):
+                assert list(map(repr, got[i])) == list(map(repr, want))
+            shorts += sum(floats[2])
+        assert shorts == 4
 
 
 class TestBisectors:
@@ -151,6 +217,26 @@ class TestFundamentalProperty:
             expected = 1 + math.cos(s.a102) + math.cos(s.a103) + math.cos(s.a203)
             assert float((u1 + u2) @ (u2 + u3)) == pytest.approx(expected, abs=1e-12)
             assert float((u1 + u2) @ (u1 + u3)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_passed_at_tol_and_one_ulp_above(self, k, monkeypatch):
+        # residual k of the ten, in report order, set to tol passes; one
+        # ulp above tol, or NaN, fails
+        tol = DEFAULT_TOL
+        for value, passed in (
+            (tol, True), (math.nextafter(tol, 1.0), False), (math.nan, False)
+        ):
+            r = [0.0] * 10
+            r[k] = value
+            monkeypatch.setattr(
+                properties, "cosine_residuals", lambda c: (tuple(r[:3]), r[3])
+            )
+            monkeypatch.setattr(
+                properties, "bisector_residuals",
+                lambda rows, xp: (tuple(r[4:7]), tuple(r[7:]), (False,) * 3),
+            )
+            report = verify_fundamental_property(regular_config(), tol)
+            assert report.passed is passed
 
     def test_degenerate_bisector_is_flagged(self):
         cfg = DirectionConfig(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)))
