@@ -24,14 +24,14 @@ as ``xp``:
   must hold exactly the value the scalar API computes, so ``longest``
   ranks each row's edges by numpy's length and takes ``math.hypot``
   element by element only of the edges that could be the longest: one
-  per row but for near-ties.  It is the only ``math``
-  call on a column.  No kernel takes a trigonometric function: the
-  identity checks read the cosines of the leg angles, which are dot
-  products.  ``maximum`` and ``minimum`` differ from the float ones only
-  in which zero a tie of +0 and -0 returns; no kernel result depends on
-  that.  ``clip`` keeps -0.0 and takes +-inf to +-1 in both, but takes
-  NaN to -1.0 on floats and keeps it NaN on columns; a NaN cosine comes
-  only from a non-finite leg, whose row has already failed a check.
+  per row but for near-ties.  It is the only ``math`` call on a column.
+  No kernel takes a trigonometric function: the identity checks read the
+  cosines of the leg angles, which are dot products.  ``maximum`` and
+  ``minimum`` differ from the float ones only in which zero a tie of +0
+  and -0 returns; no kernel result depends on that.  ``clip`` keeps -0.0
+  and takes +-inf to +-1 in both, but takes NaN to -1.0 on floats and
+  keeps it NaN on columns; a NaN cosine comes only from a non-finite leg,
+  whose row has already failed a check.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always

@@ -20,9 +20,9 @@ only for the angles a report carries.  ``angle_sextuple`` and
 ``DirectionConfig``, the one form the record stores.  Besides them,
 ``angle_sextuple`` takes six ``acos``, and ``verify_fundamental_property``
 also sets its flags and its verdict: every residual at most ``tol``,
-compared one by one, so a NaN residual fails.  Every quantity
-here is a function of dot products of legs and of their sums, so it is
-unchanged by a rotation or a mirror of the legs.
+compared one by one, so a NaN residual fails.  Every quantity here is a
+function of dot products of legs and of their sums, so it is unchanged by
+a rotation or a mirror of the legs.
 """
 
 from __future__ import annotations
