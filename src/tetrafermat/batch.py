@@ -7,28 +7,32 @@ print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
 residuals off it, the sixth-angle cross-check included.
 
 ``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
-instances, with no per-instance object: a chunk's vertices are drawn on
-integer columns, byte for byte the per-instance ``random_vertices`` draws
+instances, by two paths.  A chunk's vertices are drawn on integer
+columns, byte for byte the per-instance ``random_vertices`` draws
 (``sampling.random_vertex_columns``), then validated and framed on float64
 columns, one element per instance, by the kernel ``Tetrahedron`` runs on
-floats (``geometry.frame_columns``).  ``solver.solve_columns``
-settles the chunk's vertex instances from their column pull norms and
-solves its interior instances in lockstep Newton sweeps of full steps;
-each instance it leaves (two winning vertices, an escape, a rejected
-full step, a non-positive ``det H``, a budget run out) is built as a
-``Tetrahedron`` and goes to ``solve``, so every safeguard and
-NonConvergence text is the scalar one.  The identity layer is then
-evaluated on columns of the chunk's interior solutions, through the same
-kernels the scalar API calls with floats (see ``ops``): every solution
-and every residual is bit for bit the one ``_check_residuals`` reads off
-``build_report``'s record.  A row that fails a check is recomputed
-through that scalar path, so its error text or flag is the scalar one; a
-``Tetrahedron`` is built for it then, once.  A chunk returns its
-residuals as columns, one row per check and one column per instance, with
-the mask of the checks that apply to each instance; ``run_batch_verify``
-reduces them to each check's maximum and failures, in the order a merge
-one instance at a time gives.  ``CHUNK`` bounds the columns' memory for
-any count.
+floats (``geometry.frame_columns``).
+
+- **Columns.** ``solver.solve_columns`` settles the chunk's vertex
+  instances from their column pull norms and solves its interior
+  instances in lockstep Newton sweeps of full steps.  The identity checks
+  then run on columns of the interior solutions it found, through the
+  kernels the scalar API calls with floats (see ``ops``): every solution
+  and every residual is bit for bit the one ``_check_residuals`` reads off
+  ``build_report``'s record.
+- **Per instance.** Every other row takes, in instance order, the body of
+  a loop of ``build_report`` and ``_check_residuals``: a row
+  ``solve_columns`` left (two winning vertices, an escape, a rejected full
+  step, a non-positive ``det H``, a budget run out) is solved by
+  ``solve``, and a row that fails a column check (``_column_residuals``)
+  keeps its column solution.  Its ``Tetrahedron`` is built then, once, so
+  every safeguard, error text and flag is the scalar one.
+
+A chunk returns its residuals as columns, one row per check and one
+column per instance, with the mask of the checks that apply to each
+instance; ``run_batch_verify`` reduces them to each check's maximum and
+failures, in the order a merge one instance at a time gives.  ``CHUNK``
+bounds the columns' memory for any count.
 
 A caller sets the verification tolerance and the solver's iteration
 budget; the solver's stopping residual is the constant
@@ -163,7 +167,7 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
     """
     sol = report.solution
     if sol.kind != INTERIOR:
-        return _vertex_residuals(sol.residual)
+        return {"vertex_optimality": _vertex_excess(sol.residual, FLOATS)}
     r = report.property_report
     rows = report.frame.rows
     anti = [x for x in r.antiparallel_residuals if not math.isnan(x)]
@@ -179,12 +183,6 @@ def _check_residuals(report: SolutionReport) -> dict[str, float]:
         "sixth_angle_identity": identity,
         "substitution_residual": substitution,
     }
-
-
-def _vertex_residuals(residual: float) -> dict[str, float]:
-    """Batch-verify's residuals of a vertex solution whose ``residual`` is
-    the winning vertex's pull norm."""
-    return {"vertex_optimality": _vertex_excess(residual, FLOATS)}
 
 
 def _vertex_excess(residual, xp):
@@ -242,8 +240,10 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
     apply to each instance (the vertex check to a vertex solution, the
     others to an interior one, none to an error); and the (instance, error
     text) pairs in instance order.  The draws are made, validated and
-    framed on columns; a ``Tetrahedron`` is built only for an instance the
-    columns leave to the scalar path, once.
+    framed on columns, and the rows ``solve_columns`` solves are checked
+    there; every other row takes the reference loop's per-instance body,
+    with the column solution when there is one, and builds its
+    ``Tetrahedron`` then, once.
     """
     vertices = sampling.random_vertex_columns(seed, indices)
     n = len(vertices)
@@ -254,41 +254,28 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
     chunk = solve_columns(frame, scale, m, max_iter)
     values = np.zeros((len(CHECKS), n))
     applies = np.zeros((len(CHECKS), n), dtype=bool)
-    errors = []
     values[_VERTEX, chunk.vertex_rows] = _vertex_excess(chunk.vertex_residual, np)
     applies[_VERTEX, chunk.vertex_rows] = True
-    left = np.ones(n, dtype=bool)
-    left[chunk.rows] = False
-    left[chunk.vertex_rows] = False
-    tetras = {}
-    # the solutions solve found for the rows the columns left, all interior:
-    # the columns settled every vertex case
-    found = []
-    for slot in np.flatnonzero(left).tolist():
-        tetras[slot] = Tetrahedron(vertices[slot])
+    checks, failed = _column_residuals(chunk.point, m[chunk.rows], frame[:, chunk.rows])
+    passed = chunk.rows[~failed]
+    values[_INTERIOR[0], chunk.rows] = chunk.residual
+    values[np.ix_(_INTERIOR[1:], chunk.rows)] = checks
+    applies[np.ix_(_INTERIOR, passed)] = True
+    # the column of each solved row that failed a check
+    column = dict(zip(chunk.rows[failed].tolist(), np.flatnonzero(failed).tolist()))
+    scalar = np.ones(n, dtype=bool)
+    scalar[chunk.vertex_rows] = False
+    scalar[passed] = False
+    errors = []
+    for slot in np.flatnonzero(scalar).tolist():
+        tetra = Tetrahedron(vertices[slot])
+        j = column.get(slot)
         try:
-            found.append((slot, solve(tetras[slot], max_iter)))
+            solution = solve(tetra, max_iter) if j is None else chunk.solution(j)
+            report = _report(tetra, solution, tol)
         except NonConvergence as exc:
             errors.append((slot, f"no convergence (residual {exc.residual:.3e})"))
-    slots = np.concatenate([chunk.rows, [slot for slot, _ in found]]).astype(int)
-    if not len(slots):
-        return values, applies, errors
-    point = chunk.point
-    if found:
-        extra = np.array([sol.point for _, sol in found]).T
-        point = np.concatenate([point, extra], axis=1)
-    checks, failed = _column_residuals(point, m[slots], frame[:, slots])
-    values[_INTERIOR[0], slots] = np.concatenate(
-        [chunk.residual, [sol.residual for _, sol in found]]
-    )
-    values[np.ix_(_INTERIOR[1:], slots)] = checks
-    applies[np.ix_(_INTERIOR, slots[~failed])] = True
-    for j in np.flatnonzero(failed).tolist():
-        slot = int(slots[j])
-        k = j - len(chunk.rows)
-        solution = chunk.solution(j) if k < 0 else found[k][1]
-        tetra = tetras[slot] if slot in tetras else Tetrahedron(vertices[slot])
-        report = _report(tetra, solution, tol)
+            continue
         try:
             residuals = _check_residuals(report)
         except TetrafermatError as exc:
@@ -297,7 +284,6 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
         for name, value in residuals.items():
             values[CHECKS.index(name), slot] = value
             applies[CHECKS.index(name), slot] = True
-    errors.sort()
     return values, applies, errors
 
 

@@ -27,8 +27,10 @@ as ``xp``:
   per row but for near-ties.  It is the only ``math`` call on a column.
   No kernel takes a trigonometric function: the identity checks read the
   cosines of the leg angles, which are dot products.  ``maximum`` and
-  ``minimum`` differ from the float ones only in which zero a tie of +0
-  and -0 returns; no kernel result depends on that.  ``clip`` keeps -0.0
+  ``minimum`` differ from the float ones in which zero a tie of +0 and -0
+  returns, and on NaN: the float ones keep their first argument, the
+  column ones give NaN.  No kernel result depends on the zero, and no row
+  that passes every check carries a NaN into them.  ``clip`` keeps -0.0
   and takes +-inf to +-1 in both, but takes NaN to -1.0 on floats and
   keeps it NaN on columns; a NaN cosine comes only from a non-finite leg,
   whose row has already failed a check.

@@ -284,6 +284,27 @@ max residual per check:
   substitution_residual    3.863576e-14
 result: PASS"""
 
+#: ``run_batch_verify(2, 1000).format_text()``, recorded once: seed 2 holds
+#: rows whose full Newton step is rejected, which leave the column solve for
+#: the per-instance path (seed 0 has none)
+BATCH_2_1000_TEXT = """\
+batch-verify seed=2 count=1000 tol=1.000e-06 grad_tol=1.000e-10
+instances: 933 interior, 67 vertex
+max residual per check:
+  solve_residual           9.940812e-11
+  vertex_optimality        0.000000e+00
+  opposite_angles          1.565984e-10
+  cosine_sum               9.204337e-11
+  bisector_orthogonality   8.554042e-11
+  bisector_antiparallel    4.440892e-16
+  sixth_angle_identity     1.156852e-13
+  substitution_residual    2.577938e-13
+result: PASS"""
 
-def test_batch_verify_text_pinned():
-    assert run_batch_verify(0, 300).format_text() == BATCH_0_300_TEXT
+
+@pytest.mark.parametrize("seed, count, text", [
+    pytest.param(0, 300, BATCH_0_300_TEXT, id="seed0_300"),
+    pytest.param(2, 1000, BATCH_2_1000_TEXT, id="seed2_1000"),
+])
+def test_batch_verify_text_pinned(seed, count, text):
+    assert run_batch_verify(seed, count).format_text() == text

@@ -1,12 +1,14 @@
 """batch-verify against its per-instance loop.
 
-``run_batch_verify`` solves a chunk's interior instances on float64
-columns in lockstep (``solve_columns``), hands every other instance, and
-every one that leaves the columns, to ``solve``, then evaluates the
-identity layer per chunk on columns of the interior solutions.
-``loop_batch_verify`` below is its earlier form: ``build_report``, then
-``_check_residuals``, then the max/failure merge, one instance at a time,
-all through the scalar API.  The two must return equal ``BatchSummary``
+``run_batch_verify`` takes two paths per chunk.  ``solve_columns`` settles
+the vertex instances and solves the interior ones on float64 columns in
+lockstep, and the identity checks run on columns of those solutions.
+Every other instance (one the columns left, or one that fails a column
+check) takes the body of ``loop_batch_verify`` below, in instance order:
+``build_report`` (with the column solution when there is one), then
+``_check_residuals``.  ``loop_batch_verify`` is batch-verify's earlier
+form, that body and the max/failure merge one instance at a time, all
+through the scalar API.  The two must return equal ``BatchSummary``
 records: the same counts, the same maxima, and the same failures and
 errors, values and text, in the same order.
 """
@@ -198,12 +200,12 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     # a chunk is validated and framed on columns, and its vertex rows are
     # settled there: a Tetrahedron is built, once, only for a row left to
     # solve (the rejected full steps) or one that fails an identity check;
-    # none fails on these corpora, so the first two column rows and the
-    # last interior row are made to fail one
+    # none fails on these corpora, so the first two and the last column
+    # rows are made to fail one
     tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
     solved = columns(tetras).rows.tolist()
     left = [i for s, i in REJECTED_FULL_STEP if s == seed]
-    failing = {solved[0], solved[1], (solved + left)[-1]}
+    failing = {solved[0], solved[1], solved[-1]}
     expected = run_batch_verify(seed, 1000)
     column_residuals = batch._column_residuals
 
@@ -226,6 +228,36 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     assert sorted(built) == sorted(
         tetras[i].vertices.tobytes() for i in set(left) | failing
     )
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_column_rows_and_left_rows_take_one_path_each(seed, monkeypatch):
+    # the identity columns see exactly the rows solve_columns solved, and
+    # each row it left (the rejected full steps) reaches _check_residuals
+    # once, through the per-instance path alone
+    tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
+    chunk = columns(tetras)
+    left = [i for s, i in REJECTED_FULL_STEP if s == seed]
+    points = {solve(tetras[i]).point.tobytes(): i for i in left}
+    column_residuals = batch._column_residuals
+    check_residuals = batch._check_residuals
+    seen = []
+    reached = []
+
+    def watched_columns(point, m, frame):
+        seen.append(point.copy())
+        return column_residuals(point, m, frame)
+
+    def watched_check(report):
+        reached.append(points.get(report.solution.point.tobytes()))
+        return check_residuals(report)
+
+    monkeypatch.setattr(batch, "_column_residuals", watched_columns)
+    monkeypatch.setattr(batch, "_check_residuals", watched_check)
+    assert run_batch_verify(seed, 1000).passed
+    (point,) = seen
+    assert point.tobytes() == chunk.point.tobytes()
+    assert sorted(i for i in reached if i is not None) == left
 
 
 def test_nan_and_inf_residuals_on_the_scalar_path(monkeypatch):
