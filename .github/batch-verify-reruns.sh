@@ -31,9 +31,13 @@ rerun 0 --seed 1 --count 2500
 # a two-word seed over two chunks, drawn on integer columns that re-derive
 # numpy's SeedSequence and PCG64 streams
 rerun 0 --seed 4294967296 --count 1100
-# rows leave the lockstep column solve mid-iteration for solve, and some
-# end in no convergence (exit 4)
+# rows leave the lockstep sweeps mid-iteration and go on through newton on
+# floats within the budget left: each finishes there, or reaches solve and
+# ends in no convergence (exit 4)
 rerun 4 --count 300 --max-iter 4
+# rows 288 and 492 take a shortened step and finish on floats inside the
+# column solve
+rerun 0 --seed 3 --count 1000
 # thousands of failures over three chunks, each chunk's verdict reduced
 # over its residual columns (exit 4)
 rerun 4 --seed 1 --count 2500 --tol 1e-15

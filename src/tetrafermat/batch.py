@@ -15,18 +15,21 @@ floats (``geometry.frame_columns``).
 
 - **Columns.** ``solver.solve_columns`` settles the chunk's vertex
   instances from their column pull norms and solves its interior
-  instances in lockstep Newton sweeps of full steps.  The identity checks
-  then run on columns of the interior solutions it found, through the
-  kernels the scalar API calls with floats (see ``ops``): every solution
-  and every residual is bit for bit the one ``_check_residuals`` reads off
-  ``build_report``'s record.
+  instances in lockstep Newton sweeps of full steps; each one that needs
+  a safeguard, and the chunk's last few, finish on floats from the
+  iterate where they stand.  The identity checks then run on columns of
+  the interior solutions it found, through the kernels the scalar API
+  calls with floats (see ``ops``): every solution and every residual is
+  bit for bit the one ``_check_residuals`` reads off ``build_report``'s
+  record.
 - **Per instance.** Every other row takes, in instance order, the body of
   a loop of ``build_report`` and ``_check_residuals``: a row
-  ``solve_columns`` left (two winning vertices, an escape, a rejected full
-  step, a non-positive ``det H``, a budget run out) is solved by
-  ``solve``, and a row that fails a column check (``_column_residuals``)
-  keeps its column solution.  Its ``Tetrahedron`` is built then, once, so
-  every safeguard, error text and flag is the scalar one.
+  ``solve_columns`` left (two winning vertices, a NaN pull norm, a Newton
+  iteration that ends MAXITER: a budget run out, a non-positive ``det H``
+  or a step with no acceptable trial point) is solved by ``solve``, and a
+  row that fails a column check (``_column_residuals``) keeps its column
+  solution.  Its ``Tetrahedron`` is built then, once, so every error
+  text and flag is the scalar one.
 
 A chunk returns its residuals as columns, one row per check and one
 column per instance, with the mask of the checks that apply to each

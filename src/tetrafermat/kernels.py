@@ -3,8 +3,9 @@ safeguarded Newton iteration for the four-point distance minimizer and its
 start off a vertex, and a simplex minimizer specialized to the same
 objective.  ``newton`` has one step path: a Newton step that finds no
 trial point it can accept ends the iteration.  Its stopping residual,
-budget and vertex radius are parameters whose values ``solver`` sets
-(``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``).
+budget and vertex radius, and the number of instances ``newton_columns``
+finishes on floats, are parameters whose values ``solver`` sets
+(``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``, ``FLOAT_TAIL``).
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) triples
 (``Tetrahedron.frame``, built once per tetrahedron).  The arithmetic of
@@ -15,16 +16,17 @@ for coordinates that are Python floats or 1-D float64 columns with one
 element per tetrahedron (see ``ops``; ``sqrt`` and ``all`` come from the
 ``xp`` passed in).  Two drivers call it: ``newton`` on floats, with every
 safeguard, and ``newton_columns`` on columns, which runs a chunk of
-tetrahedra in lockstep while each takes full Newton steps and leaves the
-rest to ``newton``.  On four points a numpy call costs more than the
-arithmetic it vectorizes, so the scalar API stays on floats.  The kernels
-bind the twelve row coordinates once and write the four legs (for
-``pull_norms`` the six edges) out as straight-line code, with no per-row
-loop; ``newton`` carries the distances of an accepted trial point into
-the next iterate.  Each keeps the floating-point operations of a per-row
-loop in the same order, so its answers are bit-identical to one, on
-floats and on columns alike.  ``nelder_mead`` and ``distance_sum`` compute
-on floats only.
+tetrahedra in lockstep while each takes full Newton steps and the sweeps
+hold enough of them to pay, and finishes the rest through ``newton`` on
+floats, each from the iterate where it stands.  On four points a numpy
+call costs more than the arithmetic it vectorizes, so the scalar API
+stays on floats.  The kernels bind the twelve row coordinates once and
+write the four legs (for ``pull_norms`` the six edges) out as
+straight-line code, with no per-row loop; ``newton`` carries the
+distances of an accepted trial point into the next iterate.  Each keeps
+the floating-point operations of a per-row loop in the same order, so
+its answers are bit-identical to one, on floats and on columns alike.
+``nelder_mead`` and ``distance_sum`` compute on floats only.
 """
 
 from __future__ import annotations
@@ -389,33 +391,45 @@ def newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
             return (x, y, z, f, res, it, MAXITER)
 
 
-def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
-    """``newton`` on columns, one element per instance, all instances in
-    lockstep, taking only full Newton steps.
+def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
+    """``newton`` on columns, one element per instance: the instances run
+    in lockstep while they take full Newton steps, and each one the
+    lockstep does not finish continues through ``newton`` on floats, from
+    the iterate where it stands.
 
     ``rows`` holds the four rows as (x, y, z) triples of columns, and
     ``sx, sy, sz`` and ``vertex_eps`` are columns too.  Each sweep runs the
     kernels ``newton_step`` and ``distances`` on the instances still
     iterating; one whose residual is at most ``grad_tol`` is done, with
-    the sweep's count as its iterations.  An instance leaves the columns,
-    not done, at the first iterate where ``newton`` would take a path
-    other than the full step: it lies within ``vertex_eps`` of a row (an
-    escape), ``det H`` is not positive (NaN included), the full step is
-    rejected (a retry), or ``max_iter`` iterations have run out.  It is
-    left for ``newton`` to solve from its start, so every safeguard and
-    every MAXITER outcome has that one implementation.  A done
-    instance took exactly ``newton``'s path, so its point, value,
-    residual and iterations are ``newton``'s, bit for bit.
+    the sweep's count as its iterations.  An instance continues on floats
+    at the first iterate where ``newton`` would take a path other than the
+    full step: it lies within ``vertex_eps`` of a row (an escape), ``det
+    H`` is not positive (NaN included) or the full step is rejected (a
+    retry).  So does every instance still iterating once a sweep would
+    hold at most ``tail`` of them, where a sweep's numpy calls cost more
+    than finishing each on floats, or once ``max_iter`` iterations have
+    run out.  ``newton`` gets the budget left over, and its iterations add
+    to the sweeps'; an instance it ends CONVERGED is done, one it ends
+    MAXITER is not.  So every safeguard and every MAXITER outcome has
+    ``newton``'s one implementation.  ``newton`` keeps no memory between
+    iterates, and the distances it measures at the iterate it starts from
+    are the ones the columns carried, so a done instance took exactly
+    ``newton``'s path from its start: its point, value, residual and
+    iterations are ``newton``'s, bit for bit.
 
     Returns ``(x, y, z, value, residual, iterations, done)`` as columns
     over all instances; only the elements where ``done`` is true mean
     anything.  Evaluates under ``np.errstate(all="ignore")``: an instance
-    that leaves may meet NaN or infinite values on its way out.
+    that continues on floats may meet NaN or infinite values on its way
+    out of the columns.
     """
     n = len(sx)
     out = np.zeros((5, n))
     iterations = np.zeros(n, dtype=np.int64)
     done = np.zeros(n, dtype=bool)
+    # (sweep count, the instances' state columns) of each set of instances
+    # that continues on floats
+    handed = []
     it = 0
     with np.errstate(all="ignore"):
         # the instances still iterating, one column each: the twelve row
@@ -427,6 +441,9 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
             *distances(rows, sx, sy, sz, Columns),
         ])
         while state.shape[1]:
+            if state.shape[1] <= tail or it >= max_iter:
+                handed.append((it, state))
+                break
             rows = tuple(zip(state[0:12:3], state[1:12:3], state[2:12:3]))
             eps, index, x, y, z, d0, d1, d2, d3, f = state[12:]
             # an escape, which only newton makes
@@ -438,17 +455,39 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
                 out[:, j] = np.vstack((x, y, z, f, res))[:, converged]
                 iterations[j] = it
                 done[j] = True
-            if step is None or it >= max_iter:
+            if step is None:
+                handed.append((it, state[:, near]))
                 break
-            it += 1
             det, px, py, pz = step
             nx, ny, nz = x + px, y + py, z + pz
             trial = distances(rows, nx, ny, nz, Columns)
-            keep = ~converged & ~near & (det > 0.0) & (
-                trial[4] <= f * (1.0 + ACCEPT_SLACK)
-            )
+            full = ~near & (det > 0.0) & (trial[4] <= f * (1.0 + ACCEPT_SLACK))
+            if not full.all():
+                handed.append((it, state[:, ~converged & ~full]))
+            it += 1
             state[14:] = nx, ny, nz, *trial
-            state = state[:, keep]
+            keep = full & ~converged
+            # a sweep that keeps every instance, as the first ones mostly do,
+            # copies none
+            if not keep.all():
+                state = state[:, keep]
+    # (index, x, y, z, value, residual, iterations) of each instance
+    # newton finishes
+    finished = []
+    for start, columns in handed:
+        for c in columns.T.tolist():
+            x, y, z, f, res, steps, status = newton(
+                (c[0:3], c[3:6], c[6:9], c[9:12]), c[14], c[15], c[16],
+                grad_tol, max_iter - start, c[12],
+            )
+            if status == CONVERGED:
+                finished.append((c[13], x, y, z, f, res, start + steps))
+    if finished:
+        index, *values, steps = np.array(finished).T
+        j = index.astype(np.int64)
+        out[:, j] = values
+        iterations[j] = steps
+        done[j] = True
     return (*out, iterations, done)
 
 

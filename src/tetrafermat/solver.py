@@ -9,14 +9,16 @@ Tests cross-validate one against the other.
 ``solve`` is the way into the Newton solver; ``solve_columns`` solves a
 chunk of tetrahedra at once for batch-verify, on the same kernels, from
 their frames as columns (``geometry.frame_columns``) with no
-``Tetrahedron`` per instance: it settles the vertex cases and the
-interior ones that take only full Newton steps, and leaves every
-tetrahedron that needs a safeguard to ``solve``.  The
-stopping residual is the constant ``GRAD_TOL``, the value every check of
-the minimizer is written against; a caller sets only the iteration
-budget.  Every kernel reads the tetrahedron's frame,
-``Tetrahedron.frame``: its vertices times the power of two
-``Tetrahedron.to_frame``.  Points and lengths go into the frame times
+``Tetrahedron`` per instance: it settles the vertex cases and solves the
+interior ones in lockstep sweeps of full Newton steps, and each one the
+sweeps do not finish goes on through ``kernels.newton`` on floats, with
+its one set of safeguards.  Only the tetrahedra with two winning
+vertices or a NaN pull norm, and those whose Newton iteration ends
+MAXITER, are left to ``solve``.  The stopping residual is the constant
+``GRAD_TOL``, the value every check of the minimizer is written against;
+a caller sets only the iteration budget.  Every kernel reads the
+tetrahedron's frame, ``Tetrahedron.frame``: its vertices times the power
+of two ``Tetrahedron.to_frame``.  Points and lengths go into the frame times
 that power and come back divided by it, both exact.
 """
 
@@ -41,11 +43,16 @@ VERTEX_EPS = 1e-9
 GRAD_TOL = 1e-10
 #: Newton steps and vertex escapes an interior solve may take by default
 MAX_ITER = 10000
-#: lockstep Newton sweeps ``solve_columns`` runs at most (unit-cube
-#: interiors converge in at most 8); a tetrahedron still iterating then,
-#: stalled at its rounding floor, is left to ``solve``, which iterates it
-#: for a fraction of a sweep's numpy calls
+#: Newton iterations ``solve_columns`` runs at most, in lockstep sweeps and
+#: then on floats (unit-cube interiors converge in at most 8); a
+#: tetrahedron still iterating then, stalled at its rounding floor, is left
+#: to ``solve``
 MAX_SWEEPS = 32
+#: ``solve_columns`` finishes on floats the tetrahedra of a lockstep sweep
+#: that would hold at most this many: a sweep's kernels cost about 85 us
+#: on 1 to 24 columns and 180 us on 900, one Newton iterate on floats about
+#: 3 us (2-core Xeon VM), and 16 to 32 measured best
+FLOAT_TAIL = 24
 
 INTERIOR = "interior"
 VERTEX = "vertex"
@@ -242,7 +249,8 @@ class ColumnSolutions:
 
 def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSolutions:
     """``solve`` on a chunk of tetrahedra at once, for the vertex ones and
-    the interior ones that take only full Newton steps.
+    the interior ones that converge within ``min(max_iter, MAX_SWEEPS)``
+    iterations.
 
     ``frame`` (12, n) holds the chunk's ``Tetrahedron.frame`` coordinates,
     vertex by vertex and x, y, z within a vertex, and ``scale`` and
@@ -253,12 +261,19 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
     whose four pull norms all exceed ``1 + BOUNDARY_EPS`` are interior;
     each starts off the vertex with the smallest pull norm (the first, on
     a tie), as ``solve`` does, and ``kernels.newton_columns`` iterates
-    them in lockstep, for at most ``MAX_SWEEPS`` iterations.  The rest,
-    and those that leave the columns, are in neither ``rows`` nor
-    ``vertex_rows``: ``solve`` handles each of them, ClassificationConflict,
-    escapes, shortened steps and NonConvergence included.  Every solution
-    found here is the one ``solve`` returns, bit for bit: the kernels are
-    the same, in the same order of operations.
+    them in lockstep while they take full Newton steps.  Each one that
+    needs a safeguard (an escape, a shortened step, a non-positive ``det
+    H``), and all once a sweep would hold at most ``FLOAT_TAIL``, go on
+    through ``kernels.newton`` on floats from the iterate where they
+    stand; sweeps and float iterations together run for at most
+    ``min(max_iter, MAX_SWEEPS)`` iterations.  The rest (two winning
+    vertices, a NaN pull norm, a Newton iteration that ends MAXITER: a
+    budget run out, a non-positive ``det H`` or a step with no acceptable
+    trial point) are in neither ``rows`` nor ``vertex_rows``: ``solve``
+    handles each of them, ClassificationConflict and NonConvergence
+    included.  Every solution found here is the one
+    ``solve`` returns, bit for bit: the kernels are the same, in the same
+    order of operations.
     """
     with np.errstate(all="ignore"):
         rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
@@ -282,6 +297,7 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
         x, y, z, value, res, iters, done = kernels.newton_columns(
             tuple(zip(vertices[:, 0], vertices[:, 1], vertices[:, 2])), *start,
             GRAD_TOL, min(max_iter, MAX_SWEEPS), VERTEX_EPS * (scale[inner] * mi),
+            FLOAT_TAIL,
         )
     mi = mi[done]
     return ColumnSolutions(

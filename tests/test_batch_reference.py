@@ -27,7 +27,7 @@ from tetrafermat import (
     sampling,
     verify_fundamental_property,
 )
-from tetrafermat import batch
+from tetrafermat import batch, solver
 from tetrafermat.batch import (
     CHUNK,
     BatchSummary,
@@ -46,7 +46,8 @@ from tetrafermat.solver import (
 from corpora import known_answer_tetrahedron
 
 #: unit-cube instances whose full Newton step is rejected on the way to the
-#: minimizer: the columns leave them, and solve's retry converges
+#: minimizer: they leave the lockstep, and newton's retry on floats
+#: converges inside the column solve
 REJECTED_FULL_STEP = ((2, 156), (2, 772), (3, 288), (3, 492), (4, 13))
 
 
@@ -162,6 +163,14 @@ def columns(tetras, max_iter=MAX_ITER):
     return solve_columns(frame, scale, m, max_iter)
 
 
+def solved_bytes(chunk):
+    """Every field of a ``ColumnSolutions``, as dtype, shape and bytes."""
+    return [
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (getattr(chunk, f.name) for f in dataclasses.fields(chunk))
+    ]
+
+
 def without(chunk, drop):
     """``chunk`` without the solved rows where ``drop`` is true, which
     batch-verify then hands to the per-instance solve."""
@@ -189,22 +198,23 @@ def test_column_solutions_are_solves(seed):
         assert residual == solution.residual
     kinds = {i: classify(t).kind for i, t in enumerate(tetras)}
     interior = {i for i, kind in kinds.items() if kind == INTERIOR}
-    left = interior - set(chunk.rows.tolist())
-    assert set(chunk.rows.tolist()) <= interior
+    # no interior row is left to solve: the rejected full steps finish on
+    # floats inside the column solve, and their solutions are solve's too
+    assert set(chunk.rows.tolist()) == interior
+    assert {i for s, i in REJECTED_FULL_STEP if s == seed} <= interior
     assert set(chunk.vertex_rows.tolist()) == set(kinds) - interior
-    assert left == {i for s, i in REJECTED_FULL_STEP if s == seed}
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     # a chunk is validated and framed on columns, and its vertex rows are
     # settled there: a Tetrahedron is built, once, only for a row left to
-    # solve (the rejected full steps) or one that fails an identity check;
-    # none fails on these corpora, so the first two and the last column
-    # rows are made to fail one
+    # solve or one that fails an identity check; on these corpora no row
+    # is left (the rejected full steps finish on floats in the column
+    # solve) and none fails, so the first two and the last column rows
+    # are made to fail one
     tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
     solved = columns(tetras).rows.tolist()
-    left = [i for s, i in REJECTED_FULL_STEP if s == seed]
     failing = {solved[0], solved[1], solved[-1]}
     expected = run_batch_verify(seed, 1000)
     column_residuals = batch._column_residuals
@@ -224,40 +234,59 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
     monkeypatch.setattr(batch, "_column_residuals", fail_three)
     monkeypatch.setattr(Tetrahedron, "__post_init__", counted)
     assert run_batch_verify(seed, 1000) == expected
-    assert len(built) == len(set(left) | failing)
-    assert sorted(built) == sorted(
-        tetras[i].vertices.tobytes() for i in set(left) | failing
-    )
+    assert len(built) == len(failing)
+    assert sorted(built) == sorted(tetras[i].vertices.tobytes() for i in failing)
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_column_rows_and_left_rows_take_one_path_each(seed, monkeypatch):
-    # the identity columns see exactly the rows solve_columns solved, and
-    # each row it left (the rejected full steps) reaches _check_residuals
-    # once, through the per-instance path alone
+    # the identity columns see exactly the rows solve_columns solved, the
+    # rejected full steps among them, and no row reaches the per-instance
+    # path; with a budget of 4 each row solve_columns left reaches solve
+    # once, through the per-instance path alone, and ends in
+    # NonConvergence, while the rows it solved reach neither solve nor
+    # _check_residuals
     tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
-    chunk = columns(tetras)
-    left = [i for s, i in REJECTED_FULL_STEP if s == seed]
-    points = {solve(tetras[i]).point.tobytes(): i for i in left}
+    interior = {i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR}
     column_residuals = batch._column_residuals
     check_residuals = batch._check_residuals
+    scalar_solve = batch.solve
     seen = []
     reached = []
+    solved = []
 
     def watched_columns(point, m, frame):
         seen.append(point.copy())
         return column_residuals(point, m, frame)
 
     def watched_check(report):
-        reached.append(points.get(report.solution.point.tobytes()))
+        reached.append(report.solution.point.tobytes())
         return check_residuals(report)
+
+    def watched_solve(tetra, max_iter=MAX_ITER):
+        solved.append(tetra.vertices.tobytes())
+        return scalar_solve(tetra, max_iter)
 
     monkeypatch.setattr(batch, "_column_residuals", watched_columns)
     monkeypatch.setattr(batch, "_check_residuals", watched_check)
+    monkeypatch.setattr(batch, "solve", watched_solve)
+    chunk = columns(tetras)
+    assert {i for s, i in REJECTED_FULL_STEP if s == seed} <= set(chunk.rows.tolist())
     assert run_batch_verify(seed, 1000).passed
     (point,) = seen
     assert point.tobytes() == chunk.point.tobytes()
-    assert sorted(i for i in reached if i is not None) == left
+    assert reached == solved == []
+    seen.clear()
+    chunk = columns(tetras, max_iter=4)
+    left = sorted(interior - set(chunk.rows.tolist()))
+    assert left
+    summary = run_batch_verify(seed, 1000, max_iter=4)
+    (point,) = seen
+    assert point.tobytes() == chunk.point.tobytes()
+    assert sorted(solved) == sorted(tetras[i].vertices.tobytes() for i in left)
+    assert [i for i, _ in summary.errors] == left
+    assert all("no convergence" in text for _, text in summary.errors)
+    assert reached == []
 
 
 def test_nan_and_inf_residuals_on_the_scalar_path(monkeypatch):
@@ -325,16 +354,25 @@ def stacked(draw):
     return lambda seed, indices: np.array([draw(seed, i) for i in indices])
 
 
-def test_rows_leaving_the_columns(monkeypatch):
-    # known-answer tetrahedra, some with the minimizer within 1e-9 of a
-    # vertex (escapes) and some stalled at their rounding floor until the
-    # budget runs out (NonConvergence), the rejected full steps and the
-    # boundary tie, interleaved with unit-cube instances the columns solve
+def leaving_corpus():
+    """Known-answer tetrahedra, some stalled at their rounding floor until
+    the budget runs out (NonConvergence; one of them, 38, alternates
+    vertex escapes and steps), the rejected full steps (5-9) and the
+    boundary tie (11), interleaved with unit-cube instances."""
     corpus = []
     for k in range(24):
         corpus += [known_answer_tetrahedron(0, k)[0], sampling.random_tetrahedron(0, k)]
     corpus[5:5] = [sampling.random_tetrahedron(s, i) for s, i in REJECTED_FULL_STEP]
     corpus.insert(11, boundary_tie())
+    return corpus
+
+
+def test_rows_leaving_the_columns(monkeypatch):
+    # the rows that leave the lockstep: the rejected full steps finish on
+    # floats inside the column solve, with solve's solutions, and only the
+    # vertex rows and the NonConvergence rows, escapes included, are left
+    # to the per-instance path
+    corpus = leaving_corpus()
     assert solve(corpus[11]).flags == ("boundary_tie",)
     # the reference loop draws through random_vertices, a chunk through
     # random_vertex_columns: both read the corpus
@@ -344,11 +382,32 @@ def test_rows_leaving_the_columns(monkeypatch):
     monkeypatch.setattr(sampling, "random_vertices", draw)
     monkeypatch.setattr(sampling, "random_vertex_columns", stacked(draw))
     summary = assert_same(0, len(corpus))
-    assert any("no convergence" in text for _, text in summary.errors)
-    left = set(range(len(corpus))) - set(columns(corpus).rows.tolist())
-    # every vertex, every NonConvergence and every rejected full step
-    assert {5, 6, 7, 8, 9, 11} <= left
-    assert len(left) == len(REJECTED_FULL_STEP) + len(summary.errors) + summary.vertex_count
+    errors = {i for i, text in summary.errors if "no convergence" in text}
+    assert 38 in errors and len(errors) == len(summary.errors)
+    chunk = columns(corpus)
+    for j, i in enumerate(chunk.rows.tolist()):
+        assert chunk.solution(j) == solve(corpus[i])
+    assert {5, 6, 7, 8, 9} <= set(chunk.rows.tolist())
+    assert 11 in chunk.vertex_rows.tolist()
+    left = set(range(len(corpus))) - set(chunk.rows.tolist())
+    assert left == errors | set(chunk.vertex_rows.tolist())
+    assert len(left) == len(summary.errors) + summary.vertex_count
+
+
+@pytest.mark.parametrize("corpus", ["seed0", "seed1", "leaving"])
+def test_handoff_leaves_column_solutions_unchanged(corpus, monkeypatch):
+    # the lockstep hands its last rows to newton on floats once a sweep
+    # would hold at most FLOAT_TAIL of them: with none handed over early
+    # (0), or every row on floats from its start (CHUNK), the solutions
+    # are byte for byte the same
+    if corpus == "leaving":
+        tetras = leaving_corpus()
+    else:
+        tetras = [sampling.random_tetrahedron(int(corpus[-1]), i) for i in range(1000)]
+    want = solved_bytes(columns(tetras))
+    for tail in (0, CHUNK):
+        monkeypatch.setattr(solver, "FLOAT_TAIL", tail)
+        assert solved_bytes(columns(tetras)) == want
 
 
 def right_corner():

@@ -424,6 +424,57 @@ class TestLoopReference:
         assert stopped >= 5
 
 
+class TestNewtonColumns:
+    """``newton_columns`` against ``newton``, instance by instance: a done
+    instance carries ``newton``'s answer bit for bit, and an instance not
+    done is one ``newton`` ends MAXITER, however many sweeps run in lockstep
+    before the rest continue on floats."""
+
+    @staticmethod
+    def cases():
+        """(rows, start, vertex_eps) of instances that converge after
+        full steps, after an escape from a start on a row, after rejected
+        full steps from a far start, or never: a non-positive ``det H``
+        at 1e10, an escape that uses the budget up, a stalled residual."""
+        out = []
+        for v, c in [(NEAR_TIE, None)] + TestLoopReference.interior_corpus(20, 11):
+            out += [(v, start, 1e-9) for start in ([c] if c else []) + list(v)]
+        out += [
+            (RIGHT_CORNER, (1e6, 0.0, 0.0), 1e-12),
+            (RIGHT_CORNER, (1e3, 0.0, 0.0), 1e-12),
+            (RIGHT_CORNER, (1e10, 0.0, 0.0), 1e-12),
+            (RIGHT_CORNER, (0.25, 0.25, 0.25), 0.5),
+        ]
+        rows = input_rows(OFFSET_1E5)
+        c = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*rows))
+        return out + [(rows, c, 1e-9 * OFFSET_1E5.scale)]
+
+    @pytest.mark.parametrize("tail", [0, 3, 10**6])
+    @pytest.mark.parametrize("budget", [1, 3, 5, 32])
+    def test_done_instances_are_newtons(self, budget, tail):
+        cases = self.cases()
+        rows = tuple(
+            tuple(np.array([v[k][i] for v, _, _ in cases]) for i in range(3))
+            for k in range(4)
+        )
+        starts = np.array([start for _, start, _ in cases]).T
+        eps = np.array([e for _, _, e in cases])
+        *values, iterations, done = kernels.newton_columns(
+            rows, *starts, 1e-10, budget, eps, tail,
+        )
+        statuses = set()
+        for i, (v, start, e) in enumerate(cases):
+            *want, status = kernels.newton(v, *start, 1e-10, budget, e)
+            statuses.add(status)
+            assert done[i] == (status == kernels.CONVERGED)
+            if done[i]:
+                got = [float.hex(float(c[i])) for c in values]
+                assert got == [float.hex(c) for c in want[:5]]
+                assert iterations[i] == want[5]
+        assert kernels.MAXITER in statuses
+        assert (kernels.CONVERGED in statuses) == (budget > 1)
+
+
 class TestRows:
     def test_rows_match_elementwise_floats(self):
         # the kernels read Tetrahedron.frame, built once from the vertex
