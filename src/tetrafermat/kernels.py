@@ -3,9 +3,11 @@ safeguarded Newton iteration for the four-point distance minimizer and its
 start off a vertex, and a simplex minimizer specialized to the same
 objective.  ``newton`` has one step path: a Newton step that finds no
 trial point it can accept ends the iteration.  Its stopping residual,
-budget and vertex radius, and the number of instances ``newton_columns``
-finishes on floats, are parameters whose values ``solver`` sets
-(``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``, ``FLOAT_TAIL``).
+budget and vertex radius, ``newton_columns``' budget and the number of
+instances it finishes on floats, are parameters whose values ``solver``
+sets (``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``, ``MAX_SWEEPS``,
+``FLOAT_TAIL``), as it chooses the vertex that ``ray_start`` steps off
+(``solver._newton_start``).
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) triples
 (``Tetrahedron.frame``, built once per tetrahedron).  The arithmetic of
@@ -154,9 +156,21 @@ def pull_norms(rows, xp=FLOATS):
 
 
 def ray_start(v, others, xp):
-    """One Newton step off the row ``v`` along its descent ray, given the
-    other three rows ``others`` in row order: the kernel of
-    ``vertex_ray_start``, on floats or on columns."""
+    """One Newton step off the row ``v`` along its descent ray, ``v + s r``,
+    given the other three rows ``others`` in row order: a kernel on floats
+    or on columns.
+
+    The legs from ``v`` toward the other three rows, taken in row order,
+    give units u_j and weights w_j = 1 / d_j; their resultant, of norm p
+    (the pull norm of ``v``, up to rounding), gives the unit ray r.  Along
+    the ray the distance sum is phi(s) = s + sum_j |v + s r - v_j|, with
+    phi'(0) = 1 - p and phi''(0) = kappa = sum_j (1 - (u_j . r)^2) w_j, so
+    the step is s = (p - 1) / kappa.  It is exact to first order when the
+    minimizer sits near ``v``, and positive when p > 1 (the interior
+    case); far from ``v`` it can land outside the hull, and ``newton``'s
+    safeguards take it from there.  Straight-line code, like
+    ``_vertex_resultants``.
+    """
     vx, vy, vz = v
     (ax, ay, az), (bx, by, bz), (cx, cy, cz) = others
     sqrt = xp.sqrt
@@ -183,23 +197,6 @@ def ray_start(v, others, xp):
     kappa = (1.0 - ca * ca) * wa + (1.0 - cb * cb) * wb + (1.0 - cc * cc) * wc
     s = (p - 1.0) / kappa
     return vx + s * rx, vy + s * ry, vz + s * rz
-
-
-def vertex_ray_start(rows, k):
-    """One Newton step off row ``k`` along its descent ray: ``v_k + s r``.
-
-    The legs from row k toward the other three rows, taken in row order,
-    give units u_j and weights w_j = 1 / d_j; their resultant, of norm p
-    (row k's pull norm, up to rounding), gives the unit ray r.  Along the
-    ray the distance sum is phi(s) = s + sum_j |v_k + s r - v_j|, with
-    phi'(0) = 1 - p and phi''(0) = kappa = sum_j (1 - (u_j . r)^2) w_j, so
-    the step is s = (p - 1) / kappa.  It is exact to first order when the
-    minimizer sits near v_k, and positive when p > 1 (the interior case);
-    far from v_k it can land outside the hull, and ``newton``'s safeguards
-    take it from there.  The arithmetic is ``ray_start``'s, straight-line
-    code like ``_vertex_resultants``.
-    """
-    return ray_start(rows[k], rows[:k] + rows[k + 1:], FLOATS)
 
 
 def distances(rows, x, y, z, xp):

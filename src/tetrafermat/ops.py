@@ -15,16 +15,18 @@ as ``xp``:
 - ``FLOATS``: ``math``'s functions, ``max`` and ``min`` of two floats, as
   ``clip`` a value clamped to [-1, 1] by one conditional expression, a
   conditional expression as ``where``, ``operator.truth`` as ``all``, as
-  ``finite`` whether every value of a sequence is finite, and as
-  ``longest`` the largest ``math.hypot`` of a sequence of (x, y, z) edges.
+  ``finite`` whether every value of a sequence is finite, as ``longest``
+  the largest ``math.hypot`` of a sequence of (x, y, z) edges, and as
+  ``least`` the first vertex with the least pull norm, by ``index`` of
+  ``min``.
 - ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
   ``all``, ``frexp`` and ``ldexp``, ``clip`` as ``minimum(1, maximum(-1,
-  c))``, ``finite`` per row, and ``longest`` per row.  Numpy's length of
-  an edge can differ from ``math.hypot``'s in the last bits, and a column
-  must hold exactly the value the scalar API computes, so ``longest``
-  ranks each row's edges by numpy's length and takes ``math.hypot``
-  element by element only of the edges that could be the longest: one
-  per row but for near-ties.  It is the only ``math`` call on a column.
+  c))``, ``finite`` per row, ``longest`` per row, and ``least`` per row,
+  by ``argmin``.  Numpy's length of an edge can differ from
+  ``math.hypot``'s in the last bits, and a column must hold exactly the
+  value the scalar API computes, so ``longest`` ranks each row's edges by
+  numpy's length and takes ``math.hypot`` element by element only of the
+  edges that could be the longest: one per row but for near-ties.  It is the only ``math`` call on a column.
   No kernel takes a trigonometric function: the identity checks read the
   cosines of the leg angles, which are dot products.  ``maximum`` and
   ``minimum`` differ from the float ones in which zero a tie of +0 and -0
@@ -34,6 +36,14 @@ as ``xp``:
   and takes +-inf to +-1 in both, but takes NaN to -1.0 on floats and
   keeps it NaN on columns; a NaN cosine comes only from a non-finite leg,
   whose row has already failed a check.
+
+``least(rows, pulls)`` returns the first of the four (x, y, z) vertices
+``rows`` whose pull norm in ``pulls`` is the least, and the other three
+in row order: the vertex the Newton start steps off
+(``solver._newton_start``).  Both namespaces take the first of tied
+vertices, row by row.  No NaN pull
+norm reaches it, where ``min`` and ``argmin`` would part: it sees only the
+tetrahedra whose every pull norm exceeds 1 + ``solver.BOUNDARY_EPS``.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always
@@ -80,6 +90,11 @@ def _minimum(a, b):
     return b if b < a else a
 
 
+def _least(rows, pulls):
+    k = pulls.index(min(pulls))
+    return rows[k], rows[:k] + rows[k + 1:]
+
+
 def _clip(c):
     # _minimum(1.0, _maximum(-1.0, c)) in one call: NaN gives -1.0
     return (c if c < 1.0 else 1.0) if c > -1.0 else -1.0
@@ -97,6 +112,7 @@ FLOATS = SimpleNamespace(
     clip=_clip,
     where=_where,
     all=operator.truth,
+    least=_least,
     require=_require,
 )
 
@@ -108,6 +124,17 @@ def _clip_rows(c):
 
 def _finite_rows(values):
     return np.isfinite(values).all(axis=0)
+
+
+#: for each vertex k, the other three in row order
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _least_rows(rows, pulls):
+    v = np.array(rows)  # (vertex, coordinate, row)
+    k = np.argmin(pulls, axis=0)
+    at = np.arange(len(k))
+    return v[k, :, at].T, v[_OTHERS[k], :, at[:, None]].transpose(1, 2, 0)
 
 
 #: the least and the largest longest-edge estimate whose candidates' squares
@@ -164,6 +191,7 @@ class Columns:
     clip = staticmethod(_clip_rows)
     finite = staticmethod(_finite_rows)
     longest = staticmethod(_longest_rows)
+    least = staticmethod(_least_rows)
 
     def __init__(self, n: int):
         self.failed = np.zeros(n, dtype=bool)

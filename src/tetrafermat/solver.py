@@ -14,11 +14,14 @@ interior ones in lockstep sweeps of full Newton steps, and each one the
 sweeps do not finish goes on through ``kernels.newton`` on floats, with
 its one set of safeguards.  Only the tetrahedra with two winning
 vertices or a NaN pull norm, and those whose Newton iteration ends
-MAXITER, are left to ``solve``.  The stopping residual is the constant
-``GRAD_TOL``, the value every check of the minimizer is written against;
-a caller sets only the iteration budget.  Every kernel reads the
-tetrahedron's frame, ``Tetrahedron.frame``: its vertices times the power
-of two ``Tetrahedron.to_frame``.  Points and lengths go into the frame times
+MAXITER, are left to ``solve``.  Both take the Newton start and the
+vertex escape radius from one function, ``_newton_start``, on floats or
+on columns, and build the interior solution in one, ``_interior``.  The
+stopping residual is the constant ``GRAD_TOL``, the value every check of
+the minimizer is written against; a caller sets only the iteration
+budget.  Every kernel reads the tetrahedron's frame,
+``Tetrahedron.frame``: its vertices times the power of two
+``Tetrahedron.to_frame``.  Points and lengths go into the frame times
 that power and come back divided by it, both exact.
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import kernels
 from .errors import ClassificationConflict, NonConvergence
 from .geometry import Tetrahedron, as_point
-from .ops import Columns
+from .ops import FLOATS, Columns
 
 #: a vertex wins the optimality test when its pull norm is <= 1 + BOUNDARY_EPS
 BOUNDARY_EPS = 1e-9
@@ -154,8 +157,8 @@ def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
     Interior case: runs Newton's method until the balancing residual drops
     below ``GRAD_TOL``.  It starts one Newton step off the vertex with the
     smallest pull norm (the first, on a tie), along that vertex's descent
-    ray (``kernels.vertex_ray_start``), which lands next to a minimizer that
-    sits near a vertex, where Newton from a distant start takes longest.
+    ray (``_newton_start``), which lands next to a minimizer that sits
+    near a vertex, where Newton from a distant start takes longest.
     It iterates in the tetrahedron's frame, which moves no iterate (see
     ``Tetrahedron``), and divides the answer by ``to_frame``.  Each step
     solves ``H s = sum u_i`` with the Hessian ``H = sum (I - u_i u_i^T) /
@@ -186,28 +189,35 @@ def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
             pull_norms=cls.pull_norms,
             flags=cls.flags,
         )
-    pulls = cls.pull_norms
-    sx, sy, sz = kernels.vertex_ray_start(rows, pulls.index(min(pulls)))
-    eps = VERTEX_EPS * (tetra.scale * m)
+    start, eps = _newton_start(rows, cls.pull_norms, tetra.scale, m, FLOATS)
     x, y, z, value, res, iters, status = kernels.newton(
-        rows, sx, sy, sz, GRAD_TOL, max_iter, eps,
+        rows, *start, GRAD_TOL, max_iter, eps,
     )
     point = np.array([x / m, y / m, z / m])
     if status == kernels.MAXITER:
         raise NonConvergence(point, res, iters)
+    return _interior(point, res, iters, value / m, cls.pull_norms)
+
+
+def _newton_start(rows, pulls, scale, to_frame, xp):
+    """The Newton start of interior tetrahedra and their escape radius, on
+    floats (``solve``) or on columns (``solve_columns``).
+
+    ``rows`` are the four vertices in the frame, ``pulls`` their pull
+    norms and ``scale`` and ``to_frame`` the ``Tetrahedron`` values.  The
+    start is one Newton step off the first vertex with the least pull norm,
+    along its descent ray (``ops.least``, then ``kernels.ray_start``); the
+    radius is ``VERTEX_EPS * scale`` in the frame.
+    """
+    start = kernels.ray_start(*xp.least(rows, pulls), xp)
+    return start, VERTEX_EPS * (scale * to_frame)
+
+
+def _interior(point, residual, iterations, objective_value, pull_norms):
+    """The interior ``FermatSolution`` with these fields."""
     return FermatSolution(
-        kind=INTERIOR,
-        point=point,
-        vertex_index=None,
-        residual=res,
-        iterations=iters,
-        objective_value=value / m,
-        pull_norms=pulls,
+        INTERIOR, point, None, residual, iterations, objective_value, pull_norms,
     )
-
-
-#: for each vertex k, the other three in row order
-_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +246,10 @@ class ColumnSolutions:
 
     def solution(self, j: int) -> FermatSolution:
         """The record of column j, equal to ``solve``'s."""
-        return FermatSolution(
-            kind=INTERIOR,
-            point=self.point[:, j].copy(),
-            vertex_index=None,
-            residual=self.residual[j].item(),
-            iterations=self.iterations[j].item(),
-            objective_value=self.objective[j].item(),
-            pull_norms=tuple(self.pull_norms[:, j].tolist()),
+        return _interior(
+            self.point[:, j].copy(), self.residual[j].item(),
+            self.iterations[j].item(), self.objective[j].item(),
+            tuple(self.pull_norms[:, j].tolist()),
         )
 
 
@@ -255,25 +261,24 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
     ``frame`` (12, n) holds the chunk's ``Tetrahedron.frame`` coordinates,
     vertex by vertex and x, y, z within a vertex, and ``scale`` and
     ``to_frame`` their ``Tetrahedron`` values (``geometry.frame_columns``).
-    Computes every pull norm on the columns.  A tetrahedron with exactly
-    one pull norm at most ``1 + BOUNDARY_EPS`` is the vertex case
-    ``classify`` finds: its residual is that pull norm.  The tetrahedra
-    whose four pull norms all exceed ``1 + BOUNDARY_EPS`` are interior;
-    each starts off the vertex with the smallest pull norm (the first, on
-    a tie), as ``solve`` does, and ``kernels.newton_columns`` iterates
-    them in lockstep while they take full Newton steps.  Each one that
-    needs a safeguard (an escape, a shortened step, a non-positive ``det
-    H``), and all once a sweep would hold at most ``FLOAT_TAIL``, go on
-    through ``kernels.newton`` on floats from the iterate where they
+    Computes every pull norm on the columns.  A tetrahedron with exactly one
+    pull norm at most ``1 + BOUNDARY_EPS`` is the vertex case ``classify``
+    finds: its residual is that pull norm.  The tetrahedra whose four pull
+    norms all exceed ``1 + BOUNDARY_EPS`` are interior; each starts off the
+    vertex with the smallest pull norm (the first, on a tie) through
+    ``_newton_start``, as in ``solve``, and ``kernels.newton_columns``
+    iterates them in lockstep while they take full Newton steps.  Each one
+    that needs a safeguard (an escape, a shortened step, a non-positive
+    ``det H``), and all once a sweep would hold at most ``FLOAT_TAIL``, go
+    on through ``kernels.newton`` on floats from the iterate where they
     stand; sweeps and float iterations together run for at most
     ``min(max_iter, MAX_SWEEPS)`` iterations.  The rest (two winning
     vertices, a NaN pull norm, a Newton iteration that ends MAXITER: a
     budget run out, a non-positive ``det H`` or a step with no acceptable
     trial point) are in neither ``rows`` nor ``vertex_rows``: ``solve``
     handles each of them, ClassificationConflict and NonConvergence
-    included.  Every solution found here is the one
-    ``solve`` returns, bit for bit: the kernels are the same, in the same
-    order of operations.
+    included.  Every solution found here is the one ``solve`` returns, bit
+    for bit: the kernels are the same, in the same order of operations.
     """
     with np.errstate(all="ignore"):
         rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
@@ -283,21 +288,11 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
         # NaN is not above the bound: such a tetrahedron is left to solve
         inner = np.flatnonzero((pulls > 1.0 + BOUNDARY_EPS).all(axis=0))
         vertex_residual = pulls[wins[:, vertex].argmax(axis=0), vertex]
-        pulls = pulls[:, inner]
-        k = pulls.argmin(axis=0)
-        # (vertex, coordinate, instance)
-        vertices = frame[:, inner].reshape(4, 3, len(inner))
-        at = np.arange(len(inner))
-        start = kernels.ray_start(
-            vertices[k, :, at].T,
-            vertices[_OTHERS[k], :, at[:, None]].transpose(1, 2, 0),
-            Columns,
-        )
-        mi = to_frame[inner]
+        pulls, mi, frame = pulls[:, inner], to_frame[inner], frame[:, inner]
+        rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
+        start, eps = _newton_start(rows, pulls, scale[inner], mi, Columns)
         x, y, z, value, res, iters, done = kernels.newton_columns(
-            tuple(zip(vertices[:, 0], vertices[:, 1], vertices[:, 2])), *start,
-            GRAD_TOL, min(max_iter, MAX_SWEEPS), VERTEX_EPS * (scale[inner] * mi),
-            FLOAT_TAIL,
+            rows, *start, GRAD_TOL, min(max_iter, MAX_SWEEPS), eps, FLOAT_TAIL,
         )
     mi = mi[done]
     return ColumnSolutions(

@@ -23,6 +23,9 @@ MAX_PAIR_COS = 0.99
 MIN_GRAM = 1e-3
 #: target resultant norm for balanced quadruples
 BALANCE_TOL = 1e-10
+#: vertices mirror-symmetric in the plane y = 0, where vertices 3 and 4
+#: swap: their pull norms, the least two, tie bit for bit
+MIRROR_TIE = ((1.3, 0.0, 0.2), (-1.0, 0.0, 0.0), (0.1, 0.7, -0.5), (0.1, -0.7, -0.5))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ from tetrafermat import (
     sampling,
     verify_fundamental_property,
 )
-from tetrafermat import batch, solver
+from tetrafermat import batch, kernels, solver
 from tetrafermat.batch import (
     CHUNK,
     BatchSummary,
@@ -43,7 +43,7 @@ from tetrafermat.solver import (
     INTERIOR, MAX_ITER, VERTEX, classify, solve, solve_columns,
 )
 
-from corpora import known_answer_tetrahedron
+from corpora import MIRROR_TIE, known_answer_tetrahedron
 
 #: unit-cube instances whose full Newton step is rejected on the way to the
 #: minimizer: they leave the lockstep, and newton's retry on floats
@@ -203,6 +203,38 @@ def test_column_solutions_are_solves(seed):
     assert set(chunk.rows.tolist()) == interior
     assert {i for s, i in REJECTED_FULL_STEP if s == seed} <= interior
     assert set(chunk.vertex_rows.tolist()) == set(kinds) - interior
+
+
+def test_least_pull_norm_ties_start_off_the_first(monkeypatch):
+    # both drivers start off the first vertex tied at the least pull norm:
+    # vertex 3 of the mirror tie, vertex 1 of the regular tetrahedron
+    tetras = [
+        Tetrahedron(np.array(v, dtype=float))
+        for v in (MIRROR_TIE, [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    ]
+    mirror, regular = (classify(t).pull_norms for t in tetras)
+    assert mirror[2] == mirror[3] < min(mirror[:2])
+    assert regular == (2.449489742783178,) * 4
+    starts = []
+    ray_start = kernels.ray_start
+
+    def watched(v, others, xp):
+        starts.append(np.array(v).T.tolist())
+        return ray_start(v, others, xp)
+
+    monkeypatch.setattr(kernels, "ray_start", watched)
+    solutions = [solve(t) for t in tetras]
+    chunk = columns(tetras)
+    assert chunk.rows.tolist() == [0, 1]
+    assert [chunk.solution(j) for j in range(2)] == solutions
+    first = [list(tetras[0].frame[2]), list(tetras[1].frame[0])]
+    assert starts == first + [first]
+
+
+def test_chunk_with_no_interior_row():
+    chunk = columns([sampling.random_tetrahedron(0, 4), boundary_tie()])
+    assert chunk.rows.size == 0 and chunk.point.shape == (3, 0)
+    assert chunk.vertex_rows.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(4))

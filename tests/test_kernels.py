@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from tetrafermat import NonConvergence, Tetrahedron, kernels
+from tetrafermat.ops import FLOATS, Columns
 from tetrafermat.sampling import random_tetrahedron
-from tetrafermat.solver import GRAD_TOL, INTERIOR, VERTEX_EPS, classify, solve
+from tetrafermat.solver import (
+    BOUNDARY_EPS, GRAD_TOL, INTERIOR, _newton_start, classify, solve,
+)
 
 from conftest import input_rows
-from corpora import known_answer_tetrahedron
+from corpora import MIRROR_TIE, known_answer_tetrahedron
 
 # the kernels are tested on rows in input units, as they read any rows
 RIGHT_CORNER = input_rows(Tetrahedron(
@@ -157,7 +160,7 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
 
 
 def loop_vertex_ray_start(rows, k):
-    """Per-row loop version of ``vertex_ray_start``."""
+    """Per-row loop version of ``ray_start`` off row k."""
     vx, vy, vz = rows[k]
     units, weights = [], []
     for j, (x, y, z) in enumerate(rows):
@@ -292,7 +295,7 @@ class TestNewtonKernel:
         # with a negative slack no trial point passes the acceptance test:
         # the first step ends the iteration at its start, as in the loop
         monkeypatch.setattr(kernels, "ACCEPT_SLACK", -1.0)
-        start = kernels.vertex_ray_start(RIGHT_CORNER, 0)
+        start = kernels.ray_start(RIGHT_CORNER[0], RIGHT_CORNER[1:], FLOATS)
         args = (RIGHT_CORNER, *start, 1e-10, 10000, 1e-12)
         out = kernels.newton(*args)
         assert out == loop_newton(*args)
@@ -324,7 +327,7 @@ class TestVertexRayStart:
         # sqrt(3), p = sqrt(3), and each leg adds (1 - 1/3) / 1 to kappa
         p, kappa = math.sqrt(3.0), 2.0
         e = (p - 1.0) / kappa / math.sqrt(3.0)
-        start = kernels.vertex_ray_start(RIGHT_CORNER, 0)
+        start = kernels.ray_start(RIGHT_CORNER[0], RIGHT_CORNER[1:], FLOATS)
         assert start == pytest.approx((e, e, e), abs=1e-15)
 
     def test_matches_loop_and_numpy_references(self):
@@ -332,12 +335,60 @@ class TestVertexRayStart:
             t = random_tetrahedron(0, i)
             rows = input_rows(t)
             for k in range(4):
-                start = kernels.vertex_ray_start(rows, k)
+                start = kernels.ray_start(rows[k], rows[:k] + rows[k + 1:], FLOATS)
                 assert start == loop_vertex_ray_start(rows, k)
                 np.testing.assert_allclose(
                     start, numpy_vertex_ray_start(rows, k),
                     rtol=1e-12, atol=1e-13 * t.scale,
                 )
+
+
+class TestLeast:
+    """``ops.least``, the first vertex with the least pull norm and the
+    other three in row order: on columns as on floats, instance by
+    instance."""
+
+    @staticmethod
+    def corpus():
+        """Ties of the least pull norm at every vertex and at vertices 3
+        and 4, then seed-0 interior inputs relabelled so that each of their
+        vertices in turn takes the least pull norm."""
+        out = [SYMMETRIC, input_rows(Tetrahedron(np.array(MIRROR_TIE)))]
+        for i in range(40):
+            rows = random_tetrahedron(0, i).frame
+            pulls = kernels.pull_norms(rows)
+            if min(pulls) <= 1.0 + BOUNDARY_EPS:
+                continue
+            k = min(range(4), key=pulls.__getitem__)
+            for j in range(4):
+                order = list(range(4))
+                order[j], order[k] = k, j
+                out.append(tuple(rows[o] for o in order))
+        return out
+
+    def test_columns_match_floats(self):
+        cases = self.corpus()
+        pulls = [kernels.pull_norms(v) for v in cases]
+        want = [FLOATS.least(v, p) for v, p in zip(cases, pulls)]
+        winners = [v.index(w[0]) for v, w in zip(cases, want)]
+        assert winners[:2] == [0, 2] and set(winners) == {0, 1, 2, 3}
+        rows = tuple(
+            tuple(np.array([v[k][c] for v in cases]) for c in range(3))
+            for k in range(4)
+        )
+        v, others = Columns.least(rows, np.array(pulls).T)
+        for i, w in enumerate(want):
+            got = (
+                tuple(c[i].item() for c in v),
+                tuple(tuple(c[i].item() for c in row) for row in others),
+            )
+            assert got == w
+
+    def test_no_rows(self):
+        # a chunk with no interior tetrahedron
+        rows = tuple(tuple(np.empty(0) for _ in range(3)) for _ in range(4))
+        v, others = Columns.least(rows, np.empty((4, 0)))
+        assert np.shape(v) == (3, 0) and np.shape(others) == (3, 3, 0)
 
 
 class TestLoopReference:
@@ -408,9 +459,9 @@ class TestLoopReference:
             cls = classify(t)
             if cls.kind != INTERIOR:
                 continue
-            pulls, m = cls.pull_norms, t.to_frame
-            start = kernels.vertex_ray_start(t.frame, pulls.index(min(pulls)))
-            args = (t.frame, *start, GRAD_TOL, budget, VERTEX_EPS * (t.scale * m))
+            m = t.to_frame
+            start, eps = _newton_start(t.frame, cls.pull_norms, t.scale, m, FLOATS)
+            args = (t.frame, *start, GRAD_TOL, budget, eps)
             x, y, z, _, res, it, status = got = kernels.newton(*args)
             assert got == loop_newton(*args)
             if status == kernels.CONVERGED:

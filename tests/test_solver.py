@@ -15,7 +15,8 @@ from tetrafermat import (
     solve,
 )
 from tetrafermat import kernels
-from tetrafermat.solver import GRAD_TOL, MAX_ITER, VERTEX_EPS
+from tetrafermat.ops import FLOATS
+from tetrafermat.solver import GRAD_TOL, MAX_ITER, _newton_start
 from tetrafermat.sampling import random_tetrahedron
 
 from corpora import known_answer_tetrahedron, random_rotation
@@ -72,11 +73,11 @@ def known_answers():
 
 
 def solve_start(t):
-    """``solve``'s Newton start in input units: one radial step off the
-    first vertex with the smallest pull norm.  ``solve`` takes it in the
-    tetrahedron's power-of-two frame, which moves it exactly."""
-    pulls = classify(t).pull_norms
-    return kernels.vertex_ray_start(input_rows(t), pulls.index(min(pulls)))
+    """``solve``'s Newton start and escape radius in input units: one radial
+    step off the first vertex with the smallest pull norm, and ``VERTEX_EPS
+    * scale``.  ``solve`` takes them in the tetrahedron's power-of-two
+    frame, which moves them exactly."""
+    return _newton_start(input_rows(t), classify(t).pull_norms, t.scale, 1.0, FLOATS)
 
 
 #: ``solve`` answers recorded as (point, iterations, residual,
@@ -276,7 +277,7 @@ class TestSolve:
         with pytest.raises(NonConvergence) as info:
             solve(right_corner)
         assert info.value.iterations == 1
-        assert info.value.point.tolist() == list(solve_start(right_corner))
+        assert info.value.point.tolist() == list(solve_start(right_corner)[0])
 
     @pytest.mark.parametrize("seed,index", NEAR_VERTEX_INTERIOR)
     def test_converges_next_to_a_vertex(self, seed, index):
@@ -328,8 +329,7 @@ class TestSolve:
             t = random_tetrahedron(0, i)
             if classify(t).kind == "vertex":
                 continue
-            start = solve_start(t)
-            eps = VERTEX_EPS * t.scale
+            start, eps = solve_start(t)
             x, y, z, value, res, it, _ = kernels.newton(
                 input_rows(t), *start, GRAD_TOL, MAX_ITER, eps,
             )
@@ -361,7 +361,7 @@ class TestSolve:
         # the objective after k iterations never exceeds that after k - 1
         # by more than the step acceptance slack, starting from solve's own
         # start
-        prev = objective(right_corner, solve_start(right_corner))
+        prev = objective(right_corner, solve_start(right_corner)[0])
         for k in range(1, 100):
             try:
                 point = solve(right_corner, max_iter=k).point
