@@ -95,7 +95,7 @@ _INTERIOR = [CHECKS.index(name) for name in INTERIOR_CHECKS]
 CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolutionReport:
     """One tetrahedron's solution and, when it is interior, its unit legs
     (``frame``, as ``direction_config`` returns them) and the identity
@@ -104,6 +104,12 @@ class SolutionReport:
     solution: FermatSolution
     frame: DirectionConfig | None
     property_report: PropertyReport | None
+
+    def __init__(self, solution, frame, property_report):
+        d = self.__dict__
+        d["solution"] = solution
+        d["frame"] = frame
+        d["property_report"] = property_report
 
 
 @dataclass

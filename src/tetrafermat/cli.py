@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -177,6 +178,23 @@ def format_report_text(report: SolutionReport) -> str:
     return "\n".join(lines)
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout and flush it.
+
+    A reader that has closed stdout (``verify ... | head -1``) ends the
+    output, not the run: stdout is pointed at os.devnull, so that neither
+    this write nor the flush at exit raises again, and the command goes on
+    to return its own exit code.  The catch sits here, around the write,
+    because a command decides its code only after it has printed.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_solve(args: argparse.Namespace, verify_mode: bool = False) -> int:
     tetra = load_tetrahedron(args.input)
     try:
@@ -185,9 +203,9 @@ def cmd_solve(args: argparse.Namespace, verify_mode: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     if args.format == "json":
-        print(json.dumps(to_dict(report), indent=2, allow_nan=False))
+        _print(json.dumps(to_dict(report), indent=2, allow_nan=False))
     else:
-        print(format_report_text(report))
+        _print(format_report_text(report))
     if verify_mode and report.property_report is not None \
             and not report.property_report.passed:
         return EXIT_VERIFICATION_FAILED
@@ -207,7 +225,7 @@ def cmd_sixth_angle(args: argparse.Namespace) -> int:
             "angle_plus_rad": result.angle(1) if result.realizable_plus else None,
             "angle_minus_rad": result.angle(-1) if result.realizable_minus else None,
         }
-        print(json.dumps(out, indent=2, allow_nan=False))
+        _print(json.dumps(out, indent=2, allow_nan=False))
     else:
         lines = [
             "input angles (rad): "
@@ -230,7 +248,7 @@ def cmd_sixth_angle(args: argparse.Namespace) -> int:
                 lines.append(
                     f"{label}: cos = {cos_value:.12g} (not realizable)"
                 )
-        print("\n".join(lines))
+        _print("\n".join(lines))
     return EXIT_OK
 
 
@@ -240,7 +258,7 @@ def cmd_batch_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise InputError("seed must be non-negative")
     summary = run_batch_verify(args.seed, args.count, args.tol, args.max_iter)
-    print(summary.format_text())
+    _print(summary.format_text())
     return EXIT_OK if summary.passed else EXIT_VERIFICATION_FAILED
 
 

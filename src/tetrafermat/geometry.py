@@ -178,10 +178,11 @@ class Tetrahedron:
             raise DegenerateInput(f"expected 4 points in 3D, got shape {v.shape}")
         frame, s, m = frame_rows(v.tolist(), FLOATS)
         v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "scale", s)
-        object.__setattr__(self, "to_frame", m)
-        object.__setattr__(self, "frame", frame)
+        d = self.__dict__
+        d["vertices"] = v
+        d["scale"] = s
+        d["to_frame"] = m
+        d["frame"] = frame
 
     def vertex(self, i: int) -> np.ndarray:
         """Vertex by 1-based label A1..A4."""
@@ -224,7 +225,7 @@ class DirectionConfig:
                 "expected 4 direction rows of 3 coordinates, got "
                 f"{self.rows!r}"
             ) from None
-        object.__setattr__(self, "rows", rows)
+        self.__dict__["rows"] = rows
         _require_units(rows)
 
     @property
@@ -256,7 +257,7 @@ def _float_config(rows: tuple) -> DirectionConfig:
     runs."""
     _require_units(rows)
     config = object.__new__(DirectionConfig)
-    object.__setattr__(config, "rows", rows)
+    config.__dict__["rows"] = rows
     return config
 
 
@@ -270,21 +271,43 @@ def unit_legs(q, rows, xp):
     is inf when ``q``'s squared norm overflows.
     """
     qx, qy, qz = q
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     sqrt, maximum = xp.sqrt, xp.maximum
     qn = sqrt(qx * qx + qy * qy + qz * qz)
-    legs = []
-    apart = []
-    for bx, by, bz in rows:
-        dx = bx - qx
-        dy = by - qy
-        dz = bz - qz
-        n = sqrt(dx * dx + dy * dy + dz * dz)
-        scale = maximum(qn, sqrt(bx * bx + by * by + bz * bz))
-        apart.append(n > COINCIDENT_EPS * scale)
-        # a zero length divides as 1, never raising; elsewhere the added
-        # False is an exact + 0
-        n = n + (n == 0.0)
-        legs.append((dx / n, dy / n, dz / n))
+    x1 = ax - qx
+    y1 = ay - qy
+    z1 = az - qz
+    x2 = bx - qx
+    y2 = by - qy
+    z2 = bz - qz
+    x3 = cx - qx
+    y3 = cy - qy
+    z3 = cz - qz
+    x4 = dx - qx
+    y4 = dy - qy
+    z4 = dz - qz
+    n1 = sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    n2 = sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+    n3 = sqrt(x3 * x3 + y3 * y3 + z3 * z3)
+    n4 = sqrt(x4 * x4 + y4 * y4 + z4 * z4)
+    apart = [
+        n1 > COINCIDENT_EPS * maximum(qn, sqrt(ax * ax + ay * ay + az * az)),
+        n2 > COINCIDENT_EPS * maximum(qn, sqrt(bx * bx + by * by + bz * bz)),
+        n3 > COINCIDENT_EPS * maximum(qn, sqrt(cx * cx + cy * cy + cz * cz)),
+        n4 > COINCIDENT_EPS * maximum(qn, sqrt(dx * dx + dy * dy + dz * dz)),
+    ]
+    # a zero length divides as 1, never raising; elsewhere the added False
+    # is an exact + 0
+    n1 = n1 + (n1 == 0.0)
+    n2 = n2 + (n2 == 0.0)
+    n3 = n3 + (n3 == 0.0)
+    n4 = n4 + (n4 == 0.0)
+    legs = (
+        (x1 / n1, y1 / n1, z1 / n1),
+        (x2 / n2, y2 / n2, z2 / n2),
+        (x3 / n3, y3 / n3, z3 / n3),
+        (x4 / n4, y4 / n4, z4 / n4),
+    )
     return legs, apart, qn
 
 

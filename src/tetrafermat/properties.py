@@ -39,7 +39,7 @@ DEFAULT_TOL = 1e-6
 BISECTOR_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleSextuple:
     """The six angles a_i0j between legs i and j at the junction point 0."""
 
@@ -50,11 +50,20 @@ class AngleSextuple:
     a204: float
     a304: float
 
+    def __init__(self, a102, a103, a104, a203, a204, a304):
+        d = self.__dict__
+        d["a102"] = a102
+        d["a103"] = a103
+        d["a104"] = a104
+        d["a203"] = a203
+        d["a204"] = a204
+        d["a304"] = a304
+
     def as_tuple(self) -> tuple[float, ...]:
         return (self.a102, self.a103, self.a104, self.a203, self.a204, self.a304)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PropertyReport:
     """Residuals of the junction-angle identities under one tolerance.
 
@@ -72,6 +81,19 @@ class PropertyReport:
     tol: float
     passed: bool
     flags: tuple[str, ...] = ()
+
+    def __init__(self, angles, opposite_angle_residuals, cosine_sum_residual,
+                 bisector_dot_residuals, antiparallel_residuals, tol, passed,
+                 flags=()):
+        d = self.__dict__
+        d["angles"] = angles
+        d["opposite_angle_residuals"] = opposite_angle_residuals
+        d["cosine_sum_residual"] = cosine_sum_residual
+        d["bisector_dot_residuals"] = bisector_dot_residuals
+        d["antiparallel_residuals"] = antiparallel_residuals
+        d["tol"] = tol
+        d["passed"] = passed
+        d["flags"] = flags
 
 
 def leg_cosines(rows, xp):

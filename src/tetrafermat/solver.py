@@ -61,7 +61,7 @@ INTERIOR = "interior"
 VERTEX = "vertex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Classification:
     """Outcome of the vertex-optimality test at each vertex."""
 
@@ -70,8 +70,19 @@ class Classification:
     pull_norms: tuple[float, float, float, float]
     flags: tuple[str, ...] = ()
 
+    def __init__(self, kind, vertex_index, pull_norms, flags=()):
+        # the fields go straight into the instance dict; the generated
+        # frozen __init__ makes one call per field past the frozen
+        # __setattr__, about twice the time (so too below, and in
+        # properties and batch)
+        d = self.__dict__
+        d["kind"] = kind
+        d["vertex_index"] = vertex_index
+        d["pull_norms"] = pull_norms
+        d["flags"] = flags
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class FermatSolution:
     """Minimizer of the four-point distance sum.
 
@@ -93,6 +104,18 @@ class FermatSolution:
     objective_value: float
     pull_norms: tuple[float, float, float, float]
     flags: tuple[str, ...] = ()
+
+    def __init__(self, kind, point, vertex_index, residual, iterations,
+                 objective_value, pull_norms, flags=()):
+        d = self.__dict__
+        d["kind"] = kind
+        d["point"] = point
+        d["vertex_index"] = vertex_index
+        d["residual"] = residual
+        d["iterations"] = iterations
+        d["objective_value"] = objective_value
+        d["pull_norms"] = pull_norms
+        d["flags"] = flags
 
     def __eq__(self, other):
         # the generated method compares fields as tuple items, and an

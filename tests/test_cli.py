@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetrafermat
 from tetrafermat import cli, solver
 from tetrafermat.cli import (
     EXIT_INVALID_INPUT,
@@ -236,6 +241,39 @@ class TestSixthAngleCommand:
     def test_out_of_range_exits_2(self, write_json):
         path = write_json({"angles_deg": [90, 90, 60, 90, 190]})
         assert main(["sixth-angle", "--input", path]) == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["verify", "--input", "corner.json"], EXIT_OK),
+        (["batch-verify", "--count", "8", "--max-iter", "1"],
+         EXIT_VERIFICATION_FAILED),
+    ],
+    ids=["verify", "batch_verify_fails"],
+)
+def test_closed_stdout_keeps_exit_code(argv, expected, buffered, tmp_path):
+    # stdout is a pipe whose reader has gone before the first write, as
+    # with `| head -1` once head has read its line; buffered, the write
+    # fails at the last flush, unbuffered, inside the print
+    (tmp_path / "corner.json").write_text(json.dumps(RIGHT_CORNER))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(tetrafermat.__file__).parents[1])
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "tetrafermat.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert run.stderr == b""
+    assert run.returncode == expected
 
 
 class TestBatchVerifyCommand:
