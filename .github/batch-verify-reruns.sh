@@ -32,8 +32,9 @@ rerun 0 --seed 1 --count 2500
 # numpy's SeedSequence and PCG64 streams
 rerun 0 --seed 4294967296 --count 1100
 # rows leave the lockstep sweeps mid-iteration and go on through newton on
-# floats within the budget left: each finishes there, or reaches solve and
-# ends in no convergence (exit 4)
+# floats within the budget left: the columns give every interior row
+# newton's outcome, and each one that ends MAXITER keeps it and ends in
+# no convergence (exit 4)
 rerun 4 --count 300 --max-iter 4
 # rows 288 and 492 take a shortened step and finish on floats inside the
 # column solve

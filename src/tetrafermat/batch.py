@@ -14,22 +14,22 @@ columns, one element per instance, by the kernel ``Tetrahedron`` runs on
 floats (``geometry.frame_columns``).
 
 - **Columns.** ``solver.solve_columns`` settles the chunk's vertex
-  instances from their column pull norms and solves its interior
-  instances in lockstep Newton sweeps of full steps; each one that needs
-  a safeguard, and the chunk's last few, finish on floats from the
-  iterate where they stand.  The identity checks then run on columns of
-  the interior solutions it found, through the kernels the scalar API
-  calls with floats (see ``ops``): every solution and every residual is
-  bit for bit the one ``_check_residuals`` reads off ``build_report``'s
-  record.
+  instances from their column pull norms and gives every interior
+  instance ``kernels.newton``'s outcome, in lockstep Newton sweeps of
+  full steps; each one that needs a safeguard, and the chunk's last few,
+  finish on floats from the iterate where they stand.  The identity
+  checks then run on columns of the interior solutions, through the
+  kernels the scalar API calls with floats (see ``ops``): every solution
+  and every residual is bit for bit the one ``_check_residuals`` reads
+  off ``build_report``'s record.
 - **Per instance.** Every other row takes, in instance order, the body of
-  a loop of ``build_report`` and ``_check_residuals``: a row
-  ``solve_columns`` left (two winning vertices, a NaN pull norm, a Newton
-  iteration that ends MAXITER: a budget run out, a non-positive ``det H``
-  or a step with no acceptable trial point) is solved by ``solve``, and a
-  row that fails a column check (``_column_residuals``) keeps its column
-  solution.  Its ``Tetrahedron`` is built then, once, so every error
-  text and flag is the scalar one.
+  a loop of ``build_report`` and ``_check_residuals``: a row whose Newton
+  iteration ended MAXITER (a budget run out, a non-positive ``det H`` or
+  a step with no acceptable trial point) or that fails a column check
+  (``_column_residuals``) keeps its column outcome, and a row
+  ``solve_columns`` left (two winning vertices, a NaN pull norm) is
+  solved by ``solve``.  Its ``Tetrahedron`` is built then, once, so every
+  error text and flag is the scalar one.
 
 A chunk returns its residuals as columns, one row per check and one
 column per instance, with the mask of the checks that apply to each
@@ -59,6 +59,7 @@ from .geometry import (
     DirectionConfig, Tetrahedron, direction_config, frame_columns, unit_legs,
     unit_rows,
 )
+from .kernels import MAXITER
 from .ops import FLOATS, Columns
 from .properties import (
     DEFAULT_TOL, PropertyReport, bisector_residuals, cosine_residuals,
@@ -249,10 +250,10 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
     apply to each instance (the vertex check to a vertex solution, the
     others to an interior one, none to an error); and the (instance, error
     text) pairs in instance order.  The draws are made, validated and
-    framed on columns, and the rows ``solve_columns`` solves are checked
-    there; every other row takes the reference loop's per-instance body,
-    with the column solution when there is one, and builds its
-    ``Tetrahedron`` then, once.
+    framed on columns, and the rows ``solve_columns`` solves to CONVERGED
+    are checked there; every other row takes the reference loop's
+    per-instance body, with the column outcome when there is one, and
+    builds its ``Tetrahedron`` then, once.
     """
     vertices = sampling.random_vertex_columns(seed, indices)
     n = len(vertices)
@@ -266,11 +267,13 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
     values[_VERTEX, chunk.vertex_rows] = _vertex_excess(chunk.vertex_residual, np)
     applies[_VERTEX, chunk.vertex_rows] = True
     checks, failed = _column_residuals(chunk.point, m[chunk.rows], frame[:, chunk.rows])
+    # a row that ended MAXITER raises its NonConvergence per instance
+    failed = failed | (chunk.status == MAXITER)
     passed = chunk.rows[~failed]
     values[_INTERIOR[0], chunk.rows] = chunk.residual
     values[np.ix_(_INTERIOR[1:], chunk.rows)] = checks
     applies[np.ix_(_INTERIOR, passed)] = True
-    # the column of each solved row that failed a check
+    # the column of each row that failed a check or ended MAXITER
     column = dict(zip(chunk.rows[failed].tolist(), np.flatnonzero(failed).tolist()))
     scalar = np.ones(n, dtype=bool)
     scalar[chunk.vertex_rows] = False

@@ -5,9 +5,8 @@ objective.  ``newton`` has one step path: a Newton step that finds no
 trial point it can accept ends the iteration.  Its stopping residual,
 budget and vertex radius, ``newton_columns``' budget and the number of
 instances it finishes on floats, are parameters whose values ``solver``
-sets (``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``, ``MAX_SWEEPS``,
-``FLOAT_TAIL``), as it chooses the vertex that ``ray_start`` steps off
-(``solver._newton_start``).
+sets (``GRAD_TOL``, ``MAX_ITER``, ``VERTEX_EPS``, ``FLOAT_TAIL``), as it
+chooses the vertex that ``ray_start`` steps off (``solver._newton_start``).
 
 Every kernel takes ``rows``, the four vertices as (x, y, z) triples
 (``Tetrahedron.frame``, built once per tetrahedron).  The arithmetic of
@@ -20,10 +19,11 @@ element per tetrahedron (see ``ops``; ``sqrt`` and ``all`` come from the
 safeguard, and ``newton_columns`` on columns, which runs a chunk of
 tetrahedra in lockstep while each takes full Newton steps and the sweeps
 hold enough of them to pay, and finishes the rest through ``newton`` on
-floats, each from the iterate where it stands.  On four points a numpy
-call costs more than the arithmetic it vectorizes, so the scalar API
-stays on floats.  The kernels bind the twelve row coordinates once and
-write the four legs (for ``pull_norms`` the six edges) out as
+floats, each from the iterate where it stands, so that it returns
+``newton``'s outcome, CONVERGED or MAXITER, for every instance.  On four
+points a numpy call costs more than the arithmetic it vectorizes, so the
+scalar API stays on floats.  The kernels bind the twelve row coordinates
+once and write the four legs (for ``pull_norms`` the six edges) out as
 straight-line code, with no per-row loop; ``newton`` carries the
 distances of an accepted trial point into the next iterate.  Each keeps
 the floating-point operations of a per-row loop in the same order, so
@@ -397,33 +397,32 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
     ``rows`` holds the four rows as (x, y, z) triples of columns, and
     ``sx, sy, sz`` and ``vertex_eps`` are columns too.  Each sweep runs the
     kernels ``newton_step`` and ``distances`` on the instances still
-    iterating; one whose residual is at most ``grad_tol`` is done, with
-    the sweep's count as its iterations.  An instance continues on floats
-    at the first iterate where ``newton`` would take a path other than the
-    full step: it lies within ``vertex_eps`` of a row (an escape), ``det
-    H`` is not positive (NaN included) or the full step is rejected (a
-    retry).  So does every instance still iterating once a sweep would
-    hold at most ``tail`` of them, where a sweep's numpy calls cost more
-    than finishing each on floats, or once ``max_iter`` iterations have
-    run out.  ``newton`` gets the budget left over, and its iterations add
-    to the sweeps'; an instance it ends CONVERGED is done, one it ends
-    MAXITER is not.  So every safeguard and every MAXITER outcome has
+    iterating; one whose residual is at most ``grad_tol`` is CONVERGED,
+    with the sweep's count as its iterations.  An instance continues on
+    floats at the first iterate where ``newton`` would take a path other
+    than the full step: it lies within ``vertex_eps`` of a row (an
+    escape), ``det H`` is not positive (NaN included) or the full step is
+    rejected (a retry).  So does every instance still iterating once a
+    sweep would hold at most ``tail`` of them, where a sweep's numpy calls
+    cost more than finishing each on floats, or once ``max_iter``
+    iterations have run out.  ``newton`` gets the budget left of
+    ``max_iter``, its iterations add to the sweeps', and its status is
+    the instance's, so every safeguard and every MAXITER outcome has
     ``newton``'s one implementation.  ``newton`` keeps no memory between
     iterates, and the distances it measures at the iterate it starts from
-    are the ones the columns carried, so a done instance took exactly
-    ``newton``'s path from its start: its point, value, residual and
-    iterations are ``newton``'s, bit for bit.
+    are the ones the columns carried, so every instance took exactly
+    ``newton``'s path from its start: its point, value, residual,
+    iterations and status are ``newton``'s, bit for bit.
 
-    Returns ``(x, y, z, value, residual, iterations, done)`` as columns
-    over all instances; only the elements where ``done`` is true mean
-    anything.  Evaluates under ``np.errstate(all="ignore")``: an instance
-    that continues on floats may meet NaN or infinite values on its way
-    out of the columns.
+    Returns ``newton``'s ``(x, y, z, value, residual, iterations,
+    status)`` as columns over all instances.  Evaluates under
+    ``np.errstate(all="ignore")``: an instance that continues on floats
+    may meet NaN or infinite values on its way out of the columns.
     """
     n = len(sx)
     out = np.zeros((5, n))
     iterations = np.zeros(n, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
+    status = np.full(n, CONVERGED, dtype=np.int64)
     # (sweep count, the instances' state columns) of each set of instances
     # that continues on floats
     handed = []
@@ -451,7 +450,6 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
                 j = index[converged].astype(np.int64)
                 out[:, j] = np.vstack((x, y, z, f, res))[:, converged]
                 iterations[j] = it
-                done[j] = True
             if step is None:
                 handed.append((it, state[:, near]))
                 break
@@ -468,24 +466,23 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
             # copies none
             if not keep.all():
                 state = state[:, keep]
-    # (index, x, y, z, value, residual, iterations) of each instance
-    # newton finishes
+    # (index, x, y, z, value, residual, iterations, status) of each
+    # instance newton finishes
     finished = []
     for start, columns in handed:
         for c in columns.T.tolist():
-            x, y, z, f, res, steps, status = newton(
+            x, y, z, f, res, steps, ends = newton(
                 (c[0:3], c[3:6], c[6:9], c[9:12]), c[14], c[15], c[16],
                 grad_tol, max_iter - start, c[12],
             )
-            if status == CONVERGED:
-                finished.append((c[13], x, y, z, f, res, start + steps))
+            finished.append((c[13], x, y, z, f, res, start + steps, ends))
     if finished:
-        index, *values, steps = np.array(finished).T
+        index, *values, steps, ends = np.array(finished).T
         j = index.astype(np.int64)
         out[:, j] = values
         iterations[j] = steps
-        done[j] = True
-    return (*out, iterations, done)
+        status[j] = ends
+    return (*out, iterations, status)
 
 
 def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):

@@ -12,14 +12,15 @@ their frames as columns (``geometry.frame_columns``) with no
 ``Tetrahedron`` per instance: it settles the vertex cases and solves the
 interior ones in lockstep sweeps of full Newton steps, and each one the
 sweeps do not finish goes on through ``kernels.newton`` on floats, with
-its one set of safeguards.  Only the tetrahedra with two winning
-vertices or a NaN pull norm, and those whose Newton iteration ends
-MAXITER, are left to ``solve``.  Both take the Newton start and the
-vertex escape radius from one function, ``_newton_start``, on floats or
-on columns, and build the interior solution in one, ``_interior``.  The
-stopping residual is the constant ``GRAD_TOL``, the value every check of
-the minimizer is written against; a caller sets only the iteration
-budget.  Every kernel reads the tetrahedron's frame,
+its one set of safeguards, so every interior tetrahedron gets
+``newton``'s outcome, MAXITER included.  Only the tetrahedra with two
+winning vertices or a NaN pull norm are left to ``solve``.  Both take
+the Newton start and the vertex escape radius from one function,
+``_newton_start``, on floats or on columns, and build the interior
+solution, or raise the NonConvergence of a MAXITER outcome, in one,
+``_interior``.  The stopping residual is the constant ``GRAD_TOL``, the
+value every check of the minimizer is written against; a caller sets
+only the iteration budget.  Every kernel reads the tetrahedron's frame,
 ``Tetrahedron.frame``: its vertices times the power of two
 ``Tetrahedron.to_frame``.  Points and lengths go into the frame times
 that power and come back divided by it, both exact.
@@ -46,11 +47,6 @@ VERTEX_EPS = 1e-9
 GRAD_TOL = 1e-10
 #: Newton steps and vertex escapes an interior solve may take by default
 MAX_ITER = 10000
-#: Newton iterations ``solve_columns`` runs at most, in lockstep sweeps and
-#: then on floats (unit-cube interiors converge in at most 8); a
-#: tetrahedron still iterating then, stalled at its rounding floor, is left
-#: to ``solve``
-MAX_SWEEPS = 32
 #: ``solve_columns`` finishes on floats the tetrahedra of a lockstep sweep
 #: that would hold at most this many: a sweep's kernels cost about 85 us
 #: on 1 to 24 columns and 180 us on 900, one Newton iterate on floats about
@@ -217,9 +213,7 @@ def solve(tetra: Tetrahedron, max_iter: int = MAX_ITER) -> FermatSolution:
         rows, *start, GRAD_TOL, max_iter, eps,
     )
     point = np.array([x / m, y / m, z / m])
-    if status == kernels.MAXITER:
-        raise NonConvergence(point, res, iters)
-    return _interior(point, res, iters, value / m, cls.pull_norms)
+    return _interior(point, res, iters, value / m, cls.pull_norms, status)
 
 
 def _newton_start(rows, pulls, scale, to_frame, xp):
@@ -236,8 +230,11 @@ def _newton_start(rows, pulls, scale, to_frame, xp):
     return start, VERTEX_EPS * (scale * to_frame)
 
 
-def _interior(point, residual, iterations, objective_value, pull_norms):
-    """The interior ``FermatSolution`` with these fields."""
+def _interior(point, residual, iterations, objective_value, pull_norms, status):
+    """The interior ``FermatSolution`` with these fields, or, when
+    ``status`` is MAXITER, NonConvergence at ``point``."""
+    if status == kernels.MAXITER:
+        raise NonConvergence(point, residual, iterations)
     return FermatSolution(
         INTERIOR, point, None, residual, iterations, objective_value, pull_norms,
     )
@@ -248,10 +245,12 @@ class ColumnSolutions:
     """The solutions ``solve_columns`` found for a chunk of tetrahedra, as
     columns.
 
-    ``rows`` are the positions in the chunk of the interior tetrahedra
-    solved; column j of ``point`` (3, k), ``residual``, ``iterations``,
-    ``objective`` and ``pull_norms`` (4, k) holds the solution of
-    ``rows[j]``, the one ``solve`` returns (``solution``).
+    ``rows`` are the positions in the chunk of the interior tetrahedra;
+    column j of ``point`` (3, k), ``residual``, ``iterations``,
+    ``objective``, ``pull_norms`` (4, k) and ``status`` holds the outcome
+    of the Newton iteration of ``rows[j]``: the solution ``solve``
+    returns, or the NonConvergence it raises when ``status`` is MAXITER
+    (``solution``).
     ``vertex_rows`` are the positions of the tetrahedra with exactly one
     vertex that passes the optimality test, the vertex ``solve`` returns,
     and ``vertex_residual`` that vertex's pull norm, its solution's
@@ -264,22 +263,21 @@ class ColumnSolutions:
     iterations: np.ndarray
     objective: np.ndarray
     pull_norms: np.ndarray
+    status: np.ndarray
     vertex_rows: np.ndarray
     vertex_residual: np.ndarray
 
     def solution(self, j: int) -> FermatSolution:
-        """The record of column j, equal to ``solve``'s."""
+        """Column j's record, equal to ``solve``'s, or its NonConvergence."""
         return _interior(
             self.point[:, j].copy(), self.residual[j].item(),
             self.iterations[j].item(), self.objective[j].item(),
-            tuple(self.pull_norms[:, j].tolist()),
+            tuple(self.pull_norms[:, j].tolist()), self.status[j].item(),
         )
 
 
 def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSolutions:
-    """``solve`` on a chunk of tetrahedra at once, for the vertex ones and
-    the interior ones that converge within ``min(max_iter, MAX_SWEEPS)``
-    iterations.
+    """``solve`` on a chunk of tetrahedra at once.
 
     ``frame`` (12, n) holds the chunk's ``Tetrahedron.frame`` coordinates,
     vertex by vertex and x, y, z within a vertex, and ``scale`` and
@@ -294,14 +292,15 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
     that needs a safeguard (an escape, a shortened step, a non-positive
     ``det H``), and all once a sweep would hold at most ``FLOAT_TAIL``, go
     on through ``kernels.newton`` on floats from the iterate where they
-    stand; sweeps and float iterations together run for at most
-    ``min(max_iter, MAX_SWEEPS)`` iterations.  The rest (two winning
-    vertices, a NaN pull norm, a Newton iteration that ends MAXITER: a
-    budget run out, a non-positive ``det H`` or a step with no acceptable
-    trial point) are in neither ``rows`` nor ``vertex_rows``: ``solve``
-    handles each of them, ClassificationConflict and NonConvergence
-    included.  Every solution found here is the one ``solve`` returns, bit
-    for bit: the kernels are the same, in the same order of operations.
+    stand, with the budget left of ``max_iter``.  Every interior
+    tetrahedron is in ``rows``, with ``newton``'s outcome: CONVERGED, or
+    MAXITER (a budget run out, a non-positive ``det H`` or a step with no
+    acceptable trial point), whose ``solution`` raises NonConvergence.
+    The rest (two winning vertices, a NaN pull norm) are in neither
+    ``rows`` nor ``vertex_rows``: ``solve`` handles each of them,
+    ClassificationConflict included.  Every outcome found here is the one
+    ``solve`` gives, bit for bit: the kernels are the same, in the same
+    order of operations.
     """
     with np.errstate(all="ignore"):
         rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
@@ -314,20 +313,21 @@ def solve_columns(frame, scale, to_frame, max_iter: int = MAX_ITER) -> ColumnSol
         pulls, mi, frame = pulls[:, inner], to_frame[inner], frame[:, inner]
         rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
         start, eps = _newton_start(rows, pulls, scale[inner], mi, Columns)
-        x, y, z, value, res, iters, done = kernels.newton_columns(
-            rows, *start, GRAD_TOL, min(max_iter, MAX_SWEEPS), eps, FLOAT_TAIL,
+        x, y, z, value, res, iters, status = kernels.newton_columns(
+            rows, *start, GRAD_TOL, max_iter, eps, FLOAT_TAIL,
         )
-    mi = mi[done]
-    return ColumnSolutions(
-        rows=inner[done],
-        point=np.array([x[done] / mi, y[done] / mi, z[done] / mi]),
-        residual=res[done],
-        iterations=iters[done],
-        objective=value[done] / mi,
-        pull_norms=pulls[:, done],
-        vertex_rows=vertex,
-        vertex_residual=vertex_residual,
-    )
+        # a far MAXITER iterate may overflow to inf, as solve's floats do
+        return ColumnSolutions(
+            rows=inner,
+            point=np.array([x / mi, y / mi, z / mi]),
+            residual=res,
+            iterations=iters,
+            objective=value / mi,
+            pull_norms=pulls,
+            status=status,
+            vertex_rows=vertex,
+            vertex_residual=vertex_residual,
+        )
 
 
 def hull_points(tetra: Tetrahedron, count: int, rng: np.random.Generator) -> np.ndarray:

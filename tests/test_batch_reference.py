@@ -1,11 +1,12 @@
 """batch-verify against its per-instance loop.
 
 ``run_batch_verify`` takes two paths per chunk.  ``solve_columns`` settles
-the vertex instances and solves the interior ones on float64 columns in
-lockstep, and the identity checks run on columns of those solutions.
-Every other instance (one the columns left, or one that fails a column
-check) takes the body of ``loop_batch_verify`` below, in instance order:
-``build_report`` (with the column solution when there is one), then
+the vertex instances and gives every interior one ``newton``'s outcome on
+float64 columns in lockstep, and the identity checks run on columns of
+the solutions.  Every other instance (one the columns left, one whose
+Newton iteration ended MAXITER, or one that fails a column check) takes
+the body of ``loop_batch_verify`` below, in instance order:
+``build_report`` (with the column outcome when there is one), then
 ``_check_residuals``.  ``loop_batch_verify`` is batch-verify's earlier
 form, that body and the max/failure merge one instance at a time, all
 through the scalar API.  The two must return equal ``BatchSummary``
@@ -183,7 +184,25 @@ def without(chunk, drop):
         iterations=chunk.iterations[keep],
         objective=chunk.objective[keep],
         pull_norms=chunk.pull_norms[:, keep],
+        status=chunk.status[keep],
     )
+
+
+def assert_solve_outcome(chunk, j, tetra, max_iter=MAX_ITER):
+    """Column j of ``chunk`` gives ``solve``'s outcome on ``tetra``: its
+    record, or a NonConvergence with the same point, residual and
+    iterations, bit for bit.  Returns whether it ended MAXITER."""
+    if chunk.status[j] != kernels.MAXITER:
+        assert chunk.solution(j) == solve(tetra, max_iter)
+        return False
+    with pytest.raises(NonConvergence) as got:
+        chunk.solution(j)
+    with pytest.raises(NonConvergence) as want:
+        solve(tetra, max_iter)
+    assert got.value.point.tobytes() == want.value.point.tobytes()
+    assert float.hex(got.value.residual) == float.hex(want.value.residual)
+    assert got.value.iterations == want.value.iterations
+    return True
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -274,10 +293,10 @@ def test_tetrahedra_only_on_the_scalar_path(seed, monkeypatch):
 def test_column_rows_and_left_rows_take_one_path_each(seed, monkeypatch):
     # the identity columns see exactly the rows solve_columns solved, the
     # rejected full steps among them, and no row reaches the per-instance
-    # path; with a budget of 4 each row solve_columns left reaches solve
-    # once, through the per-instance path alone, and ends in
-    # NonConvergence, while the rows it solved reach neither solve nor
-    # _check_residuals
+    # path; with a budget of 4 every interior row is a column row too: each
+    # one that ends MAXITER takes the per-instance path with its column
+    # outcome and ends in solve's NonConvergence text, and no row reaches
+    # solve or _check_residuals
     tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
     interior = {i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR}
     column_residuals = batch._column_residuals
@@ -310,15 +329,19 @@ def test_column_rows_and_left_rows_take_one_path_each(seed, monkeypatch):
     assert reached == solved == []
     seen.clear()
     chunk = columns(tetras, max_iter=4)
-    left = sorted(interior - set(chunk.rows.tolist()))
-    assert left
+    assert set(chunk.rows.tolist()) == interior
+    stalled = chunk.rows[chunk.status == kernels.MAXITER].tolist()
+    assert stalled
     summary = run_batch_verify(seed, 1000, max_iter=4)
     (point,) = seen
     assert point.tobytes() == chunk.point.tobytes()
-    assert sorted(solved) == sorted(tetras[i].vertices.tobytes() for i in left)
-    assert [i for i, _ in summary.errors] == left
-    assert all("no convergence" in text for _, text in summary.errors)
-    assert reached == []
+    texts = []
+    for i in stalled:
+        with pytest.raises(NonConvergence) as exc:
+            solve(tetras[i], 4)
+        texts.append((i, f"no convergence (residual {exc.value.residual:.3e})"))
+    assert summary.errors == texts
+    assert reached == solved == []
 
 
 def test_nan_and_inf_residuals_on_the_scalar_path(monkeypatch):
@@ -401,9 +424,9 @@ def leaving_corpus():
 
 def test_rows_leaving_the_columns(monkeypatch):
     # the rows that leave the lockstep: the rejected full steps finish on
-    # floats inside the column solve, with solve's solutions, and only the
-    # vertex rows and the NonConvergence rows, escapes included, are left
-    # to the per-instance path
+    # floats inside the column solve, with solve's solutions, the stalled
+    # rows, escapes included, end MAXITER there with solve's
+    # NonConvergence, and only the vertex rows lie outside the column rows
     corpus = leaving_corpus()
     assert solve(corpus[11]).flags == ("boundary_tie",)
     # the reference loop draws through random_vertices, a chunk through
@@ -417,13 +440,33 @@ def test_rows_leaving_the_columns(monkeypatch):
     errors = {i for i, text in summary.errors if "no convergence" in text}
     assert 38 in errors and len(errors) == len(summary.errors)
     chunk = columns(corpus)
-    for j, i in enumerate(chunk.rows.tolist()):
-        assert chunk.solution(j) == solve(corpus[i])
-    assert {5, 6, 7, 8, 9} <= set(chunk.rows.tolist())
+    rows = chunk.rows.tolist()
+    stalled = {i for j, i in enumerate(rows) if assert_solve_outcome(chunk, j, corpus[i])}
+    assert stalled == errors
+    assert {5, 6, 7, 8, 9} <= set(rows) - stalled
     assert 11 in chunk.vertex_rows.tolist()
-    left = set(range(len(corpus))) - set(chunk.rows.tolist())
-    assert left == errors | set(chunk.vertex_rows.tolist())
-    assert len(left) == len(summary.errors) + summary.vertex_count
+    left = set(range(len(corpus))) - set(rows)
+    assert left == set(chunk.vertex_rows.tolist())
+    assert len(left) == summary.vertex_count
+    assert len(rows) == summary.interior_count + len(summary.errors)
+
+
+@pytest.mark.parametrize("tail", [solver.FLOAT_TAIL, 0])
+def test_column_outcomes_are_solves_at_budget_100(tail, monkeypatch):
+    # about a fifth of these known-answer rows stall at their rounding
+    # floor and spend the whole budget, on floats after the sweeps hold at
+    # most FLOAT_TAIL rows, or in lockstep to the end (0); every interior
+    # row gives solve's outcome either way
+    monkeypatch.setattr(solver, "FLOAT_TAIL", tail)
+    tetras = [known_answer_tetrahedron(0, k)[0] for k in range(100)]
+    chunk = columns(tetras, max_iter=100)
+    interior = {i for i, t in enumerate(tetras) if classify(t).kind == INTERIOR}
+    assert set(chunk.rows.tolist()) == interior
+    stalled = [
+        assert_solve_outcome(chunk, j, tetras[i], 100)
+        for j, i in enumerate(chunk.rows.tolist())
+    ]
+    assert any(stalled) and not all(stalled)
 
 
 @pytest.mark.parametrize("corpus", ["seed0", "seed1", "leaving"])

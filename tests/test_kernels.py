@@ -476,10 +476,11 @@ class TestLoopReference:
 
 
 class TestNewtonColumns:
-    """``newton_columns`` against ``newton``, instance by instance: a done
-    instance carries ``newton``'s answer bit for bit, and an instance not
-    done is one ``newton`` ends MAXITER, however many sweeps run in lockstep
-    before the rest continue on floats."""
+    """``newton_columns`` against ``newton``, instance by instance: every
+    instance carries ``newton``'s outcome bit for bit, point, value,
+    residual, iterations and status, CONVERGED or MAXITER, however many
+    sweeps run in lockstep before the rest continue on floats with the
+    budget left."""
 
     @staticmethod
     def cases():
@@ -501,7 +502,7 @@ class TestNewtonColumns:
         return out + [(rows, c, 1e-9 * OFFSET_1E5.scale)]
 
     @pytest.mark.parametrize("tail", [0, 3, 10**6])
-    @pytest.mark.parametrize("budget", [1, 3, 5, 32])
+    @pytest.mark.parametrize("budget", [1, 3, 5, 32, 100])
     def test_done_instances_are_newtons(self, budget, tail):
         cases = self.cases()
         rows = tuple(
@@ -510,18 +511,15 @@ class TestNewtonColumns:
         )
         starts = np.array([start for _, start, _ in cases]).T
         eps = np.array([e for _, _, e in cases])
-        *values, iterations, done = kernels.newton_columns(
-            rows, *starts, 1e-10, budget, eps, tail,
-        )
+        got = kernels.newton_columns(rows, *starts, 1e-10, budget, eps, tail)
+        assert got[5].dtype == got[6].dtype == np.int64
         statuses = set()
         for i, (v, start, e) in enumerate(cases):
-            *want, status = kernels.newton(v, *start, 1e-10, budget, e)
-            statuses.add(status)
-            assert done[i] == (status == kernels.CONVERGED)
-            if done[i]:
-                got = [float.hex(float(c[i])) for c in values]
-                assert got == [float.hex(c) for c in want[:5]]
-                assert iterations[i] == want[5]
+            want = kernels.newton(v, *start, 1e-10, budget, e)
+            statuses.add(want[6])
+            assert [float.hex(float(c[i])) for c in got] == [
+                float.hex(float(c)) for c in want
+            ]
         assert kernels.MAXITER in statuses
         assert (kernels.CONVERGED in statuses) == (budget > 1)
 
