@@ -14,6 +14,8 @@
 # - batch-verify on every corpus of batch-verify-reruns.sh;
 # - batch-verify on seeds 2, 5 and 3 x 1000 at budgets 40, 8 and 6, where
 #   rows leave the lockstep sweeps and finish on floats;
+# - batch-verify on seed 0 x 8 at budget 1, where every interior row ends
+#   MAXITER and takes the per-instance path (exit 4);
 # - solve and verify, in text and in JSON, on the unit right corner and on
 #   seed-0 input 0 scaled by 1e-102, 1e-300 and 1e300.
 set -eu
@@ -62,6 +64,7 @@ done
 same batch-verify --seed 2 --max-iter 40
 same batch-verify --seed 5 --max-iter 8
 same batch-verify --seed 3 --max-iter 6
+same batch-verify --count 8 --max-iter 1
 
 # the input files, written once from the working tree's sampling
 PYTHONPATH=$repo/src python3 - "$work" <<'EOF'

@@ -3,8 +3,9 @@
 ``build_report`` is the one per-instance pipeline: solve, take the unit
 legs from the interior minimizer toward the vertices, measure the
 junction-angle identities on them.  The ``solve`` and ``verify`` commands
-print its ``SolutionReport``, and ``_check_residuals`` reads batch-verify's
-residuals off it, the sixth-angle cross-check included.
+print its ``SolutionReport``.  Batch-verify's interior checks, the
+sixth-angle cross-check included, have one definition for both paths below,
+``_interior_residuals`` of unit legs as floats or as columns.
 
 ``run_batch_verify`` checks a seeded corpus in chunks of ``CHUNK``
 instances, by two paths.  A chunk's vertices are drawn on integer
@@ -18,18 +19,16 @@ floats (``geometry.frame_columns``).
   instance ``kernels.newton``'s outcome, in lockstep Newton sweeps of
   full steps; each one that needs a safeguard, and the chunk's last few,
   finish on floats from the iterate where they stand.  The identity
-  checks then run on columns of the interior solutions, through the
-  kernels the scalar API calls with floats (see ``ops``): every solution
-  and every residual is bit for bit the one ``_check_residuals`` reads
-  off ``build_report``'s record.
+  checks then run on columns of the interior solutions
+  (``_column_residuals``): every solution and every residual is bit for
+  bit the one ``_check_residuals`` gives ``build_report``'s record.
 - **Per instance.** Every other row takes, in instance order, the body of
   a loop of ``build_report`` and ``_check_residuals``: a row whose Newton
   iteration ended MAXITER (a budget run out, a non-positive ``det H`` or
   a step with no acceptable trial point) or that fails a column check
-  (``_column_residuals``) keeps its column outcome, and a row
-  ``solve_columns`` left (two winning vertices, a NaN pull norm) is
-  solved by ``solve``.  Its ``Tetrahedron`` is built then, once, so every
-  error text and flag is the scalar one.
+  keeps its column outcome, and a row ``solve_columns`` left (two winning
+  vertices, a NaN pull norm) is solved by ``solve``.  Its ``Tetrahedron``
+  is built then, once, so every error text and flag is the scalar one.
 
 A chunk returns its residuals as columns, one row per check and one
 column per instance, with the mask of the checks that apply to each
@@ -168,31 +167,45 @@ def _report(tetra: Tetrahedron, solution: FermatSolution,
 
 def _check_residuals(report: SolutionReport) -> dict[str, float]:
     """Batch-verify's residual of every check that applies to the report,
-    in ``CHECKS`` order.
+    in ``CHECKS`` order: the vertex check, or ``solve_residual`` and
+    ``_interior_residuals`` of the report's legs on floats.
 
-    The closed-formula cross-check (``formula_residuals``) reads the
-    cosines of the measured angles, which must reproduce the measured
-    sixth cosine on the realized branch; a ``TetrafermatError`` it raises
+    A ``TetrafermatError`` the closed-formula cross-check raises
     propagates, with the text ``FiveAngles`` and ``sixth_angle`` give.
     """
     sol = report.solution
     if sol.kind != INTERIOR:
         return {"vertex_optimality": _vertex_excess(sol.residual, FLOATS)}
-    r = report.property_report
-    rows = report.frame.rows
-    anti = [x for x in r.antiparallel_residuals if not math.isnan(x)]
-    identity, substitution = formula_residuals(
-        rows, leg_cosines(rows, FLOATS), FLOATS
+    values = (sol.residual, *_interior_residuals(report.frame.rows, FLOATS))
+    return dict(zip(INTERIOR_CHECKS, values))
+
+
+def _interior_residuals(legs, xp):
+    """Batch-verify's interior checks after ``solve_residual``, in
+    ``INTERIOR_CHECKS`` order, of the unit legs ``legs`` as floats or as
+    columns (see ``ops``), from the legs' cosines computed once.
+
+    A check of three residuals is their largest; ``bisector_antiparallel``
+    takes only the pairs with no short bisector (``bisector_residuals``),
+    and is inf when all three are short.  The closed-formula cross-check
+    (``formula_residuals``, with its ``require`` checks) must reproduce the
+    measured sixth cosine on the realized branch.
+    """
+    cosines = leg_cosines(legs, xp)
+    opp, csum = cosine_residuals(cosines)
+    orth, anti, short = bisector_residuals(legs, xp)
+    identity, substitution = formula_residuals(legs, cosines, xp)
+    larger = xp.maximum
+    a1, a2, a3 = [xp.where(s, -math.inf, a) for a, s in zip(anti, short)]
+    s1, s2, s3 = short
+    return (
+        larger(larger(*opp[:2]), opp[2]),
+        csum,
+        larger(larger(*orth[:2]), orth[2]),
+        xp.where(s1 & s2 & s3, math.inf, larger(larger(a1, a2), a3)),
+        identity,
+        substitution,
     )
-    return {
-        "solve_residual": sol.residual,
-        "opposite_angles": max(r.opposite_angle_residuals),
-        "cosine_sum": r.cosine_sum_residual,
-        "bisector_orthogonality": max(r.bisector_dot_residuals),
-        "bisector_antiparallel": max(anti) if anti else float("inf"),
-        "sixth_angle_identity": identity,
-        "substitution_residual": substitution,
-    }
 
 
 def _vertex_excess(residual, xp):
@@ -208,14 +221,13 @@ def _column_residuals(point, m, frame):
     tetrahedra's ``to_frame`` and ``frame`` (12, k) their frame
     coordinates, evaluated through the kernels the scalar API calls.
 
-    Returns the residuals after ``solve_residual``, one row per check in
-    ``INTERIOR_CHECKS`` order and one column per instance, equal to those
-    ``_check_residuals`` reads off ``build_report``'s record; and the mask
-    of the instances that fail a check (a coincident, overflowed or
-    non-unit leg, a degenerate bisector, an angle not strictly inside
-    (0, pi), a degenerate base angle, an unrealizable triple or an
-    infeasible induced pair), whose residuals mean nothing and which the
-    scalar API recomputes.
+    Returns ``_interior_residuals`` of the legs on columns, one row per
+    check and one column per instance, bit for bit those
+    ``_check_residuals`` gives ``build_report``'s record; and the mask of
+    the instances that fail a check (a coincident, overflowed or non-unit
+    leg, an angle not strictly inside (0, pi), a degenerate base angle, an
+    unrealizable triple or an infeasible induced pair), whose residuals
+    mean nothing and which the scalar API recomputes.
     """
     px, py, pz = point
     rows = tuple(zip(frame[0::3], frame[1::3], frame[2::3]))
@@ -224,21 +236,7 @@ def _column_residuals(point, m, frame):
         legs, apart, _ = unit_legs((px * m, py * m, pz * m), rows, xp)
         for ok in apart + unit_rows(legs):
             xp.require(ok)
-        cosines = leg_cosines(legs, xp)
-        orth, anti, short = bisector_residuals(legs, xp)
-        for s in short:
-            xp.require(~s)
-        opp, csum = cosine_residuals(cosines)
-        identity, substitution = formula_residuals(legs, cosines, xp)
-    larger = np.maximum
-    checks = np.array([
-        larger(larger(*opp[:2]), opp[2]),
-        csum,
-        larger(larger(*orth[:2]), orth[2]),
-        larger(larger(*anti[:2]), anti[2]),
-        identity,
-        substitution,
-    ])
+        checks = np.array(_interior_residuals(legs, xp))
     return checks, xp.failed
 
 
@@ -251,9 +249,9 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
     others to an interior one, none to an error); and the (instance, error
     text) pairs in instance order.  The draws are made, validated and
     framed on columns, and the rows ``solve_columns`` solves to CONVERGED
-    are checked there; every other row takes the reference loop's
-    per-instance body, with the column outcome when there is one, and
-    builds its ``Tetrahedron`` then, once.
+    are checked there by ``_column_residuals``; every other row takes the
+    reference loop's per-instance body, with the column outcome when there
+    is one, and builds its ``Tetrahedron`` then, once.
     """
     vertices = sampling.random_vertex_columns(seed, indices)
     n = len(vertices)

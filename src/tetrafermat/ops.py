@@ -26,24 +26,24 @@ as ``xp``:
   ``math.hypot``'s in the last bits, and a column must hold exactly the
   value the scalar API computes, so ``longest`` ranks each row's edges by
   numpy's length and takes ``math.hypot`` element by element only of the
-  edges that could be the longest: one per row but for near-ties.  It is the only ``math`` call on a column.
-  No kernel takes a trigonometric function: the identity checks read the
-  cosines of the leg angles, which are dot products.  ``maximum`` and
-  ``minimum`` differ from the float ones in which zero a tie of +0 and -0
-  returns, and on NaN: the float ones keep their first argument, the
-  column ones give NaN.  No kernel result depends on the zero, and no row
-  that passes every check carries a NaN into them.  ``clip`` keeps -0.0
-  and takes +-inf to +-1 in both, but takes NaN to -1.0 on floats and
-  keeps it NaN on columns; a NaN cosine comes only from a non-finite leg,
-  whose row has already failed a check.
+  edges that could be the longest: one per row but for near-ties.  It is
+  the only ``math`` call on a column.  No kernel takes a trigonometric
+  function: the identity checks read the cosines of the leg angles, which
+  are dot products.  ``maximum`` and ``minimum`` differ from the float
+  ones in which zero a tie of +0 and -0 returns, and on NaN: the float
+  ones keep their first argument, the column ones give NaN.  No kernel
+  result depends on the zero, and no row that passes every check carries a
+  NaN into them.  ``clip`` keeps -0.0 and takes +-inf to +-1 in both, but
+  takes NaN to -1.0 on floats and keeps it NaN on columns; a NaN cosine
+  comes only from a non-finite leg, whose row has already failed a check.
 
 ``least(rows, pulls)`` returns the first of the four (x, y, z) vertices
-``rows`` whose pull norm in ``pulls`` is the least, and the other three
-in row order: the vertex the Newton start steps off
+``rows`` whose pull norm in ``pulls`` is the least, and the other three in
+row order: the vertex the Newton start steps off
 (``solver._newton_start``).  Both namespaces take the first of tied
-vertices, row by row.  No NaN pull
-norm reaches it, where ``min`` and ``argmin`` would part: it sees only the
-tetrahedra whose every pull norm exceeds 1 + ``solver.BOUNDARY_EPS``.
+vertices, row by row.  No NaN pull norm reaches it, where ``min`` and
+``argmin`` would part: it sees only the tetrahedra whose every pull norm
+exceeds 1 + ``solver.BOUNDARY_EPS``.
 
 ``require(ok, error, *args)`` marks a check.  ``FLOATS`` raises
 ``error(*args)`` when ``ok`` is false, where the scalar code has always

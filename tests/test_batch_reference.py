@@ -31,6 +31,7 @@ from tetrafermat import (
 from tetrafermat import batch, kernels, solver
 from tetrafermat.batch import (
     CHUNK,
+    INTERIOR_CHECKS,
     BatchSummary,
     SolutionReport,
     _check_residuals,
@@ -546,3 +547,48 @@ def test_rows_failing_a_check_take_the_scalar_path(monkeypatch):
     report = build_report(draw(0, 8), DEFAULT_TOL)
     assert report.property_report.flags == ("degenerate_bisector_203_104",)
     assert 8 in {i for i, _, _ in summary.failures}
+
+
+def scalar_checks(report):
+    """``_check_residuals`` of an interior report after ``solve_residual``,
+    as ``float.hex``."""
+    residuals = _check_residuals(report)
+    return [float.hex(residuals[name]) for name in INTERIOR_CHECKS[1:]]
+
+
+def column_checks(tetras, point):
+    """``_column_residuals`` of the tetrahedra's solutions at the (3, k)
+    ``point``: each instance's checks as ``float.hex``, and the mask of the
+    instances that fail one."""
+    frame, _, m, _ = frame_columns(np.array([t.vertices for t in tetras]))
+    checks, failed = batch._column_residuals(point, m, frame)
+    return [list(map(float.hex, c)) for c in checks.T.tolist()], failed.tolist()
+
+
+def test_degenerate_bisector_stays_on_the_columns():
+    # from the origin u3 = -u4, so the pair 102_304 has a short bisector
+    # and every other check passes: the row stays on the columns, with the
+    # value the scalar API gives it, the largest over the other two pairs
+    h = math.sqrt(3.0) / 2.0
+    t = Tetrahedron(np.array([[1.0, 0, 0], [-0.5, h, 0], [0, 0, 1.0], [0, 0, -1.0]]))
+    sol = FermatSolution(INTERIOR, np.zeros(3), None, 0.0, 0, 0.0, (2.0,) * 4)
+    frame = direction_config(t, sol.point)
+    report = SolutionReport(sol, frame, verify_fundamental_property(frame))
+    assert report.property_report.flags == ("degenerate_bisector_102_304",)
+    (got,), failed = column_checks([t], np.zeros((3, 1)))
+    assert failed == [False]
+    assert got == scalar_checks(report)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_checks_are_the_scalar_checks(seed):
+    # every row the identity columns pass holds, check by check, the value
+    # _check_residuals gives build_report's record, bit for bit
+    tetras = [sampling.random_tetrahedron(seed, i) for i in range(1000)]
+    chunk = columns(tetras)
+    solved = [tetras[i] for i in chunk.rows.tolist()]
+    got, failed = column_checks(solved, chunk.point)
+    passed = [(t, checks) for t, checks, f in zip(solved, got, failed) if not f]
+    assert len(passed) > 800
+    for t, checks in passed:
+        assert checks == scalar_checks(build_report(t, DEFAULT_TOL))
