@@ -17,7 +17,11 @@
 # - batch-verify on seed 0 x 8 at budget 1, where every interior row ends
 #   MAXITER and takes the per-instance path (exit 4);
 # - solve and verify, in text and in JSON, on the unit right corner and on
-#   seed-0 input 0 scaled by 1e-102, 1e-300 and 1e300.
+#   seed-0 input 0 scaled by 1e-102, 1e-300 and 1e300;
+# - the Nelder-Mead oracle, which no command calls: the float.hex of every
+#   coordinate of oracle_solve(t, seed=i) for t = random_tetrahedron(s, i),
+#   s in 0-1 and i in 0-99, and for the same tetrahedra stretched x 1e3 in
+#   x (the needle corpus), printed by BASE's source and by the tree's.
 set -eu
 
 base=${1:?usage: same-output.sh BASE}
@@ -88,3 +92,27 @@ for name in corner seed0-1e-102 seed0-1e-300 seed0-1e+300; do
     done
   done
 done
+
+# the oracle's answers, each side from its own sampling and solver
+for side in base tree; do
+  src=$work/base/src
+  [ "$side" = tree ] && src=$repo/src
+  PYTHONPATH=$src python3 - > "$work/$side.oracle" <<'EOF'
+from tetrafermat import Tetrahedron
+from tetrafermat.sampling import random_tetrahedron
+from tetrafermat.solver import oracle_solve
+
+for stretch in ((1.0, 1.0, 1.0), (1e3, 1.0, 1.0)):
+    for s in range(2):
+        for i in range(100):
+            t = Tetrahedron(random_tetrahedron(s, i).vertices * stretch)
+            print(s, i, *map(float.hex, oracle_solve(t, seed=i).tolist()))
+EOF
+done
+if cmp -s "$work/base.oracle" "$work/tree.oracle"; then
+  echo "same: oracle_solve on seeds 0-1 x 100, plain and stretched x 1e3 in x"
+else
+  echo "DIFFERENT: oracle_solve on seeds 0-1 x 100, plain and stretched x 1e3 in x"
+  diff "$work/base.oracle" "$work/tree.oracle" | head -20 || true
+  exit 1
+fi

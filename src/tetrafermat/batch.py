@@ -23,7 +23,8 @@ floats (``geometry.frame_columns``).
   (``_column_residuals``): every solution and every residual is bit for
   bit the one ``_check_residuals`` gives ``build_report``'s record.
 - **Per instance.** Every other row takes, in instance order, the body of
-  a loop of ``build_report`` and ``_check_residuals``: a row whose Newton
+  a loop of ``build_report`` and ``_check_residuals``, less the
+  ``PropertyReport`` the checks do not read: a row whose Newton
   iteration ended MAXITER (a budget run out, a non-positive ``det H`` or
   a step with no acceptable trial point) or that fails a column check
   keeps its column outcome, and a row ``solve_columns`` left (two winning
@@ -99,7 +100,9 @@ CHUNK = 1024
 class SolutionReport:
     """One tetrahedron's solution and, when it is interior, its unit legs
     (``frame``, as ``direction_config`` returns them) and the identity
-    residuals measured on them; a vertex solution carries None in both."""
+    residuals measured on them; a vertex solution carries None in both.
+    Batch-verify's per-instance rows carry no ``property_report``: their
+    checks read only the solution and the legs (``_check_residuals``)."""
 
     solution: FermatSolution
     frame: DirectionConfig | None
@@ -151,12 +154,7 @@ def build_report(tetra: Tetrahedron, tol: float,
     """Solve one tetrahedron within ``max_iter`` iterations and, when the
     minimizer is interior, measure every junction-angle identity under
     ``tol``."""
-    return _report(tetra, solve(tetra, max_iter), tol)
-
-
-def _report(tetra: Tetrahedron, solution: FermatSolution,
-            tol: float) -> SolutionReport:
-    """``build_report`` after the solve."""
+    solution = solve(tetra, max_iter)
     if solution.kind != INTERIOR:
         return SolutionReport(solution, None, None)
     frame = direction_config(tetra, solution.point)
@@ -168,7 +166,9 @@ def _report(tetra: Tetrahedron, solution: FermatSolution,
 def _check_residuals(report: SolutionReport) -> dict[str, float]:
     """Batch-verify's residual of every check that applies to the report,
     in ``CHECKS`` order: the vertex check, or ``solve_residual`` and
-    ``_interior_residuals`` of the report's legs on floats.
+    ``_interior_residuals`` of the report's legs on floats.  Only the
+    solution and the legs are read, so the per-instance rows of
+    ``_verify_chunk`` pass a report with no ``PropertyReport``.
 
     A ``TetrafermatError`` the closed-formula cross-check raises
     propagates, with the text ``FiveAngles`` and ``sixth_angle`` give.
@@ -240,7 +240,7 @@ def _column_residuals(point, m, frame):
     return checks, xp.failed
 
 
-def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
+def _verify_chunk(seed: int, indices: range, max_iter: int):
     """Batch-verify's outcome for the instances of ``indices``, as columns.
 
     Returns the residuals, one row per check in ``CHECKS`` order and one
@@ -282,12 +282,14 @@ def _verify_chunk(seed: int, indices: range, tol: float, max_iter: int):
         j = column.get(slot)
         try:
             solution = solve(tetra, max_iter) if j is None else chunk.solution(j)
-            report = _report(tetra, solution, tol)
         except NonConvergence as exc:
             errors.append((slot, f"no convergence (residual {exc.residual:.3e})"))
             continue
+        legs = None
+        if solution.kind == INTERIOR:
+            legs = direction_config(tetra, solution.point)
         try:
-            residuals = _check_residuals(report)
+            residuals = _check_residuals(SolutionReport(solution, legs, None))
         except TetrafermatError as exc:
             errors.append((slot, f"formula cross-check failed: {exc}"))
             continue
@@ -345,7 +347,7 @@ def run_batch_verify(
     interior = vertex = 0
     for start in range(0, count, CHUNK):
         chunk = range(start, min(count, start + CHUNK))
-        values, applies, chunk_errors = _verify_chunk(seed, chunk, tol, max_iter)
+        values, applies, chunk_errors = _verify_chunk(seed, chunk, max_iter)
         # solve_residual applies to every interior instance
         interior += int(applies[_INTERIOR[0]].sum())
         vertex += int(applies[_VERTEX].sum())

@@ -25,10 +25,15 @@ points a numpy call costs more than the arithmetic it vectorizes, so the
 scalar API stays on floats.  The kernels bind the twelve row coordinates
 once and write the four legs (for ``pull_norms`` the six edges) out as
 straight-line code, with no per-row loop; ``newton`` carries the
-distances of an accepted trial point into the next iterate.  Each keeps
-the floating-point operations of a per-row loop in the same order, so
-its answers are bit-identical to one, on floats and on columns alike.
-``nelder_mead`` and ``distance_sum`` compute on floats only.
+distances of an accepted trial point into the next iterate.
+``nelder_mead`` writes the distance sums of its reflection and of its one
+further trial out in its loop as well, on the twelve coordinates bound
+once: they are nearly all of its evaluations, and on four points a
+function call costs about as much as the sum.  Each keeps the
+floating-point operations of a per-row loop in the same order, so its
+answers are bit-identical to one, on floats and on columns alike.
+``nelder_mead`` and ``distance_sum`` (``distances`` on floats) compute on
+floats only.
 """
 
 from __future__ import annotations
@@ -50,37 +55,6 @@ ACCEPT_SLACK = 1e-15
 #: shortened Newton steps tried after a rejected full step (the retry at the
 #: nearest vertex's distance, then halvings) before the iteration gives up
 MAX_HALVINGS = 30
-
-
-def _distance_fn(rows):
-    """``f(x, y, z)``: the sum of the distances to the four rows, added left
-    to right, with the rows' twelve coordinates bound once."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
-
-    def f(x, y, z):
-        xa = x - ax
-        ya = y - ay
-        za = z - az
-        xb = x - bx
-        yb = y - by
-        zb = z - bz
-        xc = x - cx
-        yc = y - cy
-        zc = z - cz
-        xd = x - dx
-        yd = y - dy
-        zd = z - dz
-        return (sqrt(xa * xa + ya * ya + za * za)
-                + sqrt(xb * xb + yb * yb + zb * zb)
-                + sqrt(xc * xc + yc * yc + zc * zc)
-                + sqrt(xd * xd + yd * yd + zd * zd))
-
-    return f
-
-
-def distance_sum(rows, x: float, y: float, z: float) -> float:
-    """Sum of Euclidean distances from (x, y, z) to the four rows."""
-    return _distance_fn(rows)(x, y, z)
 
 
 def resultant_norm(rows, x: float, y: float, z: float) -> float:
@@ -201,8 +175,7 @@ def ray_start(v, others, xp):
 
 def distances(rows, x, y, z, xp):
     """The distances from (x, y, z) to the four rows and their sum, added
-    left to right, as ``distance_sum`` adds them: a kernel on floats or on
-    columns."""
+    left to right: a kernel on floats or on columns."""
     (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     sqrt = xp.sqrt
     tx, ty, tz = x - ax, y - ay, z - az
@@ -214,6 +187,12 @@ def distances(rows, x, y, z, xp):
     tx, ty, tz = x - dx, y - dy, z - dz
     n3 = sqrt(tx * tx + ty * ty + tz * tz)
     return n0, n1, n2, n3, n0 + n1 + n2 + n3
+
+
+def distance_sum(rows, x: float, y: float, z: float) -> float:
+    """Sum of Euclidean distances from (x, y, z) to the four rows: the sum
+    ``distances`` adds, on floats."""
+    return distances(rows, x, y, z, FLOATS)[4]
 
 
 def newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, xp):
@@ -510,16 +489,26 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
     on purpose, iteration counts included: every expression and the order
     of its floating-point operations is fixed, because the oracle's
     restarts and the tests that pin them depend on it.
+
+    An iteration evaluates the distance sum at the reflection and at most
+    once more, at the one point its reflected value selects (the expansion
+    or a contraction).  Those two evaluations, nearly all of the search's,
+    are written out in the loop on the twelve row coordinates bound once,
+    as ``distances`` computes them (the same squares, summed left to
+    right), since a function call costs about as much as the arithmetic of
+    four distances; the start values and a shrink's three call
+    ``distances``.
     """
-    f = _distance_fn(rows)
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = rows
     x0, y0, z0 = float(sx), float(sy), float(sz)
     value = itemgetter(0)
     s0, s1, s2, s3 = sorted(
         [
-            (f(x0, y0, z0), x0, y0, z0),
-            (f(x0 + step, y0, z0), x0 + step, y0, z0),
-            (f(x0, y0 + step, z0), x0, y0 + step, z0),
-            (f(x0, y0, z0 + step), x0, y0, z0 + step),
+            (distances(rows, x, y, z, FLOATS)[4], x, y, z)
+            for x, y, z in (
+                (x0, y0, z0), (x0 + step, y0, z0),
+                (x0, y0 + step, z0), (x0, y0, z0 + step),
+            )
         ],
         key=value,
     )
@@ -537,44 +526,56 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
         ) <= xatol:
             break
 
-        cx = (x0 + x1 + x2) / 3.0
-        cy = (y0 + y1 + y2) / 3.0
-        cz = (z0 + z1 + z2) / 3.0
+        # the centroid of the three best vertices
+        mx = (x0 + x1 + x2) / 3.0
+        my = (y0 + y1 + y2) / 3.0
+        mz = (z0 + z1 + z2) / 3.0
 
-        xr = 2.0 * cx - x3
-        yr = 2.0 * cy - y3
-        zr = 2.0 * cz - z3
-        fr = f(xr, yr, zr)
-        if fr < f0:
-            xn = 3.0 * cx - 2.0 * x3
-            yn = 3.0 * cy - 2.0 * y3
-            zn = 3.0 * cz - 2.0 * z3
-            fn = f(xn, yn, zn)
-            # the expansion replaces the reflection only when strictly better
-            if not fn < fr:
-                fn = fr
-                xn = xr
-                yn = yr
-                zn = zr
-        elif fr < f2:
-            fn = fr
-            xn = xr
-            yn = yr
-            zn = zr
-        else:
-            if fr < f3:
-                xn = 1.5 * cx - 0.5 * x3
-                yn = 1.5 * cy - 0.5 * y3
-                zn = 1.5 * cz - 0.5 * z3
-                fn = f(xn, yn, zn)
-                shrink = fn > fr
+        xr = 2.0 * mx - x3
+        yr = 2.0 * my - y3
+        zr = 2.0 * mz - z3
+        tx, ty, tz = xr - ax, yr - ay, zr - az
+        fr = sqrt(tx * tx + ty * ty + tz * tz)
+        tx, ty, tz = xr - bx, yr - by, zr - bz
+        fr += sqrt(tx * tx + ty * ty + tz * tz)
+        tx, ty, tz = xr - cx, yr - cy, zr - cz
+        fr += sqrt(tx * tx + ty * ty + tz * tz)
+        tx, ty, tz = xr - dx, yr - dy, zr - dz
+        fr += sqrt(tx * tx + ty * ty + tz * tz)
+        if fr < f0 or not fr < f2:
+            if fr < f0:
+                # expansion
+                xn = 3.0 * mx - 2.0 * x3
+                yn = 3.0 * my - 2.0 * y3
+                zn = 3.0 * mz - 2.0 * z3
+            elif fr < f3:
+                # outside contraction
+                xn = 1.5 * mx - 0.5 * x3
+                yn = 1.5 * my - 0.5 * y3
+                zn = 1.5 * mz - 0.5 * z3
             else:
-                xn = 0.5 * cx + 0.5 * x3
-                yn = 0.5 * cy + 0.5 * y3
-                zn = 0.5 * cz + 0.5 * z3
-                fn = f(xn, yn, zn)
-                shrink = fn >= f3
-            if shrink:
+                # inside contraction
+                xn = 0.5 * mx + 0.5 * x3
+                yn = 0.5 * my + 0.5 * y3
+                zn = 0.5 * mz + 0.5 * z3
+            tx, ty, tz = xn - ax, yn - ay, zn - az
+            fn = sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = xn - bx, yn - by, zn - bz
+            fn += sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = xn - cx, yn - cy, zn - cz
+            fn += sqrt(tx * tx + ty * ty + tz * tz)
+            tx, ty, tz = xn - dx, yn - dy, zn - dz
+            fn += sqrt(tx * tx + ty * ty + tz * tz)
+            if fr < f0:
+                # the expansion replaces the reflection only when strictly
+                # better
+                if not fn < fr:
+                    fn = fr
+                    xn = xr
+                    yn = yr
+                    zn = zr
+            elif fn > fr if fr < f3 else fn >= f3:
+                # the contraction failed: shrink toward the best vertex
                 x1 = x0 + 0.5 * (x1 - x0)
                 y1 = y0 + 0.5 * (y1 - y0)
                 z1 = z0 + 0.5 * (z1 - z0)
@@ -587,9 +588,9 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
                 s0, s1, s2, s3 = sorted(
                     [
                         (f0, x0, y0, z0),
-                        (f(x1, y1, z1), x1, y1, z1),
-                        (f(x2, y2, z2), x2, y2, z2),
-                        (f(x3, y3, z3), x3, y3, z3),
+                        (distances(rows, x1, y1, z1, FLOATS)[4], x1, y1, z1),
+                        (distances(rows, x2, y2, z2, FLOATS)[4], x2, y2, z2),
+                        (distances(rows, x3, y3, z3, FLOATS)[4], x3, y3, z3),
                     ],
                     key=value,
                 )
@@ -599,6 +600,12 @@ def nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter):
                 f3, x3, y3, z3 = s3
                 it += 1
                 continue
+        else:
+            # the reflection is kept
+            fn = fr
+            xn = xr
+            yn = yr
+            zn = zr
         # the new vertex replaces the worst; the ones behind it shift down
         if fn < f2:
             f3 = f2

@@ -1,6 +1,7 @@
 """Behavior of the numeric kernels."""
 
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ NEAR_TIE = input_rows(Tetrahedron(np.array([
 OFFSET_1E5 = Tetrahedron(random_tetrahedron(0, 0).vertices + 1e5)
 
 
-# Per-row loop versions of ``pull_norms`` and ``newton``: the reference the
-# straight-line kernels must match bit for bit.
+# Per-row loop versions of ``pull_norms``, ``newton`` and ``nelder_mead``:
+# the reference the straight-line kernels must match bit for bit.
 
 
 def loop_resultant(rows, x, y, z, skip):
@@ -157,6 +158,75 @@ def loop_newton(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps):
                 t *= 0.5
         else:
             return (x, y, z, f, res, it, kernels.MAXITER)
+
+
+def loop_nelder_mead(rows, sx, sy, sz, step, xatol, fatol, max_iter, seen):
+    """A plain simplex of four ``(f, x, y, z)`` vertices, sorted stably by
+    value, each value from ``loop_distance_sum``; adds to ``seen`` the name
+    of every step it takes and of the test that stops it."""
+    def vertex(x, y, z):
+        return (loop_distance_sum(rows, x, y, z), x, y, z)
+
+    def toward(simplex, a, b):
+        # a * (the centroid of the three best) + b * (the worst); p + -q
+        # rounds as p - q, so a negative b gives the kernel's difference
+        c = [(simplex[0][k] + simplex[1][k] + simplex[2][k]) / 3.0 for k in (1, 2, 3)]
+        return vertex(*[a * c[k - 1] + b * simplex[3][k] for k in (1, 2, 3)])
+
+    x, y, z = float(sx), float(sy), float(sz)
+    simplex = sorted(
+        [vertex(x, y, z), vertex(x + step, y, z), vertex(x, y + step, z),
+         vertex(x, y, z + step)],
+        key=itemgetter(0),
+    )
+    it = 0
+    while True:
+        best, worst = simplex[0], simplex[3]
+        if it >= max_iter:
+            seen.add("budget")
+            break
+        if worst[0] == best[0]:
+            seen.add("equal values")
+            break
+        spread = max(abs(v[k] - best[k]) for v in simplex[1:] for k in (1, 2, 3))
+        if worst[0] - best[0] <= fatol and spread <= xatol:
+            seen.add("tolerances")
+            break
+        it += 1
+        reflected = toward(simplex, 2.0, -1.0)
+        if reflected[0] < best[0]:
+            expanded = toward(simplex, 3.0, -2.0)
+            kept = expanded[0] < reflected[0]
+            seen.add("expansion kept" if kept else "expansion dropped")
+            new = expanded if kept else reflected
+        elif reflected[0] < simplex[2][0]:
+            seen.add("reflection")
+            new = reflected
+        else:
+            if reflected[0] < worst[0]:
+                seen.add("outside contraction")
+                new = toward(simplex, 1.5, -0.5)
+                shrink = new[0] > reflected[0]
+            else:
+                seen.add("inside contraction")
+                new = toward(simplex, 0.5, 0.5)
+                shrink = new[0] >= worst[0]
+            if shrink:
+                seen.add("shrink")
+                simplex = sorted(
+                    [best] + [
+                        vertex(*[best[k] + 0.5 * (v[k] - best[k]) for k in (1, 2, 3)])
+                        for v in simplex[1:]
+                    ],
+                    key=itemgetter(0),
+                )
+                continue
+        # after every survivor whose value does not exceed the new one's
+        survivors = simplex[:3]
+        k = len([v for v in survivors if not v[0] > new[0]])
+        simplex = survivors[:k] + [new] + survivors[k:]
+    f, x, y, z = simplex[0]
+    return (x, y, z, f, it)
 
 
 def loop_vertex_ray_start(rows, k):
@@ -572,6 +642,41 @@ class TestNelderMeadKernel:
         a = kernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
         b = kernels.nelder_mead(v, *c, 0.2, 1e-10, 1e-13, 600)
         assert a == b
+
+    #: ``oracle_solve``'s (step, xatol, fatol, max_iter), the first three in
+    #: units of the tetrahedron's scale
+    ORACLE_SETTINGS = (
+        (0.2, 1e-3, 1e-6, 600), (1e-3, 1e-12, 1e-14, 500), (1e-5, 1e-12, 1e-14, 500),
+    )
+
+    def test_matches_loop_reference(self):
+        # from the centroid, under each of the oracle's settings: the
+        # corpus, the symmetric ties, the near tie, and two unit-cube inputs
+        # whose minimizer is a vertex (a kink, where values keep differing),
+        # as drawn and translated by 1e3, where the spacing of the
+        # coordinates comes near xatol and the budget runs out
+        vertex_minimizers = [random_tetrahedron(0, i).vertices for i in (4, 45)]
+        assert all(classify(Tetrahedron(v)).kind != INTERIOR for v in vertex_minimizers)
+        cases = [v for v, _ in corpus()] + [SYMMETRIC, NEAR_TIE] + [
+            input_rows(Tetrahedron(v + offset))
+            for offset in (0.0, 1e3) for v in vertex_minimizers
+        ]
+        seen = set()
+        for v in cases:
+            start = tuple((a + b + c + d) / 4.0 for a, b, c, d in zip(*v))
+            scale = max(math.dist(p, q) for p in v for q in v)
+            for step, xatol, fatol, max_iter in self.ORACLE_SETTINGS:
+                args = (v, *start, step * scale, xatol * scale, fatol * scale, max_iter)
+                got = kernels.nelder_mead(*args)
+                want = loop_nelder_mead(*args, seen)
+                assert [*map(float.hex, got[:4]), got[4]] == [
+                    *map(float.hex, want[:4]), want[4]
+                ]
+        assert seen == {
+            "reflection", "expansion kept", "expansion dropped",
+            "outside contraction", "inside contraction", "shrink",
+            "equal values", "tolerances", "budget",
+        }
 
     @pytest.mark.parametrize(
         "vtx,start,args,expected",
