@@ -16,6 +16,9 @@
 #   rows leave the lockstep sweeps and finish on floats;
 # - batch-verify on seed 0 x 8 at budget 1, where every interior row ends
 #   MAXITER and takes the per-instance path (exit 4);
+# - batch-verify on seed 0 x 1 and x 1025 (CHUNK + 1, a last chunk of one
+#   row): the draw, the least-pull selection and the reduction each see a
+#   single row, an interior one on seed 0;
 # - solve and verify, in text and in JSON, on the unit right corner and on
 #   seed-0 input 0 scaled by 1e-102, 1e-300 and 1e300;
 # - the Nelder-Mead oracle, which no command calls: the float.hex of every
@@ -69,6 +72,8 @@ same batch-verify --seed 2 --max-iter 40
 same batch-verify --seed 5 --max-iter 8
 same batch-verify --seed 3 --max-iter 6
 same batch-verify --count 8 --max-iter 1
+same batch-verify --count 1
+same batch-verify --count 1025
 
 # the input files, written once from the working tree's sampling
 PYTHONPATH=$repo/src python3 - "$work" <<'EOF'

@@ -34,7 +34,8 @@ floats (``geometry.frame_columns``).
 A chunk returns its residuals as columns, one row per check and one
 column per instance, with the mask of the checks that apply to each
 instance; ``run_batch_verify`` reduces them to each check's maximum and
-failures, in the order a merge one instance at a time gives.  ``CHUNK``
+failures, with the rules and order of a merge one instance at a time,
+by reductions over each chunk's whole (check, instance) arrays.  ``CHUNK``
 bounds the columns' memory for any count.
 
 A caller sets the verification tolerance and the solver's iteration
@@ -88,6 +89,8 @@ INTERIOR_CHECKS = tuple(name for name in CHECKS if name != "vertex_optimality")
 #: interior checks
 _VERTEX = CHECKS.index("vertex_optimality")
 _INTERIOR = [CHECKS.index(name) for name in INTERIOR_CHECKS]
+#: every row of a chunk's residual array, for picking one value per check
+_CHECK_ROWS = np.arange(len(CHECKS))
 #: instances per chunk of ``run_batch_verify``: the solve and the identity
 #: layer run on float64 columns of a chunk's instances, and a chunk's columns
 #: are dropped before the next chunk is solved, so memory stays bounded for
@@ -299,25 +302,6 @@ def _verify_chunk(seed: int, indices: range, max_iter: int):
     return values, applies, errors
 
 
-def _running_max(current, column):
-    """The running maximum of batch-verify's merge after the values of
-    ``column``, in instance order, starting from ``current`` (None before
-    the first value).
-
-    A value replaces the maximum only when it compares greater, as the
-    merge has always done one value at a time: a NaN replaces nothing, so
-    only a first value can leave a NaN maximum, and of equal values the
-    first is kept.
-    """
-    if current is None:
-        current, column = column[0], column[1:]
-    if len(column):
-        top = np.fmax.reduce(column)
-        if top > current:
-            current = column[np.argmax(column == top)]
-    return float(current)
-
-
 def run_batch_verify(
     seed: int = 0,
     count: int = 1000,
@@ -330,9 +314,14 @@ def run_batch_verify(
 
     Each check's maximum and failures are reductions over a chunk's
     residual columns, with the rule and order of a merge one instance at a
-    time: see ``_running_max``; the failures are the applicable residuals
-    not at or below ``tol`` (so a NaN fails), by instance and then in
-    ``CHECKS`` order.
+    time.  The maximum starts at the check's first applicable value, and a
+    value replaces it only when it compares greater: a NaN replaces
+    nothing, so only a NaN first value leaves a NaN maximum, and of equal
+    values (+0.0 and -0.0 among them) the first is kept.  So each chunk
+    gives, per check, its first applicable value and the first of its
+    largest, by one masked ``np.fmax`` reduction over the whole array.
+    The failures are the applicable residuals not at or below ``tol`` (so
+    a NaN fails), by instance and then in ``CHECKS`` order.
     """
     if seed < 0:
         # the message numpy's SeedSequence gives a negative seed
@@ -352,10 +341,18 @@ def run_batch_verify(
         interior += int(applies[_INTERIOR[0]].sum())
         vertex += int(applies[_VERTEX].sum())
         errors += [(start + slot, text) for slot, text in chunk_errors]
-        for k, name in enumerate(CHECKS):
-            column = values[k, applies[k]]
-            if len(column):
-                max_residuals[name] = _running_max(max_residuals.get(name), column)
+        # each check's first applicable value, and the first of its largest:
+        # -inf where a check does not apply, so the largest is NaN or -inf
+        # only when no applicable value is a number, and replaces nothing
+        np.copyto(values, -math.inf, where=~applies)
+        first = applies.argmax(axis=1)
+        at = (values == np.fmax.reduce(values, axis=1)[:, None]).argmax(axis=1)
+        for name, has, head, largest in zip(
+            CHECKS, applies[_CHECK_ROWS, first].tolist(),
+            values[_CHECK_ROWS, first].tolist(), values[_CHECK_ROWS, at].tolist(),
+        ):
+            if has and largest > max_residuals.setdefault(name, head):
+                max_residuals[name] = largest
         # instance by instance, and within one in CHECKS order; NaN fails
         slot, k = np.nonzero((applies & ~(values <= tol)).T)
         failures += [

@@ -397,6 +397,11 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
     status)`` as columns over all instances.  Evaluates under
     ``np.errstate(all="ignore")``: an instance that continues on floats
     may meet NaN or infinite values on its way out of the columns.
+
+    The instances still iterating are the columns of one state array.  A
+    sweep writes the accepted iterate and its distances into its rows in
+    place and each finished instance's outcome row by row; the rows are
+    sliced into views again only after instances leave the array.
     """
     n = len(sx)
     out = np.zeros((5, n))
@@ -415,19 +420,23 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
             np.arange(n, dtype=float), sx, sy, sz,
             *distances(rows, sx, sy, sz, Columns),
         ])
+        fresh = True
         while state.shape[1]:
             if state.shape[1] <= tail or it >= max_iter:
                 handed.append((it, state))
                 break
-            rows = tuple(zip(state[0:12:3], state[1:12:3], state[2:12:3]))
-            eps, index, x, y, z, d0, d1, d2, d3, f = state[12:]
+            if fresh:
+                # views of the state's rows, until instances leave it
+                rows = tuple(zip(state[0:12:3], state[1:12:3], state[2:12:3]))
+                eps, index, x, y, z, d0, d1, d2, d3, f = state[12:]
             # an escape, which only newton makes
             near = np.minimum(np.minimum(d0, d1), np.minimum(d2, d3)) <= eps
             res, step = newton_step(rows, x, y, z, d0, d1, d2, d3, grad_tol, Columns)
             converged = (res <= grad_tol) & ~near
             if converged.any():
                 j = index[converged].astype(np.int64)
-                out[:, j] = np.vstack((x, y, z, f, res))[:, converged]
+                for r, value in enumerate((x, y, z, f, res)):
+                    out[r, j] = value[converged]
                 iterations[j] = it
             if step is None:
                 handed.append((it, state[:, near]))
@@ -439,11 +448,13 @@ def newton_columns(rows, sx, sy, sz, grad_tol, max_iter, vertex_eps, tail):
             if not full.all():
                 handed.append((it, state[:, ~converged & ~full]))
             it += 1
-            state[14:] = nx, ny, nz, *trial
+            for r, value in enumerate((nx, ny, nz, *trial), 14):
+                state[r] = value
             keep = full & ~converged
             # a sweep that keeps every instance, as the first ones mostly do,
             # copies none
-            if not keep.all():
+            fresh = not keep.all()
+            if fresh:
                 state = state[:, keep]
     # (index, x, y, z, value, residual, iterations, status) of each
     # instance newton finishes

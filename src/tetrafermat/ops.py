@@ -22,7 +22,10 @@ as ``xp``:
 - ``Columns``: numpy's ``sqrt``, ``maximum``, ``minimum``, ``where``,
   ``all``, ``frexp`` and ``ldexp``, ``clip`` as ``minimum(1, maximum(-1,
   c))``, ``finite`` per row, ``longest`` per row, and ``least`` per row,
-  by ``argmin``.  Numpy's length of an edge can differ from
+  by selection: ``argmin`` gives each row's vertex k, and ``where`` on
+  the masks k == 0, 1, 2 picks its coordinates from the row columns and
+  on k <= 0, 1, 2 the other three's, so no (4, 3, n) stack is built or
+  gathered from.  Numpy's length of an edge can differ from
   ``math.hypot``'s in the last bits, and a column must hold exactly the
   value the scalar API computes, so ``longest`` ranks each row's edges by
   numpy's length and takes ``math.hypot`` element by element only of the
@@ -126,15 +129,21 @@ def _finite_rows(values):
     return np.isfinite(values).all(axis=0)
 
 
-#: for each vertex k, the other three in row order
-_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
 def _least_rows(rows, pulls):
-    v = np.array(rows)  # (vertex, coordinate, row)
+    r0, r1, r2, r3 = rows
     k = np.argmin(pulls, axis=0)
-    at = np.arange(len(k))
-    return v[k, :, at].T, v[_OTHERS[k], :, at[:, None]].transpose(1, 2, 0)
+    at0, at1, at2, upto1, upto2 = k == 0, k == 1, k == 2, k <= 1, k <= 2
+    v = [
+        np.where(at0, a, np.where(at1, b, np.where(at2, c, d)))
+        for a, b, c, d in zip(*rows)
+    ]
+    # the j-th other vertex is vertex j + 1 where k <= j, else vertex j
+    others = (
+        [np.where(at0, b, a) for a, b in zip(r0, r1)],
+        [np.where(upto1, b, a) for a, b in zip(r1, r2)],
+        [np.where(upto2, b, a) for a, b in zip(r2, r3)],
+    )
+    return v, others
 
 
 #: the least and the largest longest-edge estimate whose candidates' squares

@@ -15,13 +15,17 @@ and XSL-RR output on a 128-bit LCG held as (high, low) uint64 columns, the
 doubles as ``(x >> 11) * 2**-53`` and the volume test through the same
 ``_det4`` expression.  The constants below are numpy's (``SeedSequence``:
 numpy/random/bit_generator.pyx; ``PCG64``: O'Neill, PCG, HMC-CS-2014-0905);
-NEP 19 keeps both streams stable across numpy versions.
+NEP 19 keeps both streams stable across numpy versions.  The LCG's
+product (``_mul``) takes the high word of the low halves' 128-bit product
+from their 32-bit halves with the carries of Hacker's Delight's
+``mulhu``, in which no term exceeds 64 bits.
 
-Every row draws its first 12 doubles in 12 sequential LCG steps; the
-volume test rejects about 6 % of unit-cube draws, and those rows then
-draw their next ``_BLOCKS`` draws in one round, all 48 states at once by
-jumping each stream ahead: k LCG steps are one affine map, ``s * a**k +
-inc * (a**k - 1) / (a - 1)`` mod 2**128 (F. Brown, "Random number
+Every row draws its first 12 doubles in 12 sequential LCG steps, which
+write their XSL-RR inputs into (12, n) columns, made doubles half a block
+per call; the volume test rejects about 6 % of unit-cube draws, and those
+rows then draw their next ``_BLOCKS`` draws in one round, all 48 states at
+once by jumping each stream ahead: k LCG steps are one affine map, ``s *
+a**k + inc * (a**k - 1) / (a - 1)`` mod 2**128 (F. Brown, "Random number
 generation with arbitrary strides", 1994), whose constants for k = 1 ..
 48 are tabled once, so one broadcasting product gives them all.  A row
 keeps its first accepted block, and one with none goes on from the end
@@ -76,16 +80,15 @@ def random_vertex_columns(seed: int, indices) -> np.ndarray:
     """``np.array([random_vertices(seed, i) for i in indices])`` as an
     (n, 4, 3) array, byte for byte, drawn on integer columns.
 
-    Integer ``indices`` all in [0, 2**32) go to the columns as one array.
-    Otherwise an index outside that range takes ``random_vertices``
-    itself, as does its error; a negative seed raises numpy's ValueError.
+    Integer ``indices`` all in [0, 2**32) go to the columns as one array
+    (``_index_column``).  Otherwise an index outside that range takes
+    ``random_vertices`` itself, as does its error; a negative seed raises
+    numpy's ValueError.
     """
-    index = np.asarray(indices)
-    if index.dtype.kind in "iu" and index.ndim == 1 and (
-        not len(index) or (index.min() >= 0 and index.max() <= _M32)
-    ):
+    index = _index_column(indices)
+    if index is not None:
         words = _uint32_words(operator.index(seed))
-        return _draw_columns(_pcg_seed(_pool([*words, index.astype(np.uint32)])))
+        return _draw_columns(_pcg_seed(_pool([*words, index])))
     indices = [operator.index(i) for i in indices]
     words = _uint32_words(operator.index(seed))
     index = np.array([i if 0 <= i <= _M32 else 0 for i in indices], dtype=np.uint32)
@@ -94,6 +97,23 @@ def random_vertex_columns(seed: int, indices) -> np.ndarray:
         if not 0 <= i <= _M32:
             out[slot] = random_vertices(seed, i)
     return out
+
+
+def _index_column(indices):
+    """``indices`` as one uint32 column when they are integers all in
+    [0, 2**32), else None.  A nonempty ``range`` is made by ``np.arange``
+    from its ends, not read value by value as ``np.asarray`` reads it."""
+    if isinstance(indices, range) and indices:
+        first, last = indices[0], indices[-1]
+        if not (0 <= min(first, last) and max(first, last) <= _M32):
+            return None
+        return np.arange(first, last + indices.step, indices.step, dtype=np.uint32)
+    index = np.asarray(indices)
+    if index.dtype.kind in "iu" and index.ndim == 1 and (
+        not len(index) or (index.min() >= 0 and index.max() <= _M32)
+    ):
+        return index.astype(np.uint32)
+    return None
 
 
 def _uint32_words(n: int) -> list:
@@ -178,8 +198,8 @@ def _constant(values) -> tuple:
 
 #: the uint64 operands of the column arithmetic, bound once as 0-d arrays:
 #: numpy combines one with a column faster than a Python int or a scalar
-_1, _11, _32, _58, _63, _64, _LOW32 = (
-    np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, 64, _M32)
+_1, _11, _32, _58, _63, _LOW32 = (
+    np.array(k, dtype=np.uint64) for k in (1, 11, 32, 58, 63, _M32)
 )
 _PCG_MULT = _constant(_PCG_A)
 #: the uint32 operands of ``SeedSequence``'s hashes, bound the same way; the
@@ -201,14 +221,17 @@ def _add(a, b):
 
 def _mul(a, m):
     """a * m mod 2**128 of (high, low) uint64 columns and a ``_constant``:
-    the low half's 128-bit product, from 32-bit halves, and the cross
-    terms' low 64 bits added to the high half."""
+    the high word of the low halves' 128-bit product, from their 32-bit
+    halves a1:a0 and m1:m0 as Hacker's Delight's ``mulhu`` carries it
+    (t = a1 m0 + (a0 m0 >> 32), w = (t mod 2**32) + a0 m1, then a1 m1 +
+    (t >> 32) + (w >> 32); no term exceeds 2**64 - 1), and the cross
+    terms' low 64 bits added to it."""
     hi, lo = a
     m_hi, m_lo, m0, m1 = m
     a0, a1 = lo & _LOW32, lo >> _32
-    low, cross1, cross2 = a0 * m0, a0 * m1, a1 * m0
-    carry = ((low >> _32) + (cross1 & _LOW32) + (cross2 & _LOW32)) >> _32
-    mulhi = a1 * m1 + (cross1 >> _32) + (cross2 >> _32) + carry
+    t = a1 * m0 + ((a0 * m0) >> _32)
+    w = (t & _LOW32) + a0 * m1
+    mulhi = a1 * m1 + (t >> _32) + (w >> _32)
     return mulhi + hi * m_lo + lo * m_hi, lo * m_lo
 
 
@@ -217,24 +240,38 @@ def _step(state, inc):
     return _add(_mul(state, _PCG_MULT), inc)
 
 
-def _double(state):
-    """The double ``Generator.random`` makes of each LCG state: its XSL-RR
-    output ``x``, then ``(x >> 11) * 2**-53``."""
-    hi, lo = state
-    x = hi ^ lo
-    rot = hi >> _58
-    x = (x >> rot) | (x << ((_64 - rot) & _63))
-    return (x >> _11).astype(float) * 2.0**-53
+def _double(x, rot, out=None):
+    """The doubles ``Generator.random`` makes of LCG states, from each
+    state's halves XORed, ``x``, and its top six bits, ``rot``: the XSL-RR
+    output, ``x`` rotated right by ``rot``, then ``(output >> 11) *
+    2**-53``.  Rotates ``x`` in place."""
+    left = np.left_shift(x, (64 - rot) & 63)
+    x >>= rot
+    x |= left
+    x >>= _11
+    return np.multiply(x, 2.0**-53, out=out)
 
 
 def _block(state, inc):
     """The next 12 doubles of each stream, one (4, 3) draw, as a (12, ...)
     array as ``Generator.random`` fills it (a step, then its double, in C
-    order), and the state after them."""
+    order), and the state after them.
+
+    Each step writes its ``_double`` inputs into (12, ...) columns, the
+    XORed halves into the memory of the doubles themselves; they are made
+    doubles six rows at a time, so that the rotation's temporary is half a
+    block: whole-block temporaries made the heap grow and shrink again on
+    every chunk, and the page faults cost more than the calls they saved.
+    """
     draws = np.empty((12, *np.shape(state[1])))
+    x, rot = draws.view(np.uint64), np.empty(draws.shape, dtype=np.uint8)
     for k in range(12):
         state = _step(state, inc)
-        draws[k] = _double(state)
+        hi, lo = state
+        np.bitwise_xor(hi, lo, out=x[k])
+        np.right_shift(hi, _58, out=rot[k], casting="unsafe")
+    for half in (slice(0, 6), slice(6, 12)):
+        _double(x[half], rot[half], draws[half])
     return draws, state
 
 
@@ -256,14 +293,14 @@ def _draw_columns(generator) -> np.ndarray:
     state, inc = generator
     draws, state = _block(state, inc)
     kept = _accepted(draws)
-    out = np.empty((len(kept), 4, 3))
-    out[kept] = draws[:, kept].T.reshape(-1, 4, 3)
+    # the rejected rows are written over below
+    out = draws.T.reshape(-1, 4, 3)
     rows = np.flatnonzero(~kept)
     state, inc = [tuple(c[rows] for c in pair) for pair in (state, inc)]
     while len(rows):
         # the states 1 .. 12 * _BLOCKS steps on, block by block
-        state = _add(_mul(state, _JUMP_MULT), _mul(inc, _JUMP_INC))
-        draws = _double(state).reshape(_BLOCKS, 12, -1).transpose(1, 0, 2)
+        hi, lo = state = _add(_mul(state, _JUMP_MULT), _mul(inc, _JUMP_INC))
+        draws = _double(hi ^ lo, hi >> _58).reshape(_BLOCKS, 12, -1).transpose(1, 0, 2)
         kept = _accepted(draws)
         first = kept.argmax(axis=0)
         columns = np.arange(len(rows))

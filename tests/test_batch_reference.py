@@ -392,6 +392,62 @@ def test_nan_and_inf_residuals_on_the_scalar_path(monkeypatch):
     ]
 
 
+def test_zero_ties_and_a_check_opening_the_second_chunk(monkeypatch):
+    # a chunk's residuals are edited after _verify_chunk, and the same values
+    # given to the reference loop: the vertex check, +0.0 on every vertex
+    # instance, gets -1.0 on the first and -0.0 on the second, whose -0.0
+    # stays the maximum against the +0.0 after it in the first chunk and
+    # against the second chunk's maximum, +0.0, equal to it; the
+    # substitution residual applies to no instance of the first chunk, and
+    # the second chunk's first value, a NaN, is its maximum
+    count = CHUNK + 100
+    tetras = [sampling.random_tetrahedron(0, i) for i in range(count)]
+    kinds = [classify(t).kind for t in tetras]
+    vertex = [i for i, kind in enumerate(kinds) if kind == VERTEX]
+    interior = [i for i, kind in enumerate(kinds) if kind == INTERIOR]
+    assert vertex[1] < CHUNK <= vertex[-1]
+    forced = {
+        vertex[0]: {"vertex_optimality": -1.0},
+        vertex[1]: {"vertex_optimality": -0.0},
+    }
+    for i in interior:
+        forced[i] = {"substitution_residual": None if i < CHUNK else math.nan}
+        if i >= CHUNK:
+            break
+    points = {solve(tetras[i]).point.tobytes(): i for i in forced}
+    check_residuals = batch._check_residuals
+
+    def forced_residuals(report):
+        residuals = check_residuals(report)
+        i = points.get(report.solution.point.tobytes())
+        for name, value in forced.get(i, {}).items():
+            if value is None:
+                del residuals[name]
+            else:
+                residuals[name] = value
+        return residuals
+
+    verify_chunk = batch._verify_chunk
+
+    def forced_chunk(seed, indices, max_iter):
+        values, applies, errors = verify_chunk(seed, indices, max_iter)
+        for slot, i in enumerate(indices):
+            for name, value in forced.get(i, {}).items():
+                k = batch.CHECKS.index(name)
+                assert applies[k, slot]
+                if value is None:
+                    applies[k, slot] = False
+                else:
+                    values[k, slot] = value
+        return values, applies, errors
+
+    monkeypatch.setattr(batch, "_verify_chunk", forced_chunk)
+    monkeypatch.setitem(globals(), "_check_residuals", forced_residuals)
+    summary = assert_same(0, count)
+    assert float.hex(summary.max_residuals["vertex_optimality"]) == "-0x0.0p+0"
+    assert math.isnan(summary.max_residuals["substitution_residual"])
+
+
 def boundary_tie():
     """Apex height r/sqrt(8) over an equilateral base of circumradius r: the
     apex pull norm is 1 within rounding, a vertex solution flagged

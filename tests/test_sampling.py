@@ -98,6 +98,55 @@ def test_empty_and_one_row_chunks(indices):
     assert_bytes_equal(random_vertex_columns(3, indices), want)
 
 
+@pytest.mark.parametrize("indices", [
+    range(5, 2000, 3), range(10, 0, -1), range(0), range(5, 6, 2**64),
+    range(2**32 - 1, 0, -(10**30)), range(2**32 - 2, 2**32 + 2),
+    range(2**63 - 2, 2**63),
+])
+def test_ranges_draw_as_lists(indices):
+    # a nonempty range of indices all in [0, 2**32) is made by np.arange
+    # from its ends, also one of a single index with a step past int64; any
+    # other takes the list path, with no bound past uint32 handed to arange
+    column = sampling._index_column(indices)
+    if indices and all(0 <= i < 2**32 for i in indices):
+        assert column.dtype == np.uint32 and column.tolist() == list(indices)
+    else:
+        assert column is None
+    assert_bytes_equal(
+        random_vertex_columns(7, indices), random_vertex_columns(7, list(indices))
+    )
+
+
+#: 64-bit halves at the edges of _mul's 32-bit carries
+LIMBS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def multipliers():
+    """(value, ``_constant``) of PCG64's multiplier, of every jump's
+    multiplier and increment factor, and of the two constants whose 32-bit
+    quarters are all 2**32 - 1 below 2**128."""
+    yield sampling._PCG_A, sampling._PCG_MULT
+    for table in (sampling._JUMP_MULT, sampling._JUMP_INC):
+        for k in range(len(table[0])):
+            value = int(table[0][k, 0]) << 64 | int(table[1][k, 0])
+            yield value, tuple(c[k] for c in table)
+    for value in (2**64 - 1, 2**128 - 1):
+        yield value, sampling._constant(value)
+
+
+def test_mul_is_the_128_bit_product():
+    rng = np.random.default_rng(37)
+    states = [h << 64 | lo for h in LIMBS for lo in LIMBS]
+    halves = rng.integers(0, 2**64, (300, 2), dtype=np.uint64).tolist()
+    states += [h << 64 | lo for h, lo in halves]
+    hi = np.array([s >> 64 for s in states], dtype=np.uint64)
+    lo = np.array([s & (2**64 - 1) for s in states], dtype=np.uint64)
+    for value, m in multipliers():
+        got_hi, got_lo = sampling._mul((hi, lo), m)
+        got = [int(h) << 64 | int(lo) for h, lo in zip(got_hi.tolist(), got_lo.tolist())]
+        assert got == [s * value & (2**128 - 1) for s in states]
+
+
 def test_negative_seed_raises_as_numpy():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         random_vertex_columns(-1, range(3))
